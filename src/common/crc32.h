@@ -22,6 +22,13 @@ inline std::uint32_t Crc32(std::string_view bytes, std::uint32_t crc = 0) {
   return Crc32(bytes.data(), bytes.size(), crc);
 }
 
+/// \brief CRC-32 of the concatenation A·B from `crc_a` = Crc32(A),
+/// `crc_b` = Crc32(B) and `len_b` = |B|, in O(log len_b) — without the
+/// bytes. The streaming checkpoint writer builds its whole-file CRC from
+/// per-frame CRCs this way, so no byte is checksummed twice.
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
+
 }  // namespace sgq
 
 #endif  // SGQ_COMMON_CRC32_H_

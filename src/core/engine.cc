@@ -335,61 +335,76 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
   };
 }
 
-void Engine::EncodeCheckpointSections(
+Status Engine::EncodeCheckpointSections(
     CheckpointWriter* writer, const Vocabulary* vocab,
-    std::vector<std::pair<std::string, std::string>> extra) const {
-  std::string meta;
-  PutKeyValues(&meta, IdentityKeys());
-  PutKeyValues(&meta, InformationalKeys());
-  writer->AddSection("meta", std::move(meta));
+    const std::vector<std::pair<std::string, std::string>>& extra) const {
+  // One scratch string carries every payload piece to the writer; the
+  // large sections (vocabulary, operators) pass through it in pieces, so
+  // the snapshot never exists in memory as a whole.
+  std::string scratch;
+  auto drain = [&]() -> Status {
+    const Status st = writer->Append(scratch);
+    scratch.clear();
+    return st;
+  };
+  auto write_scratch = [&](std::string_view name) -> Status {
+    SGQ_RETURN_NOT_OK(writer->BeginSection(name));
+    SGQ_RETURN_NOT_OK(drain());
+    return writer->EndSection();
+  };
+
+  PutKeyValues(&scratch, IdentityKeys());
+  PutKeyValues(&scratch, InformationalKeys());
+  SGQ_RETURN_NOT_OK(write_scratch("meta"));
 
   // Registration history, not just the live set: (plan, live) per ever-
   // registered query. QueryIds index this list, so a restore target must
   // replay the same adds AND the same removals for ids to line up.
-  std::string queries;
-  PutU32(&queries, static_cast<std::uint32_t>(plan_texts_.size()));
+  PutU32(&scratch, static_cast<std::uint32_t>(plan_texts_.size()));
   for (std::size_t i = 0; i < plan_texts_.size(); ++i) {
-    PutStr(&queries, plan_texts_[i]);
-    PutU8(&queries, query_live_[i] ? 1 : 0);
+    PutStr(&scratch, plan_texts_[i]);
+    PutU8(&scratch, query_live_[i] ? 1 : 0);
   }
-  writer->AddSection("queries", std::move(queries));
+  SGQ_RETURN_NOT_OK(write_scratch("queries"));
 
   if (vocab != nullptr) {
-    std::string v;
+    SGQ_RETURN_NOT_OK(writer->BeginSection("vocab"));
     const std::size_t num_labels = vocab->NumLabels();
-    PutU32(&v, static_cast<std::uint32_t>(num_labels));
+    PutU32(&scratch, static_cast<std::uint32_t>(num_labels));
     for (std::size_t i = 0; i < num_labels; ++i) {
       const LabelId label = static_cast<LabelId>(i);
-      PutStr(&v, vocab->LabelName(label));
-      PutU8(&v, vocab->IsInputLabel(label) ? 1 : 0);
+      PutStr(&scratch, vocab->LabelName(label));
+      PutU8(&scratch, vocab->IsInputLabel(label) ? 1 : 0);
     }
     const std::size_t num_vertices = vocab->NumVertices();
-    PutU64(&v, num_vertices);
+    PutU64(&scratch, num_vertices);
     for (std::size_t i = 0; i < num_vertices; ++i) {
-      PutStr(&v, vocab->VertexName(static_cast<VertexId>(i)));
+      PutStr(&scratch, vocab->VertexName(static_cast<VertexId>(i)));
+      if (scratch.size() >= kStreamIoBufferBytes) SGQ_RETURN_NOT_OK(drain());
     }
-    writer->AddSection("vocab", std::move(v));
+    SGQ_RETURN_NOT_OK(drain());
+    SGQ_RETURN_NOT_OK(writer->EndSection());
   }
 
-  std::string clock;
-  executor_.SerializeClock(&clock);
-  writer->AddSection("clock", std::move(clock));
+  executor_.SerializeClock(&scratch);
+  SGQ_RETURN_NOT_OK(write_scratch("clock"));
 
-  std::string windows;
-  executor_.window_store()->SerializeState(&windows);
-  writer->AddSection("windows", std::move(windows));
+  executor_.window_store()->SerializeState(&scratch);
+  SGQ_RETURN_NOT_OK(write_scratch("windows"));
 
-  std::string ops;
-  executor_.SerializeOps(&ops);
-  writer->AddSection("ops", std::move(ops));
+  SGQ_RETURN_NOT_OK(writer->BeginSection("ops"));
+  SGQ_RETURN_NOT_OK(executor_.SerializeOps(writer));
+  SGQ_RETURN_NOT_OK(writer->EndSection());
 
-  std::string engine;
-  PutU64(&engine, ingested());
-  writer->AddSection("engine", std::move(engine));
+  PutU64(&scratch, ingested());
+  SGQ_RETURN_NOT_OK(write_scratch("engine"));
 
-  for (auto& [name, payload] : extra) {
-    writer->AddSection(std::move(name), std::move(payload));
+  for (const auto& [name, payload] : extra) {
+    SGQ_RETURN_NOT_OK(writer->BeginSection(name));
+    SGQ_RETURN_NOT_OK(writer->Append(payload));
+    SGQ_RETURN_NOT_OK(writer->EndSection());
   }
+  return writer->Finish();
 }
 
 Status Engine::Checkpoint(
@@ -402,21 +417,24 @@ Status Engine::Checkpoint(
   // surfaces here, before the new snapshot replaces its bytes.
   SGQ_RETURN_NOT_OK(WaitForCheckpoint());
 
-  // Serialization is the synchronous part — the only stall the ingest
-  // loop observes (checkpoint_write_ns). The durable write (temp file +
-  // fsync + atomic rename) runs on the background thread.
+  // Serialization streams straight into the temp file; it is the only
+  // stall the ingest loop observes (checkpoint_write_ns, which therefore
+  // includes the buffered writes into the page cache). A write error
+  // surfaces here, and the file's destructor removes the temp file. The
+  // background thread only makes the file durable and visible: fsync,
+  // close, rename, directory fsync.
   Stopwatch timer;
-  CheckpointWriter writer;
-  EncodeCheckpointSections(&writer, vocab, std::move(extra));
-  std::string image = writer.Encode();
+  auto file = std::make_unique<CheckpointFile>(path);
+  const Status st = EncodeCheckpointSections(file->writer(), vocab, extra);
   checkpoint_write_ns_ +=
       static_cast<std::uint64_t>(timer.ElapsedSeconds() * 1e9);
-  checkpoint_bytes_ += image.size();
+  if (!st.ok()) return st;
+  checkpoint_bytes_ += file->writer()->bytes_written();
 
-  checkpoint_writer_ =
-      std::thread([this, path, image = std::move(image)]() {
-        checkpoint_write_status_ = WriteFileDurable(path, image);
-      });
+  checkpoint_writer_ = std::thread([this, file = std::move(file)]() mutable {
+    checkpoint_write_status_ = file->Commit();
+    file.reset();  // a failed commit's temp file is gone before the join
+  });
   return Status::OK();
 }
 

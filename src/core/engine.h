@@ -240,10 +240,12 @@ class Engine {
   /// @{
 
   /// \brief Writes a complete SGQC snapshot to `path`. State serialization
-  /// runs synchronously (the measured ingest stall, checkpoint_write_ns);
-  /// the durable file write (temp + fsync + atomic rename) happens on a
-  /// background thread, joined by the next Checkpoint()/WaitForCheckpoint()
-  /// or the destructor. `vocab` (when given) is captured for restore-time
+  /// runs synchronously and streams into `path + ".tmp"` (the measured
+  /// ingest stall, checkpoint_write_ns); a write error is returned from
+  /// this call, with the temp file removed and any previous file at `path`
+  /// untouched. Making the file durable (fsync + atomic rename) happens on
+  /// a background thread, joined by the next Checkpoint()/
+  /// WaitForCheckpoint() or the destructor. `vocab` (when given) is captured for restore-time
   /// verification; `extra` sections are stored verbatim (the CLI uses one
   /// for its reorder-buffer stage). Section names starting with "x-" are
   /// reserved for extras.
@@ -275,8 +277,9 @@ class Engine {
     return restored_ingested_ + executor_.edges_pushed();
   }
 
-  /// \brief Cumulative synchronous checkpoint stall (state serialization,
-  /// nanoseconds) and total checkpoint bytes encoded.
+  /// \brief Cumulative synchronous checkpoint stall (state serialization
+  /// and its buffered writes into the temp file, nanoseconds) and total
+  /// checkpoint bytes written.
   std::uint64_t checkpoint_write_ns() const { return checkpoint_write_ns_; }
   std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
   /// @}
@@ -421,11 +424,11 @@ class Engine {
   /// must be at least the running slide granularity (fixed at Finalize).
   Status CheckLiveAttachable(const LogicalOp& plan) const;
 
-  /// \brief Assembles the SGQC section set (shared by Checkpoint and the
-  /// in-memory tests).
-  void EncodeCheckpointSections(
+  /// \brief Streams the complete SGQC image (every section, then the
+  /// footer) through `writer`; the first write error aborts it.
+  Status EncodeCheckpointSections(
       CheckpointWriter* writer, const Vocabulary* vocab,
-      std::vector<std::pair<std::string, std::string>> extra) const;
+      const std::vector<std::pair<std::string, std::string>>& extra) const;
 
   /// \brief Restore body over a parsed reader (validation + adoption).
   Status RestoreFrom(const CheckpointReader& reader, Vocabulary* vocab,

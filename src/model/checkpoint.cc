@@ -10,7 +10,7 @@
 #endif
 
 #include "common/crc32.h"
-#include "model/stream_io.h"
+#include "common/logging.h"
 
 namespace sgq {
 namespace {
@@ -42,21 +42,25 @@ void PutU8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
+// Each fixed-width put builds its little-endian bytes locally and appends
+// them once: one capacity check per field instead of one per byte.
+
 void PutU16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
+  const char b[2] = {static_cast<char>(v & 0xFF),
+                     static_cast<char>((v >> 8) & 0xFF)};
+  out->append(b, sizeof(b));
 }
 
 void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out->append(b, sizeof(b));
 }
 
 void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out->append(b, sizeof(b));
 }
 
 void PutI64(std::string* out, std::int64_t v) {
@@ -66,6 +70,18 @@ void PutI64(std::string* out, std::int64_t v) {
 void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<std::uint32_t>(s.size()));
   out->append(s.data(), s.size());
+}
+
+std::size_t PutLengthPlaceholder(std::string* out) {
+  PutU32(out, 0);
+  return out->size() - 4;
+}
+
+void PatchLength(std::string* out, std::size_t at) {
+  const auto length = static_cast<std::uint32_t>(out->size() - at - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+  }
 }
 
 void PutSge(std::string* out, const Sge& e) {
@@ -206,61 +222,121 @@ Status ByteReader::ExpectEnd() {
 // CheckpointWriter
 // ---------------------------------------------------------------------------
 
-void CheckpointWriter::AddSection(std::string name, std::string payload) {
-  sections_.emplace_back(std::move(name), std::move(payload));
+namespace {
+
+/// Magic, version and section count: the 12 bytes every image opens with.
+std::string Header(std::uint32_t num_sections) {
+  std::string header(kCheckpointMagic, sizeof(kCheckpointMagic));
+  PutU32(&header, kCheckpointVersion);
+  PutU32(&header, num_sections);
+  return header;
 }
 
-std::string CheckpointWriter::Encode() const {
-  std::string out;
-  out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU32(&out, kCheckpointVersion);
-  PutU32(&out, static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    PutU16(&out, static_cast<std::uint16_t>(name.size()));
-    out.append(name);
-    PutU64(&out, payload.size());
-    PutU32(&out, Crc32(payload));
-    out.append(payload);
-  }
-  out.append(kCheckpointEndMagic, sizeof(kCheckpointEndMagic));
-  PutU32(&out, Crc32(out));
-  return out;
+constexpr std::size_t kHeaderBytes = 12;
+/// u64 payload length + u32 payload CRC closing every frame header.
+constexpr std::size_t kFrameFixedBytes = 12;
+
+}  // namespace
+
+CheckpointWriter::CheckpointWriter(ByteSink* sink) : sink_(sink) {
+  // The section count is a placeholder until Finish() backpatches it.
+  Put(Header(0));
 }
 
-Status CheckpointWriter::WriteTo(ByteSink* sink) const {
-  SGQ_RETURN_NOT_OK(sink->Append(Encode()));
-  return sink->Close();
+Status CheckpointWriter::Put(std::string_view bytes) {
+  if (!status_.ok()) return status_;
+  status_ = sink_->Append(bytes);
+  if (status_.ok()) offset_ += bytes.size();
+  return status_;
 }
 
-Status CheckpointWriter::WriteFile(const std::string& path) const {
-  return WriteFileDurable(path, Encode());
+Status CheckpointWriter::BeginSection(std::string_view name) {
+  SGQ_CHECK(!in_section_) << "BeginSection inside section";
+  SGQ_CHECK_LT(name.size(), std::size_t{1} << 16);
+  in_section_ = true;
+  payload_len_ = 0;
+  payload_crc_ = 0;
+  frame_.clear();
+  PutU16(&frame_, static_cast<std::uint16_t>(name.size()));
+  frame_.append(name.data(), name.size());
+  frame_at_ = offset_;
+  frame_.append(kFrameFixedBytes, '\0');
+  return Put(frame_);
 }
 
-Status WriteFileDurable(const std::string& path, std::string_view bytes) {
-  // Never expose a partially written file under the final name: stage the
-  // image under a temp name, force it to stable storage, then rename —
-  // POSIX rename(2) atomically replaces any previous checkpoint.
-  const std::string tmp = path + ".tmp";
-  {
-    FileByteSink sink(tmp);
-    Status st = sink.Append(bytes);
-    if (st.ok()) st = sink.Sync();
-    if (st.ok()) st = sink.Close();
-    if (!st.ok()) {
-      std::remove(tmp.c_str());
-      return st;
-    }
-  }
+Status CheckpointWriter::Append(std::string_view bytes) {
+  SGQ_CHECK(in_section_) << "Append outside a section";
+  SGQ_RETURN_NOT_OK(status_);
+  payload_crc_ = Crc32(bytes, payload_crc_);
+  payload_len_ += bytes.size();
+  return Put(bytes);
+}
+
+Status CheckpointWriter::EndSection() {
+  SGQ_CHECK(in_section_) << "EndSection without BeginSection";
+  in_section_ = false;
+  SGQ_RETURN_NOT_OK(status_);
+  const std::size_t fixed_at = frame_.size() - kFrameFixedBytes;
+  frame_.resize(fixed_at);
+  PutU64(&frame_, payload_len_);
+  PutU32(&frame_, payload_crc_);
+  status_ = sink_->WriteAt(frame_at_ + fixed_at,
+                           std::string_view(frame_).substr(fixed_at));
+  SGQ_RETURN_NOT_OK(status_);
+  // The frame header is checksummed once, with its final bytes; the
+  // payload's CRC is folded in without touching its bytes again.
+  body_crc_ = Crc32Combine(Crc32(frame_, body_crc_), payload_crc_,
+                           payload_len_);
+  body_len_ += frame_.size() + payload_len_;
+  ++num_sections_;
+  return status_;
+}
+
+Status CheckpointWriter::Finish() {
+  SGQ_CHECK(!in_section_) << "Finish inside section";
+  const std::string_view end_magic(kCheckpointEndMagic,
+                                   sizeof(kCheckpointEndMagic));
+  SGQ_RETURN_NOT_OK(Put(end_magic));
+  body_crc_ = Crc32(end_magic, body_crc_);
+  body_len_ += end_magic.size();
+  const std::string header = Header(num_sections_);
+  std::string footer;
+  PutU32(&footer, Crc32Combine(Crc32(header), body_crc_, body_len_));
+  SGQ_RETURN_NOT_OK(Put(footer));
+  constexpr std::size_t kCountAt = kHeaderBytes - 4;
+  status_ = sink_->WriteAt(kCountAt, std::string_view(header).substr(kCountAt));
+  return status_;
+}
+
+CheckpointFile::CheckpointFile(std::string path)
+    : path_(std::move(path)),
+      tmp_(path_ + ".tmp"),
+      sink_(tmp_),
+      writer_(&sink_) {}
+
+CheckpointFile::~CheckpointFile() {
+  if (committed_) return;
+  sink_.Close();
+  std::remove(tmp_.c_str());
+}
+
+Status CheckpointFile::Commit() {
+  // Never expose a partially written file under the final name: force the
+  // temp file to stable storage, then rename — POSIX rename(2) atomically
+  // replaces any previous checkpoint. Any failure leaves the temp file to
+  // the destructor.
+  SGQ_RETURN_NOT_OK(writer_.status());
+  SGQ_RETURN_NOT_OK(sink_.Sync());
+  SGQ_RETURN_NOT_OK(sink_.Close());
   errno = 0;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status st = Status::Internal("cannot rename " + tmp + " to " +
-                                       path + ": " + ErrnoText(errno));
-    std::remove(tmp.c_str());
-    return st;
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    return Status::Internal("cannot rename " + tmp_ + " to " + path_ + ": " +
+                            ErrnoText(errno));
   }
+  committed_ = true;
 #if !defined(_WIN32)
   // The rename is only durable once the directory entry is flushed.
-  const std::string dir = DirName(path);
+  const std::string dir = DirName(path_);
   const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
   if (dfd >= 0) {
     ::fsync(dfd);

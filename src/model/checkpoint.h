@@ -17,9 +17,9 @@
 // Every frame is validated before any payload is handed out: truncation
 // at any byte, a flipped bit in any section, or an unknown version is
 // rejected with a *positioned* error (byte offset + section name), never
-// a partial parse. Files are written through a temp-file + fsync +
-// atomic-rename protocol (CheckpointWriter::WriteFile), so a crash mid-
-// write can never leave a live-but-torn checkpoint under the final name.
+// a partial parse. Files are streamed into a temp file and published by
+// fsync + atomic rename (CheckpointFile), so a crash mid-write can never
+// leave a live-but-torn checkpoint under the final name.
 //
 // The Put*/ByteReader helpers below are the single encode/decode
 // vocabulary for section payloads — operators' Serialize/Deserialize
@@ -38,6 +38,7 @@
 
 #include "common/result.h"
 #include "model/sgt.h"
+#include "model/stream_io.h"
 
 namespace sgq {
 
@@ -60,6 +61,12 @@ void PutU64(std::string* out, std::uint64_t v);
 void PutI64(std::string* out, std::int64_t v);
 /// \brief u32 length + raw bytes.
 void PutStr(std::string* out, std::string_view s);
+/// \brief PutStr built in place: PutLengthPlaceholder appends a u32 slot
+/// and returns its offset; after the value's bytes are appended behind
+/// it, PatchLength writes their count into the slot. Saves serializing a
+/// large value into a temporary only to copy it.
+std::size_t PutLengthPlaceholder(std::string* out);
+void PatchLength(std::string* out, std::size_t at);
 
 class ByteReader;
 
@@ -115,62 +122,111 @@ class ByteReader {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// \brief Destination abstraction for checkpoint bytes. The production
-/// implementation wraps FileByteSink (model/stream_io.h); tests inject
-/// failing sinks to simulate ENOSPC / short writes at any byte.
-class ByteSink {
- public:
-  virtual ~ByteSink() = default;
-  virtual Status Append(std::string_view bytes) = 0;
-  virtual Status Close() = 0;
-};
-
-/// \brief ByteSink into a growing string (tests, in-memory checkpoints).
-class StringByteSink : public ByteSink {
+/// \brief ByteSink into a growing string (tests).
+class StringByteSink final : public ByteSink {
  public:
   Status Append(std::string_view b) override {
     bytes_.append(b.data(), b.size());
     return Status::OK();
   }
+  Status WriteAt(std::uint64_t offset, std::string_view b) override {
+    if (offset > bytes_.size() || b.size() > bytes_.size() - offset) {
+      return Status::Internal("WriteAt past the end of the written bytes");
+    }
+    bytes_.replace(offset, b.size(), b.data(), b.size());
+    return Status::OK();
+  }
   Status Close() override { return Status::OK(); }
   const std::string& bytes() const { return bytes_; }
-  std::string TakeBytes() { return std::move(bytes_); }
 
  private:
   std::string bytes_;
 };
 
-/// \brief Assembles an SGQC image from named sections and writes it out.
-/// Section order is preserved (restore is order-independent, but a stable
-/// order keeps checkpoint bytes deterministic for differential tests).
+/// \brief Streams an SGQC image into a ByteSink one section at a time, so
+/// the only copy of a section's payload is whatever piece the caller is
+/// appending. BeginSection writes the frame header with placeholder
+/// length and CRC; payload bytes go straight to the sink, their CRC taken
+/// as they pass; EndSection backpatches length and CRC at the frame's
+/// offset (ByteSink::WriteAt). Finish appends the footer, whose whole-
+/// file CRC is combined from the per-frame CRCs (Crc32Combine), and
+/// backpatches the header's section count. No byte is checksummed twice
+/// and nothing is read back.
+///
+/// Errors stick: after the first sink failure every call returns it.
+/// Sections are written in call order (restore is order-independent, but
+/// a stable order keeps checkpoint bytes deterministic).
 class CheckpointWriter {
  public:
-  /// \brief Appends one section; names must be unique and < 64 KiB.
-  void AddSection(std::string name, std::string payload);
+  /// \brief Writes the file header to `sink` (borrowed; must outlive the
+  /// writer).
+  explicit CheckpointWriter(ByteSink* sink);
 
-  /// \brief The complete SGQC byte image (header + sections + footer).
-  std::string Encode() const;
+  /// \brief Opens a section; names must be unique and < 64 KiB.
+  Status BeginSection(std::string_view name);
 
-  /// \brief Streams Encode() through `sink` and closes it. Any sink error
-  /// (short write, injected ENOSPC) aborts and surfaces verbatim.
-  Status WriteTo(ByteSink* sink) const;
+  /// \brief Appends payload bytes to the open section.
+  Status Append(std::string_view bytes);
 
-  /// \brief Durable file write: encode to `path + ".tmp"`, fsync, then
-  /// atomically rename over `path` and fsync the parent directory. A
-  /// crash at any instant leaves either the previous file (or nothing)
-  /// or the complete new checkpoint — never a torn one.
-  Status WriteFile(const std::string& path) const;
+  /// \brief Closes the open section, backpatching its frame.
+  Status EndSection();
 
-  std::size_t num_sections() const { return sections_.size(); }
+  /// \brief Appends the footer and backpatches the section count. The
+  /// sink is left open (its owner syncs and closes it).
+  Status Finish();
+
+  /// \brief Image bytes written so far (the file size after Finish).
+  std::uint64_t bytes_written() const { return offset_; }
+  const Status& status() const { return status_; }
 
  private:
-  std::vector<std::pair<std::string, std::string>> sections_;
+  /// Appends to the sink, advancing offset_; records a failure.
+  Status Put(std::string_view bytes);
+
+  ByteSink* sink_;
+  Status status_ = Status::OK();
+  std::uint64_t offset_ = 0;
+  std::uint32_t num_sections_ = 0;
+  /// CRC and length of every finished byte after the 12-byte header.
+  std::uint32_t body_crc_ = 0;
+  std::uint64_t body_len_ = 0;
+  // The open section: its frame header bytes (name prefix + placeholder
+  // length/CRC, kept to checksum once the real values are patched in),
+  // the frame's offset, and the payload's running length and CRC.
+  bool in_section_ = false;
+  std::string frame_;
+  std::uint64_t frame_at_ = 0;
+  std::uint64_t payload_len_ = 0;
+  std::uint32_t payload_crc_ = 0;
 };
 
-/// \brief The durable half of CheckpointWriter::WriteFile, reusable with
-/// pre-encoded bytes: write to `path + ".tmp"`, fsync, atomically rename
-/// over `path`, fsync the parent directory.
-Status WriteFileDurable(const std::string& path, std::string_view bytes);
+/// \brief A checkpoint being written under `path + ".tmp"`: writer()
+/// streams the image into the temp file; Commit() makes it durable and
+/// visible — fsync, close, atomic rename over `path`, fsync of the parent
+/// directory — so a crash at any instant leaves either the previous file
+/// (or nothing) or the complete new checkpoint, never a torn one. A file
+/// destroyed without a successful Commit() removes its temp file.
+class CheckpointFile {
+ public:
+  explicit CheckpointFile(std::string path);
+  ~CheckpointFile();
+
+  CheckpointFile(const CheckpointFile&) = delete;
+  CheckpointFile& operator=(const CheckpointFile&) = delete;
+
+  CheckpointWriter* writer() { return &writer_; }
+
+  /// \brief Requires a finished writer. On failure any previous file at
+  /// `path` is untouched (the destructor removes the temp file).
+  Status Commit();
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  FileByteSink sink_;
+  CheckpointWriter writer_;
+  bool committed_ = false;
+};
 
 // ---------------------------------------------------------------------------
 // Reader

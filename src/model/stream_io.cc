@@ -14,6 +14,7 @@
 #endif
 
 #include "common/string_util.h"
+#include "model/checkpoint.h"
 
 namespace sgq {
 
@@ -79,24 +80,8 @@ Status ParseStreamLine(std::string_view line, std::size_t line_no,
   return Status::OK();
 }
 
-// --- little-endian scalar encode/decode (portable, no aliasing) ---
-
-void PutU16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+// --- little-endian scalar decode (portable, no aliasing); encoding uses
+// the PutU* helpers of model/checkpoint.h ---
 
 std::uint16_t GetU16(const char* p) {
   const auto* b = reinterpret_cast<const unsigned char*>(p);
@@ -639,13 +624,19 @@ std::string ErrnoText(int err) {
 }  // namespace
 
 Result<std::string> ReadFileBytes(const std::string& path) {
-#if !defined(_WIN32)
   // ifstream happily opens a directory on POSIX and only fails at the
-  // first read (EISDIR) — catch it up front with a clear message.
+  // first read (EISDIR) — catch it up front with a clear message. The
+  // same stat sizes the result up front, so a large file (a restored
+  // checkpoint) costs one allocation of its size, not a doubling series.
+  std::size_t size_hint = 0;
+#if !defined(_WIN32)
   struct stat st;
-  if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return Status::InvalidArgument("cannot open stream file: " + path +
-                                   ": is a directory");
+  if (::stat(path.c_str(), &st) == 0) {
+    if (S_ISDIR(st.st_mode)) {
+      return Status::InvalidArgument("cannot open stream file: " + path +
+                                     ": is a directory");
+    }
+    if (S_ISREG(st.st_mode)) size_hint = static_cast<std::size_t>(st.st_size);
   }
 #endif
   errno = 0;
@@ -655,6 +646,7 @@ Result<std::string> ReadFileBytes(const std::string& path) {
                             ErrnoText(errno));
   }
   std::string out;
+  out.reserve(size_hint);
   char buffer[kStreamIoBufferBytes];
   errno = 0;
   while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
@@ -724,6 +716,24 @@ Status FileByteSink::Append(std::string_view bytes) {
     if (buffer_.size() == kStreamIoBufferBytes) {
       SGQ_RETURN_NOT_OK(Flush());
     }
+  }
+  return status_;
+}
+
+Status FileByteSink::WriteAt(std::uint64_t offset, std::string_view bytes) {
+  SGQ_RETURN_NOT_OK(Flush());
+  if (offset > bytes_written_ || bytes.size() > bytes_written_ - offset) {
+    return Status::Internal("positioned write past the end of file: " +
+                            path_);
+  }
+  // Seek, overwrite, seek back to the end, where appends continue.
+  errno = 0;
+  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
+      std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
+      std::fseek(file_, 0, SEEK_END) != 0) {
+    status_ = Status::Internal("positioned write error on file: " + path_ +
+                               " at offset " + std::to_string(offset) + ": " +
+                               ErrnoText(errno));
   }
   return status_;
 }

@@ -356,22 +356,40 @@ Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
 /// instead of a file, read failures).
 Result<std::string> ReadFileBytes(const std::string& path);
 
+/// \brief Destination of an incrementally written byte image. The
+/// checkpoint writer (model/checkpoint.h) streams through it; tests
+/// inject failing sinks to simulate ENOSPC / short writes at any byte.
+class ByteSink {
+ public:
+  virtual ~ByteSink() = default;
+  virtual Status Append(std::string_view bytes) = 0;
+  /// \brief Overwrites bytes already appended, starting at `offset` (the
+  /// range must lie inside what was appended). Later appends still go
+  /// to the end.
+  virtual Status WriteAt(std::uint64_t offset, std::string_view bytes) = 0;
+  virtual Status Close() = 0;
+};
+
 /// \brief Incremental buffered file writer: Append() accumulates into a
 /// kStreamIoBufferBytes staging buffer and flushes full buffers to disk,
-/// so writers of arbitrarily large outputs (streaming stream_convert)
-/// never materialize more than one buffer. Errors (open, short write)
-/// carry the errno text, stick, and re-surface from every later call.
-class FileByteSink {
+/// so writers of arbitrarily large outputs (streaming stream_convert,
+/// checkpoints) never materialize more than one buffer. Errors (open,
+/// short write) carry the errno text, stick, and re-surface from every
+/// later call.
+class FileByteSink final : public ByteSink {
  public:
   /// \brief Opens `path` for truncating binary write.
   explicit FileByteSink(const std::string& path);
-  ~FileByteSink();
+  ~FileByteSink() override;
 
   FileByteSink(const FileByteSink&) = delete;
   FileByteSink& operator=(const FileByteSink&) = delete;
 
   /// \brief Buffers `bytes`, flushing in kStreamIoBufferBytes units.
-  Status Append(std::string_view bytes);
+  Status Append(std::string_view bytes) override;
+
+  /// \brief Flushes the staged tail, then overwrites `bytes` in place.
+  Status WriteAt(std::uint64_t offset, std::string_view bytes) override;
 
   /// \brief Pushes the staged tail into the stdio stream. Short writes
   /// surface the errno text and how many bytes were lost, and stick.
@@ -386,7 +404,7 @@ class FileByteSink {
   /// \brief Flushes the tail and closes the file. Idempotent; the
   /// destructor calls it, but callers should Close() explicitly to see
   /// the final flush's status.
-  Status Close();
+  Status Close() override;
 
   /// \brief Bytes accepted so far (buffered bytes included).
   std::uint64_t bytes_written() const { return bytes_written_; }

@@ -1223,31 +1223,38 @@ Status Executor::DeserializeClock(ByteReader* in) {
   return Status::OK();
 }
 
-void Executor::SerializeOps(std::string* out) const {
-  PutU32(out, static_cast<std::uint32_t>(nodes_.size()));
+Status Executor::SerializeOps(CheckpointWriter* out) const {
+  // One scratch string carries each operator instance's bytes to the
+  // writer, its PutStr length prefix patched in place, so the largest
+  // single payload bounds the memory this section costs.
+  std::string scratch;
+  PutU32(&scratch, static_cast<std::uint32_t>(nodes_.size()));
   for (const OpNode& node : nodes_) {
     // Tombstoned slots serialize as a single liveness byte: a removed
     // query's operators carry no sections, and restore refuses a snapshot
     // whose live set differs from the replayed registration history.
-    PutU8(out, node.op != nullptr ? 1 : 0);
+    PutU8(&scratch, node.op != nullptr ? 1 : 0);
     if (node.op == nullptr) continue;
-    PutU8(out, node.touched ? 1 : 0);
-    PutU8(out, node.merge_coalesce ? 1 : 0);
+    PutU8(&scratch, node.touched ? 1 : 0);
+    PutU8(&scratch, node.merge_coalesce ? 1 : 0);
     if (node.merge_coalesce) {
-      node.merge_coalescer.SerializeState(out);
-      PutU64(out, node.merge_purge_watermark);
+      node.merge_coalescer.SerializeState(&scratch);
+      PutU64(&scratch, node.merge_purge_watermark);
     }
     const std::size_t instances = 1 + node.replicas.size();
-    PutU32(out, static_cast<std::uint32_t>(instances));
+    PutU32(&scratch, static_cast<std::uint32_t>(instances));
     for (std::size_t s = 0; s < instances; ++s) {
       const PhysicalOp* inst =
           s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      PutU64(out, inst->checkpoint_purge_watermark());
-      std::string blob;
-      inst->SerializeState(&blob);
-      PutStr(out, blob);
+      PutU64(&scratch, inst->checkpoint_purge_watermark());
+      const std::size_t length_at = PutLengthPlaceholder(&scratch);
+      inst->SerializeState(&scratch);
+      PatchLength(&scratch, length_at);
+      SGQ_RETURN_NOT_OK(out->Append(scratch));
+      scratch.clear();
     }
   }
+  return out->Append(scratch);
 }
 
 Status Executor::DeserializeOps(ByteReader* in) {

@@ -316,8 +316,9 @@ class Executor {
   /// \brief Serializes per-node runtime state: the touched bit (indexed
   /// purge dispatch), the merge-side coalescer + its purge watermark when
   /// enabled, and every shard instance's purge watermark plus its
-  /// length-framed SerializeState blob.
-  void SerializeOps(std::string* out) const;
+  /// length-framed SerializeState blob — streamed into the open section
+  /// of `out` one operator instance at a time.
+  Status SerializeOps(CheckpointWriter* out) const;
   Status DeserializeOps(ByteReader* in);
   /// @}
 

@@ -65,9 +65,9 @@ void WindowStore::SerializeState(std::string* out) const {
   PutU32(out, static_cast<std::uint32_t>(signatures.size()));
   for (const std::string* sig : signatures) {
     PutStr(out, *sig);
-    std::string blob;
-    partitions_.at(*sig).store->SerializeState(&blob);
-    PutStr(out, blob);
+    const std::size_t length_at = PutLengthPlaceholder(out);
+    partitions_.at(*sig).store->SerializeState(out);
+    PatchLength(out, length_at);
   }
 }
 

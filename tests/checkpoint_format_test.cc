@@ -4,20 +4,25 @@
 // bit in any section, version skew, trailing garbage) must be rejected
 // with a *positioned* error before any payload is handed out, and every
 // write-side failure (ENOSPC, short write) must surface verbatim from
-// the injected sink. Also covers the durable-write protocol (temp file +
-// fsync + atomic rename leaves the previous good file untouched) and the
-// FileByteSink Flush/Sync hardening it rides on.
+// the injected sink, backpatches included. The streamed image is pinned
+// to a golden of the encoder that built it in memory. Also covers the
+// durable-write protocol (temp file + fsync + atomic rename leaves the
+// previous good file untouched) and the FileByteSink Flush/Sync/WriteAt
+// hardening it rides on.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
 #include "model/checkpoint.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 
 namespace sgq {
 namespace {
@@ -26,22 +31,48 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// \brief A three-section image with non-trivial payloads (NULs, high
-/// bytes) — the fixture every fault-injection test mutates.
-std::string SampleImage() {
-  CheckpointWriter writer;
+using Sections = std::vector<std::pair<std::string, std::string>>;
+
+/// \brief Streams `sections` through a CheckpointWriter into `sink`, each
+/// payload appended in pieces of `piece` bytes (0 = whole).
+Status WriteImage(const Sections& sections, ByteSink* sink,
+                  std::size_t piece = 0) {
+  CheckpointWriter writer(sink);
+  for (const auto& [name, payload] : sections) {
+    SGQ_RETURN_NOT_OK(writer.BeginSection(name));
+    const std::size_t step = piece == 0 ? payload.size() + 1 : piece;
+    for (std::size_t at = 0; at < payload.size(); at += step) {
+      SGQ_RETURN_NOT_OK(
+          writer.Append(std::string_view(payload).substr(at, step)));
+    }
+    SGQ_RETURN_NOT_OK(writer.EndSection());
+  }
+  return writer.Finish();
+}
+
+std::string Image(const Sections& sections, std::size_t piece = 0) {
+  StringByteSink sink;
+  const Status st = WriteImage(sections, &sink, piece);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return sink.bytes();
+}
+
+/// \brief Three sections with non-trivial payloads (NULs, high bytes).
+Sections SampleSections() {
   std::string clock;
   PutI64(&clock, -17);
   PutU64(&clock, 42);
-  writer.AddSection("clock", clock);
   std::string ops(300, '\0');
   for (std::size_t i = 0; i < ops.size(); ++i) {
     ops[i] = static_cast<char>(i * 7);
   }
-  writer.AddSection("ops", ops);
-  writer.AddSection("engine", std::string("\xff\x00payload", 9));
-  return writer.Encode();
+  return {{"clock", clock},
+          {"ops", ops},
+          {"engine", std::string("\xff\x00payload", 9)}};
 }
+
+/// \brief The image every fault-injection test mutates.
+std::string SampleImage() { return Image(SampleSections()); }
 
 // ---------------------------------------------------------------------------
 // CRC32
@@ -61,6 +92,34 @@ TEST(Crc32Test, ChunkedMatchesOneShot) {
     const std::uint32_t first = Crc32(data.substr(0, split));
     EXPECT_EQ(Crc32(data.substr(split), first), whole) << "split " << split;
   }
+}
+
+TEST(Crc32Test, CombineMatchesOneShot) {
+  std::mt19937_64 rng(20221);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(rng() % 600, '\0');
+    for (char& c : data) c = static_cast<char>(rng());
+    const std::uint32_t whole = Crc32(data);
+    // Random three-way splits; empty parts are drawn often on purpose.
+    std::size_t a = data.empty() ? 0 : rng() % (data.size() + 1);
+    std::size_t b = data.empty() ? 0 : rng() % (data.size() + 1);
+    if (trial % 5 == 0) a = 0;
+    if (trial % 7 == 0) b = data.size();
+    if (a > b) std::swap(a, b);
+    const std::string_view view(data);
+    const std::string_view x = view.substr(0, a);
+    const std::string_view y = view.substr(a, b - a);
+    const std::string_view z = view.substr(b);
+    const std::uint32_t xy = Crc32Combine(Crc32(x), Crc32(y), y.size());
+    EXPECT_EQ(Crc32Combine(xy, Crc32(z), z.size()), whole)
+        << "trial " << trial << " split " << a << "/" << b;
+  }
+  // Empty halves are identities; long tails exercise high shift bits.
+  EXPECT_EQ(Crc32Combine(Crc32("abc"), Crc32(""), 0), Crc32("abc"));
+  EXPECT_EQ(Crc32Combine(Crc32(""), Crc32("abc"), 3), Crc32("abc"));
+  const std::string big(1 << 20, 'q');
+  EXPECT_EQ(Crc32Combine(Crc32("head"), Crc32(big), big.size()),
+            Crc32("head" + big));
 }
 
 // ---------------------------------------------------------------------------
@@ -90,14 +149,31 @@ TEST(CheckpointFormatTest, EncodeParseRoundTrip) {
 }
 
 TEST(CheckpointFormatTest, EmptyImageParses) {
-  CheckpointWriter writer;
-  auto reader = CheckpointReader::Parse(writer.Encode(), "empty");
+  auto reader = CheckpointReader::Parse(Image({}), "empty");
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_TRUE(reader->sections().empty());
 }
 
 TEST(CheckpointFormatTest, EncodingIsDeterministic) {
   EXPECT_EQ(SampleImage(), SampleImage());
+}
+
+TEST(CheckpointFormatTest, StreamedImageMatchesPreStreamingEncoder) {
+  // Golden frozen from the encoder that built the whole image in memory
+  // before writing it: streaming with backpatched frames and a combined
+  // file CRC must not change one byte.
+  const std::string image = SampleImage();
+  EXPECT_EQ(image.size(), 401u);
+  EXPECT_EQ(testing_util::Fingerprint(image), 0xd0b52d279988a3c2ull);
+  // How the payload is cut into Append calls is invisible in the bytes.
+  for (std::size_t piece : {1, 2, 7, 64}) {
+    EXPECT_EQ(Image(SampleSections(), piece), image) << "piece " << piece;
+  }
+  // Empty sections frame and checksum like any other.
+  auto reader = CheckpointReader::Parse(
+      Image({{"a", ""}, {"b", "x"}, {"c", ""}}), "empty-sections");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->sections().size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,55 +292,80 @@ TEST(ByteReaderTest, SgeSgtCodecsRoundTrip) {
 // Write-side fault injection
 // ---------------------------------------------------------------------------
 
-/// \brief ByteSink that fails after accepting `budget` bytes — ENOSPC /
-/// short-write at an arbitrary byte, injected deterministically.
+/// \brief ByteSink that fails once it has taken `budget` bytes — appends
+/// and backpatches alike — so ENOSPC / a short write lands at an
+/// arbitrary byte, injected deterministically.
 class FailingByteSink : public ByteSink {
  public:
   explicit FailingByteSink(std::size_t budget) : budget_(budget) {}
 
-  Status Append(std::string_view bytes) override {
-    if (accepted_ + bytes.size() > budget_) {
-      return Status::Internal("injected: no space left on device");
-    }
-    accepted_ += bytes.size();
-    return Status::OK();
+  Status Append(std::string_view bytes) override { return Take(bytes); }
+  Status WriteAt(std::uint64_t, std::string_view bytes) override {
+    const Status st = Take(bytes);
+    failed_in_write_at_ = !st.ok();
+    return st;
   }
   Status Close() override { return Status::OK(); }
 
+  bool failed_in_write_at() const { return failed_in_write_at_; }
+
  private:
+  Status Take(std::string_view bytes) {
+    if (taken_ + bytes.size() > budget_) {
+      return Status::Internal("injected: no space left on device");
+    }
+    taken_ += bytes.size();
+    return Status::OK();
+  }
+
   std::size_t budget_;
-  std::size_t accepted_ = 0;
+  std::size_t taken_ = 0;
+  bool failed_in_write_at_ = false;
 };
 
 TEST(CheckpointWriteTest, SinkFailureAtEveryBudgetSurfaces) {
-  CheckpointWriter writer;
-  writer.AddSection("clock", "0123456789");
-  writer.AddSection("ops", std::string(100, 'z'));
-  const std::string image = writer.Encode();
-  for (std::size_t budget = 0; budget < image.size(); budget += 7) {
+  const Sections sections = {{"clock", "0123456789"},
+                             {"ops", std::string(100, 'z')}};
+  const std::string image = Image(sections);
+  // Every byte the writer hands the sink: the image, plus one 12-byte
+  // length/CRC backpatch per section and the 4-byte section count.
+  const std::size_t total = image.size() + 12 * sections.size() + 4;
+  std::size_t backpatch_failures = 0;
+  for (std::size_t budget = 0; budget < total; ++budget) {
     FailingByteSink sink(budget);
-    Status st = writer.WriteTo(&sink);
+    const Status st = WriteImage(sections, &sink);
     ASSERT_FALSE(st.ok()) << "budget " << budget << " succeeded";
     EXPECT_NE(st.message().find("no space left"), std::string::npos);
+    if (sink.failed_in_write_at()) ++backpatch_failures;
   }
-  StringByteSink ok_sink;
-  ASSERT_TRUE(writer.WriteTo(&ok_sink).ok());
-  EXPECT_EQ(ok_sink.bytes(), image);
+  // Every budget that runs out inside a backpatch fails there: both
+  // section frames and the header's section count.
+  EXPECT_EQ(backpatch_failures, 12 * sections.size() + 4);
+  FailingByteSink enough(total);
+  EXPECT_TRUE(WriteImage(sections, &enough).ok());
+}
+
+/// \brief Writes a one-section checkpoint through the durable protocol.
+Status WriteCheckpointFile(const std::string& path, std::string_view clock) {
+  CheckpointFile file(path);
+  CheckpointWriter* writer = file.writer();
+  SGQ_RETURN_NOT_OK(writer->BeginSection("clock"));
+  SGQ_RETURN_NOT_OK(writer->Append(clock));
+  SGQ_RETURN_NOT_OK(writer->EndSection());
+  SGQ_RETURN_NOT_OK(writer->Finish());
+  return file.Commit();
 }
 
 TEST(CheckpointWriteTest, DurableWriteIsAtomicOverPreviousFile) {
   const std::string path = TempPath("ckpt_atomic.sgqc");
-  CheckpointWriter first;
-  first.AddSection("clock", "first");
-  ASSERT_TRUE(first.WriteFile(path).ok());
+  ASSERT_TRUE(WriteCheckpointFile(path, "first").ok());
   auto parsed = CheckpointReader::ParseFile(path);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
   // Overwrite through the same protocol: the new image replaces the old
   // atomically and no ".tmp" residue survives a successful write.
-  CheckpointWriter second;
-  second.AddSection("clock", "second, longer than the first payload");
-  ASSERT_TRUE(second.WriteFile(path).ok());
+  ASSERT_TRUE(
+      WriteCheckpointFile(path, "second, longer than the first payload").ok());
   auto reparsed = CheckpointReader::ParseFile(path);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->payload(reparsed->sections()[0]),
@@ -273,10 +374,28 @@ TEST(CheckpointWriteTest, DurableWriteIsAtomicOverPreviousFile) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointWriteTest, AbandonedFileLeavesPreviousAndNoTemp) {
+  const std::string path = TempPath("ckpt_abandoned.sgqc");
+  ASSERT_TRUE(WriteCheckpointFile(path, "kept").ok());
+  auto before = ReadFileBytes(path);
+  ASSERT_TRUE(before.ok());
+  {
+    // Half a checkpoint, then the write is abandoned (an error in the
+    // serializer): the temp file goes, the previous file stays.
+    CheckpointFile file(path);
+    ASSERT_TRUE(file.writer()->BeginSection("clock").ok());
+    ASSERT_TRUE(file.writer()->Append(std::string(5000, 'x')).ok());
+    EXPECT_TRUE(ReadFileBytes(path + ".tmp").ok());
+  }
+  EXPECT_FALSE(ReadFileBytes(path + ".tmp").ok());
+  auto after = ReadFileBytes(path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointWriteTest, UnwritableDirectoryFailsWithErrnoText) {
-  CheckpointWriter writer;
-  writer.AddSection("clock", "x");
-  Status st = writer.WriteFile(TempPath("no/such/dir/ckpt.sgqc"));
+  Status st = WriteCheckpointFile(TempPath("no/such/dir/ckpt.sgqc"), "x");
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("No such file"), std::string::npos)
       << st.ToString();
@@ -298,6 +417,29 @@ TEST(FileByteSinkTest, FlushAndSyncMakeBytesVisible) {
   ASSERT_TRUE(visible.ok());
   EXPECT_EQ(*visible, "durable");
   ASSERT_TRUE(sink.Close().ok());
+  std::remove(path.c_str());
+}
+
+TEST(FileByteSinkTest, WriteAtPatchesWrittenBytesInPlace) {
+  const std::string path = TempPath("sink_write_at.bin");
+  FileByteSink sink(path);
+  // A prefix larger than the staging buffer, so one patch lands in bytes
+  // already on disk and one in bytes still staged.
+  const std::string prefix(kStreamIoBufferBytes + 100, 'a');
+  ASSERT_TRUE(sink.Append(prefix).ok());
+  ASSERT_TRUE(sink.Append("tail").ok());
+  ASSERT_TRUE(sink.WriteAt(10, "XY").ok());
+  ASSERT_TRUE(sink.WriteAt(prefix.size() + 1, "A").ok());
+  ASSERT_TRUE(sink.Append("!").ok());  // appends still go to the end
+  EXPECT_FALSE(sink.WriteAt(prefix.size() + 4, "ZZ").ok());  // past the end
+  ASSERT_TRUE(sink.Close().ok());
+
+  std::string expected = prefix + "tail!";
+  expected.replace(10, 2, "XY");
+  expected[prefix.size() + 1] = 'A';
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, expected);
   std::remove(path.c_str());
 }
 

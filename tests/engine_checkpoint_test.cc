@@ -7,17 +7,29 @@
 // size. The fault-injection half mutilates real engine snapshots (per-
 // section corruption, truncation at every frame boundary, identity skew,
 // vocabulary conflicts) and demands a positioned rejection with no crash
-// and no partial restore observable.
+// and no partial restore observable. The write side is pinned too: the
+// streamed snapshot is byte-identical to goldens of the in-memory encoder
+// it replaced, and a write error surfaces from Checkpoint() itself with
+// the previous file intact and no temp file left.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#if !defined(_WIN32)
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
+
+#include "core/engine.h"
 #include "core/query_processor.h"
 #include "model/checkpoint.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 #include "workload/generators.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -368,6 +380,149 @@ TEST(EngineCheckpointTest, MissingFileIsACleanError) {
   ASSERT_TRUE(qp.ok());
   Status st = (*qp)->engine().Restore(TempPath("no_such_ckpt.sgqc"));
   ASSERT_FALSE(st.ok());
+}
+
+// ---------------------------------------------------------------------------
+// The streamed image is the pre-streaming image
+// ---------------------------------------------------------------------------
+
+struct GoldenConfig {
+  const char* name;
+  bool so;  ///< the SO query set over an SO stream, else kQuery
+  PathImpl impl;
+  std::size_t batch;
+  std::size_t workers;
+  std::size_t size;          ///< golden file size
+  std::uint64_t fingerprint;  ///< golden FNV-1a 64 of the file
+};
+
+/// \brief The SGQC bytes of a deterministic engine snapshot: two thirds of
+/// a deletion-heavy stream, vocabulary and one extra section included.
+std::string SnapshotBytes(const GoldenConfig& config,
+                          const std::string& path) {
+  Vocabulary vocab;
+  InputStream stream;
+  std::vector<std::string> texts;
+  WindowSpec window(16, 2);
+  if (config.so) {
+    SoOptions opt;
+    opt.seed = 5;
+    opt.num_vertices = 120;
+    opt.num_edges = 900;
+    opt.deletion_probability = 0.1;
+    auto so = GenerateSoStream(opt, &vocab);
+    EXPECT_TRUE(so.ok());
+    stream = *so;
+    for (const BenchQuery& q : SoQuerySet()) texts.push_back(q.text);
+    window = WindowSpec(3 * kDay, kDay / 2);
+  } else {
+    stream = DeletionHeavyStream(&vocab, 12, 100);
+    texts.push_back(kQuery);
+  }
+  EngineOptions options;
+  options.path_impl = config.impl;
+  options.batch_size = config.batch;
+  options.num_workers = config.workers;
+  Engine engine(options);
+  for (const std::string& text : texts) {
+    auto query = MakeQuery(text, window, &vocab);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    EXPECT_TRUE(engine.AddQuery(*query, vocab).ok());
+  }
+  EXPECT_TRUE(engine.Finalize().ok());
+  for (std::size_t i = 0; i < 2 * stream.size() / 3; ++i) {
+    engine.Push(stream[i]);
+  }
+  std::string blob;
+  PutU64(&blob, 99);
+  Status st = engine.Checkpoint(path, &vocab, {{"x-extra", blob}});
+  if (st.ok()) st = engine.WaitForCheckpoint();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? *bytes : std::string();
+}
+
+TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
+  // Frozen from the encoder that assembled the whole image in memory
+  // before writing it: streaming the snapshot into the temp file changes
+  // the write path, never the SGQC bytes. The SO snapshot (several MB,
+  // mostly undrained sink buffers and PATH forests) spans thousands of
+  // sink buffer flushes.
+  const GoldenConfig goldens[] = {
+      {"spath-b1", false, PathImpl::kSPath, 1, 1, 11532,
+       0xd151ca58ce4e180cull},
+      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 8760,
+       0x76e28c9c2f3db65full},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 13369,
+       0x1559bc384027a54eull},
+      {"so-b1", true, PathImpl::kSPath, 1, 1, 7853877,
+       0x75ce9a1f8b7eb2f5ull},
+  };
+  const std::string path = TempPath("ckpt_golden.sgqc");
+  for (const GoldenConfig& golden : goldens) {
+    const std::string bytes = SnapshotBytes(golden, path);
+    EXPECT_EQ(bytes.size(), golden.size) << golden.name;
+    EXPECT_EQ(testing_util::Fingerprint(bytes), golden.fingerprint)
+        << golden.name;
+    EXPECT_FALSE(ReadFileBytes(path + ".tmp").ok()) << golden.name;
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Write failures
+// ---------------------------------------------------------------------------
+
+TEST(EngineCheckpointTest, WriteFailureReturnsFromCheckpointAndKeepsPrevious) {
+#if defined(_WIN32)
+  GTEST_SKIP() << "needs /dev/full and symlinks";
+#else
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  Vocabulary vocab;
+  const InputStream stream = DeletionHeavyStream(&vocab, 10, 100);
+  auto query = MakeQuery(kQuery, WindowSpec(16, 2), &vocab);
+  ASSERT_TRUE(query.ok());
+  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
+  ASSERT_TRUE(qp.ok());
+  Engine& engine = (*qp)->engine();
+  for (std::size_t i = 0; i < stream.size() / 2; ++i) (*qp)->Push(stream[i]);
+
+  const std::string path = TempPath("ckpt_enospc.sgqc");
+  const std::string tmp = path + ".tmp";
+  std::remove(tmp.c_str());  // a stale symlink would fail the first write
+  ASSERT_TRUE(engine.Checkpoint(path, &vocab).ok());
+  ASSERT_TRUE(engine.WaitForCheckpoint().ok());
+  auto previous = ReadFileBytes(path);
+  ASSERT_TRUE(previous.ok());
+
+  // The next snapshot's temp file is a disk that is always full: the
+  // ENOSPC is hit while serializing, so the call itself returns it.
+  for (std::size_t i = stream.size() / 2; i < stream.size(); ++i) {
+    (*qp)->Push(stream[i]);
+  }
+  ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
+  const Status st = engine.Checkpoint(path, &vocab);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("No space left"), std::string::npos)
+      << st.ToString();
+  struct stat tmp_stat;
+  EXPECT_NE(::lstat(tmp.c_str(), &tmp_stat), 0) << "temp file left behind";
+  EXPECT_TRUE(engine.WaitForCheckpoint().ok());  // nothing in flight
+
+  auto kept = ReadFileBytes(path);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(*kept, *previous);
+  EXPECT_TRUE(CheckpointReader::ParseFile(path).ok());
+
+  // With space again, the next checkpoint replaces the previous one.
+  ASSERT_TRUE(engine.Checkpoint(path, &vocab).ok());
+  ASSERT_TRUE(engine.WaitForCheckpoint().ok());
+  auto replaced = ReadFileBytes(path);
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_NE(*replaced, *previous);
+  std::remove(path.c_str());
+#endif
 }
 
 // ---------------------------------------------------------------------------

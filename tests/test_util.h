@@ -6,7 +6,9 @@
 #ifndef SGQ_TESTS_TEST_UTIL_H_
 #define SGQ_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "model/coalesce.h"
@@ -75,6 +77,18 @@ inline std::vector<Timestamp> SampleTimes(const InputStream& stream,
   }
   out.push_back(hi);
   return out;
+}
+
+/// \brief FNV-1a 64 of `bytes` — the fingerprint golden SGQC images are
+/// pinned by. (A CRC-32 of a whole image is useless for this: an image
+/// that ends in its own CRC always yields the same residue.)
+inline std::uint64_t Fingerprint(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 }  // namespace testing_util
