@@ -6,7 +6,7 @@
 //                    [--delta-path] [--slack N] [--batch N] [--workers N]
 //                    [--query FILE]... [--no-share] [--async-ingest]
 //                    [--pin-workers] [--format csv|binary|auto]
-//                    [--parsers N] [--no-query-index] [--mmap] [--no-mmap]
+//                    [--parsers N] [--mmap] [--no-mmap]
 //                    [--checkpoint-dir DIR] [--checkpoint-every N]
 //                    [--restore]
 //   stream_query_cli --serve <stream> [window] [slide] [engine flags]
@@ -15,7 +15,8 @@
 //   stream       CSV lines `src,label,trg,timestamp[,+|-]` or an SGQB
 //                binary stream, timestamp-ordered (with --slack N,
 //                bounded disorder is tolerated)
-//   window/slide time-based sliding window, default 24 / 1
+//   window/slide time-based sliding window, default 24 / 1 (positive
+//                integers)
 //   --query FILE register an additional standing query; all queries run
 //                on one shared multi-query engine (core/engine.h) with
 //                cross-query operator sharing (disable with --no-share),
@@ -45,11 +46,6 @@
 //                (reorder-slack printing, per-element delivery) still
 //                materialize the file.
 //   --pin-workers   pin runtime threads to cores (best-effort affinity)
-//   --no-query-index   escape hatch: disable the label-discrimination
-//                query index (DESIGN.md §3.1) and dispatch every edge /
-//                time advance by the legacy full scan. Semantics are
-//                identical either way; use only to isolate a suspected
-//                index bug or to measure the dispatch win.
 //   --checkpoint-dir DIR   crash recovery (DESIGN.md §7): with
 //                --checkpoint-every N, write an SGQC snapshot
 //                DIR/ckpt-NNNNNN.sgqc after every N-th stream element
@@ -69,9 +65,9 @@
 //                positional argument is the stream; window/slide set the
 //                window attached to every subscribed query. Result lines
 //                are tagged `s<id><TAB>`. Engine flags (--batch,
-//                --workers, --delta-path, --no-share, --no-query-index)
-//                apply; --gcore, --query, --slack, --async-ingest and
-//                checkpointing are not available in serve mode.
+//                --workers, --delta-path, --no-share) apply; --gcore,
+//                --query, --slack, --async-ingest and checkpointing are
+//                not available in serve mode.
 //   --restore    resume from the newest valid checkpoint in
 //                --checkpoint-dir: corrupt / truncated / mismatched
 //                snapshots are reported and skipped (falling back to
@@ -81,6 +77,8 @@
 //
 // Prints every result sgt as it is produced, then a metrics summary.
 // Without arguments, runs a built-in demo (the paper's Figure 2 stream).
+// Usage errors — an unknown option, an option missing its value, a
+// malformed number — exit 2 and name the offending argument.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -190,8 +188,6 @@ int main(int argc, char** argv) {
       options.async_ingest = true;
     } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
       options.pin_workers = true;
-    } else if (std::strcmp(argv[i], "--no-query-index") == 0) {
-      options.use_query_index = false;
     } else if (std::strcmp(argv[i], "--mmap") == 0) {
       options.ingest_file_mode = FileIngestMode::kMmap;
     } else if (std::strcmp(argv[i], "--no-mmap") == 0) {
@@ -273,16 +269,42 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.num_workers = static_cast<std::size_t>(n);
+    } else if (argv[i][0] == '-') {
+      // Never let an unknown (or value-less) option fall through to the
+      // positionals, where it would silently shift window/slide.
+      std::fprintf(stderr, "unknown option or missing value: '%s'\n",
+                   argv[i]);
+      return 2;
     } else {
       positionals.push_back(argv[i]);
     }
   }
 
+  // Positional window/slide: validated like --batch, never defaulted to 0.
+  auto parse_window_arg = [](const char* what, const char* text,
+                             Timestamp* out) {
+    int64_t n = 0;
+    if (!ParseInt64(text, &n) || n <= 0) {
+      std::fprintf(stderr, "%s: expected a positive integer, got '%s'\n",
+                   what, text);
+      return false;
+    }
+    *out = n;
+    return true;
+  };
+  // Serve mode has no query file: <stream> [window] [slide].
+  const std::size_t window_at = serve ? 1 : 2;
+  if (positionals.size() > window_at &&
+      !parse_window_arg("window", positionals[window_at], &window)) {
+    return 2;
+  }
+  if (positionals.size() > window_at + 1 &&
+      !parse_window_arg("slide", positionals[window_at + 1], &slide)) {
+    return 2;
+  }
+
   if (serve) {
-    // Serve mode has no query file: <stream> [window] [slide].
     if (!positionals.empty()) stream_path = positionals[0];
-    if (positionals.size() > 1) window = std::atoll(positionals[1]);
-    if (positionals.size() > 2) slide = std::atoll(positionals[2]);
   } else {
     if (!positionals.empty()) {
       auto text = ReadFile(positionals[0]);
@@ -297,8 +319,6 @@ int main(int argc, char** argv) {
       // bounded chunk feeder; synchronous paths materialize it later.
       stream_path = positionals[1];
     }
-    if (positionals.size() > 2) window = std::atoll(positionals[2]);
-    if (positionals.size() > 3) slide = std::atoll(positionals[3]);
   }
 
   const bool checkpointing = !checkpoint_dir.empty();

@@ -152,8 +152,8 @@ struct RunMetrics {
   /// Query-index dispatch accounting (runtime/executor.h). ops_touched:
   /// operator activations the run actually paid (OnSge deliveries,
   /// per-(operator, port) batch executions, time-advance / purge phases).
-  /// index_skipped_dispatches: operator visits the query index pruned
-  /// relative to the legacy full-scan dispatch (0 with the index off).
+  /// index_skipped_dispatches: operator visits the query index skipped
+  /// relative to visiting every live operator.
   std::size_t ops_touched = 0;
   std::size_t index_skipped_dispatches = 0;
   /// Checkpointing (core/engine.h Engine::Checkpoint): serialization time
@@ -164,8 +164,8 @@ struct RunMetrics {
   uint64_t checkpoint_bytes = 0;
 
   /// \brief Dispatch fanout actually paid per processed edge — stays
-  /// O(matching operators) with the query index on, grows O(registered
-  /// queries) under legacy broadcast phases; 0 when nothing was processed.
+  /// O(matching operators), not O(registered queries), under the query
+  /// index; 0 when nothing was processed.
   double OpsTouchedPerEdge() const {
     return edges_processed > 0 ? static_cast<double>(ops_touched) /
                                      static_cast<double>(edges_processed)

@@ -19,15 +19,12 @@ ExecutorOptions ToExecutorOptions(const EngineOptions& options) {
   exec_options.batch_size = options.batch_size;
   exec_options.num_workers = options.num_workers == 0 ? 1
                                                       : options.num_workers;
-  exec_options.time_advance_parallel_state_bar =
-      options.time_advance_parallel_state_bar;
   exec_options.async_ingest = options.async_ingest;
   exec_options.ingest_queue_depth = options.ingest_queue_depth;
   exec_options.pin_workers = options.pin_workers;
   exec_options.ingest_slack = options.ingest_slack;
   exec_options.ingest_parsers =
       options.ingest_parsers == 0 ? 1 : options.ingest_parsers;
-  exec_options.use_query_index = options.use_query_index;
   return exec_options;
 }
 
@@ -315,9 +312,6 @@ std::vector<std::pair<std::string, std::string>> Engine::IdentityKeys()
       {"batch_size", std::to_string(options_.batch_size)},
       {"num_workers", std::to_string(options_.num_workers)},
       {"cross_query_sharing", options_.cross_query_sharing ? "1" : "0"},
-      {"time_advance_parallel_state_bar",
-       std::to_string(options_.time_advance_parallel_state_bar)},
-      {"use_query_index", options_.use_query_index ? "1" : "0"},
   };
 }
 

@@ -89,13 +89,6 @@ struct EngineOptions {
   /// (each AddPlan compiles a private topology) — the ablation baseline
   /// bench_multi_query measures against.
   bool cross_query_sharing = true;
-  /// Sharded execution: dispatch an operator's time-advance wave to the
-  /// worker pool once any one of its shards holds at least this much
-  /// state, in addition to the operators that declare HasTimeDrivenWork()
-  /// (DESIGN.md §2.4). 0 disables the state heuristic. Forwarded to
-  /// ExecutorOptions under the same name.
-  std::size_t time_advance_parallel_state_bar =
-      kDefaultTimeAdvanceParallelStateBar;
   /// Double-buffered async ingest (DESIGN.md §6): PushAll/RunPipelined
   /// produce batch N+1 (stream parsing included) on a dedicated ingest
   /// thread while batch N executes. Execution order is unchanged, so
@@ -137,15 +130,6 @@ struct EngineOptions {
   /// ingest_parsers + 1 by RunSgaFile so every parser can hold a chunk
   /// while one more loads.
   std::size_t ingest_readahead_chunks = 8;
-  /// Query-index dispatch (DESIGN.md §3.1): consult the label ->
-  /// posting-list discrimination index built at AddQuery compile time so
-  /// per-edge dispatch cost tracks the operators whose admission
-  /// predicate can match, not the registered-query population K. On (the
-  /// default) is byte-identical to off at num_workers=1/batch_size=1 and
-  /// snapshot-equivalent + deterministic sharded; off restores the legacy
-  /// full-scan dispatch (the `--no-query-index` escape hatch). Forwarded
-  /// to ExecutorOptions under the same name.
-  bool use_query_index = true;
 };
 
 /// \brief N persistent queries compiled onto one shared dataflow.

@@ -49,10 +49,10 @@ class PhysicalOp {
   /// the *direct* approach need no expiry processing (§6.2.4).
   ///
   /// CONTRACT: an operator that overrides this must also override
-  /// HasTimeDrivenWork() to return true. The indexed dispatch
-  /// (runtime/executor.h, use_query_index) skips the time-advance phase of
-  /// every operator that does not declare itself — exact only because
-  /// undeclared operators are guaranteed this base no-op.
+  /// HasTimeDrivenWork() to return true. The executor
+  /// (runtime/executor.h) skips the time-advance phase of every operator
+  /// that does not declare itself — exact only because undeclared
+  /// operators are guaranteed this base no-op.
   virtual void OnTimeAdvance(Timestamp now) { (void)now; }
 
   /// \brief Purges internal state that expired before `now`. Affects
@@ -114,16 +114,14 @@ class PhysicalOp {
   /// values by tree root, so its merged stream is already duplicate-free.
   virtual bool CoalesceAtMerge() const { return false; }
 
-  /// \brief True when OnTimeAdvance can perform substantial work (Δ-tree
-  /// expiry re-derivation). Time-advance phases fire for *every distinct
-  /// input timestamp*, so the sharded executor dispatches them to the
-  /// worker pool only for operators that declare heavy time-driven work;
-  /// everyone else's (near-)no-op calls run inline on the driver thread,
-  /// skipping a pool wakeup per timestamp.
+  /// \brief True when OnTimeAdvance can perform work (Δ-tree expiry
+  /// re-derivation). Time-advance phases fire for *every distinct input
+  /// timestamp*, and the executor runs them ONLY for operators that
+  /// return true here (the sharded executor on the worker pool); every
+  /// other operator is skipped, since its OnTimeAdvance is the base
+  /// no-op.
   ///
-  /// Mandatory for OnTimeAdvance overriders (see its contract note): the
-  /// indexed dispatch runs time-advance phases ONLY for operators that
-  /// return true here.
+  /// Mandatory for OnTimeAdvance overriders (see its contract note).
   virtual bool HasTimeDrivenWork() const { return false; }
 
   /// \brief Approximate number of state entries held (for diagnostics).

@@ -4,7 +4,7 @@
 // clock, window partitions, per-operator state, sink buffers).
 //
 //   offset 0   magic "SGQC" (4 bytes)
-//          4   u32  version        (currently 2)
+//          4   u32  version        (currently 3)
 //          8   u32  section_count
 //         12   section_count × {
 //                u16 name_len, name bytes,
@@ -48,7 +48,10 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// Version 2: per-operator liveness flags in the "ops" section and
 /// (plan, live) registration history in "queries" — live query
 /// deregistration (DESIGN.md §10) made both section layouts richer.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Version 3: the "meta" identity list lost its two dispatch keys (the
+/// query-index switch and the time-advance state bar) when the executor
+/// went down to one dispatch path; every other section is unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers

@@ -136,9 +136,6 @@ Status Executor::RegisterSource(LabelId label, OpId source, Timestamp slide) {
         "live-attached source slide " + std::to_string(slide) +
         " is finer than the running granularity " + std::to_string(slide_));
   }
-  // Both dispatch structures are maintained so use_query_index can flip
-  // without recompiling (the differential tests compare the two paths).
-  sources_[label].push_back(source);
   query_index_.Add(label, source);
   nodes_[static_cast<std::size_t>(source)].source_label = label;
   if (!finalized_) min_slide_ = std::min(min_slide_, slide);
@@ -162,7 +159,6 @@ Status Executor::RegisterWildcardSource(OpId source, Timestamp slide) {
         "live-attached source slide " + std::to_string(slide) +
         " is finer than the running granularity " + std::to_string(slide_));
   }
-  wildcard_sources_.push_back(source);
   query_index_.AddWildcard(source);
   nodes_[static_cast<std::size_t>(source)].source_wildcard = true;
   if (!finalized_) min_slide_ = std::min(min_slide_, slide);
@@ -234,9 +230,8 @@ Status Executor::Finalize() {
     pool_options.pin = options_.pin_workers;
     pool_ = std::make_unique<WorkerPool>(options_.num_workers, pool_options);
   }
-  // Time-advance phases fire per distinct input timestamp; the indexed
-  // dispatch only visits operators that declared time-driven work (plus
-  // the sharded state-bar promotions, kept in time_advance_hinted_).
+  // Time-advance phases fire per distinct input timestamp and only visit
+  // operators that declared time-driven work.
   time_driven_ops_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].op->HasTimeDrivenWork()) {
@@ -286,8 +281,8 @@ Status Executor::FinalizeNewOps() {
     SGQ_RETURN_NOT_OK(SetupNodeTopology(i));
     // The slide granularity is already fixed; the appended operators just
     // adopt it (RegisterSource refused finer slides). New ids are larger
-    // than every existing one, so push_back keeps the ascending order the
-    // indexed time-advance wave merges by.
+    // than every existing one, so push_back keeps time_driven_ops_ in
+    // ascending (wave) order.
     for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
       instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
     }
@@ -313,30 +308,20 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
           std::to_string(id));
     }
   }
-  auto erase_id = [](std::vector<OpId>* v, OpId id) {
-    v->erase(std::remove(v->begin(), v->end(), id), v->end());
-  };
   for (const OpId id : dead) {
     OpNode& node = nodes_[static_cast<std::size_t>(id)];
-    // Source/index deregistration: surviving postings keep registration
-    // order, so survivor dispatch is byte-identical to a never-added run.
+    // Index deregistration: surviving postings keep registration order,
+    // so survivor dispatch is byte-identical to a never-added run.
     if (node.source_wildcard) {
-      erase_id(&wildcard_sources_, id);
       query_index_.RemoveWildcard(id);
     } else if (node.source_label != kInvalidLabel) {
-      auto it = sources_.find(node.source_label);
-      if (it != sources_.end()) {
-        erase_id(&it->second, id);
-        // An empty per-label entry must disappear entirely: its presence
-        // alone would count edges_processed for a label no query consumes.
-        if (it->second.empty()) sources_.erase(it);
-      }
       query_index_.Remove(node.source_label, id);
     }
-    erase_id(&time_driven_ops_, id);
-    erase_id(&time_advance_hinted_, id);
+    time_driven_ops_.erase(
+        std::remove(time_driven_ops_.begin(), time_driven_ops_.end(), id),
+        time_driven_ops_.end());
     // Tombstone the slot: ids are never reused (channels and checkpoints
-    // reference them positionally); every full-scan loop skips null ops.
+    // reference them positionally); every loop over nodes_ skips null ops.
     node.op.reset();
     node.replicas.clear();
     node.out = OutputChannel();
@@ -351,7 +336,6 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
     node.merge_coalescer = StreamingCoalescer();
     node.merge_retracted.clear();
     node.merge_purge_watermark = 1024;
-    node.time_advance_parallel = false;
     node.dirty = false;
     node.touched = false;
     node.source_label = kInvalidLabel;
@@ -414,6 +398,22 @@ void Executor::MarkDirty(OpId id) {
                  std::greater<OpId>());
 }
 
+template <typename Fn>
+void Executor::PopDirtyWave(Fn&& visit) {
+  ++num_waves_;
+  std::size_t visited = 0;
+  while (!dirty_heap_.empty()) {
+    std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
+                  std::greater<OpId>());
+    const OpId id = dirty_heap_.back();
+    dirty_heap_.pop_back();
+    nodes_[static_cast<std::size_t>(id)].dirty = false;
+    ++visited;
+    visit(id);
+  }
+  index_skipped_ += nodes_.size() - visited;
+}
+
 void Executor::MarkTouchedCone(OpId id) {
   if (nodes_[static_cast<std::size_t>(id)].touched) return;
   // `touched` is monotone, so each node is expanded at most once over the
@@ -431,12 +431,11 @@ void Executor::MarkTouchedCone(OpId id) {
 
 void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
   if (wave_mode()) {
-    const bool mark = indexed();
     for (const PortRef& dst : channel.dests_) {
       nodes_[static_cast<std::size_t>(dst.op)]
           .pending[static_cast<std::size_t>(dst.port)]
           .push_back(tuple);
-      if (mark) MarkDirty(dst.op);
+      MarkDirty(dst.op);
     }
     return;
   }
@@ -465,47 +464,16 @@ void Executor::DrainStack() {
 }
 
 void Executor::RunWave() {
-  ++num_waves_;
-  if (indexed()) {
-    // Worklist wave: pop dirty operators in ascending id order. A channel
-    // only goes low -> high id, so each pop sees all of the wave's input
-    // for that operator — identical visit order to the legacy full scan,
-    // minus the O(K) sweep over idle operators.
-    std::size_t visited = 0;
-    while (!dirty_heap_.empty()) {
-      std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                    std::greater<OpId>());
-      const OpId id = dirty_heap_.back();
-      dirty_heap_.pop_back();
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      node.dirty = false;
-      ++visited;
-      for (std::size_t port = 0; port < node.pending.size(); ++port) {
-        if (node.pending[port].empty()) continue;
-        ++ops_touched_;
-        std::vector<Sgt> batch;
-        batch.swap(node.pending[port]);
-        node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
-      }
+  PopDirtyWave([this](OpId id) {
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
+    for (std::size_t port = 0; port < node.pending.size(); ++port) {
+      if (node.pending[port].empty()) continue;
+      ++ops_touched_;
+      std::vector<Sgt> batch;
+      batch.swap(node.pending[port]);
+      node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
     }
-    index_skipped_ += nodes_.size() - visited;
-    return;
-  }
-  bool any = true;
-  while (any) {  // a tree topology settles in one pass; loop is a safety net
-    any = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      OpNode& node = nodes_[i];
-      for (std::size_t port = 0; port < node.pending.size(); ++port) {
-        if (node.pending[port].empty()) continue;
-        any = true;
-        ++ops_touched_;
-        std::vector<Sgt> batch;
-        batch.swap(node.pending[port]);
-        node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
-      }
-    }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +501,7 @@ void AppendByRouting(RoutingKey routing, const Sgt& tuple,
 void Executor::RouteToShards(const PortRef& dst, const Sgt& tuple) {
   // Driver thread only (MergeAndRoute runs after the parallel section), so
   // the dirty worklist needs no synchronization.
-  if (indexed()) MarkDirty(dst.op);
+  MarkDirty(dst.op);
   OpNode& dn = nodes_[static_cast<std::size_t>(dst.op)];
   auto& slots = dn.shard_pending[static_cast<std::size_t>(dst.port)];
   // Single-instance operators and coordination-needing operators receive
@@ -707,70 +675,30 @@ void Executor::RunShardedOpBatches(OpId id) {
 }
 
 void Executor::RunShardedWave() {
-  ++num_waves_;
-  if (indexed()) {
-    // Same pop-min worklist as RunWave: ascending pops + low -> high
-    // channels give the exact visit order of the legacy full scan.
-    std::size_t visited = 0;
-    while (!dirty_heap_.empty()) {
-      std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                    std::greater<OpId>());
-      const OpId id = dirty_heap_.back();
-      dirty_heap_.pop_back();
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      node.dirty = false;
-      ++visited;
-      bool has_input = false;
-      for (const auto& port : node.shard_pending) {
-        for (const auto& slot : port) {
-          if (!slot.empty()) {
-            has_input = true;
-            break;
-          }
-        }
-        if (has_input) break;
-      }
-      if (!has_input) continue;
-      ++ops_touched_;
-      for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
-        for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
-          node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
+  PopDirtyWave([this](OpId id) {
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
+    bool has_input = false;
+    for (const auto& port : node.shard_pending) {
+      for (const auto& slot : port) {
+        if (!slot.empty()) {
+          has_input = true;
+          break;
         }
       }
-      RunShardedOpBatches(id);
+      if (has_input) break;
     }
-    index_skipped_ += nodes_.size() - visited;
-    return;
-  }
-  bool any = true;
-  while (any) {  // a tree topology settles in one pass; loop is a safety net
-    any = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      OpNode& node = nodes_[i];
-      bool has_input = false;
-      for (const auto& port : node.shard_pending) {
-        for (const auto& slot : port) {
-          if (!slot.empty()) {
-            has_input = true;
-            break;
-          }
-        }
-        if (has_input) break;
+    if (!has_input) return;
+    ++ops_touched_;
+    // Swap pending batches into the scratch (whose slots are empty but
+    // hold the previous wave's capacity) so buffers are reused instead of
+    // reallocated; emissions route into the now-empty pending slots.
+    for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
+      for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
+        node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
       }
-      if (!has_input) continue;
-      any = true;
-      ++ops_touched_;
-      // Swap pending batches into the scratch (whose slots are empty but
-      // hold the previous wave's capacity) so buffers are reused instead
-      // of reallocated; emissions route into the now-empty pending slots.
-      for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
-        for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
-          node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
-        }
-      }
-      RunShardedOpBatches(static_cast<OpId>(i));
     }
-  }
+    RunShardedOpBatches(id);
+  });
 }
 
 void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
@@ -787,32 +715,22 @@ void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
   };
   for (std::size_t k = 0; k < n; ++k) {
     const Sge& sge = sges[k];
-    if (indexed()) {
-      const auto* postings = query_index_.Find(sge.label);
-      const auto& wildcard = query_index_.wildcard();
-      if (postings == nullptr && wildcard.empty()) continue;
-      edges_processed_.Add();
-      if (postings != nullptr) {
-        for (const SourcePosting& p : *postings) append(p.op, sge);
-      }
-      for (const SourcePosting& p : wildcard) append(p.op, sge);
-    } else {
-      auto it = sources_.find(sge.label);
-      // Label not referenced by any query and no always-on source.
-      if (it == sources_.end() && wildcard_sources_.empty()) continue;
-      edges_processed_.Add();
-      if (it != sources_.end()) {
-        for (OpId source : it->second) append(source, sge);
-      }
-      for (OpId source : wildcard_sources_) append(source, sge);
+    const QueryIndex::PostingList* postings = query_index_.Find(sge.label);
+    const auto& wildcard = query_index_.wildcard();
+    // Label not referenced by any query and no always-on source.
+    if (postings == nullptr && wildcard.empty()) continue;
+    edges_processed_.Add();
+    if (postings != nullptr) {
+      for (const OpId source : *postings) append(source, sge);
     }
+    for (const OpId source : wildcard) append(source, sge);
   }
   if (batches.empty()) return;
   // Scans are stateless interval maps: running them inline (in shard
   // order, into per-shard capture buffers) is cheaper than a pool
   // dispatch; the heavy lifting parallelizes downstream.
   for (const auto& [source, per_shard] : batches) {
-    if (indexed()) MarkTouchedCone(source);
+    MarkTouchedCone(source);
     ++ops_touched_;
     for (std::size_t s = 0; s < per_shard.size(); ++s) {
       if (per_shard[s].empty()) continue;
@@ -843,145 +761,51 @@ void Executor::RunOpPhase(Fn&& fn) {
   DrainStack();
 }
 
-void Executor::DeliverSgeToSource(const Sge& sge, OpId source) {
-  if (indexed()) MarkTouchedCone(source);
-  ++ops_touched_;
-  auto* src = static_cast<SourceOp*>(
-      nodes_[static_cast<std::size_t>(source)].op.get());
-  RunOpPhase([&] { src->OnSge(sge); });
-}
-
 void Executor::DeliverSge(const Sge& sge) {
-  // Both paths deliver in the same order — label-matched sources in
-  // registration order, then the wildcard bucket in registration order —
-  // so index on/off is byte-identical (see query_index.h).
-  if (indexed()) {
-    const auto* postings = query_index_.Find(sge.label);
-    const auto& wildcard = query_index_.wildcard();
-    if (postings == nullptr && wildcard.empty()) return;
-    edges_processed_.Add();
-    if (postings != nullptr) {
-      for (const SourcePosting& p : *postings) DeliverSgeToSource(sge, p.op);
-    }
-    for (const SourcePosting& p : wildcard) DeliverSgeToSource(sge, p.op);
-    return;
-  }
-  auto it = sources_.find(sge.label);
+  const QueryIndex::PostingList* postings = query_index_.Find(sge.label);
+  const auto& wildcard = query_index_.wildcard();
   // Label not referenced by any query and no always-on source.
-  if (it == sources_.end() && wildcard_sources_.empty()) return;
+  if (postings == nullptr && wildcard.empty()) return;
   edges_processed_.Add();
-  if (it != sources_.end()) {
-    for (OpId source : it->second) DeliverSgeToSource(sge, source);
+  // Label postings in registration order, then the wildcard bucket in
+  // registration order (the ordering contract of query_index.h).
+  auto deliver = [&](OpId source) {
+    MarkTouchedCone(source);
+    ++ops_touched_;
+    auto* src = static_cast<SourceOp*>(
+        nodes_[static_cast<std::size_t>(source)].op.get());
+    RunOpPhase([&] { src->OnSge(sge); });
+  };
+  if (postings != nullptr) {
+    for (const OpId source : *postings) deliver(source);
   }
-  for (OpId source : wildcard_sources_) DeliverSgeToSource(sge, source);
+  for (const OpId source : wildcard) deliver(source);
 }
 
 // ---------------------------------------------------------------------------
 // Clock
 // ---------------------------------------------------------------------------
 
-void Executor::UpdateTimeAdvanceHints() {
-  // Finer dispatch heuristic (ROADMAP): beyond operators that declare
-  // time-driven work, an operator whose shards have grown past the state
-  // bar is worth the pool wakeup — its expiry/purge-adjacent work scales
-  // with state. Evaluated at slide boundaries, not per distinct
-  // timestamp: StateSize() walks operator tables.
-  const std::size_t bar = options_.time_advance_parallel_state_bar;
-  if (bar == 0) return;
-  time_advance_hinted_.clear();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    OpNode& node = nodes_[i];
-    if (node.op == nullptr) continue;  // removed (tombstoned) slot
-    if (node.replicas.empty() || node.op->HasTimeDrivenWork()) continue;
-    if (indexed() && !node.touched) {
-      // Never received input: StateSize() is 0 on every shard, below any
-      // positive bar — skip the state walk entirely.
-      node.time_advance_parallel = false;
-      continue;
-    }
-    bool hit = false;
-    for (std::size_t s = 0; s < 1 + node.replicas.size() && !hit; ++s) {
-      const PhysicalOp* op =
-          s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      hit = op->StateSize() >= bar;
-    }
-    node.time_advance_parallel = hit;
-    if (hit) time_advance_hinted_.push_back(static_cast<OpId>(i));
-  }
-}
-
 void Executor::TimeAdvanceWave(Timestamp now) {
+  // Only operators with declared time-driven work can do anything in this
+  // phase: every other OnTimeAdvance is the base no-op (core/physical.h
+  // contract), so skipping them is exact. Negative-tuple operators can
+  // emit retractions/re-derivations here; the waves deliver them.
+  index_skipped_ += nodes_.size() - time_driven_ops_.size();
   if (sharded()) {
-    if (indexed()) {
-      // Only operators with declared time-driven work plus the state-bar
-      // promotions can do anything in this phase: the base OnTimeAdvance
-      // is a no-op (core/physical.h contract), so skipping the rest is
-      // exact. The two ascending lists are disjoint (UpdateTimeAdvanceHints
-      // excludes declared ops); merge them to keep the legacy visit order.
-      std::size_t a = 0;
-      std::size_t b = 0;
-      std::size_t visited = 0;
-      while (a < time_driven_ops_.size() ||
-             b < time_advance_hinted_.size()) {
-        bool declared;
-        OpId id;
-        if (b >= time_advance_hinted_.size() ||
-            (a < time_driven_ops_.size() &&
-             time_driven_ops_[a] < time_advance_hinted_[b])) {
-          id = time_driven_ops_[a++];
-          declared = true;
-        } else {
-          id = time_advance_hinted_[b++];
-          declared = false;
-        }
-        OpNode& node = nodes_[static_cast<std::size_t>(id)];
-        if (!declared && !node.replicas.empty()) ++state_bar_dispatches_;
-        ++ops_touched_;
-        ++visited;
-        RunInstances(id, /*parallel=*/true,
-                     [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
-      }
-      index_skipped_ += nodes_.size() - visited;
-      RunShardedWave();
-      return;
-    }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      // Time advances fire per distinct timestamp; operators with heavy
-      // time-driven work (Δ-tree expiry) are always worth a pool
-      // dispatch, and so are operators whose shard state passed the
-      // boundary-evaluated bar (UpdateTimeAdvanceHints).
-      OpNode& node = nodes_[i];
-      if (node.op == nullptr) continue;  // removed (tombstoned) slot
-      const bool declared = node.op->HasTimeDrivenWork();
-      const bool parallel = declared || node.time_advance_parallel;
-      if (parallel && !declared && !node.replicas.empty()) {
-        ++state_bar_dispatches_;
-      }
+    // Time-driven work (Δ-tree expiry) is always worth a pool dispatch.
+    for (const OpId id : time_driven_ops_) {
       ++ops_touched_;
-      RunInstances(static_cast<OpId>(i), parallel,
+      RunInstances(id, /*parallel=*/true,
                    [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
     }
     RunShardedWave();
     return;
   }
-  if (indexed()) {
-    // Skip operators without declared time-driven work — their
-    // OnTimeAdvance is the base no-op, so the skip is byte-exact.
-    for (OpId id : time_driven_ops_) {
-      ++ops_touched_;
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      RunOpPhase([&] { node.op->OnTimeAdvance(now); });
-    }
-    index_skipped_ += nodes_.size() - time_driven_ops_.size();
-    if (wave_mode()) RunWave();
-    return;
-  }
-  // Negative-tuple operators can emit retractions/re-derivations during
-  // OnTimeAdvance; RunOpPhase delivers them downstream.
-  for (auto& node : nodes_) {
-    if (node.op == nullptr) continue;  // removed (tombstoned) slot
+  for (const OpId id : time_driven_ops_) {
     ++ops_touched_;
-    RunOpPhase([&] { node.op->OnTimeAdvance(now); });
+    PhysicalOp* op = nodes_[static_cast<std::size_t>(id)].op.get();
+    RunOpPhase([&] { op->OnTimeAdvance(now); });
   }
   if (wave_mode()) RunWave();
 }
@@ -993,7 +817,7 @@ void Executor::ProcessBoundary(Timestamp boundary) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const OpId id = static_cast<OpId>(i);
       if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
-      if (indexed() && !nodes_[i].touched) {
+      if (!nodes_[i].touched) {
         // Never received input: every shard's StateSize() is 0, below the
         // purge watermark, so MaybePurge would return immediately.
         ++index_skipped_;
@@ -1021,11 +845,10 @@ void Executor::ProcessBoundary(Timestamp boundary) {
       node.merge_purge_watermark =
           std::max<std::size_t>(1024, 2 * node.merge_coalescer.NumKeys());
     }
-    UpdateTimeAdvanceHints();
   } else {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
-      if (indexed() && !node.touched) {
+      if (!node.touched) {
         ++index_skipped_;  // StateSize() 0 < watermark: MaybePurge no-ops
         continue;
       }

@@ -29,6 +29,15 @@
 //    num_workers = 1 takes the unsharded code paths untouched and stays
 //    byte-identical to the pre-sharding engine.
 //
+// Dispatch goes through the label-discrimination query index
+// (runtime/query_index.h, DESIGN.md §3.1), so per-edge cost tracks the
+// operators that can react, not the registered-query population: an edge
+// reaches only the sources posted under its label (then the wildcard
+// bucket), a wave pops its dirty worklist in ascending operator id — the
+// wave order — time-advance phases run only for operators that declare
+// HasTimeDrivenWork(), and purge phases skip operators that never
+// received input.
+//
 // Window bookkeeping is consolidated in a shared WindowStore
 // (runtime/window_store.h) owned by the executor. Sharded instances
 // acquire shard-suffixed partitions, so a partition is only ever touched
@@ -40,7 +49,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,10 +67,6 @@
 
 namespace sgq {
 
-/// \brief Default state bar for the time-advance dispatch heuristic —
-/// defined once; EngineOptions forwards the same knob (core/engine.h).
-inline constexpr std::size_t kDefaultTimeAdvanceParallelStateBar = 8192;
-
 /// \brief Runtime configuration.
 struct ExecutorOptions {
   /// Micro-batch size: how many sges the ingest queue buffers before a
@@ -72,14 +76,6 @@ struct ExecutorOptions {
   /// classic single-threaded engine byte-identically; N > 1 partitions
   /// operator state N ways and drives waves shard-parallel.
   std::size_t num_workers = 1;
-  /// Sharded mode: dispatch an operator's time-advance wave to the worker
-  /// pool once any single shard instance holds at least this much state —
-  /// in addition to operators declaring HasTimeDrivenWork(), whose expiry
-  /// work is always worth the dispatch. The bar is re-evaluated at slide
-  /// boundaries (amortized: StateSize() is not free, and time advances
-  /// fire per distinct input timestamp). 0 disables the heuristic.
-  std::size_t time_advance_parallel_state_bar =
-      kDefaultTimeAdvanceParallelStateBar;
   /// Double-buffered async ingest (DESIGN.md §6): RunPipelined parses /
   /// produces batch N+1 on a dedicated ingest thread while batch N
   /// executes. Execution order is unchanged — workers=1/batch=1 output
@@ -103,17 +99,6 @@ struct ExecutorOptions {
   /// classic single-producer pipeline (byte-identical output at
   /// num_workers=1/batch_size=1). See runtime/ingest_pipeline.h.
   std::size_t ingest_parsers = 1;
-  /// Query-index dispatch (DESIGN.md §3.1): route work through the
-  /// label-discrimination index so per-edge cost tracks the operators that
-  /// can match, not the registered-query population — wave scans walk a
-  /// dirty worklist instead of the whole topology, time-advance waves
-  /// visit only operators with declared time-driven work (plus the
-  /// state-bar hints in sharded mode), and purge scans skip operators
-  /// that never received input. Off reproduces the legacy full-scan
-  /// dispatch. Both settings are byte-identical at num_workers=1/
-  /// batch_size=1 and snapshot-equivalent + deterministic sharded
-  /// (tests/query_index_test.cc).
-  bool use_query_index = true;
 };
 
 /// \brief Owns and drives the operator topology of one running query.
@@ -250,10 +235,6 @@ class Executor {
   std::size_t edges_processed() const { return edges_processed_.value(); }
   std::size_t num_waves() const { return num_waves_; }
 
-  /// \brief Time-advance pool dispatches credited to the state-bar
-  /// heuristic (i.e. for operators without declared time-driven work).
-  std::size_t state_bar_dispatches() const { return state_bar_dispatches_; }
-
   /// \brief The label-discrimination dispatch index (populated by
   /// RegisterSource / RegisterWildcardSource as queries compile).
   const QueryIndex& query_index() const { return query_index_; }
@@ -261,14 +242,14 @@ class Executor {
   /// \brief Operator activations: OnSge deliveries, per-(operator, port)
   /// batch executions, and per-operator time-advance / purge phases.
   /// Divided by edges_processed() this is the fanout the dispatch layer
-  /// actually paid — O(registered queries) per edge under legacy
-  /// broadcast phases, O(matching operators) with the query index on.
-  /// (Tuple-mode cascades within one delivery count as one activation.)
+  /// actually paid: O(matching operators) per edge, not O(registered
+  /// queries). (Tuple-mode cascades within one delivery count as one
+  /// activation.)
   std::size_t ops_touched() const { return ops_touched_; }
 
-  /// \brief Operator visits the query index pruned relative to the legacy
-  /// full-scan dispatch: skipped wave-scan visits, skipped time-advance
-  /// phases, skipped purge phases. Always 0 with use_query_index off.
+  /// \brief Operator visits the query index skipped relative to visiting
+  /// every live operator: skipped wave-scan visits, skipped time-advance
+  /// phases, skipped purge phases.
   std::size_t index_skipped_dispatches() const { return index_skipped_; }
 
   /// \brief Tuples the merge-side coalescer suppressed as cross-shard
@@ -313,8 +294,8 @@ class Executor {
   void SerializeClock(std::string* out) const;
   Status DeserializeClock(ByteReader* in);
 
-  /// \brief Serializes per-node runtime state: the touched bit (indexed
-  /// purge dispatch), the merge-side coalescer + its purge watermark when
+  /// \brief Serializes per-node runtime state: the touched bit (purge
+  /// dispatch), the merge-side coalescer + its purge watermark when
   /// enabled, and every shard instance's purge watermark plus its
   /// length-framed SerializeState blob — streamed into the open section
   /// of `out` one operator instance at a time.
@@ -366,24 +347,19 @@ class Executor {
     /// PhysicalOp::MaybePurge).
     std::size_t merge_purge_watermark = 1024;
 
-    /// Time-advance dispatch hint (sharded mode): true when some shard's
-    /// StateSize() met options_.time_advance_parallel_state_bar at the
-    /// last slide boundary. OR-ed with the operator's HasTimeDrivenWork().
-    bool time_advance_parallel = false;
-
     /// Source registration of this node (WSCAN leaves), recorded so
-    /// RemoveOps can prune the per-label tables and the query index
-    /// without scanning them: the label, or the wildcard bucket.
+    /// RemoveOps can prune the query index without scanning it: the
+    /// label, or the wildcard bucket.
     LabelId source_label = kInvalidLabel;
     bool source_wildcard = false;
 
-    /// Indexed dispatch (use_query_index): true while the node sits in the
-    /// dirty worklist of the current wave (it has pending input to run).
+    /// True while the node sits in the dirty worklist of the current wave
+    /// (it has pending input to run).
     bool dirty = false;
     /// Monotone: the node received input at least once (directly or via
     /// its upstream cone), so it may hold state worth a purge scan.
-    /// Never-touched operators are skipped by the indexed boundary
-    /// phases — exact, because operator state only grows from input.
+    /// Never-touched operators are skipped by the boundary phases —
+    /// exact, because operator state only grows from input.
     bool touched = false;
   };
 
@@ -391,9 +367,10 @@ class Executor {
   /// the active drain mode.
   void Route(const OutputChannel& channel, const Sgt& tuple);
 
-  /// \brief Routes one sge to its registered sources. In tuple mode each
-  /// source's cascade is drained to completion before the next source
-  /// (matching the recursive engine); in wave mode emissions buffer.
+  /// \brief Routes one sge to the sources the query index posts under its
+  /// label, then to the wildcard bucket. In tuple mode each source's
+  /// cascade is drained to completion before the next source (matching
+  /// the recursive engine); in wave mode emissions buffer.
   void DeliverSge(const Sge& sge);
 
   /// \brief True when the runtime batches (batch_size > 1): emissions
@@ -401,25 +378,23 @@ class Executor {
   /// (batch_size == 1) reproduces recursive depth-first delivery exactly.
   bool wave_mode() const { return options_.batch_size > 1; }
 
-  /// \brief True when dispatch consults the query index (DESIGN.md §3.1).
-  bool indexed() const { return options_.use_query_index; }
-
   /// \brief Channel/shard/coordination setup of one node — the per-node
   /// body shared by Finalize() and FinalizeNewOps().
   Status SetupNodeTopology(std::size_t i);
 
-  /// \brief Adds `id` to the current wave's dirty worklist (min-heap on
-  /// OpId: popping ascending reproduces the legacy full scan's node
-  /// order — channels only point to higher ids, so one ascending pass
-  /// settles a wave).
+  /// \brief Adds `id` to the current wave's dirty worklist (a min-heap on
+  /// OpId, popped ascending by PopDirtyWave).
   void MarkDirty(OpId id);
+
+  /// \brief Runs one wave: pops the dirty worklist in ascending id order
+  /// and calls `visit(id)` on each popped operator. Channels only point
+  /// to higher ids, so every pop sees all of the wave's input for that
+  /// operator and one ascending pass settles the wave.
+  template <typename Fn>
+  void PopDirtyWave(Fn&& visit);
 
   /// \brief Marks `id` and its downstream cone as touched (first input).
   void MarkTouchedCone(OpId id);
-
-  /// \brief Delivers one sge to `source` in tuple/wave mode (shared body
-  /// of the indexed and legacy DeliverSge paths).
-  void DeliverSgeToSource(const Sge& sge, OpId source);
 
   /// \brief Runs one operator phase call (OnSge / OnTimeAdvance /
   /// MaybePurge) and delivers whatever it emitted.
@@ -450,10 +425,6 @@ class Executor {
   /// the in-flight deletion) that a single instance would not have
   /// emitted.
   bool OfferAtMerge(OpNode& node, const Sgt& tuple);
-
-  /// \brief Re-evaluates every node's time-advance dispatch hint against
-  /// the state bar (called at slide boundaries).
-  void UpdateTimeAdvanceHints();
 
   /// \brief Runs `run_shard(s)` for every shard — on the worker pool when
   /// more than one shard has work, inline in shard order otherwise (same
@@ -506,22 +477,13 @@ class Executor {
 
   ExecutorOptions options_;
   std::vector<OpNode> nodes_;  ///< index == OpId; insertion is wave order
-  /// Legacy per-label source table (use_query_index off). The indexed
-  /// path reads query_index_ instead; both are maintained by
-  /// RegisterSource so the flag can differ between otherwise-identical
-  /// runs (the differential tests rely on that).
-  std::unordered_map<LabelId, std::vector<OpId>> sources_;
-  std::vector<OpId> wildcard_sources_;  ///< legacy always-on bucket
   QueryIndex query_index_;
   /// Operators with declared time-driven work (HasTimeDrivenWork), in
   /// ascending id order — the only operators whose OnTimeAdvance the
-  /// indexed time-advance wave must run (the contract in core/physical.h
-  /// requires overriders to declare themselves).
+  /// time-advance wave must run (the contract in core/physical.h requires
+  /// overriders to declare themselves).
   std::vector<OpId> time_driven_ops_;
-  /// Sharded indexed mode: operators promoted by the state-bar hint at
-  /// the last boundary (ascending; disjoint from time_driven_ops_).
-  std::vector<OpId> time_advance_hinted_;
-  /// Min-heap (std::greater) of dirty node ids for the indexed waves.
+  /// Min-heap (std::greater) of dirty node ids for the waves.
   std::vector<OpId> dirty_heap_;
   WindowStore window_store_;
   std::unique_ptr<WorkerPool> pool_;  ///< created by Finalize when sharded
@@ -552,7 +514,6 @@ class Executor {
   double slide_accum_seconds_ = 0;
   Counter edges_pushed_;
   Counter edges_processed_;
-  std::size_t state_bar_dispatches_ = 0;
   std::size_t merge_suppressed_ = 0;
   std::size_t ops_touched_ = 0;    ///< driver-thread only (see getter)
   std::size_t index_skipped_ = 0;  ///< driver-thread only (see getter)

@@ -4,7 +4,7 @@
 //
 // With K registered queries the executor hosts O(K) source operators.
 // Source dispatch must not pay O(K) per edge: the index maps each stream
-// label to the posting list of (operator, port) pairs whose *admission
+// label to the posting list of source operators whose *admission
 // predicate* (algebra/translate.h PlanAdmission) can match it, so an edge
 // only reaches the sources actually interested in its label. Sources
 // without a label constraint (wildcard WSCANs) live in an always-on
@@ -18,11 +18,12 @@
 // so queries added mid-topology-build are indexed immediately.
 //
 // Ordering contract (determinism): postings of one label keep their
-// registration order — exactly the order the executor's legacy per-label
-// source table delivered in — and every lookup visits label postings
-// first, then the wildcard bucket in its registration order. Indexed and
-// non-indexed dispatch therefore produce identical call sequences
-// (byte-identical results at workers=1/batch=1; DESIGN.md §3.1).
+// registration order, and every lookup visits label postings first, then
+// the wildcard bucket in its registration order. The executor delivers
+// an edge to its sources in exactly this order, so the call sequence is
+// a pure function of the registration history (byte-identical results at
+// workers=1/batch=1, and after a removal identical to a never-added run;
+// DESIGN.md §3.1).
 
 #ifndef SGQ_RUNTIME_QUERY_INDEX_H_
 #define SGQ_RUNTIME_QUERY_INDEX_H_
@@ -38,38 +39,23 @@
 
 namespace sgq {
 
-/// \brief One interested consumer of a stream label: the source operator
-/// and the input port the edge enters on (today every source consumes raw
-/// sges on port 0; the port is kept so non-scan admission points — e.g. a
-/// PATH automaton fed directly — can join the index without a format
-/// change).
-struct SourcePosting {
-  OpId op = -1;
-  int port = 0;
-
-  bool operator==(const SourcePosting& o) const {
-    return op == o.op && port == o.port;
-  }
-};
-
 /// \brief label -> posting-list discrimination index plus the always-on
-/// wildcard bucket. Not thread-safe for writes; the executor only mutates
-/// it during topology construction and reads it single-threaded from the
+/// wildcard bucket. A posting is the id of one interested source
+/// operator. Not thread-safe for writes; the executor only mutates it
+/// during topology construction and reads it single-threaded from the
 /// dispatch loop.
 class QueryIndex {
  public:
-  using PostingList = SmallVec<SourcePosting, 2>;
+  using PostingList = SmallVec<OpId, 2>;
 
   /// \brief Appends a posting for `label` (registration order preserved).
-  void Add(LabelId label, OpId op, int port = 0) {
-    postings_[label].push_back(SourcePosting{op, port});
+  void Add(LabelId label, OpId op) {
+    postings_[label].push_back(op);
     ++num_postings_;
   }
 
   /// \brief Appends `op` to the always-on bucket: it admits every label.
-  void AddWildcard(OpId op, int port = 0) {
-    wildcard_.push_back(SourcePosting{op, port});
-  }
+  void AddWildcard(OpId op) { wildcard_.push_back(op); }
 
   /// \brief Removes every posting of `op` under `label` (live query
   /// deregistration, DESIGN.md §10). Surviving postings keep their
@@ -81,7 +67,7 @@ class QueryIndex {
     PostingList& list = it->second;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].op == op) {
+      if (list[i] == op) {
         --num_postings_;
         continue;
       }
@@ -93,10 +79,7 @@ class QueryIndex {
 
   /// \brief Removes `op` from the always-on bucket (order preserved).
   void RemoveWildcard(OpId op) {
-    wildcard_.erase(std::remove_if(wildcard_.begin(), wildcard_.end(),
-                                   [op](const SourcePosting& p) {
-                                     return p.op == op;
-                                   }),
+    wildcard_.erase(std::remove(wildcard_.begin(), wildcard_.end(), op),
                     wildcard_.end());
   }
 
@@ -109,7 +92,7 @@ class QueryIndex {
   }
 
   /// \brief The always-on bucket, in registration order.
-  const std::vector<SourcePosting>& wildcard() const { return wildcard_; }
+  const std::vector<OpId>& wildcard() const { return wildcard_; }
 
   /// \name Introspection (tests, DescribeTopology)
   /// @{
@@ -128,7 +111,7 @@ class QueryIndex {
 
  private:
   FlatMap<LabelId, PostingList> postings_;
-  std::vector<SourcePosting> wildcard_;
+  std::vector<OpId> wildcard_;
   std::size_t num_postings_ = 0;
 };
 

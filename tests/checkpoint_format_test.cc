@@ -161,10 +161,11 @@ TEST(CheckpointFormatTest, EncodingIsDeterministic) {
 TEST(CheckpointFormatTest, StreamedImageMatchesPreStreamingEncoder) {
   // Golden frozen from the encoder that built the whole image in memory
   // before writing it: streaming with backpatched frames and a combined
-  // file CRC must not change one byte.
+  // file CRC must not change one byte. (Re-frozen for version 3: only the
+  // header version and the footer CRC moved.)
   const std::string image = SampleImage();
   EXPECT_EQ(image.size(), 401u);
-  EXPECT_EQ(testing_util::Fingerprint(image), 0xd0b52d279988a3c2ull);
+  EXPECT_EQ(testing_util::Fingerprint(image), 0x69954c81ff3da6f9ull);
   // How the payload is cut into Append calls is invisible in the bytes.
   for (std::size_t piece : {1, 2, 7, 64}) {
     EXPECT_EQ(Image(SampleSections(), piece), image) << "piece " << piece;
@@ -213,18 +214,27 @@ TEST(CheckpointFaultTest, ErrorsCarryByteOffsets) {
 }
 
 TEST(CheckpointFaultTest, VersionSkewRejected) {
-  std::string image = SampleImage();
-  // Patch the version field (offset 4) and repair the whole-file CRC so
-  // the *version check* does the rejecting, not the integrity check.
-  image[4] = static_cast<char>(kCheckpointVersion + 1);
-  const std::uint32_t crc = Crc32(image.data(), image.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    image[image.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  // Older (v2: the identity list still named the dispatch knobs) and
+  // newer images alike.
+  for (const std::uint32_t version :
+       {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
+    std::string image = SampleImage();
+    // Patch the version field (offset 4) and repair the whole-file CRC so
+    // the *version check* does the rejecting, not the integrity check.
+    image[4] = static_cast<char>(version);
+    const std::uint32_t crc = Crc32(image.data(), image.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      image[image.size() - 4 + i] =
+          static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    auto reader = CheckpointReader::Parse(std::move(image), "skew");
+    ASSERT_FALSE(reader.ok()) << "version " << version;
+    const std::string message = reader.status().message();
+    EXPECT_NE(message.find("offset 4: unsupported checkpoint version " +
+                           std::to_string(version)),
+              std::string::npos)
+        << reader.status().ToString();
   }
-  auto reader = CheckpointReader::Parse(std::move(image), "skew");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find("version"), std::string::npos)
-      << reader.status().ToString();
 }
 
 TEST(CheckpointFaultTest, TrailingGarbageRejected) {

@@ -446,18 +446,21 @@ std::string SnapshotBytes(const GoldenConfig& config,
 TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
   // Frozen from the encoder that assembled the whole image in memory
   // before writing it: streaming the snapshot into the temp file changes
-  // the write path, never the SGQC bytes. The SO snapshot (several MB,
-  // mostly undrained sink buffers and PATH forests) spans thousands of
-  // sink buffer flushes.
+  // the write path, never the SGQC bytes. Re-frozen for version 3, whose
+  // images differ from version 2 only in the header version, the "meta"
+  // section (two identity keys fewer) and the footer CRC — every other
+  // section's CRC is unchanged. The SO snapshot (several MB, mostly
+  // undrained sink buffers and PATH forests) spans thousands of sink
+  // buffer flushes.
   const GoldenConfig goldens[] = {
-      {"spath-b1", false, PathImpl::kSPath, 1, 1, 11532,
-       0xd151ca58ce4e180cull},
-      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 8760,
-       0x76e28c9c2f3db65full},
-      {"spath-w2", false, PathImpl::kSPath, 4, 2, 13369,
-       0x1559bc384027a54eull},
-      {"so-b1", true, PathImpl::kSPath, 1, 1, 7853877,
-       0x75ce9a1f8b7eb2f5ull},
+      {"spath-b1", false, PathImpl::kSPath, 1, 1, 11465,
+       0x11939fd71d1a0a5cull},
+      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 8693,
+       0xb54eed41920318f2ull},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 13302,
+       0x5b6b1e17af5eebbbull},
+      {"so-b1", true, PathImpl::kSPath, 1, 1, 7853810,
+       0x715e0c815866b4ebull},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const GoldenConfig& golden : goldens) {

@@ -11,11 +11,7 @@
 //    references at every sampled instant and byte-deterministic
 //    run-to-run;
 //  - the merge-side coalescer at the exchange restores single-worker
-//    emission volume for cross-shard-duplicating PATTERN output;
-//  - the state-bar time-advance dispatch heuristic
-//    (ExecutorOptions::time_advance_parallel_state_bar) triggers for
-//    operators without declared time-driven work and never changes
-//    results.
+//    emission volume for cross-shard-duplicating PATTERN output.
 
 #include <gtest/gtest.h>
 
@@ -386,52 +382,6 @@ TEST(MergeCoalescerTest, DeletionHeavyShardedRunsStaySnapshotEquivalent) {
           << "workers " << workers << " t " << t;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// State-bar time-advance dispatch heuristic
-// ---------------------------------------------------------------------------
-
-TEST(ParallelExpiryHeuristicTest, StateBarTriggersWithoutChangingResults) {
-  Vocabulary vocab;
-  const InputStream stream = RandomStream(9, 0.1, &vocab);
-  // S-PATH declares no time-driven work: only the state bar can promote
-  // its time-advance waves to the pool.
-  auto query = MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 3), &vocab);
-  ASSERT_TRUE(query.ok());
-
-  EngineOptions reference_options;
-  const std::vector<Sgt> reference =
-      RunSolo(*query, vocab, stream, reference_options);
-  const std::vector<Timestamp> times = SampleTimes(stream, 6);
-
-  auto run = [&](std::size_t bar) {
-    EngineOptions options;
-    options.num_workers = 4;
-    options.batch_size = 64;
-    options.time_advance_parallel_state_bar = bar;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    EXPECT_TRUE(qp.ok());
-    (*qp)->PushAll(stream);
-    return std::make_pair((*qp)->results(),
-                          (*qp)->executor().state_bar_dispatches());
-  };
-
-  // bar=1: every stateful shard passes the bar after the first boundary.
-  const auto [aggressive, aggressive_dispatches] = run(1);
-  EXPECT_GT(aggressive_dispatches, 0u);
-  // bar=0 disables the heuristic entirely.
-  const auto [declared_only, no_dispatches] = run(0);
-  EXPECT_EQ(no_dispatches, 0u);
-  for (Timestamp t : times) {
-    ASSERT_EQ(ResultPairsAt(aggressive, t), ResultPairsAt(reference, t))
-        << "bar=1 t " << t;
-    ASSERT_EQ(ResultPairsAt(declared_only, t), ResultPairsAt(reference, t))
-        << "bar=0 t " << t;
-  }
-  // The dispatch policy must not even change the emission log: shard
-  // computations and the merge order are policy-independent.
-  ExpectByteIdentical(aggressive, declared_only, "dispatch policy");
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Tests for the label-discrimination query index (runtime/query_index.h,
-// DESIGN.md §3.1) and the indexed dispatch built on it
-// (ExecutorOptions::use_query_index):
+// DESIGN.md §3.1) and the executor's dispatch built on it:
 //
 //  - the posting-list container itself (insert order, wildcard bucket,
 //    miss behavior);
-//  - indexed dispatch is byte-identical to the legacy full-scan dispatch
-//    at num_workers = 1, across batch sizes, both PATH implementations,
-//    and deletion-heavy streams — the index prunes guaranteed-no-op
-//    work, never semantics;
-//  - sharded indexed runs are snapshot-equivalent to the single-worker
-//    reference and byte-deterministic run-to-run;
+//  - indexed dispatch at num_workers = 1 reproduces, byte for byte, the
+//    result streams of the full-scan dispatch it replaced — frozen as
+//    fingerprints across batch sizes, both PATH implementations, and
+//    deletion-heavy streams: the index prunes guaranteed-no-op work,
+//    never semantics;
+//  - sharded runs are snapshot-equivalent to the single-worker reference
+//    and byte-deterministic run-to-run;
 //  - the index is maintained incrementally as queries are registered on
 //    a live engine, and cross-query subtree sharing registers a shared
 //    scan's posting exactly once;
@@ -23,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "algebra/translate.h"
@@ -56,17 +58,15 @@ TEST(QueryIndexTest, FindMissesReturnNullAndWildcardStartsEmpty) {
 TEST(QueryIndexTest, PostingsKeepRegistrationOrderPerLabel) {
   QueryIndex index;
   index.Add(3, /*op=*/5);
-  index.Add(3, /*op=*/2, /*port=*/1);
+  index.Add(3, /*op=*/2);
   index.Add(9, /*op=*/7);
   const QueryIndex::PostingList* postings = index.Find(3);
   ASSERT_NE(postings, nullptr);
   ASSERT_EQ(postings->size(), 2u);
-  // Registration order, not op-id order: the dispatch contract is "same
-  // delivery order as the legacy per-label source list".
-  EXPECT_EQ((*postings)[0].op, 5);
-  EXPECT_EQ((*postings)[0].port, 0);
-  EXPECT_EQ((*postings)[1].op, 2);
-  EXPECT_EQ((*postings)[1].port, 1);
+  // Registration order, not op-id order: the dispatch contract is
+  // "delivery in registration order per label".
+  EXPECT_EQ((*postings)[0], 5);
+  EXPECT_EQ((*postings)[1], 2);
   EXPECT_EQ(index.NumLabels(), 2u);
   EXPECT_EQ(index.NumPostings(), 3u);
   EXPECT_EQ(index.Find(4), nullptr);
@@ -79,8 +79,8 @@ TEST(QueryIndexTest, WildcardBucketIsSeparateFromLabelPostings) {
   index.AddWildcard(13);
   EXPECT_EQ(index.NumWildcard(), 2u);
   ASSERT_EQ(index.wildcard().size(), 2u);
-  EXPECT_EQ(index.wildcard()[0].op, 11);
-  EXPECT_EQ(index.wildcard()[1].op, 13);
+  EXPECT_EQ(index.wildcard()[0], 11);
+  EXPECT_EQ(index.wildcard()[1], 13);
   // Find() intentionally excludes the wildcard bucket: the dispatch
   // appends it after the label postings itself.
   const QueryIndex::PostingList* postings = index.Find(3);
@@ -89,7 +89,7 @@ TEST(QueryIndexTest, WildcardBucketIsSeparateFromLabelPostings) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: indexed dispatch vs legacy full scan
+// Indexed dispatch vs the frozen full-scan result streams
 // ---------------------------------------------------------------------------
 
 struct Config {
@@ -138,31 +138,92 @@ void ExpectByteIdentical(const std::vector<Sgt>& expected,
   }
 }
 
-TEST(IndexedDispatchTest, ByteIdenticalToLegacyAtSingleWorker) {
-  for (uint64_t seed : {3u, 41u, 99u}) {
-    for (const Config& config : kConfigs) {
-      Vocabulary vocab;
-      const InputStream stream = DeletionHeavyStream(seed, &vocab);
-      auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
-      ASSERT_TRUE(query.ok()) << config.query;
-      for (std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-        EngineOptions legacy;
-        legacy.path_impl = config.path_impl;
-        legacy.batch_size = batch;
-        legacy.use_query_index = false;
-        EngineOptions indexed = legacy;
-        indexed.use_query_index = true;
-        ExpectByteIdentical(
-            RunEngine(*query, vocab, stream, legacy),
-            RunEngine(*query, vocab, stream, indexed),
-            std::string(config.query) + " batch=" + std::to_string(batch) +
-                " seed=" + std::to_string(seed));
-      }
+/// \brief One line per tuple covering every field Sgt::operator== compares
+/// (ids, interval, deletion flag, payload), so equal fingerprints mean a
+/// byte-identical result stream.
+std::string CanonicalText(const std::vector<Sgt>& results) {
+  std::string out;
+  for (const Sgt& r : results) {
+    out += std::to_string(r.src) + " " + std::to_string(r.trg) + " " +
+           std::to_string(r.label) + " " + std::to_string(r.validity.ts) +
+           " " + std::to_string(r.validity.exp) + " " +
+           (r.is_deletion ? "-" : "+");
+    for (const EdgeRef& e : r.payload) {
+      out += " " + std::to_string(e.src) + "," + std::to_string(e.trg) + "," +
+             std::to_string(e.label);
     }
+    out += "\n";
+  }
+  return out;
+}
+
+struct FrozenRun {
+  uint64_t seed;
+  std::size_t config;  ///< index into kConfigs
+  std::size_t batch;
+  std::size_t results;
+  uint64_t fingerprint;  ///< testing_util::Fingerprint of CanonicalText
+};
+
+// Frozen from the full-scan dispatch (every operator visited per wave,
+// time advance and purge) that the query index replaced; the indexed
+// dispatch produced the same streams when both still existed.
+const FrozenRun kFrozenRuns[] = {
+    {3, 0, 1, 42, 0x014c6a91f3559bd9ull},
+    {3, 0, 64, 41, 0x83e66a05f26fc75eull},
+    {3, 1, 1, 65, 0xb175e0b030c48b55ull},
+    {3, 1, 64, 65, 0xb175e0b030c48b55ull},
+    {3, 2, 1, 67, 0x2f3c4f8cb65eb375ull},
+    {3, 2, 64, 67, 0x2f3c4f8cb65eb375ull},
+    {3, 3, 1, 50, 0x8a8ef8edbaddbcd3ull},
+    {3, 3, 64, 49, 0xb21635812d431764ull},
+    {3, 4, 1, 52, 0xb4a695aa3c204b4eull},
+    {3, 4, 64, 52, 0xb4a695aa3c204b4eull},
+    {41, 0, 1, 18, 0xcb664a17d540843aull},
+    {41, 0, 64, 18, 0xd756967acc079ae6ull},
+    {41, 1, 1, 67, 0x4ea3f2a35ec548c2ull},
+    {41, 1, 64, 67, 0x4ea3f2a35ec548c2ull},
+    {41, 2, 1, 67, 0xbeeddc0c4536d666ull},
+    {41, 2, 64, 67, 0xbeeddc0c4536d666ull},
+    {41, 3, 1, 26, 0x5f961bf61e9d1bcbull},
+    {41, 3, 64, 26, 0x3e81f798ef07902full},
+    {41, 4, 1, 26, 0x5f961bf61e9d1bcbull},
+    {41, 4, 64, 26, 0x3e81f798ef07902full},
+    {99, 0, 1, 24, 0x3654ca68ff7eae66ull},
+    {99, 0, 64, 24, 0x3654ca68ff7eae66ull},
+    {99, 1, 1, 62, 0xad16719cc86fc001ull},
+    {99, 1, 64, 62, 0xad16719cc86fc001ull},
+    {99, 2, 1, 65, 0x088940d600254243ull},
+    {99, 2, 64, 65, 0x088940d600254243ull},
+    {99, 3, 1, 33, 0x3b95017073745091ull},
+    {99, 3, 64, 33, 0x3b95017073745091ull},
+    {99, 4, 1, 33, 0xdbb4c4e180558ff1ull},
+    {99, 4, 64, 33, 0xdbb4c4e180558ff1ull},
+};
+
+TEST(IndexedDispatchTest, ByteIdenticalToFrozenFullScanAtSingleWorker) {
+  for (const FrozenRun& frozen : kFrozenRuns) {
+    const Config& config = kConfigs[frozen.config];
+    Vocabulary vocab;
+    const InputStream stream = DeletionHeavyStream(frozen.seed, &vocab);
+    auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
+    ASSERT_TRUE(query.ok()) << config.query;
+    EngineOptions options;
+    options.path_impl = config.path_impl;
+    options.batch_size = frozen.batch;
+    const std::vector<Sgt> results = RunEngine(*query, vocab, stream, options);
+    const std::string context = std::string(config.query) +
+                                " config=" + std::to_string(frozen.config) +
+                                " batch=" + std::to_string(frozen.batch) +
+                                " seed=" + std::to_string(frozen.seed);
+    EXPECT_EQ(results.size(), frozen.results) << context;
+    EXPECT_EQ(testing_util::Fingerprint(CanonicalText(results)),
+              frozen.fingerprint)
+        << context;
   }
 }
 
-TEST(IndexedDispatchTest, ShardedRunsAreSnapshotEquivalentToLegacy) {
+TEST(IndexedDispatchTest, ShardedRunsAreSnapshotEquivalentToSingleWorker) {
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(17, &vocab);
@@ -171,7 +232,6 @@ TEST(IndexedDispatchTest, ShardedRunsAreSnapshotEquivalentToLegacy) {
 
     EngineOptions reference;
     reference.path_impl = config.path_impl;
-    reference.use_query_index = false;
     const std::vector<Sgt> expected =
         RunEngine(*query, vocab, stream, reference);
 
@@ -181,18 +241,17 @@ TEST(IndexedDispatchTest, ShardedRunsAreSnapshotEquivalentToLegacy) {
       options.path_impl = config.path_impl;
       options.num_workers = workers;
       options.batch_size = 64;
-      options.use_query_index = true;
-      const std::vector<Sgt> indexed =
+      const std::vector<Sgt> batched =
           RunEngine(*query, vocab, stream, options);
       for (Timestamp t : times) {
-        ASSERT_EQ(ResultPairsAt(indexed, t), ResultPairsAt(expected, t))
+        ASSERT_EQ(ResultPairsAt(batched, t), ResultPairsAt(expected, t))
             << config.query << " workers=" << workers << " t=" << t;
       }
     }
   }
 }
 
-TEST(IndexedDispatchTest, ShardedIndexedRunsAreByteDeterministic) {
+TEST(IndexedDispatchTest, ShardedRunsAreByteDeterministic) {
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(23, &vocab);
@@ -202,7 +261,6 @@ TEST(IndexedDispatchTest, ShardedIndexedRunsAreByteDeterministic) {
     options.path_impl = config.path_impl;
     options.num_workers = 4;
     options.batch_size = 64;
-    options.use_query_index = true;
     ExpectByteIdentical(RunEngine(*query, vocab, stream, options),
                         RunEngine(*query, vocab, stream, options),
                         std::string(config.query) + " repeat");
@@ -267,26 +325,21 @@ TEST(WildcardSourceTest, WildcardScanAdmitsEveryLabel) {
   auto stream = GenerateRandomStream(opt, &vocab);
   ASSERT_TRUE(stream.ok());
 
-  for (const bool use_index : {false, true}) {
-    EngineOptions options;
-    options.use_query_index = use_index;
-    Engine engine{options};
-    // A bare wildcard scan: input_label = kInvalidLabel admits every
-    // label; WScanOp re-emits each arriving element under its own label.
-    auto added =
-        engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(1000, 10)),
-                       vocab);
-    ASSERT_TRUE(added.ok()) << added.status().ToString();
-    ASSERT_TRUE(engine.Finalize().ok());
-    EXPECT_EQ(engine.executor().query_index().NumWildcard(), 1u);
-    EXPECT_EQ(engine.executor().query_index().NumLabels(), 0u);
-    engine.PushAll(*stream);
-    // Every non-deletion element is admitted and emitted (the window
-    // outlives the stream, so nothing expires).
-    EXPECT_EQ(engine.results(*added).size(), stream->size());
-    for (std::size_t i = 0; i < engine.results(*added).size(); ++i) {
-      EXPECT_EQ(engine.results(*added)[i].label, (*stream)[i].label);
-    }
+  Engine engine{EngineOptions{}};
+  // A bare wildcard scan: input_label = kInvalidLabel admits every label;
+  // WScanOp re-emits each arriving element under its own label.
+  auto added =
+      engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(1000, 10)), vocab);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  ASSERT_TRUE(engine.Finalize().ok());
+  EXPECT_EQ(engine.executor().query_index().NumWildcard(), 1u);
+  EXPECT_EQ(engine.executor().query_index().NumLabels(), 0u);
+  engine.PushAll(*stream);
+  // Every non-deletion element is admitted and emitted (the window
+  // outlives the stream, so nothing expires).
+  EXPECT_EQ(engine.results(*added).size(), stream->size());
+  for (std::size_t i = 0; i < engine.results(*added).size(); ++i) {
+    EXPECT_EQ(engine.results(*added)[i].label, (*stream)[i].label);
   }
 }
 
@@ -302,25 +355,19 @@ TEST(WildcardSourceTest, WildcardAndLabelQueriesCoexistByteIdentically) {
       MakeQuery("Answer(x,z) <- a(x,y), b(y,z)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(labeled.ok());
 
-  std::vector<std::vector<Sgt>> runs;
-  for (const bool use_index : {false, true}) {
-    EngineOptions options;
-    options.use_query_index = use_index;
-    Engine engine{options};
-    auto wildcard =
-        engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(12, 3)), vocab);
-    ASSERT_TRUE(wildcard.ok());
-    auto q = engine.AddQuery(*labeled, vocab);
-    ASSERT_TRUE(q.ok());
-    ASSERT_TRUE(engine.Finalize().ok());
-    engine.PushAll(*stream);
-    std::vector<Sgt> combined = engine.results(*wildcard);
-    const std::vector<Sgt>& rest = engine.results(*q);
-    combined.insert(combined.end(), rest.begin(), rest.end());
-    EXPECT_FALSE(engine.results(*wildcard).empty());
-    runs.push_back(std::move(combined));
-  }
-  ExpectByteIdentical(runs[0], runs[1], "wildcard + labeled mix");
+  // The labeled query's output must not depend on the wildcard scan that
+  // shares its source dispatch: compare it against the query run alone.
+  Engine engine{EngineOptions{}};
+  auto wildcard =
+      engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(12, 3)), vocab);
+  ASSERT_TRUE(wildcard.ok());
+  auto q = engine.AddQuery(*labeled, vocab);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
+  EXPECT_FALSE(engine.results(*wildcard).empty());
+  ExpectByteIdentical(RunEngine(*labeled, vocab, *stream, EngineOptions{}),
+                      engine.results(*q), "wildcard + labeled mix");
 }
 
 // ---------------------------------------------------------------------------
@@ -383,9 +430,9 @@ TEST(PostingCoverageTest, IndexCoversExactlyTheRegisteredAdmissions) {
       ASSERT_NE(postings, nullptr)
           << text << " label " << vocab.LabelName(label);
       EXPECT_FALSE(postings->empty());
-      for (const SourcePosting& posting : *postings) {
-        EXPECT_GE(posting.op, 0);
-        EXPECT_LT(static_cast<std::size_t>(posting.op),
+      for (const OpId posting : *postings) {
+        EXPECT_GE(posting, 0);
+        EXPECT_LT(static_cast<std::size_t>(posting),
                   engine.executor().NumOps());
       }
     }
