@@ -177,7 +177,7 @@ int main() {
         options.num_workers = workers;
         options.async_ingest = async;
         options.pin_workers = pin;
-        auto metrics = RunSgaCsv(
+        auto metrics = RunSgaText(
             csv, *query, &vocab, options,
             std::string(w.name) + "/workers=" + std::to_string(workers) +
                 (async ? "/async" : "/sync") + (pin ? "/pin" : ""));
@@ -220,8 +220,8 @@ int main() {
     EngineOptions options;
     options.batch_size = kBatch;
     options.num_workers = 1;
-    auto metrics = RunSgaCsv(csv, *query, &vocab, options,
-                             "matrix/csv/sync");
+    auto metrics = RunSgaText(csv, *query, &vocab, options,
+                              "matrix/csv/sync");
     bench::CheckOk(metrics.status(), "run");
     csv_sync_parse_tput = metrics->ParseTuplesPerSec();
     matrix_results = metrics->results_emitted;

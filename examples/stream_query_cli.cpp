@@ -35,16 +35,13 @@
 //                result line order) may vary run to run; binary streams
 //                intern their dictionary up front and stay fully
 //                deterministic.
-//   --mmap / --no-mmap   with --async-ingest, how the stream *file* is
-//                served to the parse stage: mmap with sequential
-//                readahead (--mmap; the default where available) or
-//                portable buffered preads (--no-mmap). Either way the
-//                file streams through a bounded readahead window — peak
-//                ingest memory is O(window), not O(file), so files
-//                larger than RAM ingest fine — and output is
-//                byte-identical between the two. Synchronous runs
-//                (reorder-slack printing, per-element delivery) still
-//                materialize the file.
+//   --mmap / --no-mmap   how the stream *file* is served to the parse
+//                stage: mmap with sequential readahead (--mmap; the
+//                default where available) or portable buffered preads
+//                (--no-mmap). Either way the file streams through a
+//                bounded readahead window — peak ingest memory is
+//                O(window), not O(file), so files larger than RAM ingest
+//                fine — and output is byte-identical between the two.
 //   --pin-workers   pin runtime threads to cores (best-effort affinity)
 //   --checkpoint-dir DIR   crash recovery (DESIGN.md §7): with
 //                --checkpoint-every N, write an SGQC snapshot
@@ -75,8 +72,12 @@
 //                are skipped, and the run continues to the end. Output
 //                is identical to the uninterrupted run's.
 //
-// Prints every result sgt as it is produced, then a metrics summary.
-// Without arguments, runs a built-in demo (the paper's Figure 2 stream).
+// At --batch 1 without checkpointing, prints every result sgt as it is
+// produced; otherwise prints them once the stream drains. Then prints a
+// metrics summary. A malformed stream element fails the run (exit 1,
+// positioned message) where ingest reaches it, after the results of the
+// elements before it. Without arguments, runs a built-in demo (the
+// paper's Figure 2 stream).
 // Usage errors — an unknown option, an option missing its value, a
 // malformed number — exit 2 and name the offending argument.
 
@@ -315,8 +316,8 @@ int main(int argc, char** argv) {
       query_text = *text;
     }
     if (positionals.size() > 1) {
-      // Record the path only: async runs stream the file through the
-      // bounded chunk feeder; synchronous paths materialize it later.
+      // Record the path only: the file streams through the bounded chunk
+      // feeder, never materialized.
       stream_path = positionals[1];
     }
   }
@@ -425,37 +426,34 @@ int main(int argc, char** argv) {
   }
   const bool multi = queries.size() > 1;
 
-  // Async ingest parses during the run (on the ingest/parser threads); the
-  // eager whole-stream parse is the synchronous paths' input. The slack>0
-  // synchronous path parses incrementally below instead.
-  sgq::Result<InputStream> stream = InputStream{};
-  if (options.async_ingest) {
-    // The slack stage folds into the ingest pipeline (DESIGN.md §6); a
-    // stream file never materializes — it feeds the pipeline through the
-    // bounded chunk feeder below.
-    options.ingest_slack = slack;
+  // Every run reads one ChunkedStream: the stream file through the
+  // bounded readahead window (--mmap/--no-mmap), or the demo text in
+  // memory. --slack applies on either reader: the pipeline's merge stage
+  // or the chunk walk's ReorderBuffer below.
+  options.ingest_slack = slack;
+  const FileChunkOptions chunking = IngestChunking(options);
+  std::unique_ptr<ChunkedStream> source;
+  const char* file_mode_name = nullptr;  // set when a file feeds the run
+  if (!stream_path.empty()) {
+    auto file = MakeFileChunkSource(stream_path, options.ingest_format,
+                                    &vocab, chunking);
+    if (!file.ok()) {
+      std::fprintf(stderr, "stream: %s\n", file.status().ToString().c_str());
+      return 1;
+    }
+    file_mode_name =
+        (*file)->mode() == FileIngestMode::kMmap ? "mmap" : "buffered";
+    source = std::move(file).ValueOrDie();
   } else {
-    // Synchronous paths deliver per element (printing as results appear),
-    // so they materialize the file first.
-    if (!stream_path.empty()) {
-      // Binary-safe buffered read: SGQB streams contain NUL bytes.
-      auto text = ReadFileBytes(stream_path);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 1;
-      }
-      stream_text = std::move(text).ValueOrDie();
+    auto chunked = MakeChunkedStream(stream_text, options.ingest_format,
+                                     &vocab, chunking.allow_disorder,
+                                     chunking.min_chunks);
+    if (!chunked.ok()) {
+      std::fprintf(stderr, "stream: %s\n",
+                   chunked.status().ToString().c_str());
+      return 1;
     }
-    if (slack == 0) {
-      stream = binary ? ParseStreamBinary(stream_text, &vocab)
-                      : ParseStreamCsv(stream_text, &vocab);
-      if (!stream.ok()) {
-        std::fprintf(stderr,
-                     "stream: %s (out-of-order input? try --slack N)\n",
-                     stream.status().ToString().c_str());
-        return 1;
-      }
-    }
+    source = std::move(chunked).ValueOrDie();
   }
 
   // All queries — one or many — register on a shared multi-query engine;
@@ -556,20 +554,16 @@ int main(int argc, char** argv) {
     }
   };
 
-  const char* file_mode_name = nullptr;  // set when a file feeds the pipeline
-  Stopwatch timer;
-  // In checkpoint mode the sink accumulates and everything prints after
-  // the stream drains: the full result stream is part of every snapshot,
-  // so a restored run reproduces the uninterrupted run's output exactly.
-  auto deliver = [&](const Sge& sge) {
-    engine.Push(sge);
-    if (!checkpointing) print_results();
-  };
-  auto take_checkpoint = [&](std::uint64_t raw_index,
-                             std::string reorder_blob) -> bool {
+  // Snapshot after `raw_index` raw stream elements; the reorder stage
+  // (--slack) rides along as an extra section: raw-element resume index,
+  // then the buffer's pending heap.
+  auto take_checkpoint = [&](std::uint64_t raw_index) -> bool {
     std::vector<std::pair<std::string, std::string>> extra;
     if (slack > 0) {
-      extra.emplace_back("x-reorder", std::move(reorder_blob));
+      std::string blob;
+      PutU64(&blob, raw_index);
+      reorder_buffer->SerializeState(&blob);
+      extra.emplace_back("x-reorder", std::move(blob));
     }
     const std::string path =
         CheckpointName(checkpoint_dir, raw_index / checkpoint_every);
@@ -581,64 +575,18 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  if (slack > 0 && options.batch_size > 1 && !options.async_ingest) {
-    // The slack path delivers (and prints) results per element, which
-    // flushes the ingest queue each time — batching cannot take effect.
-    // (With --async-ingest the slack stage lives on the ingest thread and
-    // batching works normally.)
-    std::fprintf(stderr,
-                 "--batch has no effect with --slack; running "
-                 "tuple-at-a-time\n");
-  }
+  Stopwatch timer;
+  const char* const disorder_hint =
+      slack == 0 ? " (out-of-order input? try --slack N)" : "";
   if (options.async_ingest) {
     // Pipelined run: the parse executes on the ingest thread (or, with
-    // --parsers N > 1, on N parser threads behind the order-restoring
+    // --parsers N > 1, on N parse threads behind the order-restoring
     // merge), overlapped with execution; results materialize when the
-    // stream drains. With --slack the cursors tolerate disorder and the
-    // pipeline's reorder stage restores timestamp order. A stream file is
-    // served through the bounded readahead window (--mmap/--no-mmap) so
-    // it never materializes; the demo stream chunks in memory.
-    const std::size_t min_chunks =
-        options.ingest_parsers > 1 ? options.ingest_parsers * 2 : 1;
-    std::unique_ptr<FileChunkSource> file_source;
-    std::unique_ptr<ChunkedStream> mem_source;
-    const ChunkedStream* chunks = nullptr;
-    if (!stream_path.empty()) {
-      FileChunkOptions fco;
-      fco.mode = options.ingest_file_mode;
-      fco.allow_disorder = slack > 0;
-      fco.min_chunks = min_chunks;
-      fco.readahead_chunks = std::max(options.ingest_readahead_chunks,
-                                      options.ingest_parsers + 1);
-      auto source = MakeFileChunkSource(stream_path, options.ingest_format,
-                                        &vocab, fco);
-      if (!source.ok()) {
-        std::fprintf(stderr, "stream: %s\n",
-                     source.status().ToString().c_str());
-        return 1;
-      }
-      file_source = std::move(source).ValueOrDie();
-      chunks = file_source.get();
-      file_mode_name = file_source->mode() == FileIngestMode::kMmap
-                           ? "mmap"
-                           : "buffered";
-    } else {
-      auto chunked = MakeChunkedStream(stream_text, options.ingest_format,
-                                       &vocab,
-                                       /*allow_disorder=*/slack > 0,
-                                       min_chunks);
-      if (!chunked.ok()) {
-        std::fprintf(stderr, "stream: %s\n",
-                     chunked.status().ToString().c_str());
-        return 1;
-      }
-      mem_source = std::move(chunked).ValueOrDie();
-      chunks = mem_source.get();
-    }
-    Status run = engine.RunPipelinedSharded(*chunks);
+    // stream drains.
+    Status run = engine.RunPipelined(*source);
     if (!run.ok()) {
       std::fprintf(stderr, "stream: %s%s\n", run.ToString().c_str(),
-                   slack == 0 ? " (out-of-order input? try --slack N)" : "");
+                   disorder_hint);
       return 1;
     }
     if (engine.ingest_stats().late_dropped > 0) {
@@ -646,77 +594,60 @@ int main(int argc, char** argv) {
                    engine.ingest_stats().late_dropped);
     }
     print_results();
-  } else if (slack > 0) {
-    // Tolerate bounded disorder: lenient incremental parse feeding the
-    // reorder buffer one element at a time. --slack tolerates disorder,
-    // not malformed input — any cursor error is fatal. The buffer was
-    // restored above when --restore found a snapshot with pending
-    // elements.
+  } else {
+    // One chunk walk on the calling thread: skip what a restore already
+    // covered, absorb --slack disorder, push, and snapshot after every
+    // --checkpoint-every raw elements. Results print per element only at
+    // batch 1 without checkpointing; otherwise once the stream drains —
+    // so --batch takes effect, and in checkpoint mode a restored run
+    // reproduces the complete output stream (the sink accumulates, and
+    // it is part of every snapshot).
+    const bool per_element = options.batch_size == 1 && !checkpointing;
     ReorderBuffer& buffer = *reorder_buffer;
     buffer.OnLate([&](const Sge& late) {
       std::fprintf(stderr, "late element dropped (t=%lld)\n",
                    static_cast<long long>(late.t));
     });
-    std::unique_ptr<StreamCursor> cursor;
-    if (binary) {
-      cursor = std::make_unique<BinaryStreamCursor>(stream_text, &vocab,
-                                                    /*allow_disorder=*/true);
-    } else {
-      cursor = std::make_unique<StreamCsvCursor>(stream_text, &vocab,
-                                                 /*allow_disorder=*/true);
-    }
-    Sge sge;
-    std::uint64_t raw = 0;
-    while (cursor->Next(&sge, 1) == 1) {
-      ++raw;
-      // Already consumed before the crash: the restored reorder buffer
-      // holds whatever of these was still pending at the snapshot.
-      if (raw <= resume_raw) continue;
-      for (const Sge& released : buffer.Offer(sge)) deliver(released);
-      if (checkpointing && checkpoint_every > 0 &&
-          raw % checkpoint_every == 0) {
-        std::string blob;
-        PutU64(&blob, raw);
-        buffer.SerializeState(&blob);
-        if (!take_checkpoint(raw, std::move(blob))) return 1;
+    auto push = [&](const Sge& sge) {
+      engine.Push(sge);
+      if (per_element) print_results();
+    };
+    ChunkWalkCursor cursor(*source, chunking.allow_disorder);
+    std::vector<Sge> chunk(1024);
+    std::uint64_t raw = 0;  // raw stream elements read
+    for (;;) {
+      const std::size_t n = cursor.Next(chunk.data(), chunk.size());
+      if (n == 0) break;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Already consumed before the crash: a restored reorder buffer
+        // holds whatever of these was still pending at the snapshot.
+        if (++raw <= resume_raw) continue;
+        if (slack == 0) {
+          push(chunk[i]);
+        } else {
+          for (const Sge& released : buffer.Offer(chunk[i])) push(released);
+        }
+        if (checkpointing && checkpoint_every > 0 &&
+            raw % checkpoint_every == 0 && !take_checkpoint(raw)) {
+          return 1;
+        }
       }
     }
-    if (!cursor->ok()) {
-      std::fprintf(stderr, "stream: %s\n",
-                   cursor->status().ToString().c_str());
+    if (!cursor.ok()) {
+      std::fprintf(stderr, "stream: %s%s\n",
+                   cursor.status().ToString().c_str(), disorder_hint);
       return 1;
     }
-    for (const Sge& released : buffer.Flush()) deliver(released);
-  } else if (checkpointing) {
-    // Element-indexed ingest with periodic snapshots. Push() handles
-    // micro-batching internally (--batch N), and the pending micro-batch
-    // queue is part of every snapshot, so batch grouping — and with it
-    // flush boundaries and emission order — survives a restart.
-    const InputStream& s = *stream;
-    for (std::uint64_t i = resume_raw; i < s.size(); ++i) {
-      engine.Push(s[i]);
-      if (checkpoint_every > 0 && (i + 1) % checkpoint_every == 0) {
-        if (!take_checkpoint(i + 1, std::string())) return 1;
-      }
-    }
-  } else if (options.batch_size > 1) {
-    // Micro-batched ingest: results materialize at flush boundaries, so
-    // print them once the stream is drained.
-    engine.PushAll(*stream);
-    print_results();
-  } else {
-    for (const Sge& sge : *stream) deliver(sge);
+    for (const Sge& released : buffer.Flush()) push(released);
+    if (!per_element) print_results();
   }
 
-  if (checkpointing) {
-    engine.Flush();
-    print_results();
-    // Surface a failed background write (ENOSPC, unwritable dir) before
-    // exiting 0 — the previous good snapshot is still in place either way.
-    if (Status st = engine.WaitForCheckpoint(); !st.ok()) {
-      std::fprintf(stderr, "checkpoint: %s\n", st.ToString().c_str());
-      return 1;
-    }
+  // Surface a failed background checkpoint write (ENOSPC, unwritable dir)
+  // before exiting 0 — the previous good snapshot is still in place
+  // either way.
+  if (Status st = engine.WaitForCheckpoint(); !st.ok()) {
+    std::fprintf(stderr, "checkpoint: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   std::size_t total_results = 0;
@@ -737,6 +668,10 @@ int main(int argc, char** argv) {
                    engine.results_emitted(static_cast<QueryId>(q)));
     }
   }
+  if (file_mode_name != nullptr) {
+    std::fprintf(stderr, "file ingest (%s): readahead stall %.3f ms\n",
+                 file_mode_name, source->ReadaheadStallNs() / 1e6);
+  }
   if (options.async_ingest) {
     const IngestStats& ingest = engine.ingest_stats();
     std::fprintf(stderr,
@@ -744,10 +679,6 @@ int main(int argc, char** argv) {
                  "exec stall %.3f ms\n",
                  ingest.batches, ingest.ingest_stall_ns / 1e6,
                  ingest.exec_stall_ns / 1e6);
-    if (file_mode_name != nullptr) {
-      std::fprintf(stderr, "file ingest (%s): readahead stall %.3f ms\n",
-                   file_mode_name, ingest.readahead_stall_ns / 1e6);
-    }
     if (ingest.parsers > 1) {
       std::fprintf(stderr,
                    "sharded parse: %zu parsers, merge stall %.3f ms\n",

@@ -128,26 +128,28 @@ struct RunMetrics {
   std::size_t results_emitted = 0;
   std::size_t state_entries = 0;  ///< operator state entries at end of run
   std::size_t state_bytes = 0;    ///< resident operator-state bytes at end
-  /// Async-ingest pipeline stalls (runtime/ingest_pipeline.h); both 0 on
-  /// synchronous runs. ingest_stall_ns: the ingest thread blocked on
+  /// Pipelined-ingest stalls (runtime/ingest_pipeline.h); both 0 on
+  /// synchronous runs. ingest_stall_ns: the merge thread blocked on
   /// backpressure (execution-bound run); exec_stall_ns: the execution
   /// thread starved for parsed input (ingest-bound run).
   uint64_t ingest_stall_ns = 0;
   uint64_t exec_stall_ns = 0;
-  /// Sharded parse stage (runtime/ingest_pipeline.h RunSharded); zeros /
-  /// empty on synchronous and single-producer runs. parsers: parser
-  /// threads used; merge_stall_ns: the order-restoring merge blocked on
-  /// empty gutters; parser_stall_ns: per parser, blocked on gutter
-  /// backpressure; parse_busy_ns: the slowest parser's time inside the
-  /// cursor — the parse-stage critical path.
+  /// Parse stage (runtime/ingest_pipeline.h), filled by every pipelined
+  /// run, one parser included. parsers: parse threads used, the merge
+  /// among them (0 on synchronous runs); merge_stall_ns: the
+  /// order-restoring merge blocked on empty gutters (0 at one parser);
+  /// parser_stall_ns: per parser, blocked on gutter backpressure (parser
+  /// 0, the merge, has no gutter); parse_busy_ns: the slowest parser's
+  /// time inside the cursor — the parse-stage critical path (synchronous
+  /// ChunkedStream runs report the chunk walk's time here).
   std::size_t parsers = 0;
   uint64_t merge_stall_ns = 0;
   std::vector<uint64_t> parser_stall_ns;
   uint64_t parse_busy_ns = 0;
   /// File-backed ingest only (workload/harness.h RunSgaFile): summed
-  /// nanoseconds parser threads spent inside the chunk feeder — pread /
-  /// boundary-scan time plus readahead-window backpressure. 0 for
-  /// in-memory streams.
+  /// nanoseconds the parse threads (or the synchronous chunk walk) spent
+  /// inside the chunk feeder — pread / boundary-scan time plus
+  /// readahead-window backpressure. 0 for in-memory streams.
   uint64_t readahead_stall_ns = 0;
   /// Query-index dispatch accounting (runtime/executor.h). ops_touched:
   /// operator activations the run actually paid (OnSge deliveries,

@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -19,8 +18,6 @@ ExecutorOptions ToExecutorOptions(const EngineOptions& options) {
   exec_options.batch_size = options.batch_size;
   exec_options.num_workers = options.num_workers == 0 ? 1
                                                       : options.num_workers;
-  exec_options.async_ingest = options.async_ingest;
-  exec_options.ingest_queue_depth = options.ingest_queue_depth;
   exec_options.pin_workers = options.pin_workers;
   exec_options.ingest_slack = options.ingest_slack;
   exec_options.ingest_parsers =
@@ -237,21 +234,6 @@ Status Engine::Finalize() {
 }
 
 void Engine::PushAll(const InputStream& stream) {
-  if (options_.async_ingest) {
-    // Producer = a cursor over the pre-parsed stream; cheap, but it keeps
-    // the async code path identical whether elements come from memory or
-    // from a parser (workload/harness.cc runs CSV text through the same
-    // pipeline with the parse on the ingest thread).
-    std::size_t pos = 0;
-    executor_.RunPipelined([&](Sge* buf, std::size_t cap) {
-      const std::size_t n = std::min(cap, stream.size() - pos);
-      std::copy(stream.begin() + static_cast<std::ptrdiff_t>(pos),
-                stream.begin() + static_cast<std::ptrdiff_t>(pos + n), buf);
-      pos += n;
-      return n;
-    });
-    return;
-  }
   for (const Sge& sge : stream) Push(sge);
   executor_.Flush();
 }

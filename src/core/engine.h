@@ -89,47 +89,45 @@ struct EngineOptions {
   /// (each AddPlan compiles a private topology) — the ablation baseline
   /// bench_multi_query measures against.
   bool cross_query_sharing = true;
-  /// Double-buffered async ingest (DESIGN.md §6): PushAll/RunPipelined
-  /// produce batch N+1 (stream parsing included) on a dedicated ingest
-  /// thread while batch N executes. Execution order is unchanged, so
-  /// results keep the exact contract of the synchronous path
-  /// (byte-identical at num_workers=1/batch_size=1). Forwarded to
-  /// ExecutorOptions under the same name, like the knobs below.
+  /// Pipelined ingest for raw stream bytes (DESIGN.md §6): the
+  /// ChunkedStream runners (workload/harness.h RunSgaText/RunSgaFile, the
+  /// CLI) parse on the pipeline's threads through RunPipelined while
+  /// execution runs on the calling thread, instead of walking the chunks
+  /// inline before each Push. Execution order is unchanged, so results
+  /// keep the exact contract of the synchronous path (byte-identical at
+  /// num_workers=1/batch_size=1). Engine-level only — the engine itself
+  /// never reads it (PushAll always pushes inline); recorded in
+  /// checkpoints.
   bool async_ingest = false;
-  /// Ready-batch queue depth of the ingest pipeline (backpressure bound).
-  std::size_t ingest_queue_depth = 4;
   /// Pin runtime threads to cores: workers to [0, num_workers), the
-  /// ingest thread to the next slot. Best-effort pthread affinity with
-  /// silent fallback on unsupported platforms.
+  /// pipeline's parse threads to the slots after them. Best-effort
+  /// pthread affinity with silent fallback on unsupported platforms.
+  /// Forwarded to ExecutorOptions under the same name, like the knobs
+  /// below.
   bool pin_workers = false;
-  /// Out-of-order slack absorbed by the async ingest stage (elements more
-  /// than this far behind the newest seen timestamp are dropped late).
-  /// Only meaningful with async_ingest through RunPipelined.
+  /// Out-of-order slack absorbed ahead of execution: elements more than
+  /// this far behind the newest seen timestamp are dropped late. Applied
+  /// by the pipeline's merge stage (RunPipelined) and by the synchronous
+  /// ChunkedStream runners' ReorderBuffer; Push and PushAll require an
+  /// ordered stream regardless.
   Timestamp ingest_slack = 0;
-  /// Parser threads of the sharded parse stage (DESIGN.md §6): N > 1
-  /// decodes stream chunks on N threads behind an order-restoring merge;
-  /// 1 (the default) keeps the classic single-producer ingest thread.
-  /// Only meaningful with async_ingest (RunPipelinedSharded). Forwarded
-  /// to ExecutorOptions under the same name.
+  /// Parse threads of RunPipelined (DESIGN.md §6), the merge thread
+  /// included: N > 1 decodes stream chunks on N threads behind the
+  /// order-restoring merge; 1 (the default) is one ingest thread.
   std::size_t ingest_parsers = 1;
-  /// Declared encoding of raw stream bytes fed through the parse-as-you-
-  /// go ingest paths (workload/harness.h RunSgaText, the CLI): CSV text
-  /// or the SGQB binary record format. Engine-level only — the executor
-  /// sees decoded elements either way.
+  /// Declared encoding of raw stream bytes fed through the ChunkedStream
+  /// runners (workload/harness.h RunSgaText/RunSgaFile, the CLI): CSV
+  /// text or the SGQB binary record format. Engine-level only — the
+  /// executor sees decoded elements either way.
   StreamFormat ingest_format = StreamFormat::kCsv;
-  /// How file-backed ingest (workload/harness.h RunSgaFile, the CLI's
-  /// async path) maps stream bytes: mmap with sequential readahead where
-  /// available (kAuto), forced mmap, or portable buffered preads. Either
-  /// way the file is served through a bounded readahead window — peak
-  /// ingest-buffer memory is O(ingest_readahead_chunks · ~256 KB), not
-  /// O(file) — and the decoded element sequence is byte-identical to
-  /// materializing the file first (model/file_chunk_source.h).
+  /// How file-backed ingest (workload/harness.h RunSgaFile, the CLI)
+  /// maps stream bytes: mmap with sequential readahead where available
+  /// (kAuto), forced mmap, or portable buffered preads. Either way the
+  /// file is served through a bounded readahead window — peak
+  /// ingest-buffer memory is O(window · ~256 KB), not O(file) — and the
+  /// decoded element sequence is byte-identical to materializing the
+  /// file first (model/file_chunk_source.h).
   FileIngestMode ingest_file_mode = FileIngestMode::kAuto;
-  /// Readahead window of file-backed ingest, in chunks: how many chunks
-  /// may be resolved but not yet retired at once. Clamped to at least
-  /// ingest_parsers + 1 by RunSgaFile so every parser can hold a chunk
-  /// while one more loads.
-  std::size_t ingest_readahead_chunks = 8;
 };
 
 /// \brief N persistent queries compiled onto one shared dataflow.
@@ -268,25 +266,17 @@ class Engine {
   std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
   /// @}
 
-  /// \brief Feeds a whole stream in order and flushes the ingest queue.
-  /// With options().async_ingest, runs through the double-buffered ingest
-  /// pipeline instead of pushing inline (same results).
+  /// \brief Feeds a whole, already decoded stream in order through Push
+  /// and flushes the ingest queue.
   void PushAll(const InputStream& stream);
 
-  /// \brief Pipelined ingest over an arbitrary element producer (stream
-  /// parsers, generators): producer work runs on the dedicated ingest
-  /// thread, execution on the calling thread; returns when the producer
-  /// is exhausted and every batch has executed (runtime/ingest_pipeline.h).
-  void RunPipelined(const IngestProducer& fill) {
-    executor_.RunPipelined(fill);
-  }
-
-  /// \brief Sharded-parse pipelined ingest: options().ingest_parsers
-  /// threads decode `stream`'s chunks behind an order-restoring merge;
-  /// parse errors surface as the returned Status (elements preceding the
-  /// error still execute). See runtime/ingest_pipeline.h.
-  Status RunPipelinedSharded(const ChunkedStream& stream) {
-    return executor_.RunPipelinedSharded(stream);
+  /// \brief Pipelined ingest of raw stream bytes: options().ingest_parsers
+  /// threads decode `stream`'s chunks behind an order-restoring merge
+  /// while execution runs on the calling thread; parse errors surface as
+  /// the returned Status (elements preceding the error still execute).
+  /// See runtime/ingest_pipeline.h.
+  Status RunPipelined(const ChunkedStream& stream) {
+    return executor_.RunPipelined(stream);
   }
 
   /// \brief Cumulative async-ingest pipeline counters (zeros when the

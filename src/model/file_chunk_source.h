@@ -1,7 +1,9 @@
 // Bounded-memory file-backed ChunkedStream (DESIGN.md §6.3): serves the
-// sharded parse stage's chunk contract straight from a stream file
-// through a sliding readahead window of W chunks, instead of
-// materializing the whole file first (ReadFileBytes + MakeChunkedStream).
+// chunk contract every stream reader consumes (a ChunkWalkCursor on the
+// calling thread, or the ingest pipeline's parse threads) straight from
+// a stream file through a sliding readahead window of W chunks, instead
+// of materializing the whole file first (ReadFileBytes +
+// MakeChunkedStream).
 //
 // Two serving modes behind one contract (FileIngestMode):
 //  - mmap: the file is mapped read-only with MADV_SEQUENTIAL and chunk
@@ -24,20 +26,24 @@
 // tests/file_ingest_test.cc pin down.
 //
 // Retirement is cursor destruction: OpenChunk wraps each cursor so the
-// chunk returns to the window when its parser drops it (the RunSharded
-// parser loop and ChunkWalkCursor both drop a chunk's cursor before
+// chunk returns to the window when its parser drops it (the pipeline's
+// parse threads and ChunkWalkCursor all drop a chunk's cursor before
 // opening the next). Elements carry interned ids only, so retired bytes
-// are never referenced again. Abort() (called by the sharded merge on an
-// aborting run) wakes any parser blocked on the window so teardown cannot
-// hang.
+// are never referenced again. Abort() (called by the pipeline's merge on
+// an aborting run) wakes any parser blocked on the window so teardown
+// cannot hang.
 //
 // Deadlock-freedom: resolved-but-unretired chunks always form a prefix of
 // the chunk order. If the window is full, some resident chunk is either
 // held open by a parser that can make progress (the merge drains chunks
 // in index order, and gutter backpressure always drains eventually
 // because execution drains batches), or not yet opened by its owner —
-// who is never blocked on the window for a *resolved* chunk. Every
-// blocked OpenChunk therefore eventually unblocks.
+// who is never blocked on the window for a *resolved* chunk. The merge is
+// itself parser 0: when it opens its own chunk c, either c is already
+// resolved (and, opened by nobody else, still resident), or every
+// resident chunk lies below c and is already drained, so its owner
+// retires it without waiting on the merge. Every blocked OpenChunk
+// therefore eventually unblocks.
 
 #ifndef SGQ_MODEL_FILE_CHUNK_SOURCE_H_
 #define SGQ_MODEL_FILE_CHUNK_SOURCE_H_
@@ -64,7 +70,8 @@ struct FileChunkOptions {
   /// consumers re-validate downstream), like MakeChunkedStream.
   bool allow_disorder = false;
   /// Lower bound on the chunk count (parser fan-out), like
-  /// MakeChunkedStream.
+  /// MakeChunkedStream. workload/harness.h IngestChunking derives it,
+  /// and the window below, from the run's parser count.
   std::size_t min_chunks = 1;
   /// Readahead window W: chunks resolved but not yet retired at once.
   /// Clamped to >= 2 so resolution can overlap one parse. Peak

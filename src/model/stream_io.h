@@ -249,10 +249,11 @@ Result<std::string> FormatStreamBinary(const InputStream& stream,
                                        const Vocabulary& vocab);
 
 // ---------------------------------------------------------------------------
-// Chunked views — the unit of work of the sharded parse stage
-// (runtime/ingest_pipeline.h): parser threads open disjoint chunks
-// concurrently, and an order-restoring merge reassembles elements in chunk
-// order.
+// Chunked views — the only form in which stream bytes reach the engine:
+// a ChunkWalkCursor reads the chunks in order on the calling thread, or
+// the ingest pipeline's parse threads (runtime/ingest_pipeline.h) open
+// disjoint chunks concurrently and an order-restoring merge reassembles
+// elements in chunk order.
 // ---------------------------------------------------------------------------
 
 /// \brief A stream buffer pre-split into record-aligned byte-range chunks.
@@ -278,7 +279,7 @@ class ChunkedStream {
   virtual StreamFormat format() const = 0;
 
   /// \brief Wakes any thread blocked inside OpenChunk and makes further
-  /// opens fail fast — called by the sharded-parse merge when it aborts a
+  /// opens fail fast — called by the pipeline's merge when it aborts a
   /// run, so parser threads waiting on the readahead window cannot hang.
   /// No-op for fully materialized streams (nothing ever blocks).
   virtual void Abort() const {}
@@ -298,14 +299,16 @@ class ChunkedStream {
 /// byte-identical.
 std::size_t PickNumChunks(std::size_t payload_bytes, std::size_t min_chunks);
 
-/// \brief Sequential walk over a ChunkedStream's cursors — the collapsed
-/// parsers=1 form of the sharded parse (runtime/ingest_pipeline.h) and the
-/// synchronous file-ingest pump: identical element sequence to one cursor
-/// over the whole buffer, plus the cross-chunk ordering check the
-/// chunk-local cursors cannot perform. Accounts pure parse time (busy_ns)
-/// for parse_tuples_per_sec parity with the multi-parser stage. Retires
-/// each chunk (drops its cursor) before opening the next, so windowed
-/// file sources keep only one chunk resident.
+/// \brief Sequential walk over a ChunkedStream's cursors — the reader of
+/// every synchronous run (workload/harness.h RunSgaText/RunSgaFile, the
+/// CLI), feeding Engine::Push on the calling thread: identical element
+/// sequence to one cursor over the whole buffer, plus the cross-chunk
+/// ordering check the chunk-local cursors cannot perform — the same
+/// sequence, and the same first error, the pipelined reader
+/// (runtime/ingest_pipeline.h) merges at any parser count. Accounts pure
+/// parse time (busy_ns) for parse_tuples_per_sec parity with the
+/// pipeline. Retires each chunk (drops its cursor) before opening the
+/// next, so windowed file sources keep only one chunk resident.
 class ChunkWalkCursor : public StreamCursor {
  public:
   ChunkWalkCursor(const ChunkedStream& stream, bool allow_disorder)
@@ -331,7 +334,7 @@ class ChunkWalkCursor : public StreamCursor {
   Status status_ = Status::OK();
 };
 
-/// \brief The cross-chunk ordering violation both the sharded merge and
+/// \brief The cross-chunk ordering violation both the pipeline's merge and
 /// ChunkWalkCursor report (chunk-local cursors cannot see across a
 /// boundary, so the consumer re-validates there).
 Status ChunkBoundaryError(std::size_t chunk, Timestamp got, Timestamp prev);

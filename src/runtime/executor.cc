@@ -945,7 +945,7 @@ void Executor::ExecutePipelinedBatch(const Sge* sges, std::size_t n) {
 namespace {
 
 /// \brief Folds one pipeline run's counters into the executor's
-/// cumulative stats (shared by RunPipelined / RunPipelinedSharded).
+/// cumulative stats.
 void AccumulateIngestStats(IngestStats* total, const IngestStats& run) {
   total->ingest_stall_ns += run.ingest_stall_ns;
   total->exec_stall_ns += run.exec_stall_ns;
@@ -966,19 +966,10 @@ void AccumulateIngestStats(IngestStats* total, const IngestStats& run) {
 
 }  // namespace
 
-void Executor::RunPipelined(const IngestProducer& fill) {
+Status Executor::RunPipelined(const ChunkedStream& stream) {
   SGQ_CHECK(finalized_) << "RunPipelined before Finalize";
   IngestPipeline pipeline(this);
-  pipeline.Run(fill);
-  AccumulateIngestStats(&ingest_stats_, pipeline.stats());
-}
-
-Status Executor::RunPipelinedSharded(const ChunkedStream& stream) {
-  SGQ_CHECK(finalized_) << "RunPipelinedSharded before Finalize";
-  IngestPipeline pipeline(this);
-  const Status status =
-      pipeline.RunSharded(stream, std::max<std::size_t>(
-                                      options_.ingest_parsers, 1));
+  const Status status = pipeline.Run(stream, options_.ingest_parsers);
   AccumulateIngestStats(&ingest_stats_, pipeline.stats());
   return status;
 }

@@ -76,28 +76,21 @@ struct ExecutorOptions {
   /// classic single-threaded engine byte-identically; N > 1 partitions
   /// operator state N ways and drives waves shard-parallel.
   std::size_t num_workers = 1;
-  /// Double-buffered async ingest (DESIGN.md §6): RunPipelined parses /
-  /// produces batch N+1 on a dedicated ingest thread while batch N
-  /// executes. Execution order is unchanged — workers=1/batch=1 output
-  /// stays byte-identical; the flag only selects where producer work runs.
-  bool async_ingest = false;
-  /// Bounded depth of the pipeline's ready-batch SPSC queue (backpressure
-  /// bound: at most this many parsed batches wait for execution).
-  std::size_t ingest_queue_depth = 4;
   /// Pin threads to cores (best-effort pthread affinity, silent fallback
   /// where unsupported): pool workers to cores [0, num_workers), the
-  /// ingest thread to the next slot. See runtime/ingest_pipeline.h.
+  /// pipeline's parse threads to the slots after them. See
+  /// runtime/ingest_pipeline.h.
   bool pin_workers = false;
-  /// Out-of-order slack absorbed by the ingest stage of RunPipelined: a
-  /// producer may emit elements up to this far behind the newest timestamp
+  /// Out-of-order slack absorbed by the merge stage of RunPipelined: a
+  /// stream may carry elements up to this far behind the newest timestamp
   /// seen; older elements are dropped (IngestStats::late_dropped). 0 (the
-  /// default) requires an ordered producer.
+  /// default) requires an ordered stream.
   Timestamp ingest_slack = 0;
-  /// Parser threads of the sharded parse stage (RunPipelinedSharded):
-  /// N > 1 decodes the stream's chunks on N threads with an order-
-  /// restoring merge ahead of the batch hand-off; 1 (the default) is the
-  /// classic single-producer pipeline (byte-identical output at
-  /// num_workers=1/batch_size=1). See runtime/ingest_pipeline.h.
+  /// Parse threads of RunPipelined, the merge thread included: N > 1
+  /// decodes the stream's chunks on N threads behind the order-restoring
+  /// merge; 1 (the default) is a single ingest thread walking every
+  /// chunk. Output is byte-identical to synchronous Push at
+  /// num_workers=1/batch_size=1 either way. See runtime/ingest_pipeline.h.
   std::size_t ingest_parsers = 1;
 };
 
@@ -198,23 +191,16 @@ class Executor {
   /// (processing slide boundaries and expirations on the way).
   void AdvanceTo(Timestamp t);
 
-  /// \brief Pipelined ingest (DESIGN.md §6): drains `fill` through the
-  /// double-buffered ingest pipeline — producer work on a dedicated
-  /// ingest thread, execution on the calling thread — and returns when
-  /// the producer is exhausted and every batch has executed. Equivalent
-  /// to Ingest()-ing every produced element in order (byte-identical at
-  /// workers=1/batch=1). Honors options().ingest_slack; stall/late
-  /// counters accumulate in ingest_stats(). Callable repeatedly.
-  void RunPipelined(const IngestProducer& fill);
-
-  /// \brief Sharded-parse pipelined ingest: options().ingest_parsers
-  /// threads decode `stream`'s chunks concurrently, the order-restoring
-  /// merge re-serializes them, and execution runs on the calling thread —
-  /// element order and batch boundaries are exactly RunPipelined's over a
-  /// sequential cursor. Parse errors surface as the returned Status
-  /// (elements preceding the error still execute). Counters accumulate in
-  /// ingest_stats(), including per-parser stall/busy time.
-  Status RunPipelinedSharded(const ChunkedStream& stream);
+  /// \brief Pipelined ingest (DESIGN.md §6): options().ingest_parsers
+  /// threads decode `stream`'s chunks — the merge thread is parser 0 —
+  /// the order-restoring merge re-serializes them, and execution runs on
+  /// the calling thread. Equivalent to Ingest()-ing every element of a
+  /// ChunkWalkCursor over `stream` in order (byte-identical at
+  /// workers=1/batch=1). Honors options().ingest_slack. Parse errors
+  /// surface as the returned Status (elements preceding the error still
+  /// execute). Counters accumulate in ingest_stats(), including
+  /// per-parser stall/busy time. Callable repeatedly.
+  Status RunPipelined(const ChunkedStream& stream);
   /// @}
 
   /// \name Introspection

@@ -64,11 +64,11 @@ class ScopedThreadPin {
   bool pinned_ = false;
 };
 
-/// \brief The slack / batch staging stage shared by the single-producer
-/// ingest thread and the sharded merge thread: elements pass through the
-/// ReorderBuffer when slack is configured, accumulate into batch buffers,
-/// and ship on the `full` queue, acquiring replacements from `free`
-/// (blocking = the pipeline's backpressure, accounted to `*stall_ns`).
+/// \brief The slack / batch staging stage of the merge thread: elements
+/// pass through the ReorderBuffer when slack is configured, accumulate
+/// into batch buffers, and ship on the `full` queue, acquiring
+/// replacements from `free` (blocking = the pipeline's backpressure,
+/// accounted to `*stall_ns`).
 class BatchStager {
  public:
   using Batch = std::vector<Sge>;
@@ -150,36 +150,23 @@ struct Segment {
 /// the merge), so steady state allocates nothing.
 constexpr std::size_t kGutterDepth = 4;
 
-}  // namespace
+/// \brief Ready batches that may wait for execution (the backpressure
+/// bound); the buffer pool holds kQueueDepth + 2 (one staging at the
+/// merge, one executing).
+constexpr std::size_t kQueueDepth = 4;
 
-void IngestPipeline::IngestThread(const IngestProducer& fill,
-                                  SpscQueue<Batch>* full,
-                                  SpscQueue<Batch>* free_buffers) {
-  const ExecutorOptions& options = executor_->options();
-  if (options.pin_workers &&
-      options.num_workers < std::thread::hardware_concurrency()) {
-    // The slot after the worker range, so parsing never competes with a
-    // pinned execution core. When the workers already cover every core
-    // the slot would wrap onto core 0 — the execution thread's pin — and
-    // force exactly the timesharing pinning exists to avoid, so the
-    // ingest thread floats instead.
-    stats_.ingest_pinned = WorkerPool::PinThisThread(options.num_workers);
-  }
-  BatchStager stager(options, full, free_buffers, &stats_.ingest_stall_ns);
-  bool ok = stager.Start();
-
-  // Producer chunks need not align with batches; a modest fixed chunk
-  // keeps per-call overhead low without adding latency at small batches.
-  std::vector<Sge> chunk(
-      std::clamp<std::size_t>(options.batch_size, 1, 1024));
-  while (ok) {
-    const std::size_t n = fill(chunk.data(), chunk.size());
-    if (n == 0) break;
-    for (std::size_t i = 0; i < n && ok; ++i) ok = stager.Emit(chunk[i]);
-  }
-  stats_.late_dropped += stager.Finish(ok);
-  full->Close();
+/// \brief Pins the calling parse thread `p` (the merge is 0) to slot
+/// num_workers + p, so parsing never competes with a pinned execution
+/// core. Best-effort, and never onto a slot that does not exist: a
+/// wrapped slot would land on a worker's core and force exactly the
+/// timesharing pinning exists to avoid, so the thread floats instead.
+bool PinParser(const ExecutorOptions& options, std::size_t p) {
+  const std::size_t slot = options.num_workers + p;
+  return options.pin_workers && slot < std::thread::hardware_concurrency() &&
+         WorkerPool::PinThisThread(slot);
 }
+
+}  // namespace
 
 void IngestPipeline::ExecuteLoop(SpscQueue<Batch>* full,
                                  SpscQueue<Batch>* free_buffers) {
@@ -193,94 +180,41 @@ void IngestPipeline::ExecuteLoop(SpscQueue<Batch>* full,
   }
 }
 
-void IngestPipeline::Run(const IngestProducer& fill) {
+Status IngestPipeline::Run(const ChunkedStream& stream, std::size_t parsers) {
   // Drain anything the synchronous Ingest path queued before the pipeline
   // takes over, so batch boundaries stay exactly the synchronous ones.
   executor_->Flush();
 
   const ExecutorOptions& options = executor_->options();
-  const std::size_t depth = std::max<std::size_t>(options.ingest_queue_depth,
-                                                  1);
-  SpscQueue<Batch> full(depth);
-  // Buffer pool: `depth` in the queue + 1 staging at ingest + 1 executing.
-  SpscQueue<Batch> free_buffers(depth + 2);
-  for (std::size_t i = 0; i < depth + 2; ++i) {
-    Batch buffer;
-    buffer.reserve(options.batch_size);
-    SGQ_CHECK(free_buffers.TryPush(std::move(buffer)));
-  }
-
-  std::thread ingest(
-      [&] { IngestThread(fill, &full, &free_buffers); });
-
-  {
-    ScopedThreadPin pin_exec_thread(options.pin_workers, 0);
-    (void)pin_exec_thread;
-    ExecuteLoop(&full, &free_buffers);
-  }
-  ingest.join();
-}
-
-void IngestPipeline::AccumulateParserStats(std::size_t parsers,
-                                           const uint64_t* stall_ns,
-                                           const uint64_t* busy_ns) {
-  stats_.parsers = parsers;
-  if (stats_.parser_stall_ns.size() < parsers) {
-    stats_.parser_stall_ns.resize(parsers, 0);
-    stats_.parser_busy_ns.resize(parsers, 0);
-  }
-  for (std::size_t p = 0; p < parsers; ++p) {
-    stats_.parser_stall_ns[p] += stall_ns[p];
-    stats_.parser_busy_ns[p] += busy_ns[p];
-  }
-}
-
-Status IngestPipeline::RunSharded(const ChunkedStream& stream,
-                                  std::size_t parsers) {
-  const ExecutorOptions& options = executor_->options();
-  const bool allow_disorder = options.ingest_slack > 0;
-  // Windowed file sources accumulate feeder time across every OpenChunk;
-  // accounting the per-run delta keeps cumulative stats correct when one
-  // pipeline serves several runs.
-  const uint64_t readahead_before = stream.ReadaheadStallNs();
-
-  if (parsers <= 1) {
-    // Collapsed form: one sequential chunk walk on the classic single-
-    // producer pipeline — the same element sequence as an unchunked
-    // cursor, so output stays byte-identical to Run().
-    ChunkWalkCursor seq(stream, allow_disorder);
-    Run([&seq](Sge* buf, std::size_t cap) { return seq.Next(buf, cap); });
-    const uint64_t stall = 0;
-    const uint64_t busy = seq.busy_ns();
-    AccumulateParserStats(1, &stall, &busy);
-    stats_.readahead_stall_ns += stream.ReadaheadStallNs() - readahead_before;
-    return seq.status();
-  }
-
-  executor_->Flush();
+  parsers = std::max<std::size_t>(parsers, 1);
   const std::size_t chunks = stream.NumChunks();
-  const std::size_t depth = std::max<std::size_t>(options.ingest_queue_depth,
-                                                  1);
-  SpscQueue<Batch> full(depth);
-  SpscQueue<Batch> free_buffers(depth + 2);
-  for (std::size_t i = 0; i < depth + 2; ++i) {
+  // Windowed file sources accumulate feeder time across every OpenChunk;
+  // the per-run delta is this run's share.
+  const uint64_t readahead_before = stream.ReadaheadStallNs();
+  stats_.parsers = parsers;
+  stats_.parser_stall_ns.assign(parsers, 0);
+  stats_.parser_busy_ns.assign(parsers, 0);
+
+  SpscQueue<Batch> full(kQueueDepth);
+  SpscQueue<Batch> free_buffers(kQueueDepth + 2);
+  for (std::size_t i = 0; i < kQueueDepth + 2; ++i) {
     Batch buffer;
     buffer.reserve(options.batch_size);
     SGQ_CHECK(free_buffers.TryPush(std::move(buffer)));
   }
 
   // Gutter stage: per-parser SPSC segment queues (parser -> merge) with a
-  // free-list back-channel (merge -> parser). Chunk c is owned by parser
+  // free-list back-channel (merge -> parser) for parsers 1..N-1; parser 0
+  // is the merge itself and needs none. Chunk c is owned by parser
   // c mod parsers, and a parser walks its chunks in ascending order, so
   // per-queue FIFO delivery hands the merge whole chunks in index order.
   const std::size_t seg_cap =
       std::clamp<std::size_t>(options.batch_size, 1, 1024);
-  std::vector<std::unique_ptr<SpscQueue<Segment>>> gutter;
-  std::vector<std::unique_ptr<SpscQueue<Segment>>> gutter_free;
-  for (std::size_t p = 0; p < parsers; ++p) {
-    gutter.push_back(std::make_unique<SpscQueue<Segment>>(kGutterDepth));
-    gutter_free.push_back(
-        std::make_unique<SpscQueue<Segment>>(kGutterDepth + 2));
+  std::vector<std::unique_ptr<SpscQueue<Segment>>> gutter(parsers);
+  std::vector<std::unique_ptr<SpscQueue<Segment>>> gutter_free(parsers);
+  for (std::size_t p = 1; p < parsers; ++p) {
+    gutter[p] = std::make_unique<SpscQueue<Segment>>(kGutterDepth);
+    gutter_free[p] = std::make_unique<SpscQueue<Segment>>(kGutterDepth + 2);
     for (std::size_t i = 0; i < kGutterDepth + 2; ++i) {
       Segment seg;
       seg.elems.reserve(seg_cap);
@@ -290,23 +224,14 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
   // Per-chunk parse status, written by the owning parser before its
   // end-of-chunk marker (the queue's release publish orders it); the
   // merge reads it when the marker arrives, so the first error in chunk
-  // order wins — exactly the sequential cursor's error.
+  // order wins — exactly the sequential chunk walk's error.
   std::vector<Status> chunk_status(chunks);
-  std::vector<uint64_t> parser_stall(parsers, 0);
-  std::vector<uint64_t> parser_busy(parsers, 0);
 
   std::vector<std::thread> parser_threads;
-  parser_threads.reserve(parsers);
-  for (std::size_t p = 0; p < parsers; ++p) {
+  parser_threads.reserve(parsers - 1);
+  for (std::size_t p = 1; p < parsers; ++p) {
     parser_threads.emplace_back([&, p] {
-      if (options.pin_workers) {
-        // Parsers line up after the merge thread's slot (num_workers);
-        // best-effort, and never onto a slot that does not exist.
-        const std::size_t slot = options.num_workers + 1 + p;
-        if (slot < std::thread::hardware_concurrency()) {
-          WorkerPool::PinThisThread(slot);
-        }
-      }
+      PinParser(options, p);
       uint64_t stall = 0;
       uint64_t busy = 0;
       Segment seg;
@@ -342,24 +267,55 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
         }
       }
       gutter[p]->Close();
-      parser_stall[p] = stall;
-      parser_busy[p] = busy;
+      stats_.parser_stall_ns[p] = stall;
+      stats_.parser_busy_ns[p] = busy;
     });
   }
 
   Status merge_error;
   std::thread merge([&] {
-    if (options.pin_workers &&
-        options.num_workers < std::thread::hardware_concurrency()) {
-      stats_.ingest_pinned = WorkerPool::PinThisThread(options.num_workers);
-    }
+    stats_.ingest_pinned = PinParser(options, 0);
     BatchStager stager(options, &full, &free_buffers,
                        &stats_.ingest_stall_ns);
     bool ok = stager.Start();
-    const bool check_order = !allow_disorder;
+    const bool check_order = options.ingest_slack == 0;
     Timestamp last_t = kMinTimestamp;
+    // Stages a run of consecutive elements of chunk `c`. Chunk-local
+    // cursors validate ordering internally; the merge closes the gap
+    // across chunk boundaries. (Within a chunk the check never fires:
+    // front >= previous back already.)
+    auto stage = [&](const Sge* elems, std::size_t n, std::size_t c) {
+      if (n == 0) return true;
+      if (check_order && elems[0].t < last_t) {
+        merge_error = ChunkBoundaryError(c, elems[0].t, last_t);
+        return false;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!stager.Emit(elems[i])) return false;
+      }
+      last_t = elems[n - 1].t;
+      return true;
+    };
+    std::vector<Sge> own(seg_cap);
     for (std::size_t c = 0; ok && c < chunks; ++c) {
-      SpscQueue<Segment>& q = *gutter[c % parsers];
+      const std::size_t owner = c % parsers;
+      if (owner == 0) {
+        // Parser 0's chunk: decode it here. The cursor dies at the end of
+        // this iteration, retiring the chunk before the next one opens.
+        std::unique_ptr<StreamCursor> cursor = stream.OpenChunk(c);
+        for (;;) {
+          const auto t0 = Clock::now();
+          const std::size_t n = cursor->Next(own.data(), seg_cap);
+          stats_.parser_busy_ns[0] += ElapsedNs(t0);
+          if (n == 0 || !(ok = stage(own.data(), n, c))) break;
+        }
+        if (ok && !cursor->ok()) {
+          merge_error = cursor->status();
+          ok = false;
+        }
+        continue;
+      }
+      SpscQueue<Segment>& q = *gutter[owner];
       for (;;) {
         Segment seg;
         if (!q.Pop(&seg, &stats_.merge_stall_ns)) {
@@ -378,26 +334,13 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
             merge_error = chunk_status[c];
             ok = false;
           }
-          seg.elems.clear();
-          gutter_free[c % parsers]->TryPush(std::move(seg));
-          break;
-        }
-        // Chunk-local cursors validate ordering internally; the merge
-        // closes the gap across chunk boundaries. (Within a chunk the
-        // check never fires: front >= previous back already.)
-        if (check_order && !seg.elems.empty() &&
-            seg.elems.front().t < last_t) {
-          merge_error = ChunkBoundaryError(c, seg.elems.front().t, last_t);
-          ok = false;
         } else {
-          for (const Sge& sge : seg.elems) {
-            if (!(ok = stager.Emit(sge))) break;
-          }
-          if (!seg.elems.empty()) last_t = seg.elems.back().t;
+          ok = stage(seg.elems.data(), seg.elems.size(), c);
         }
+        const bool chunk_done = seg.end_of_chunk;
         seg.elems.clear();
-        gutter_free[c % parsers]->TryPush(std::move(seg));
-        if (!ok) break;
+        gutter_free[owner]->TryPush(std::move(seg));
+        if (!ok || chunk_done) break;
       }
     }
     if (!ok) {
@@ -406,7 +349,7 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
       // parser blocked inside a windowed file source's OpenChunk — a
       // chunk that will never retire once the merge stops draining.
       stream.Abort();
-      for (std::size_t p = 0; p < parsers; ++p) {
+      for (std::size_t p = 1; p < parsers; ++p) {
         gutter[p]->Close();
         gutter_free[p]->Close();
       }
@@ -422,8 +365,7 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
   }
   merge.join();
   for (std::thread& t : parser_threads) t.join();
-  AccumulateParserStats(parsers, parser_stall.data(), parser_busy.data());
-  stats_.readahead_stall_ns += stream.ReadaheadStallNs() - readahead_before;
+  stats_.readahead_stall_ns = stream.ReadaheadStallNs() - readahead_before;
   return merge_error;
 }
 

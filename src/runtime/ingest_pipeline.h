@@ -1,60 +1,50 @@
-// Double-buffered async ingest (DESIGN.md §6): a dedicated ingest thread
-// produces micro-batch N+1 — pulling elements from a producer callback
-// (stream parsing, generators) and, when slack is configured, absorbing
-// bounded out-of-order arrival through a ReorderBuffer — while the
-// execution thread runs batch N through the operator topology.
+// Pipelined ingest (DESIGN.md §6): stream bytes arrive as a ChunkedStream
+// (model/stream_io.h — byte-range chunks, in memory or served from a
+// file), N parse threads decode the chunks, and an order-restoring merge
+// re-serializes the elements, absorbs bounded out-of-order arrival
+// through a ReorderBuffer when slack is configured, and stages micro-
+// batch N+1 while the execution thread runs batch N through the operator
+// topology.
 //
-// Hand-off protocol: fixed pool of batch buffers cycling through two
-// bounded SPSC queues (runtime/spsc_queue.h) —
+// The merge thread is parser 0: it decodes chunks c ≡ 0 (mod N) itself
+// and drains the "gutter" segment queues of parser threads 1..N-1 for
+// the other chunks, visiting chunks in index order. N = 1 is therefore a
+// single ingest thread walking every chunk, with no special case:
 //
-//     ingest thread                       execution thread
-//        fill / reorder / batch   full →    ExecuteOrderedBatch
-//        (parse cost lives here)  ← free    (dataflow waves, worker pool)
+//     parser 1 ──gutter 1──┐
+//        …        …        │  merge = parser 0 (chunk order)
+//     parser N-1 ─gutter N-1┘    → slack/batch → full →   exec thread
+//                                  ← free                ExecuteOrderedBatch
 //
-// The `full` queue (ingest_queue_depth batches) carries ready batches; the
-// `free` queue returns drained buffers, so steady state allocates nothing.
-// Backpressure is buffer-pool exhaustion: with every buffer queued or in
-// use the ingest thread blocks on `free` until execution catches up, and
-// each side's blocked time is recorded (ingest_stall_ns: ingest waited on
-// execution; exec_stall_ns: execution starved for input — the pipeline is
-// ingest-bound). Execution order and batch boundaries are exactly those of
-// the synchronous Ingest/Flush path, so async_ingest changes *where* the
-// producer work happens, never what the operators observe: workers=1 /
-// batch=1 output stays byte-identical, everything else keeps the runtime's
-// established snapshot-equivalence contract.
+// Hand-off protocol: a fixed pool of batch buffers cycles through two
+// bounded SPSC queues (runtime/spsc_queue.h). The `full` queue carries
+// ready batches; the `free` queue returns drained buffers, so steady
+// state allocates nothing. Backpressure is buffer-pool exhaustion: with
+// every buffer queued or in use the merge blocks on `free` until
+// execution catches up, and each side's blocked time is recorded
+// (ingest_stall_ns: the merge waited on execution; exec_stall_ns:
+// execution starved for input — the pipeline is ingest-bound). Gutters
+// recycle their segments the same way.
 //
-// Sharded parse stage (RunSharded): when a single parser thread is the
-// throughput ceiling, the parse fans out over N parser threads consuming
-// byte-range chunks of the input (model/stream_io.h ChunkedStream, chunk c
-// owned by parser c mod N) into per-parser "gutter" segment queues, and an
-// order-restoring merge — chunks visited in index order, segments FIFO per
-// parser — re-serializes the element stream before the unchanged slack /
-// batch staging and SPSC hand-off:
-//
-//     parser 0 ──gutter 0──┐
-//     parser 1 ──gutter 1──┤  merge (chunk order) → slack/batch → full →
-//        …        …        │    ← free gutter segments    exec thread
-//     parser N-1 ─gutter N-1┘
-//
-// Because the merge restores exact stream order, every downstream
-// equivalence contract is untouched; with one parser RunSharded collapses
-// to the classic single-producer pipeline (byte-identical output). Per-
-// parser blocked/busy time lands in IngestStats (parser_stall_ns /
-// parser_busy_ns — busy time is the pure tokenize/decode cost, the number
-// parse_tuples_per_sec is derived from).
+// Because the merge restores exact stream order and stages batches at the
+// synchronous flush boundaries, the pipeline changes *where* parsing
+// happens, never what the operators observe: workers=1 / batch=1 output
+// is byte-identical to synchronous Push, everything else keeps the
+// runtime's snapshot-equivalence contract. Per-parser blocked/busy time
+// lands in IngestStats (parser_stall_ns / parser_busy_ns — busy time is
+// the pure tokenize/decode cost, the number parse_tuples_per_sec is
+// derived from).
 //
 // Pinning policy (ExecutorOptions::pin_workers): pool workers own cores
-// [pin 0, num_workers); the ingest/merge thread takes the next slot
-// (num_workers) and parser threads the slots after it, so parsing never
-// migrates onto an execution core. The execution thread is pinned to slot
-// 0 for the duration of Run and its previous affinity is restored on
-// exit. All pins are best-effort.
+// [pin 0, num_workers); parser p (the merge is parser 0) takes slot
+// num_workers + p, so parsing never migrates onto an execution core. The
+// execution thread is pinned to slot 0 for the duration of Run and its
+// previous affinity is restored on exit. All pins are best-effort.
 
 #ifndef SGQ_RUNTIME_INGEST_PIPELINE_H_
 #define SGQ_RUNTIME_INGEST_PIPELINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -66,46 +56,37 @@ namespace sgq {
 class ChunkedStream;
 class Executor;
 
-/// \brief Producer side of the pipeline: fills up to `cap` stream elements
-/// into `buf` and returns how many were written; 0 ends the stream.
-/// Called repeatedly from the dedicated ingest thread — producers touching
-/// shared state (Vocabulary interning does its own locking) must be safe
-/// to call off the execution thread. Elements must be timestamp-ordered
-/// unless the pipeline runs with reorder slack.
-using IngestProducer = std::function<std::size_t(Sge* buf, std::size_t cap)>;
-
 /// \brief Counters of one or more pipelined runs (cumulative).
 struct IngestStats {
-  /// Nanoseconds the ingest/merge thread spent blocked on backpressure
-  /// (every batch buffer queued or executing). High value = execution-
-  /// bound.
+  /// Nanoseconds the merge thread spent blocked on backpressure (every
+  /// batch buffer queued or executing). High value = execution-bound.
   uint64_t ingest_stall_ns = 0;
   /// Nanoseconds the execution thread spent starved for a ready batch.
-  /// High value = ingest-bound (the pipeline's parse stage is the
-  /// bottleneck async ingest exists to hide).
+  /// High value = ingest-bound (the parse stage is the bottleneck the
+  /// pipeline exists to hide).
   uint64_t exec_stall_ns = 0;
   std::size_t batches = 0;       ///< batches handed across the queue
   std::size_t late_dropped = 0;  ///< late elements dropped by the slack stage
-  bool ingest_pinned = false;    ///< the ingest/merge thread's pin took
+  bool ingest_pinned = false;    ///< the merge thread's pin took
 
-  // --- sharded parse stage (RunSharded; zero/empty when only the single-
-  // producer Run() was used) ---
-  /// Parser threads of the most recent sharded run (1 = the collapsed
-  /// single-producer path).
+  /// Parse threads of the most recent run, the merge included.
   std::size_t parsers = 0;
-  /// Nanoseconds the merge thread spent blocked on empty gutters (all
-  /// parsers behind) — the sharded analogue of exec_stall_ns one stage up.
+  /// Nanoseconds the merge spent blocked on empty gutters (parsers 1..N-1
+  /// behind) — the parse-stage analogue of exec_stall_ns one stage up. 0
+  /// at one parser: the merge has no gutter to wait on.
   uint64_t merge_stall_ns = 0;
-  /// Per parser thread: nanoseconds blocked on gutter backpressure (the
-  /// merge, and transitively execution, not keeping up).
+  /// Per parser: nanoseconds blocked on gutter backpressure (the merge,
+  /// and transitively execution, not keeping up). Parser 0 is the merge,
+  /// which has no gutter, so its entry stays 0 (its backpressure is
+  /// ingest_stall_ns).
   std::vector<uint64_t> parser_stall_ns;
-  /// Per parser thread: nanoseconds inside StreamCursor::Next — the pure
+  /// Per parser: nanoseconds inside StreamCursor::Next — the pure
   /// parse/decode cost (parse_tuples_per_sec = elements / max busy).
   std::vector<uint64_t> parser_busy_ns;
-  /// Nanoseconds spent inside the chunk feeder across all parser threads
+  /// Nanoseconds spent inside the chunk feeder across all parse threads
   /// (file-backed sources only: pread/page-scan time plus readahead-
-  /// window backpressure; 0 for fully materialized streams). High value =
-  /// the run is I/O-bound or the window is too small.
+  /// window backpressure; 0 for in-memory streams). High value = the run
+  /// is I/O-bound or the window is too small.
   uint64_t readahead_stall_ns = 0;
 };
 
@@ -118,37 +99,24 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// \brief Runs `fill` to exhaustion: spawns the ingest thread, executes
-  /// every produced batch on the calling thread, joins. Blocking; the
-  /// executor is in a normal between-pushes state afterwards (more input
-  /// or AdvanceTo may follow).
-  void Run(const IngestProducer& fill);
-
-  /// \brief Sharded parse run: `parsers` threads decode `stream`'s chunks
-  /// into gutter buffers, the order-restoring merge feeds the batch
-  /// hand-off, execution stays on the calling thread. Parse errors (and
+  /// \brief Decodes `stream`'s chunks on `parsers` threads (the merge
+  /// thread plus parsers - 1 more), merges them in chunk order into the
+  /// batch hand-off, and executes every batch on the calling thread;
+  /// returns when the stream is exhausted or failed. Parse errors (and
   /// cross-chunk ordering violations) surface as the returned Status —
-  /// elements preceding the error still execute, exactly like the
-  /// sequential cursor path. `parsers <= 1` collapses to Run() over a
-  /// sequential chunk walk.
-  Status RunSharded(const ChunkedStream& stream, std::size_t parsers);
+  /// elements preceding the error still execute, exactly like a
+  /// ChunkWalkCursor on the calling thread. Blocking; the executor is in
+  /// a normal between-pushes state afterwards.
+  Status Run(const ChunkedStream& stream, std::size_t parsers);
 
   const IngestStats& stats() const { return stats_; }
 
  private:
   using Batch = std::vector<Sge>;
 
-  /// \brief Ingest-thread body: fill -> (reorder) -> batch -> full queue.
-  void IngestThread(const IngestProducer& fill, SpscQueue<Batch>* full,
-                    SpscQueue<Batch>* free_buffers);
-
   /// \brief Pops ready batches off `full` and executes them on the
-  /// calling thread until the queue closes (shared by Run/RunSharded).
+  /// calling thread until the queue closes.
   void ExecuteLoop(SpscQueue<Batch>* full, SpscQueue<Batch>* free_buffers);
-
-  /// \brief Folds one run's per-parser counters into the cumulative stats.
-  void AccumulateParserStats(std::size_t parsers, const uint64_t* stall_ns,
-                             const uint64_t* busy_ns);
 
   Executor* executor_;
   IngestStats stats_;

@@ -6,7 +6,7 @@
 
 #include "algebra/translate.h"
 #include "baseline/engine.h"
-#include "model/file_chunk_source.h"
+#include "core/reorder_buffer.h"
 #include "model/stream_io.h"
 
 namespace sgq {
@@ -70,108 +70,60 @@ Result<RunMetrics> RunSgaPlan(const InputStream& stream,
   return m;
 }
 
-Result<RunMetrics> RunSgaText(const std::string& bytes,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name) {
-  SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::FromQuery(query, *vocab, options));
-  const StreamFormat format = options.ingest_format;
-  uint64_t sync_parse_ns = 0;
-  Status parse_status = Status::OK();
-  Stopwatch timer;
-  if (options.async_ingest && options.ingest_parsers > 1) {
-    // Sharded parse: chunk the input (binary headers parse here, once,
-    // deterministically) and fan the decode over the parser threads.
-    SGQ_ASSIGN_OR_RETURN(
-        auto chunked,
-        MakeChunkedStream(bytes, format, vocab,
-                          /*allow_disorder=*/options.ingest_slack > 0,
-                          /*min_chunks=*/options.ingest_parsers * 2));
-    parse_status = qp->engine().RunPipelinedSharded(*chunked);
-  } else if (options.async_ingest) {
-    // Single-producer pipeline, but still through the chunked walk so the
-    // parse-stage busy time is accounted identically to the sharded runs
-    // (the element sequence is exactly the whole-buffer cursor's).
-    SGQ_ASSIGN_OR_RETURN(
-        auto chunked,
-        MakeChunkedStream(bytes, format, vocab,
-                          /*allow_disorder=*/options.ingest_slack > 0,
-                          /*min_chunks=*/1));
-    parse_status = qp->engine().RunPipelinedSharded(*chunked);
-  } else {
-    // Inline parse: same cursors, same chunking, executed serially on the
-    // calling thread — the synchronous baseline of the comparison.
-    std::unique_ptr<StreamCursor> cursor;
-    if (format == StreamFormat::kBinary) {
-      cursor = std::make_unique<BinaryStreamCursor>(bytes, vocab);
-    } else {
-      cursor = std::make_unique<StreamCsvCursor>(bytes, vocab);
-    }
-    std::vector<Sge> chunk(1024);
-    for (;;) {
-      Stopwatch parse_timer;
-      const std::size_t n = cursor->Next(chunk.data(), chunk.size());
-      sync_parse_ns +=
-          static_cast<uint64_t>(parse_timer.ElapsedSeconds() * 1e9);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) qp->Push(chunk[i]);
-    }
-    qp->Flush();
-    parse_status = cursor->status();
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  SGQ_RETURN_NOT_OK(parse_status);
-  RunMetrics m =
-      CollectEngineMetrics(qp->engine(), std::move(name), elapsed);
-  if (!options.async_ingest) m.parse_busy_ns = sync_parse_ns;
-  m.results_emitted = qp->results_emitted();
-  return m;
+FileChunkOptions IngestChunking(const EngineOptions& options) {
+  // The threads that decode chunks: the pipeline's parsers, or the
+  // calling thread.
+  const std::size_t parsers =
+      options.async_ingest ? std::max<std::size_t>(options.ingest_parsers, 1)
+                           : 1;
+  FileChunkOptions chunking;
+  chunking.mode = options.ingest_file_mode;
+  chunking.allow_disorder = options.ingest_slack > 0;
+  chunking.min_chunks = parsers > 1 ? parsers * 2 : 1;
+  chunking.readahead_chunks =
+      std::max(chunking.readahead_chunks, parsers + 1);
+  return chunking;
 }
 
-Result<RunMetrics> RunSgaCsv(const std::string& csv_text,
-                             const StreamingGraphQuery& query,
-                             Vocabulary* vocab, EngineOptions options,
-                             std::string name) {
-  options.ingest_format = StreamFormat::kCsv;
-  return RunSgaText(csv_text, query, vocab, std::move(options),
-                    std::move(name));
-}
+namespace {
 
-Result<RunMetrics> RunSgaFile(const std::string& path,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name) {
+/// \brief The body RunSgaText and RunSgaFile share once each has built
+/// its source: the pipeline when async_ingest is set, a ChunkWalkCursor
+/// pump on the calling thread otherwise.
+Result<RunMetrics> RunSgaChunks(const ChunkedStream& source,
+                                const StreamingGraphQuery& query,
+                                const Vocabulary& vocab,
+                                const EngineOptions& options,
+                                std::string name) {
   SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::FromQuery(query, *vocab, options));
-  FileChunkOptions fco;
-  fco.mode = options.ingest_file_mode;
-  fco.allow_disorder = options.ingest_slack > 0;
-  // Same chunk-count floor as RunSgaText per parse placement, so chunk
-  // boundaries — and output — match the materialized path exactly.
-  const bool sharded = options.async_ingest && options.ingest_parsers > 1;
-  fco.min_chunks = sharded ? options.ingest_parsers * 2 : 1;
-  // Every parser can hold one chunk open while at least one more loads.
-  fco.readahead_chunks =
-      std::max(options.ingest_readahead_chunks, options.ingest_parsers + 1);
-  SGQ_ASSIGN_OR_RETURN(
-      auto source,
-      MakeFileChunkSource(path, options.ingest_format, vocab, fco));
-
-  uint64_t sync_parse_ns = 0;
+                       QueryProcessor::FromQuery(query, vocab, options));
   Status parse_status = Status::OK();
+  uint64_t sync_parse_ns = 0;
   Stopwatch timer;
   if (options.async_ingest) {
-    parse_status = qp->engine().RunPipelinedSharded(*source);
+    parse_status = qp->engine().RunPipelined(source);
   } else {
-    // Inline parse on the calling thread; the chunk walk retires each
-    // chunk before opening the next, so only one chunk stays resident.
-    ChunkWalkCursor cursor(*source, fco.allow_disorder);
+    const bool slack = options.ingest_slack > 0;
+    ChunkWalkCursor cursor(source, /*allow_disorder=*/slack);
+    ReorderBuffer reorder(options.ingest_slack);
     std::vector<Sge> chunk(1024);
     for (;;) {
       const std::size_t n = cursor.Next(chunk.data(), chunk.size());
       if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) qp->Push(chunk[i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!slack) {
+          qp->Push(chunk[i]);
+        } else {
+          for (const Sge& released : reorder.Offer(chunk[i])) {
+            qp->Push(released);
+          }
+        }
+      }
+    }
+    // Like the pipeline's slack stage, release the held-back tail only
+    // when the walk ended cleanly.
+    if (slack && cursor.ok()) {
+      for (const Sge& released : reorder.Flush()) qp->Push(released);
     }
     qp->Flush();
     parse_status = cursor.status();
@@ -183,10 +135,34 @@ Result<RunMetrics> RunSgaFile(const std::string& path,
       CollectEngineMetrics(qp->engine(), std::move(name), elapsed);
   if (!options.async_ingest) {
     m.parse_busy_ns = sync_parse_ns;
-    m.readahead_stall_ns = source->ReadaheadStallNs();
+    m.readahead_stall_ns = source.ReadaheadStallNs();
   }
   m.results_emitted = qp->results_emitted();
   return m;
+}
+
+}  // namespace
+
+Result<RunMetrics> RunSgaText(const std::string& bytes,
+                              const StreamingGraphQuery& query,
+                              Vocabulary* vocab, EngineOptions options,
+                              std::string name) {
+  const FileChunkOptions chunking = IngestChunking(options);
+  SGQ_ASSIGN_OR_RETURN(
+      auto source,
+      MakeChunkedStream(bytes, options.ingest_format, vocab,
+                        chunking.allow_disorder, chunking.min_chunks));
+  return RunSgaChunks(*source, query, *vocab, options, std::move(name));
+}
+
+Result<RunMetrics> RunSgaFile(const std::string& path,
+                              const StreamingGraphQuery& query,
+                              Vocabulary* vocab, EngineOptions options,
+                              std::string name) {
+  SGQ_ASSIGN_OR_RETURN(
+      auto source, MakeFileChunkSource(path, options.ingest_format, vocab,
+                                       IngestChunking(options)));
+  return RunSgaChunks(*source, query, *vocab, options, std::move(name));
 }
 
 Result<MultiQueryMetrics> RunMultiSgaPlans(

@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "core/engine.h"
 #include "core/query_processor.h"
+#include "model/file_chunk_source.h"
 #include "model/sgt.h"
 #include "query/rq.h"
 
@@ -33,16 +34,27 @@ Result<RunMetrics> RunSgaPlan(const InputStream& stream,
                               const LogicalOp& plan, const Vocabulary& vocab,
                               EngineOptions options, std::string name);
 
+/// \brief Chunking of one ChunkedStream run under `options` — the same
+/// for the in-memory and the file-backed source, so both split a stream
+/// identically: serving mode, disorder tolerance (ingest_slack > 0), the
+/// chunk-count floor (2 × parse threads when the pipeline runs several,
+/// so every parser has work even on small inputs; 1 otherwise) and the
+/// readahead window (at least parse threads + 1, so every parser can
+/// hold a chunk while one more loads). Pass min_chunks / allow_disorder
+/// to MakeChunkedStream and the whole struct to MakeFileChunkSource.
+FileChunkOptions IngestChunking(const EngineOptions& options);
+
 /// \brief Runs `query` over raw stream bytes (CSV text or SGQB binary,
 /// selected by options.ingest_format), parsing as part of the run — the
-/// ingest-bound configuration of the async-ingest experiments
-/// (bench_ingest_pipeline). Three parse placements, same Sge sequence, so
-/// the configurations are directly comparable:
-///  - sync (async_ingest off): parse inline on the execution thread;
-///  - async, ingest_parsers <= 1: parse on the dedicated ingest thread,
-///    overlapped with execution (the PR 5 path);
-///  - async, ingest_parsers = N > 1: sharded parse — N parser threads
-///    over byte-range chunks behind the order-restoring merge.
+/// ingest-bound configuration of the pipelined-ingest experiments
+/// (bench_ingest_pipeline). The bytes become an in-memory ChunkedStream
+/// (MakeChunkedStream, chunked per IngestChunking), read one of two ways
+/// with the same element sequence, so the configurations are directly
+/// comparable:
+///  - sync (async_ingest off): a ChunkWalkCursor on the calling thread
+///    feeding Push, through a ReorderBuffer when ingest_slack > 0;
+///  - async: Engine::RunPipelined — ingest_parsers parse threads (the
+///    merge thread is parser 0) overlapped with execution.
 /// Labels/vertices are interned into `*vocab`; fails on malformed or
 /// out-of-order input. Parse-stage cost lands in RunMetrics
 /// (parse_busy_ns / ParseTuplesPerSec).
@@ -51,22 +63,14 @@ Result<RunMetrics> RunSgaText(const std::string& bytes,
                               Vocabulary* vocab, EngineOptions options,
                               std::string name);
 
-/// \brief RunSgaText over CSV text (options.ingest_format forced to CSV).
-Result<RunMetrics> RunSgaCsv(const std::string& csv_text,
-                             const StreamingGraphQuery& query,
-                             Vocabulary* vocab, EngineOptions options,
-                             std::string name);
-
-/// \brief Runs `query` over a stream *file* without materializing it:
-/// bytes are served through the bounded readahead window of a
-/// model/file_chunk_source.h chunk feeder (options.ingest_file_mode picks
-/// mmap vs buffered preads), so peak ingest-buffer memory is
-/// O(options.ingest_readahead_chunks · ~256 KB) regardless of file size.
-/// The decoded element sequence — and therefore every result and error —
-/// is byte-identical to RunSgaText over the same file's bytes in every
-/// configuration RunSgaText supports (sync inline parse, async single
-/// producer, async sharded parse; options.ingest_format declares the
-/// encoding, pair with DetectStreamFileFormat to sniff). Feeder time
+/// \brief RunSgaText over a stream *file* without materializing it: the
+/// source is a model/file_chunk_source.h FileChunkSource whose bounded
+/// readahead window (options.ingest_file_mode picks mmap vs buffered
+/// preads) keeps peak ingest-buffer memory at O(window · ~256 KB)
+/// regardless of file size. The decoded element sequence — and therefore
+/// every result and error — is byte-identical to RunSgaText over the same
+/// file's bytes in both placements (options.ingest_format declares the
+/// encoding; pair with DetectStreamFileFormat to sniff). Feeder time
 /// lands in RunMetrics::readahead_stall_ns.
 Result<RunMetrics> RunSgaFile(const std::string& path,
                               const StreamingGraphQuery& query,

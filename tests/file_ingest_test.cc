@@ -4,9 +4,10 @@
 //    MakeChunkedStream view byte-for-byte — chunk count, per-chunk
 //    element sequence, CSV global line numbers and binary byte offsets in
 //    error text — in both serving modes and both formats;
-//  - engine results through RunPipelinedSharded are identical between the
-//    file source and the in-memory source across format × parsers, and
-//    the RunSgaFile harness matches RunSgaText in every parse placement;
+//  - engine results through RunPipelined are identical between the file
+//    source and the in-memory source across format × parsers, and the
+//    RunSgaFile harness matches RunSgaText in every parse placement,
+//    reorder slack included;
 //  - peak resident chunk bytes are O(readahead window), independent of
 //    file size (the bounded-memory contract);
 //  - aborting runs (early parse error, multi-parser) terminate instead of
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/query_processor.h"
@@ -291,14 +293,14 @@ std::vector<Sgt> RunShardedOver(const StreamingGraphQuery& query,
   auto qp = QueryProcessor::FromQuery(query, *vocab, options);
   EXPECT_TRUE(qp.ok()) << qp.status().ToString();
   if (!qp.ok()) return {};
-  Status run = (*qp)->engine().RunPipelinedSharded(chunks);
+  Status run = (*qp)->engine().RunPipelined(chunks);
   EXPECT_TRUE(run.ok()) << run.ToString();
   return (*qp)->results();
 }
 
 TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
   // The hard contract: same chunk boundaries, same merge order, so the
-  // result stream through RunPipelinedSharded is *identical* (order
+  // result stream through RunPipelined is *identical* (order
   // included) between the file source and the materialized source, for
   // every format × parsers × mode cell. (The vocabulary is pre-populated
   // by the generator, so concurrent CSV interning resolves fixed ids.)
@@ -321,7 +323,6 @@ TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
       const std::size_t min_chunks = parsers > 1 ? parsers * 2 : 1;
       EngineOptions options;
       options.batch_size = 16;
-      options.async_ingest = true;
       options.ingest_parsers = parsers;
       auto reference =
           MakeChunkedStream(bytes, format, &vocab, false, min_chunks);
@@ -399,6 +400,55 @@ TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
   std::remove(bin_path.c_str());
 }
 
+TEST(FileIngestDifferentialTest, SlackRunsAgreeAcrossSourcesAndPlacements) {
+  // ingest_slack on every ChunkedStream runner: the synchronous chunk
+  // walk must reorder through a ReorderBuffer exactly like the pipeline's
+  // merge stage, for in-memory bytes and files alike. The small stream
+  // holds two adjacent swaps; the large one swaps every adjacent pair.
+  Vocabulary generator_vocab;
+  InputStream disordered = TestStream(&generator_vocab);
+  for (std::size_t i = 0; i + 1 < disordered.size(); i += 2) {
+    std::swap(disordered[i], disordered[i + 1]);
+  }
+  const std::string inputs[] = {
+      "u,a,v,1\nv,a,w,3\nu,b,v,2\nw,a,u,5\nv,b,u,4\n",
+      FormatStreamCsv(disordered, generator_vocab),
+  };
+  int idx = 0;
+  for (const std::string& csv : inputs) {
+    const std::string path =
+        WriteTemp("slack" + std::to_string(idx++) + ".csv", csv);
+    struct Run {
+      std::size_t results;
+      std::size_t edges;
+    };
+    std::vector<Run> runs;
+    for (const bool from_file : {false, true}) {
+      for (const bool async : {false, true}) {
+        Vocabulary vocab;
+        auto query = MakeQuery("Answer(x,y) <- a(x,y)\nAnswer(x,y) <- b(x,y)",
+                               WindowSpec(12, 3), &vocab);
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        EngineOptions options;
+        options.async_ingest = async;
+        options.ingest_slack = 4;
+        auto m = from_file
+                     ? RunSgaFile(path, *query, &vocab, options, "file")
+                     : RunSgaText(csv, *query, &vocab, options, "text");
+        ASSERT_TRUE(m.ok()) << m.status().ToString() << " file=" << from_file
+                            << " async=" << async;
+        runs.push_back({m->results_emitted, m->edges_processed});
+      }
+    }
+    EXPECT_GT(runs[0].results, 0u);
+    for (const Run& run : runs) {
+      EXPECT_EQ(run.results, runs[0].results) << "input " << idx - 1;
+      EXPECT_EQ(run.edges, runs[0].edges) << "input " << idx - 1;
+    }
+    std::remove(path.c_str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bounded memory and abort safety
 // ---------------------------------------------------------------------------
@@ -472,7 +522,6 @@ TEST(FileIngestAbortTest, EarlyParseErrorTerminatesShardedRun) {
         MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(12, 3), &vocab);
     ASSERT_TRUE(query.ok());
     EngineOptions options;
-    options.async_ingest = true;
     options.ingest_parsers = 4;
     auto qp = QueryProcessor::FromQuery(*query, vocab, options);
     ASSERT_TRUE(qp.ok());
@@ -482,7 +531,7 @@ TEST(FileIngestAbortTest, EarlyParseErrorTerminatesShardedRun) {
     fco.readahead_chunks = 2;
     auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
     ASSERT_TRUE(source.ok()) << source.status().ToString();
-    Status run = (*qp)->engine().RunPipelinedSharded(**source);
+    Status run = (*qp)->engine().RunPipelined(**source);
     ASSERT_FALSE(run.ok()) << ModeName(mode);
     EXPECT_NE(run.message().find("line 1"), std::string::npos)
         << run.ToString();

@@ -1,15 +1,17 @@
-// Async ingest pipeline tests (runtime/ingest_pipeline.h, DESIGN.md §6):
+// Pipelined ingest tests (runtime/ingest_pipeline.h, DESIGN.md §6):
 //
 //  - the bounded SPSC hand-off queue preserves FIFO order, bounds its
 //    occupancy, drains after Close, and moves every element across a real
 //    producer/consumer thread pair (the configuration TSan checks);
-//  - async_ingest at num_workers=1 / batch_size=1 is byte-identical to
-//    the synchronous engine; every other configuration (workers {1,4} ×
-//    batch {1,64}, deletion-heavy streams, both PATH implementations)
-//    is snapshot-equivalent and run-to-run deterministic;
+//  - Engine::RunPipelined over stream bytes at num_workers=1 /
+//    batch_size=1 and one parser is byte-identical to synchronous Push,
+//    for CSV and SGQB; every other configuration (workers {1,4} × batch
+//    {1,64}, format × parsers × workers, deletion-heavy streams, both
+//    PATH implementations) is snapshot-equivalent and run-to-run
+//    deterministic;
 //  - the incremental CSV cursor produces exactly ParseStreamCsv's
 //    elements and errors;
-//  - the reorder-slack stage folded into the pipeline matches the
+//  - the reorder-slack stage folded into the merge matches the
 //    synchronous ReorderBuffer path;
 //  - pinned pools still cover every index (affinity is best-effort).
 
@@ -191,7 +193,7 @@ TEST(StreamCsvCursorTest, OrderingStrictUnlessDisorderAllowed) {
 }
 
 // ---------------------------------------------------------------------------
-// Async-ingest equivalence and determinism
+// Pipelined-ingest equivalence and determinism
 // ---------------------------------------------------------------------------
 
 struct Config {
@@ -219,6 +221,7 @@ InputStream DeletionHeavyStream(uint64_t seed, Vocabulary* vocab) {
   return stream.ok() ? *stream : InputStream{};
 }
 
+/// \brief The synchronous reference: every element through Push.
 std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
                            const Vocabulary& vocab, const InputStream& stream,
                            EngineOptions options) {
@@ -229,26 +232,27 @@ std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
   return (*qp)->results();
 }
 
-TEST(AsyncIngestTest, ByteIdenticalAtSingleWorkerBatchOne) {
-  for (const Config& config : kConfigs) {
-    Vocabulary vocab;
-    const InputStream stream = DeletionHeavyStream(11, &vocab);
-    auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
-    ASSERT_TRUE(query.ok()) << config.query;
-    EngineOptions sync_options;
-    sync_options.path_impl = config.path_impl;
-    EngineOptions async_options = sync_options;
-    async_options.async_ingest = true;
-    const std::vector<Sgt> expected =
-        RunEngine(*query, vocab, stream, sync_options);
-    const std::vector<Sgt> actual =
-        RunEngine(*query, vocab, stream, async_options);
-    ASSERT_EQ(expected.size(), actual.size()) << config.query;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(expected[i] == actual[i])
-          << config.query << " position " << i;
-    }
-  }
+/// \brief Runs a query over raw stream bytes through Engine::RunPipelined
+/// (options.ingest_parsers parse threads) and returns the result
+/// sequence. The vocabulary is pre-populated by the generator, so the
+/// parse resolves the reference run's ids.
+std::vector<Sgt> RunEnginePipelined(const StreamingGraphQuery& query,
+                                    Vocabulary* vocab,
+                                    const std::string& bytes,
+                                    StreamFormat format,
+                                    EngineOptions options) {
+  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
+  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
+  if (!qp.ok()) return {};
+  auto chunked = MakeChunkedStream(
+      bytes, format, vocab, /*allow_disorder=*/options.ingest_slack > 0,
+      /*min_chunks=*/options.ingest_parsers > 1 ? options.ingest_parsers * 2
+                                                : 1);
+  EXPECT_TRUE(chunked.ok()) << chunked.status().ToString();
+  if (!chunked.ok()) return {};
+  Status run = (*qp)->engine().RunPipelined(**chunked);
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  return (*qp)->results();
 }
 
 class AsyncIngestEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -258,6 +262,7 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(seed, &vocab);
+    const std::string csv = FormatStreamCsv(stream, vocab);
     auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
     ASSERT_TRUE(query.ok()) << config.query;
 
@@ -273,12 +278,8 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
         options.path_impl = config.path_impl;
         options.num_workers = workers;
         options.batch_size = batch;
-        options.async_ingest = true;
-        // A depth of 1 maximizes backpressure; exercise it on half the
-        // grid so both queue regimes stay covered.
-        if (batch == 1) options.ingest_queue_depth = 1;
-        const std::vector<Sgt> async_results =
-            RunEngine(*query, vocab, stream, options);
+        const std::vector<Sgt> async_results = RunEnginePipelined(
+            *query, &vocab, csv, StreamFormat::kCsv, options);
         for (Timestamp t : times) {
           ASSERT_EQ(ResultPairsAt(async_results, t),
                     ResultPairsAt(reference, t))
@@ -286,9 +287,9 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
               << " batch=" << batch << " t=" << t << " seed=" << seed;
         }
         // Run-to-run determinism, order included: execution stays on one
-        // thread, so async must not introduce schedule dependence.
-        const std::vector<Sgt> again =
-            RunEngine(*query, vocab, stream, options);
+        // thread, so the pipeline must not introduce schedule dependence.
+        const std::vector<Sgt> again = RunEnginePipelined(
+            *query, &vocab, csv, StreamFormat::kCsv, options);
         ASSERT_EQ(async_results.size(), again.size());
         for (std::size_t i = 0; i < again.size(); ++i) {
           ASSERT_TRUE(async_results[i] == again[i])
@@ -317,7 +318,7 @@ TEST(AsyncIngestTest, CsvHarnessMatchesSynchronousParse) {
     options.async_ingest = async;
     options.num_workers = workers;
     options.batch_size = batch;
-    auto metrics = RunSgaCsv(csv, *query, &vocab, options, "csv");
+    auto metrics = RunSgaText(csv, *query, &vocab, options, "csv");
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     return metrics.ok() ? metrics->results_emitted : std::size_t(0);
   };
@@ -351,7 +352,9 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
     // Every placement measures the parse stage.
     EXPECT_GT(metrics->parse_busy_ns, 0u);
     EXPECT_GT(metrics->ParseTuplesPerSec(), 0.0);
-    if (parsers > 1) EXPECT_EQ(metrics->parsers, parsers);
+    if (async) {
+      EXPECT_EQ(metrics->parsers, parsers);
+    }
     return metrics->results_emitted;
   };
   const std::size_t expected = run(csv, StreamFormat::kCsv, false, 1);
@@ -363,55 +366,43 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded parse stage (RunPipelinedSharded)
+// Parse stage: parsers and the order-restoring merge (RunPipelined)
 // ---------------------------------------------------------------------------
 
-/// \brief Runs a query over raw stream bytes through the sharded-parse
-/// pipeline and returns the result sequence.
-std::vector<Sgt> RunEngineSharded(const StreamingGraphQuery& query,
-                                  Vocabulary* vocab, const std::string& bytes,
-                                  StreamFormat format,
-                                  EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  auto chunked = MakeChunkedStream(
-      bytes, format, vocab, /*allow_disorder=*/false,
-      /*min_chunks=*/options.ingest_parsers > 1 ? options.ingest_parsers * 2
-                                                : 1);
-  EXPECT_TRUE(chunked.ok()) << chunked.status().ToString();
-  if (!chunked.ok()) return {};
-  Status run = (*qp)->engine().RunPipelinedSharded(**chunked);
-  EXPECT_TRUE(run.ok()) << run.ToString();
-  return (*qp)->results();
-}
-
 TEST(ShardedParseTest, SingleParserByteIdenticalToClassicPipeline) {
-  // parsers=1 collapses to the classic single-producer Run() over a
-  // sequential chunk walk: same element sequence, so results are
-  // byte-identical to both the synchronous engine and the PR 5 async
-  // path at workers=1 / batch=1.
-  for (const Config& config : kConfigs) {
-    Vocabulary vocab;
-    const InputStream stream = DeletionHeavyStream(59, &vocab);
-    const std::string csv = FormatStreamCsv(stream, vocab);
-    auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
-    ASSERT_TRUE(query.ok()) << config.query;
+  // parsers=1 is the pipeline's N = 1 case — the merge thread decodes
+  // every chunk itself — with the same element sequence as synchronous
+  // Push, so at workers=1 / batch=1 the results are byte-identical to
+  // that reference, for CSV and SGQB bytes alike.
+  for (const uint64_t seed : {uint64_t{11}, uint64_t{59}}) {
+    for (const Config& config : kConfigs) {
+      Vocabulary vocab;
+      const InputStream stream = DeletionHeavyStream(seed, &vocab);
+      const std::string csv = FormatStreamCsv(stream, vocab);
+      auto binary = FormatStreamBinary(stream, vocab);
+      ASSERT_TRUE(binary.ok());
+      auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
+      ASSERT_TRUE(query.ok()) << config.query;
 
-    EngineOptions sync_options;
-    sync_options.path_impl = config.path_impl;
-    const std::vector<Sgt> expected =
-        RunEngine(*query, vocab, stream, sync_options);
-
-    EngineOptions sharded = sync_options;
-    sharded.async_ingest = true;
-    sharded.ingest_parsers = 1;
-    const std::vector<Sgt> actual = RunEngineSharded(
-        *query, &vocab, csv, StreamFormat::kCsv, sharded);
-    ASSERT_EQ(expected.size(), actual.size()) << config.query;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(expected[i] == actual[i])
-          << config.query << " position " << i;
+      EngineOptions options;
+      options.path_impl = config.path_impl;
+      options.ingest_parsers = 1;
+      const std::vector<Sgt> expected =
+          RunEngine(*query, vocab, stream, options);
+      for (const bool use_binary : {false, true}) {
+        const std::vector<Sgt> actual = RunEnginePipelined(
+            *query, &vocab, use_binary ? *binary : csv,
+            use_binary ? StreamFormat::kBinary : StreamFormat::kCsv, options);
+        ASSERT_EQ(expected.size(), actual.size())
+            << config.query << " seed=" << seed
+            << " format=" << (use_binary ? "binary" : "csv");
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_TRUE(expected[i] == actual[i])
+              << config.query << " seed=" << seed
+              << " format=" << (use_binary ? "binary" : "csv")
+              << " position " << i;
+        }
+      }
     }
   }
 }
@@ -450,9 +441,8 @@ TEST_P(ShardedParseEquivalenceTest, MatrixMatchesSynchronousIngest) {
           options.path_impl = config.path_impl;
           options.num_workers = workers;
           options.batch_size = 16;
-          options.async_ingest = true;
           options.ingest_parsers = parsers;
-          const std::vector<Sgt> results = RunEngineSharded(
+          const std::vector<Sgt> results = RunEnginePipelined(
               *query, &vocab, use_binary ? *binary : csv,
               use_binary ? StreamFormat::kBinary : StreamFormat::kCsv,
               options);
@@ -462,7 +452,7 @@ TEST_P(ShardedParseEquivalenceTest, MatrixMatchesSynchronousIngest) {
                 << (use_binary ? "binary" : "csv") << " parsers=" << parsers
                 << " workers=" << workers << " t=" << t << " seed=" << seed;
           }
-          const std::vector<Sgt> again = RunEngineSharded(
+          const std::vector<Sgt> again = RunEnginePipelined(
               *query, &vocab, use_binary ? *binary : csv,
               use_binary ? StreamFormat::kBinary : StreamFormat::kCsv,
               options);
@@ -495,14 +485,13 @@ TEST(ShardedParseTest, ParseErrorsSurfaceWithGlobalPosition) {
                          &vocab);
   ASSERT_TRUE(query.ok());
   EngineOptions options;
-  options.async_ingest = true;
   options.ingest_parsers = 4;
   auto qp = QueryProcessor::FromQuery(*query, vocab, options);
   ASSERT_TRUE(qp.ok());
   auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false,
                                    /*min_chunks=*/8);
   ASSERT_TRUE(chunked.ok());
-  Status run = (*qp)->engine().RunPipelinedSharded(**chunked);
+  Status run = (*qp)->engine().RunPipelined(**chunked);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.message().find("line 401"), std::string::npos)
       << run.ToString();
@@ -526,7 +515,6 @@ TEST(ShardedParseTest, CrossChunkDisorderRejected) {
                          &vocab);
   ASSERT_TRUE(query.ok());
   EngineOptions options;
-  options.async_ingest = true;
   options.ingest_parsers = 4;
   auto qp = QueryProcessor::FromQuery(*query, vocab, options);
   ASSERT_TRUE(qp.ok());
@@ -534,7 +522,7 @@ TEST(ShardedParseTest, CrossChunkDisorderRejected) {
                                    /*min_chunks=*/8);
   ASSERT_TRUE(chunked.ok());
   ASSERT_GE((*chunked)->NumChunks(), 2u);
-  Status run = (*qp)->engine().RunPipelinedSharded(**chunked);
+  Status run = (*qp)->engine().RunPipelined(**chunked);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.message().find("non-decreasing"), std::string::npos)
       << run.ToString();
@@ -547,34 +535,46 @@ TEST(ShardedParseTest, StatsReportPerParserAccounting) {
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
-  EngineOptions options;
-  options.async_ingest = true;
-  options.ingest_parsers = 4;
-  options.batch_size = 16;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
-  auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false, 8);
-  ASSERT_TRUE(chunked.ok());
-  ASSERT_TRUE((*qp)->engine().RunPipelinedSharded(**chunked).ok());
-  const IngestStats& stats = (*qp)->engine().ingest_stats();
-  EXPECT_EQ(stats.parsers, 4u);
-  ASSERT_EQ(stats.parser_stall_ns.size(), 4u);
-  ASSERT_EQ(stats.parser_busy_ns.size(), 4u);
-  uint64_t total_busy = 0;
-  for (uint64_t busy : stats.parser_busy_ns) total_busy += busy;
-  EXPECT_GT(total_busy, 0u);  // somebody parsed something
-  EXPECT_GT(stats.batches, 0u);
+  for (std::size_t parsers : {std::size_t{1}, std::size_t{4}}) {
+    EngineOptions options;
+    options.ingest_parsers = parsers;
+    options.batch_size = 16;
+    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+    ASSERT_TRUE(qp.ok());
+    auto chunked =
+        MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false, 8);
+    ASSERT_TRUE(chunked.ok());
+    ASSERT_TRUE((*qp)->engine().RunPipelined(**chunked).ok());
+    const IngestStats& stats = (*qp)->engine().ingest_stats();
+    EXPECT_EQ(stats.parsers, parsers);
+    ASSERT_EQ(stats.parser_stall_ns.size(), parsers);
+    ASSERT_EQ(stats.parser_busy_ns.size(), parsers);
+    uint64_t total_busy = 0;
+    for (uint64_t busy : stats.parser_busy_ns) total_busy += busy;
+    EXPECT_GT(total_busy, 0u) << "parsers=" << parsers;
+    EXPECT_GT(stats.batches, 0u) << "parsers=" << parsers;
+    if (parsers == 1) {
+      // The merge is parser 0 and decodes every chunk itself: it never
+      // waits on a gutter, in either role.
+      EXPECT_EQ(stats.parser_stall_ns[0], 0u);
+      EXPECT_EQ(stats.merge_stall_ns, 0u);
+    }
+  }
 }
 
 TEST(AsyncIngestTest, CsvHarnessSurfacesParseErrors) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
-  EngineOptions options;
-  options.async_ingest = true;
-  auto metrics =
-      RunSgaCsv("u,a,v,1\nbroken line\n", *query, &vocab, options, "bad");
-  EXPECT_FALSE(metrics.ok());
+  for (const bool async : {false, true}) {
+    EngineOptions options;
+    options.async_ingest = async;
+    auto metrics =
+        RunSgaText("u,a,v,1\nbroken line\n", *query, &vocab, options, "bad");
+    ASSERT_FALSE(metrics.ok()) << "async=" << async;
+    EXPECT_NE(metrics.status().message().find("line 2"), std::string::npos)
+        << metrics.status().ToString();
+  }
 }
 
 TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
@@ -604,19 +604,17 @@ TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
   (*sync_qp)->Flush();
   const std::vector<Sgt> expected = (*sync_qp)->results();
 
-  // Pipelined: the slack stage runs on the ingest thread.
+  // Pipelined: the disordered stream's CSV bytes, chunked with the order
+  // check lifted; the slack stage runs on the merge thread.
+  const std::string csv = FormatStreamCsv(disordered, vocab);
   EngineOptions async_options;
-  async_options.async_ingest = true;
   async_options.ingest_slack = kSlack;
   auto async_qp = QueryProcessor::FromQuery(*query, vocab, async_options);
   ASSERT_TRUE(async_qp.ok());
-  std::size_t pos = 0;
-  (*async_qp)->engine().RunPipelined([&](Sge* buf, std::size_t cap) {
-    const std::size_t n = std::min(cap, disordered.size() - pos);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = disordered[pos + i];
-    pos += n;
-    return n;
-  });
+  auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab,
+                                   /*allow_disorder=*/true, /*min_chunks=*/1);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+  ASSERT_TRUE((*async_qp)->engine().RunPipelined(**chunked).ok());
   const std::vector<Sgt> actual = (*async_qp)->results();
   EXPECT_EQ((*async_qp)->engine().ingest_stats().late_dropped, sync_late);
 
@@ -629,24 +627,27 @@ TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
 TEST(AsyncIngestTest, StatsAccumulateAndPinnedRunsStayCorrect) {
   Vocabulary vocab;
   const InputStream stream = DeletionHeavyStream(47, &vocab);
+  const std::string csv = FormatStreamCsv(stream, vocab);
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
   EngineOptions options;
-  options.async_ingest = true;
   options.pin_workers = true;  // best-effort; must never change results
   options.num_workers = 2;
   options.batch_size = 16;
   auto qp = QueryProcessor::FromQuery(*query, vocab, options);
   ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream);
+  auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false, 1);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+  ASSERT_TRUE((*qp)->engine().RunPipelined(**chunked).ok());
   const IngestStats& stats = (*qp)->engine().ingest_stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.late_dropped, 0u);
 
   EngineOptions unpinned = options;
   unpinned.pin_workers = false;
-  const std::vector<Sgt> expected = RunEngine(*query, vocab, stream, unpinned);
+  const std::vector<Sgt> expected = RunEnginePipelined(
+      *query, &vocab, csv, StreamFormat::kCsv, unpinned);
   const std::vector<Sgt>& actual = (*qp)->results();
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
