@@ -207,6 +207,12 @@ std::string PlanSignature(const LogicalOp& plan) {
   return out;
 }
 
+std::string JoinSignature(const std::string& signature) {
+  // "P(<head label>;<variables>)[<children>]" -> "P(;<variables>)[...]".
+  if (signature.compare(0, 2, "P(") != 0) return {};
+  return "P(" + signature.substr(signature.find(';'));
+}
+
 namespace {
 
 void CollectAdmission(const LogicalOp& plan, AdmissionPredicate* out) {

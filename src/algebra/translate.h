@@ -46,6 +46,13 @@ Result<LogicalPlan> TranslateToCanonicalPlan(const StreamingGraphQuery& query,
 /// shared state).
 std::string PlanSignature(const LogicalOp& plan);
 
+/// \brief The join key of a PATTERN: its PlanSignature `signature` with
+/// the head label (the label its rule derives) left out, so two joins that
+/// differ only in head label share one key. Empty for every other operator
+/// kind. Cut from the signature string, so it costs one copy, not a second
+/// walk of the plan; it never equals any PlanSignature.
+std::string JoinSignature(const std::string& signature);
+
 /// \brief Extracts `plan`'s admission predicate (see AdmissionPredicate).
 AdmissionPredicate PlanAdmission(const LogicalOp& plan);
 

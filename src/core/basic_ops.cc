@@ -56,6 +56,10 @@ void UnionOp::OnTuple(int port, const Sgt& tuple) {
   }
   Sgt relabeled = tuple;
   relabeled.label = output_label_;
+  if (relabel_join_ && relabeled.payload.size() == 1 &&
+      relabeled.payload[0] == tuple.edge()) {
+    relabeled.payload[0].label = output_label_;
+  }
   EmitTuple(relabeled);
 }
 

@@ -58,15 +58,23 @@ class FilterOp : public PhysicalOp {
 
 /// \brief Physical UNION (Def. 18): merges streams, optionally relabeling
 /// each tuple with the derived output label.
+///
+/// `relabel_join` makes it the relabel stage of a shared join (core/
+/// engine.h): its one input is a PATTERN compiled under another head
+/// label. A multi-atom PATTERN's payload is its own derived edge, so that
+/// edge is relabeled too, and the output is byte-identical to the join
+/// compiled under `output_label`.
 class UnionOp : public PhysicalOp {
  public:
-  explicit UnionOp(LabelId output_label) : output_label_(output_label) {}
+  explicit UnionOp(LabelId output_label, bool relabel_join = false)
+      : output_label_(output_label), relabel_join_(relabel_join) {}
 
   void OnTuple(int port, const Sgt& tuple) override;
   std::string Name() const override { return "UNION"; }
 
  private:
   LabelId output_label_;
+  bool relabel_join_;
 };
 
 /// \brief Result sink: collects output sgts, optionally coalescing

@@ -173,11 +173,14 @@ Status Engine::RemoveQuery(QueryId q) {
   std::vector<std::pair<OpId, OpId>> unlink;
   for (OpId id : dead) {
     const std::size_t i = static_cast<std::size_t>(id);
-    // The dedup map must forget the signature or a later registration
-    // would resolve to a destroyed operator. (With cross_query_sharing
-    // off the map is cleared per registration; the entry may be stale.)
-    if (!op_sigs_[i].empty()) {
-      auto it = subtree_dedup_.find(op_sigs_[i]);
+    // The dedup map must forget the signature, and a join's head-label-
+    // free key, or a later registration would resolve to a destroyed
+    // operator. (With cross_query_sharing off the map is cleared per
+    // registration; the entry may be stale. A relabel UNION's signature
+    // yields its join's key, which the guard leaves to the join.)
+    for (const std::string& key : {op_sigs_[i], JoinSignature(op_sigs_[i])}) {
+      if (key.empty()) continue;
+      auto it = subtree_dedup_.find(key);
       if (it != subtree_dedup_.end() && it->second == id) {
         subtree_dedup_.erase(it);
       }
@@ -562,14 +565,49 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
   // by this query or (with cross_query_sharing) any earlier one — resolves
   // to the existing operator; its channel fans out to the new consumer.
   const std::string sig = PlanSignature(node);
-  auto dedup_it = subtree_dedup_.find(sig);
-  if (dedup_it != subtree_dedup_.end()) {
+  auto count_hit = [this](OpId shared) {
     ++shared_subtree_hits_;
-    if (static_cast<std::size_t>(dedup_it->second) <
-        ops_before_current_plan_) {
+    if (static_cast<std::size_t>(shared) < ops_before_current_plan_) {
       ++cross_query_shared_hits_;
     }
+  };
+  auto dedup_it = subtree_dedup_.find(sig);
+  if (dedup_it != subtree_dedup_.end()) {
+    count_hit(dedup_it->second);
     return dedup_it->second;
+  }
+
+  // With num_workers > 1 every operator compiles to `workers` shard
+  // instances (shard 0 is the primary; `make_shard` builds the replicas).
+  // Shard-suffixed WindowStore partitions keep runtime state sharing
+  // within one shard index: a partition is only ever touched by one shard,
+  // so parallel waves need no locking (DESIGN.md §2.4).
+  const std::size_t workers = options_.num_workers;
+
+  // A PATTERN that matches a compiled join up to its head label reuses
+  // that join: the join keeps emitting the label it was compiled under,
+  // and a stateless relabel UNION in its fan-out renames for this
+  // consumer. The UNION is recorded under the full signature, so a later
+  // query deriving the same label shares it too.
+  std::string join_key = JoinSignature(sig);
+  if (!join_key.empty()) {
+    auto join_it = subtree_dedup_.find(join_key);
+    if (join_it != subtree_dedup_.end()) {
+      const OpId join = join_it->second;
+      count_hit(join);
+      auto make_relabel = [&node]() {
+        return std::make_unique<UnionOp>(node.output_label,
+                                         /*relabel_join=*/true);
+      };
+      const OpId id = executor_.AddOp(make_relabel());
+      for (std::size_t s = 1; s < workers; ++s) {
+        SGQ_RETURN_NOT_OK(executor_.AddShardReplica(id, make_relabel()));
+      }
+      SGQ_RETURN_NOT_OK(executor_.Connect(join, id, 0));
+      subtree_dedup_.emplace(sig, id);
+      RecordOp(id, sig, {join}, {});
+      return id;
+    }
   }
 
   // Children first: the executor's insertion order doubles as its wave
@@ -580,12 +618,6 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
     children.push_back(child);
   }
 
-  // With num_workers > 1 every operator compiles to `workers` shard
-  // instances (shard 0 is the primary; `make_shard` builds the replicas).
-  // Shard-suffixed WindowStore partitions keep runtime state sharing
-  // within one shard index: a partition is only ever touched by one shard,
-  // so parallel waves need no locking (DESIGN.md §2.4).
-  const std::size_t workers = options_.num_workers;
   std::unique_ptr<PhysicalOp> op;
   std::function<std::unique_ptr<PhysicalOp>(std::size_t)> make_shard;
   // Window partitions acquired for this operator (all shards). The PATTERN
@@ -703,6 +735,7 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
     SGQ_RETURN_NOT_OK(executor_.Connect(children[i], id, port));
   }
   subtree_dedup_.emplace(sig, id);
+  if (!join_key.empty()) subtree_dedup_.emplace(std::move(join_key), id);
   RecordOp(id, sig, std::move(children), std::move(wkeys));
   return id;
 }

@@ -14,9 +14,14 @@
 // disjoint suffixes and the per-query SinkOps multiply.
 //
 // Sharing rules (what is shareable and why — see DESIGN.md §3):
-//  - signature equality is the *sole* criterion: PlanSignature equality
+//  - signature equality is the criterion: PlanSignature equality
 //    implies output-stream equality for every input, so fanning one
 //    operator out to every consumer is behaviorally invisible;
+//  - one relaxation: PATTERNs equal up to their head label
+//    (JoinSignature) share one join. The join emits the label it was
+//    compiled under; each other label reads it through a stateless
+//    relabel UNION whose output is exactly the join compiled under that
+//    label;
 //  - PATTERN variables are alpha-renamed inside the signature, so patterns
 //    differing only in variable spelling share;
 //  - operators with signature-distinct inputs are never merged, which
@@ -418,8 +423,10 @@ class Engine {
   EngineOptions options_;
   Executor executor_;
   /// Canonical-signature dedup of compiled subtrees: one physical
-  /// operator per distinct signature, fanned out to every consumer.
-  /// Cleared between registrations when cross_query_sharing is off.
+  /// operator per distinct signature, fanned out to every consumer. Each
+  /// compiled PATTERN is also keyed under its JoinSignature, which never
+  /// equals a signature. Cleared between registrations when
+  /// cross_query_sharing is off.
   std::unordered_map<std::string, OpId> subtree_dedup_;
   std::vector<SinkOp*> sinks_;   ///< index == QueryId; null once removed
   std::vector<OpId> roots_;      ///< index == QueryId; invalid once removed

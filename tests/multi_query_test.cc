@@ -3,6 +3,8 @@
 //  - cross-query subtree sharing instantiates a shared operator exactly
 //    once (operator-count metrics), and registering the same plan K times
 //    adds only K - 1 sinks;
+//  - joins that differ only in head label compile once, the second
+//    reading the first through a relabel UNION;
 //  - at num_workers = 1 / batch_size = 1 each registered query's output
 //    is byte-identical to compiling it alone, for overlapping and
 //    disjoint query mixes, both PATH implementations, deletion-heavy
@@ -15,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -44,12 +48,15 @@ InputStream RandomStream(uint64_t seed, double deletion_probability,
 }
 
 /// The workload mix: q0/q1 overlap (both compile the a+ PATH subtree and
-/// the a scan), q2 is disjoint from them.
+/// the a scan), q2 is disjoint from them, and q3 is shaped like the
+/// paper's Q7: its RL join equals q1's Answer join up to the head label,
+/// so it reads that join through a relabel UNION.
 std::vector<StreamingGraphQuery> MixedQueries(Vocabulary* vocab) {
   const char* texts[] = {
       "Answer(x,y) <- a+(x,y)",
       "Answer(x,z) <- a+(x,y), b(y,z)",
       "Answer(x,z) <- c(x,y), c(y,z)",
+      "RL(x,z) <- a+(x,y), b(y,z)\nAnswer(x,w) <- RL+(x,z), c(w,z)",
   };
   std::vector<StreamingGraphQuery> queries;
   for (const char* text : texts) {
@@ -143,7 +150,7 @@ TEST(MultiQueryEngineTest, SameQueryRegisteredKTimesAddsOnlySinks) {
 TEST(MultiQueryEngineTest, OverlappingQueriesShareTheCommonSubtree) {
   Vocabulary vocab;
   std::vector<StreamingGraphQuery> queries = MixedQueries(&vocab);
-  ASSERT_EQ(queries.size(), 3u);
+  ASSERT_EQ(queries.size(), 4u);
 
   std::size_t solo_ops_total = 0;
   for (const StreamingGraphQuery& query : queries) {
@@ -155,7 +162,8 @@ TEST(MultiQueryEngineTest, OverlappingQueriesShareTheCommonSubtree) {
   for (const StreamingGraphQuery& query : queries) {
     ASSERT_TRUE(engine.AddQuery(query, vocab).ok());
   }
-  // q0/q1 share the a-scan + a+ PATH chain; q2 shares nothing.
+  // q0/q1 share the a-scan + a+ PATH chain, q3 shares q1's whole join,
+  // and q2 shares nothing.
   EXPECT_LT(engine.NumOperators(), solo_ops_total);
   EXPECT_GE(engine.NumCrossQuerySharedSubtrees(), 1u);
 
@@ -214,6 +222,94 @@ TEST(MultiQueryEngineTest, ClosureAliasesAreLabelCanonicalAcrossQueries) {
   }
 }
 
+/// Live operators whose physical name is `name` ("PATTERN", "UNION", ...).
+std::size_t CountOps(const Engine& engine, const std::string& name) {
+  std::size_t count = 0;
+  for (OpId id = 0; id < static_cast<OpId>(engine.executor().NumOps());
+       ++id) {
+    const PhysicalOp* op = engine.executor().op(id);
+    if (op != nullptr && op->Name() == name) ++count;
+  }
+  return count;
+}
+
+TEST(MultiQueryEngineTest, JoinsDifferingOnlyInHeadLabelCompileOnce) {
+  // Q7's RL join is Q6's Answer join under another head label (Example
+  // 1). Registered after Q1-Q6, Q7 therefore adds only its outer PATTERN:
+  // the RL join resolves to Q6's join behind a relabel UNION, and the
+  // operator count is what two joins would give (one PATTERN traded for
+  // one UNION). Without cross-query sharing both joins compile again.
+  const std::pair<const char*, std::vector<BenchQuery>> sets[] = {
+      {"SO", SoQuerySet()}, {"SNB", SnbQuerySet()}};
+  for (const auto& [set_name, query_set] : sets) {
+    ASSERT_EQ(query_set.back().name, "Q7");
+    for (bool sharing : {true, false}) {
+      Vocabulary vocab;
+      EngineOptions options;
+      options.cross_query_sharing = sharing;
+      Engine without_q7(options);
+      Engine with_q7(options);
+      for (const BenchQuery& q : query_set) {
+        auto query = MakeQuery(q.text, WindowSpec(12, 3), &vocab);
+        ASSERT_TRUE(query.ok()) << q.text;
+        if (q.name != "Q7") {
+          ASSERT_TRUE(without_q7.AddQuery(*query, vocab).ok());
+        }
+        ASSERT_TRUE(with_q7.AddQuery(*query, vocab).ok());
+      }
+      const std::string context =
+          std::string(set_name) + (sharing ? " shared" : " unshared");
+      const std::size_t patterns = CountOps(without_q7, "PATTERN");
+      const std::size_t unions = CountOps(without_q7, "UNION");
+      if (sharing) {
+        // RL join -> relabel UNION, RL+ PATH, outer PATTERN, sink.
+        EXPECT_EQ(CountOps(with_q7, "PATTERN"), patterns + 1) << context;
+        EXPECT_EQ(CountOps(with_q7, "UNION"), unions + 1) << context;
+        EXPECT_EQ(with_q7.NumOperators(), without_q7.NumOperators() + 4)
+            << context;
+      } else {
+        EXPECT_EQ(CountOps(with_q7, "PATTERN"), patterns + 2) << context;
+        EXPECT_EQ(CountOps(with_q7, "UNION"), unions) << context;
+      }
+    }
+  }
+}
+
+TEST(MultiQueryEngineTest, RelabeledRootIsByteIdenticalToItsSoloRun) {
+  // Two plans whose root joins differ only in head label: the second
+  // plan's results are its relabel UNION's output, so the tuples and the
+  // derived-edge payload a multi-atom join emits must both carry that
+  // plan's own head label, exactly as when it runs alone.
+  Vocabulary vocab;
+  const InputStream stream = RandomStream(19, 0.2, &vocab);
+  const WindowSpec window(12, 3);
+  auto join = [&](const char* head) {
+    std::vector<LogicalPlan> kids;
+    kids.push_back(MakeWScan(*vocab.InternInputLabel("a"), window));
+    kids.push_back(MakeWScan(*vocab.InternInputLabel("b"), window));
+    return MakePattern(*vocab.InternDerivedLabel(head),
+                       {{"x", "y"}, {"y", "z"}}, "x", "z", std::move(kids));
+  };
+  const LogicalPlan plans[] = {join("J1"), join("J2")};
+  Engine engine{EngineOptions{}};
+  for (const LogicalPlan& plan : plans) {
+    ASSERT_TRUE(engine.AddPlan(*plan, vocab).ok());
+  }
+  EXPECT_EQ(CountOps(engine, "PATTERN"), 1u);
+  EXPECT_EQ(engine.executor().op(engine.QueryRoot(1))->Name(), "UNION");
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream);
+  ASSERT_FALSE(engine.results(1).empty());
+  for (std::size_t q = 0; q < 2; ++q) {
+    auto solo = QueryProcessor::Compile(*plans[q], vocab, EngineOptions{});
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    (*solo)->PushAll(stream);
+    ExpectByteIdentical((*solo)->results(),
+                        engine.results(static_cast<QueryId>(q)),
+                        "plan " + std::to_string(q));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-query byte-identity at num_workers = 1
 // ---------------------------------------------------------------------------
@@ -226,7 +322,7 @@ TEST_P(MultiQueryByteIdentityTest, EachQueryMatchesItsSoloRun) {
     Vocabulary vocab;
     const InputStream stream = RandomStream(seed, 0.2, &vocab);
     std::vector<StreamingGraphQuery> queries = MixedQueries(&vocab);
-    ASSERT_EQ(queries.size(), 3u);
+    ASSERT_EQ(queries.size(), 4u);
 
     EngineOptions options;
     options.path_impl = impl;
@@ -266,7 +362,7 @@ TEST(MultiQueryShardedTest, SnapshotEquivalentToSoloAndDeterministic) {
     Vocabulary vocab;
     const InputStream stream = RandomStream(321, 0.2, &vocab);
     std::vector<StreamingGraphQuery> queries = MixedQueries(&vocab);
-    ASSERT_EQ(queries.size(), 3u);
+    ASSERT_EQ(queries.size(), 4u);
 
     EngineOptions reference_options;
     reference_options.path_impl = impl;

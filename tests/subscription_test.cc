@@ -11,6 +11,10 @@
 //    stream suffix exactly as a static run over that suffix would;
 //  - live attach of a window slide finer than the running granularity is
 //    refused without disturbing the engine;
+//  - a join shared across head labels survives the removal of either
+//    query (the other keeps its relabel UNION or loses it with its
+//    suffix), is forgotten once both are gone, and is adopted, state and
+//    all, by a live-attached query that matches it up to its head label;
 //  - removing a query prunes its label postings: stream elements only it
 //    consumed stop counting as processed edges;
 //  - checkpoints record the removal history — a snapshot restores only
@@ -240,6 +244,159 @@ TEST(OperatorRefCountTest, SharedSubtreeSurvivesUntilLastSubscriber) {
 }
 
 // ---------------------------------------------------------------------------
+// A join shared across head labels
+// ---------------------------------------------------------------------------
+
+/// q0 compiles the a+ . b join under its head label Answer; q1 (shaped
+/// like the paper's Q7) derives the same join as RL, so it reads q0's join
+/// through a relabel UNION. Kept out of MixedQueries: removing q0 leaves
+/// q1 one operator (the UNION) above its never-added count by design.
+std::vector<StreamingGraphQuery> HeadLabelPair(Vocabulary* vocab) {
+  const char* texts[] = {
+      "Answer(x,z) <- a+(x,y), b(y,z)",
+      "RL(x,z) <- a+(x,y), b(y,z)\nAnswer(x,w) <- RL+(x,z), c(w,z)",
+  };
+  std::vector<StreamingGraphQuery> queries;
+  for (const char* text : texts) {
+    auto query = MakeQuery(text, WindowSpec(12, 3), vocab);
+    EXPECT_TRUE(query.ok()) << text;
+    if (query.ok()) queries.push_back(*query);
+  }
+  return queries;
+}
+
+std::size_t CountOps(const Engine& engine, const std::string& name) {
+  std::size_t count = 0;
+  for (OpId id = 0; id < static_cast<OpId>(engine.executor().NumOps());
+       ++id) {
+    const PhysicalOp* op = engine.executor().op(id);
+    if (op != nullptr && op->Name() == name) ++count;
+  }
+  return count;
+}
+
+/// Parameter: num_workers. Survivors are byte-identical to the reference
+/// at 1 worker and snapshot-equivalent to it at 2.
+class SharedJoinRemovalTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    stream_ = RandomStream(113, &vocab_);
+    queries_ = HeadLabelPair(&vocab_);
+    ASSERT_EQ(queries_.size(), 2u);
+    options_.num_workers = GetParam();
+  }
+
+  void ExpectMatches(const std::vector<Sgt>& reference,
+                     const std::vector<Sgt>& actual,
+                     const InputStream& stream, const std::string& context) {
+    ASSERT_FALSE(reference.empty()) << context;
+    if (GetParam() == 1) {
+      ExpectByteIdentical(reference, actual, context);
+      return;
+    }
+    for (Timestamp t : SampleTimes(stream, 6)) {
+      ASSERT_EQ(ResultPairsAt(actual, t), ResultPairsAt(reference, t))
+          << context << " t " << t;
+    }
+  }
+
+  /// Both queries registered, `removed` detached halfway through.
+  void RunWithRemoval(QueryId removed, Engine* engine) {
+    for (const StreamingGraphQuery& query : queries_) {
+      ASSERT_TRUE(engine->AddQuery(query, vocab_).ok());
+    }
+    ASSERT_TRUE(engine->Finalize().ok());
+    EXPECT_EQ(CountOps(*engine, "PATTERN"), 2u);  // shared join + q1 outer
+    const std::size_t half = stream_.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) engine->Push(stream_[i]);
+    ASSERT_TRUE(engine->RemoveQuery(removed).ok());
+    for (std::size_t i = half; i < stream_.size(); ++i) {
+      engine->Push(stream_[i]);
+    }
+    engine->Flush();
+  }
+
+  /// The never-added run: `q` alone over the whole stream.
+  void RunAlone(QueryId q, Engine* engine) {
+    ASSERT_TRUE(engine->AddQuery(queries_[q], vocab_).ok());
+    ASSERT_TRUE(engine->Finalize().ok());
+    engine->PushAll(stream_);
+  }
+
+  Vocabulary vocab_;
+  InputStream stream_;
+  std::vector<StreamingGraphQuery> queries_;
+  EngineOptions options_;
+};
+
+TEST_P(SharedJoinRemovalTest, RemovingTheEmittingQueryKeepsTheRelabelStage) {
+  // q0's removal leaves the join alive (q1 still reaches it), still
+  // emitting Answer into q1's relabel UNION.
+  Engine engine(options_);
+  ASSERT_NO_FATAL_FAILURE(RunWithRemoval(0, &engine));
+  Engine reference(options_);
+  ASSERT_NO_FATAL_FAILURE(RunAlone(1, &reference));
+  ExpectMatches(reference.results(0), engine.results(1), stream_,
+                "survivor q1");
+  EXPECT_EQ(engine.NumOperators(), reference.NumOperators() + 1);
+  EXPECT_EQ(CountOps(engine, "UNION"), 1u);
+  EXPECT_EQ(CountOps(reference, "UNION"), 0u);
+}
+
+TEST_P(SharedJoinRemovalTest, RemovingTheRelabeledQueryFreesItsSuffix) {
+  // q1's relabel UNION, RL+ PATH, outer PATTERN and sink go; q0 is left
+  // exactly as if q1 had never been registered.
+  Engine engine(options_);
+  ASSERT_NO_FATAL_FAILURE(RunWithRemoval(1, &engine));
+  Engine reference(options_);
+  ASSERT_NO_FATAL_FAILURE(RunAlone(0, &reference));
+  ExpectMatches(reference.results(0), engine.results(0), stream_,
+                "survivor q0");
+  EXPECT_EQ(engine.NumOperators(), reference.NumOperators());
+  EXPECT_EQ(CountOps(engine, "UNION"), 0u);
+}
+
+TEST_P(SharedJoinRemovalTest, ReattachAfterBothRemovedCompilesAFreshJoin) {
+  // Removing both destroys the join, so the dedup map must forget its
+  // signature and its head-label-free key: a re-attached q1 that found
+  // either would wire itself to a destroyed operator. It must compile a
+  // fresh join (no relabel stage) and see only the stream suffix.
+  Engine engine(options_);
+  for (const StreamingGraphQuery& query : queries_) {
+    ASSERT_TRUE(engine.AddQuery(query, vocab_).ok());
+  }
+  ASSERT_TRUE(engine.Finalize().ok());
+  const std::size_t third = stream_.size() / 3;
+  for (std::size_t i = 0; i < third; ++i) engine.Push(stream_[i]);
+  ASSERT_TRUE(engine.RemoveQuery(0).ok());
+  ASSERT_TRUE(engine.RemoveQuery(1).ok());
+  EXPECT_EQ(engine.NumOperators(), 0u);
+  for (std::size_t i = third; i < 2 * third; ++i) engine.Push(stream_[i]);
+
+  auto again = engine.AddQuery(queries_[1], vocab_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(CountOps(engine, "PATTERN"), 2u);
+  EXPECT_EQ(CountOps(engine, "UNION"), 0u);
+  for (std::size_t i = 2 * third; i < stream_.size(); ++i) {
+    engine.Push(stream_[i]);
+  }
+  engine.Flush();
+
+  const InputStream suffix(
+      stream_.begin() + static_cast<std::ptrdiff_t>(2 * third), stream_.end());
+  Engine reference(options_);
+  ASSERT_TRUE(reference.AddQuery(queries_[1], vocab_).ok());
+  ASSERT_TRUE(reference.Finalize().ok());
+  reference.PushAll(suffix);
+  EXPECT_EQ(engine.NumOperators(), reference.NumOperators());
+  ExpectMatches(reference.results(0), engine.results(*again), suffix,
+                "re-attached q1");
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, SharedJoinRemovalTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}));
+
+// ---------------------------------------------------------------------------
 // Live attach
 // ---------------------------------------------------------------------------
 
@@ -301,6 +458,49 @@ TEST(LiveAttachTest, ReSubscribeAfterFullDetachStartsFresh) {
       stream.begin() + static_cast<std::ptrdiff_t>(2 * third), stream.end());
   ExpectByteIdentical(RunSolo(queries[2], vocab, suffix, EngineOptions{}),
                       engine.results(*second), "re-subscribed suffix");
+}
+
+TEST(LiveAttachTest, HeadLabelTwinAdoptsTheRunningJoin) {
+  // A plan whose join matches a running join up to its head label attaches
+  // a relabel UNION to that join instead of compiling a fresh one, so it
+  // adopts the join's state: from the attach point on, its results are
+  // exactly the running plan's, under its own label.
+  Vocabulary vocab;
+  const InputStream stream = RandomStream(71, &vocab);
+  const WindowSpec window(12, 3);
+  auto join = [&](const char* head) {
+    std::vector<LogicalPlan> kids;
+    kids.push_back(MakeWScan(*vocab.InternInputLabel("a"), window));
+    kids.push_back(MakeWScan(*vocab.InternInputLabel("b"), window));
+    return MakePattern(*vocab.InternDerivedLabel(head),
+                       {{"x", "y"}, {"y", "z"}}, "x", "z", std::move(kids));
+  };
+  const LogicalPlan running = join("J1");
+  const LogicalPlan twin = join("J2");
+  const LabelId twin_label = twin->output_label;
+
+  Engine engine{EngineOptions{}};
+  ASSERT_TRUE(engine.AddPlan(*running, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  const std::size_t half = stream.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) engine.Push(stream[i]);
+  const std::size_t before = engine.results(0).size();
+  const std::size_t ops = engine.NumOperators();
+  auto attached = engine.AddPlan(*twin, vocab);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  EXPECT_EQ(engine.NumOperators(), ops + 2);  // relabel UNION + sink
+  for (std::size_t i = half; i < stream.size(); ++i) engine.Push(stream[i]);
+  engine.Flush();
+
+  std::vector<Sgt> expected(engine.results(0).begin() +
+                                static_cast<std::ptrdiff_t>(before),
+                            engine.results(0).end());
+  for (Sgt& r : expected) {
+    r.label = twin_label;
+    r.payload[0].label = twin_label;  // a two-atom join's derived edge
+  }
+  ASSERT_FALSE(expected.empty());
+  ExpectByteIdentical(expected, engine.results(*attached), "adopted join");
 }
 
 TEST(LiveAttachTest, FinerSlideIsRefusedWithoutDisturbingTheEngine) {
