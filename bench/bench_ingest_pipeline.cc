@@ -24,11 +24,9 @@
 //    "parse_tuples_per_sec":PT,"merge_stall_ns":M,
 //    "parser_stall_ns":[...],
 //    "ops_touched_per_edge":F,"index_skipped_dispatches":D}
-// File-mode rows (the bounded-memory chunk feeder, model/
-// file_chunk_source.h) carry two extra fields — "file_mode":"buffered"|
-// "mmap" and "readahead_stall_ns":N — and report
-// "speedup_vs_buffered" (same format × parsers, mmap over buffered)
-// in place of "speedup_async_vs_sync".
+// File rows (the bounded-memory pread chunk source, model/
+// file_chunk_source.h) carry two extra fields — "file_mode":"buffered"
+// and "readahead_stall_ns":N — in place of "speedup_async_vs_sync".
 // A human summary goes to stderr. exec_stall_ns >> ingest_stall_ns
 // confirms the run is ingest-bound (execution starved for parsed input).
 
@@ -80,15 +78,17 @@ void PrintRow(const sgq::RunMetrics& m, const char* workload,
 }
 
 void PrintFileRow(const sgq::RunMetrics& m, const char* workload,
-                  const char* file_mode, const char* format,
-                  std::size_t parsers, std::size_t batch, double speedup) {
+                  const char* format, std::size_t parsers,
+                  std::size_t batch) {
+  // "file_mode" stays in the row: it is an identity key of the committed
+  // baseline rows.
   std::printf(
       "{\"bench\":\"ingest_pipeline\",\"workload\":\"%s\","
       "\"workers\":1,\"cpus\":%zu,\"batch\":%zu,\"async\":1,\"pin\":0,"
-      "\"format\":\"%s\",\"parsers\":%zu,\"file_mode\":\"%s\","
-      "\"speedup_vs_buffered\":%.3f,\"readahead_stall_ns\":%llu,",
-      workload, sgq::bench::Cpus(), batch, format, parsers, file_mode,
-      speedup, static_cast<unsigned long long>(m.readahead_stall_ns));
+      "\"format\":\"%s\",\"parsers\":%zu,\"file_mode\":\"buffered\","
+      "\"readahead_stall_ns\":%llu,",
+      workload, sgq::bench::Cpus(), batch, format, parsers,
+      static_cast<unsigned long long>(m.readahead_stall_ns));
   PrintRowTail(m);
 }
 
@@ -240,8 +240,6 @@ int main() {
       options.num_workers = 1;
       options.async_ingest = true;
       options.ingest_parsers = parsers;
-      options.ingest_format =
-          use_binary ? StreamFormat::kBinary : StreamFormat::kCsv;
       const char* format = use_binary ? "binary" : "csv";
       auto metrics = RunSgaText(
           use_binary ? binary : csv, *query, &vocab, options,
@@ -263,13 +261,12 @@ int main() {
     }
   }
 
-  // File-ingest matrix: the bounded-memory chunk feeder (buffered pread
-  // vs mmap) against the same workload at workers=1. Both streams are
-  // rendered to temp files once; every cell re-ingests the file through
-  // RunSgaFile, so the measured region includes the feeder's I/O. The
-  // acceptance bar is parse throughput: the windowed feeder must not be
-  // slower than fully materializing the file first, and mmap should meet
-  // or beat buffered pread (speedup_vs_buffered >= ~1 modulo noise).
+  // File-ingest rows: the bounded-memory pread chunk source against the
+  // same workload at workers=1. Both streams are rendered to temp files
+  // once; every cell re-ingests the file through RunSgaFile, so the
+  // measured region includes the source's I/O. The acceptance bar is
+  // throughput: the windowed source must not be slower than fully
+  // materializing the file first.
   std::fprintf(stderr, "-- file ingest (%s, workers=1) --\n",
                matrix_w.name);
   const char* tmpdir = std::getenv("TMPDIR");
@@ -284,50 +281,27 @@ int main() {
     const char* format = use_binary ? "binary" : "csv";
     const std::string& path = use_binary ? bin_path : csv_path;
     for (std::size_t parsers : {std::size_t{1}, std::size_t{4}}) {
-      double buffered_tput = 0;
-      for (const FileIngestMode mode :
-           {FileIngestMode::kBuffered, FileIngestMode::kMmap}) {
-        const bool mmapped = mode == FileIngestMode::kMmap;
-        const char* mode_name = mmapped ? "mmap" : "buffered";
-        Vocabulary vocab;
-        auto query = MakeQuery(matrix_w.query, bench::PaperWindow(), &vocab);
-        bench::CheckOk(query.status(), matrix_w.name);
-        EngineOptions options;
-        options.batch_size = kBatch;
-        options.num_workers = 1;
-        options.async_ingest = true;
-        options.ingest_parsers = parsers;
-        options.ingest_file_mode = mode;
-        options.ingest_format =
-            use_binary ? StreamFormat::kBinary : StreamFormat::kCsv;
-        auto metrics = RunSgaFile(
-            path, *query, &vocab, options,
-            std::string("file/") + format + "/" + mode_name +
-                "/parsers=" + std::to_string(parsers));
-        bench::CheckOk(metrics.status(), "run");
-        check_results(metrics->results_emitted, matrix_results,
-                      metrics->name.c_str());
-        // Speedup over end-to-end throughput, not ParseTuplesPerSec: the
-        // binary parse busy time is microseconds at CI scale, so the
-        // per-parser ratio is pure noise there, while the wall-clock
-        // ratio is what the feeder actually changes.
-        const double tput = metrics->Throughput();
-        double speedup = 1.0;
-        if (!mmapped) {
-          buffered_tput = tput;
-        } else if (buffered_tput > 0) {
-          speedup = tput / buffered_tput;
-        }
-        PrintFileRow(*metrics, matrix_w.name, mode_name, format, parsers,
-                     kBatch, speedup);
-        std::fprintf(stderr,
-                     "  %-6s %-8s parsers=%zu  %10.0f tuples/s  "
-                     "parse %10.0f tuples/s  (%.2fx vs buffered)  "
-                     "readahead stall %.1f ms\n",
-                     format, mode_name, parsers, tput,
-                     metrics->ParseTuplesPerSec(), speedup,
-                     metrics->readahead_stall_ns / 1e6);
-      }
+      Vocabulary vocab;
+      auto query = MakeQuery(matrix_w.query, bench::PaperWindow(), &vocab);
+      bench::CheckOk(query.status(), matrix_w.name);
+      EngineOptions options;
+      options.batch_size = kBatch;
+      options.num_workers = 1;
+      options.async_ingest = true;
+      options.ingest_parsers = parsers;
+      auto metrics = RunSgaFile(path, *query, &vocab, options,
+                                std::string("file/") + format +
+                                    "/parsers=" + std::to_string(parsers));
+      bench::CheckOk(metrics.status(), "run");
+      check_results(metrics->results_emitted, matrix_results,
+                    metrics->name.c_str());
+      PrintFileRow(*metrics, matrix_w.name, format, parsers, kBatch);
+      std::fprintf(stderr,
+                   "  %-6s parsers=%zu  %10.0f tuples/s  "
+                   "parse %10.0f tuples/s  readahead stall %.1f ms\n",
+                   format, parsers, metrics->Throughput(),
+                   metrics->ParseTuplesPerSec(),
+                   metrics->readahead_stall_ns / 1e6);
     }
   }
   std::remove(csv_path.c_str());

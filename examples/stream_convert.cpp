@@ -2,22 +2,24 @@
 // binary format (model/stream_io.h, DESIGN.md §6).
 //
 // Usage:
-//   stream_convert [--to-binary | --to-csv] [--no-mmap] <input> <output>
+//   stream_convert [--to-binary | --to-csv] <input> <output>
 //
-// Without a direction flag the input format is sniffed by its magic bytes
-// and the stream is converted to the *other* format. Conversion is exact:
+// The input format is detected from its magic bytes; without a direction
+// flag the stream is converted to the *other* format. The input may be a
+// pipe (`stream_convert <(zcat s.csv.gz) s.sgqb`). Conversion is exact:
 // CSV -> binary -> CSV reproduces the original text byte for byte (the
 // binary dictionaries record names in first-use order, the same order a
 // CSV parse interns them).
 //
-// Bounded memory: the input streams through a windowed chunk feeder
-// (model/file_chunk_source.h; mmap where available, --no-mmap forces
-// buffered preads) and the output flushes through a 32 KB staging buffer
-// (FileByteSink), so converting a file much larger than RAM holds only
-// the readahead window, the staging buffer and the name dictionaries.
-// Writing SGQB needs the dictionaries and the record count in the header
-// before the first record, so that direction walks the input twice
-// (dictionary pass, then encode pass); writing CSV is single-pass.
+// Bounded memory: a regular input file streams through a windowed pread
+// chunk source (model/file_chunk_source.h) and the output flushes through
+// a 32 KB staging buffer (FileByteSink), so converting a file much larger
+// than RAM holds only the readahead window, the staging buffer and the
+// name dictionaries (a piped input is held in memory). Writing SGQB needs
+// the dictionaries and the record count in the header before the first
+// record, so that direction walks the opened input twice (dictionary
+// pass, then encode pass — the second walk reopens retired chunks);
+// writing CSV is single-pass.
 //
 // Exit status: 0 on success, 1 on I/O or parse errors, 2 on usage errors.
 
@@ -35,13 +37,11 @@ namespace {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: stream_convert [--to-binary | --to-csv] [--no-mmap] "
+               "usage: stream_convert [--to-binary | --to-csv] "
                "<input> <output>\n"
                "  --to-binary  write SGQB binary (input must be CSV or "
                "SGQB)\n"
                "  --to-csv     write CSV text (input must be CSV or SGQB)\n"
-               "  --no-mmap    read the input with buffered preads instead "
-               "of mmap\n"
                "  default      sniff the input format, convert to the "
                "other one\n");
 }
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
 
   bool have_target = false;
   StreamFormat target = StreamFormat::kBinary;
-  FileIngestMode mode = FileIngestMode::kAuto;
   const char* input_path = nullptr;
   const char* output_path = nullptr;
 
@@ -64,8 +63,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--to-csv") == 0) {
       target = StreamFormat::kCsv;
       have_target = true;
-    } else if (std::strcmp(argv[i], "--no-mmap") == 0) {
-      mode = FileIngestMode::kBuffered;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       PrintUsage(stdout);
@@ -89,31 +86,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto detected = DetectStreamFileFormat(input_path);
-  if (!detected.ok()) {
-    std::fprintf(stderr, "%s\n", detected.status().ToString().c_str());
-    return 1;
-  }
-  const StreamFormat source = *detected;
-  if (!have_target) {
-    target = source == StreamFormat::kCsv ? StreamFormat::kBinary
-                                          : StreamFormat::kCsv;
-  }
-
   // Decode with a fresh vocabulary so the binary dictionaries (and a
   // later CSV re-render) follow the stream's own first-use order. Both
   // passes share it; interning is idempotent, so ids are stable.
   Vocabulary vocab;
-  FileChunkOptions fco;
-  fco.mode = mode;
-  const auto open_input = [&] {
-    return MakeFileChunkSource(input_path, source, &vocab, fco);
-  };
-
-  auto in = open_input();
+  auto in = MakeFileChunkSource(input_path, std::nullopt, &vocab);
   if (!in.ok()) {
     std::fprintf(stderr, "%s\n", in.status().ToString().c_str());
     return 1;
+  }
+  const StreamFormat source = (*in)->format();
+  if (!have_target) {
+    target = source == StreamFormat::kCsv ? StreamFormat::kBinary
+                                          : StreamFormat::kCsv;
   }
   const std::uint64_t in_bytes = (*in)->file_size();
 
@@ -207,13 +192,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", input_path, s.ToString().c_str());
       return 1;
     }
-    // Pass 2: decode again (fresh source, same vocab — ids are stable)
+    // Pass 2: walk the same source again (same vocab — ids are stable)
     // and encode each record through the now-complete index maps.
-    in = open_input();
-    if (!in.ok()) {
-      std::fprintf(stderr, "%s\n", in.status().ToString().c_str());
-      return 1;
-    }
     ChunkWalkCursor cursor(**in, /*allow_disorder=*/false);
     for (;;) {
       const std::size_t n = cursor.Next(buf, kCap);

@@ -6,7 +6,7 @@
 //                    [--delta-path] [--slack N] [--batch N] [--workers N]
 //                    [--query FILE]... [--no-share] [--async-ingest]
 //                    [--pin-workers] [--format csv|binary|auto]
-//                    [--parsers N] [--mmap] [--no-mmap]
+//                    [--parsers N]
 //                    [--checkpoint-dir DIR] [--checkpoint-every N]
 //                    [--restore]
 //   stream_query_cli --serve <stream> [window] [slide] [engine flags]
@@ -14,7 +14,11 @@
 //   query-file   Datalog rules (rq.h syntax) or a G-CORE query (--gcore)
 //   stream       CSV lines `src,label,trg,timestamp[,+|-]` or an SGQB
 //                binary stream, timestamp-ordered (with --slack N,
-//                bounded disorder is tolerated)
+//                bounded disorder is tolerated). A regular file streams
+//                through a bounded pread window — peak ingest memory is
+//                O(window), not O(file), so files larger than RAM ingest
+//                fine; a pipe (e.g. `<(zcat s.csv.gz)`) is read once
+//                into memory.
 //   window/slide time-based sliding window, default 24 / 1 (positive
 //                integers)
 //   --query FILE register an additional standing query; all queries run
@@ -26,7 +30,9 @@
 //                --slack N the reorder stage runs on the ingest thread
 //                too. Results print when the stream drains.
 //   --format F   input stream encoding: csv, binary (SGQB), or auto
-//                (default — sniff the magic bytes)
+//                (default — detected from the magic bytes the stream
+//                source reads first; a CSV whose first vertex name starts
+//                with "SGQB" needs --format csv)
 //   --parsers N  shard the parse stage over N parser threads behind an
 //                order-restoring merge (DESIGN.md §6); N > 1 implies
 //                --async-ingest. Note: with N > 1 over CSV input,
@@ -35,13 +41,6 @@
 //                result line order) may vary run to run; binary streams
 //                intern their dictionary up front and stay fully
 //                deterministic.
-//   --mmap / --no-mmap   how the stream *file* is served to the parse
-//                stage: mmap with sequential readahead (--mmap; the
-//                default where available) or portable buffered preads
-//                (--no-mmap). Either way the file streams through a
-//                bounded readahead window — peak ingest memory is
-//                O(window), not O(file), so files larger than RAM ingest
-//                fine — and output is byte-identical between the two.
 //   --pin-workers   pin runtime threads to cores (best-effort affinity)
 //   --checkpoint-dir DIR   crash recovery (DESIGN.md §7): with
 //                --checkpoint-every N, write an SGQC snapshot
@@ -91,6 +90,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> extra_query_texts;
   Timestamp window = 24, slide = 1, slack = 0;
   bool use_gcore = false;
-  bool format_auto = true;
+  std::optional<StreamFormat> format;  // std::nullopt: detect
   std::string checkpoint_dir;
   std::uint64_t checkpoint_every = 0;
   bool restore = false;
@@ -189,10 +189,6 @@ int main(int argc, char** argv) {
       options.async_ingest = true;
     } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
       options.pin_workers = true;
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      options.ingest_file_mode = FileIngestMode::kMmap;
-    } else if (std::strcmp(argv[i], "--no-mmap") == 0) {
-      options.ingest_file_mode = FileIngestMode::kBuffered;
     } else if (std::strcmp(argv[i], "--query") == 0 && i + 1 < argc) {
       auto text = ReadFile(argv[++i]);
       if (!text.ok()) {
@@ -238,13 +234,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
       ++i;
       if (std::strcmp(argv[i], "csv") == 0) {
-        options.ingest_format = StreamFormat::kCsv;
-        format_auto = false;
+        format = StreamFormat::kCsv;
       } else if (std::strcmp(argv[i], "binary") == 0) {
-        options.ingest_format = StreamFormat::kBinary;
-        format_auto = false;
+        format = StreamFormat::kBinary;
       } else if (std::strcmp(argv[i], "auto") == 0) {
-        format_auto = true;
+        format = std::nullopt;
       } else {
         std::fprintf(stderr,
                      "--format: expected csv, binary or auto, got '%s'\n",
@@ -342,21 +336,6 @@ int main(int argc, char** argv) {
     ::mkdir(checkpoint_dir.c_str(), 0755);
   }
 
-  if (format_auto) {
-    if (stream_path.empty()) {
-      options.ingest_format = DetectStreamFormat(stream_text);
-    } else {
-      // Sniff the magic bytes without materializing the file.
-      auto detected = DetectStreamFileFormat(stream_path);
-      if (!detected.ok()) {
-        std::fprintf(stderr, "%s\n", detected.status().ToString().c_str());
-        return 1;
-      }
-      options.ingest_format = *detected;
-    }
-  }
-  const bool binary = options.ingest_format == StreamFormat::kBinary;
-
   Vocabulary vocab;
 
   if (serve) {
@@ -378,8 +357,11 @@ int main(int argc, char** argv) {
       }
       stream_text = std::move(text).ValueOrDie();
     }
-    auto stream = binary ? ParseStreamBinary(stream_text, &vocab)
-                         : ParseStreamCsv(stream_text, &vocab);
+    auto stream =
+        format.value_or(DetectStreamFormat(stream_text)) ==
+                StreamFormat::kBinary
+            ? ParseStreamBinary(stream_text, &vocab)
+            : ParseStreamCsv(stream_text, &vocab);
     if (!stream.ok()) {
       std::fprintf(stderr, "stream: %s\n",
                    stream.status().ToString().c_str());
@@ -427,27 +409,23 @@ int main(int argc, char** argv) {
   const bool multi = queries.size() > 1;
 
   // Every run reads one ChunkedStream: the stream file through the
-  // bounded readahead window (--mmap/--no-mmap), or the demo text in
-  // memory. --slack applies on either reader: the pipeline's merge stage
-  // or the chunk walk's ReorderBuffer below.
+  // bounded readahead window, or the demo text in memory. --slack applies
+  // on either reader: the pipeline's merge stage or the chunk walk's
+  // ReorderBuffer below.
   options.ingest_slack = slack;
   const FileChunkOptions chunking = IngestChunking(options);
   std::unique_ptr<ChunkedStream> source;
-  const char* file_mode_name = nullptr;  // set when a file feeds the run
   if (!stream_path.empty()) {
-    auto file = MakeFileChunkSource(stream_path, options.ingest_format,
-                                    &vocab, chunking);
+    auto file = MakeFileChunkSource(stream_path, format, &vocab, chunking);
     if (!file.ok()) {
       std::fprintf(stderr, "stream: %s\n", file.status().ToString().c_str());
       return 1;
     }
-    file_mode_name =
-        (*file)->mode() == FileIngestMode::kMmap ? "mmap" : "buffered";
     source = std::move(file).ValueOrDie();
   } else {
-    auto chunked = MakeChunkedStream(stream_text, options.ingest_format,
-                                     &vocab, chunking.allow_disorder,
-                                     chunking.min_chunks);
+    auto chunked =
+        MakeChunkedStream(stream_text, format, &vocab,
+                          chunking.allow_disorder, chunking.min_chunks);
     if (!chunked.ok()) {
       std::fprintf(stderr, "stream: %s\n",
                    chunked.status().ToString().c_str());
@@ -668,9 +646,9 @@ int main(int argc, char** argv) {
                    engine.results_emitted(static_cast<QueryId>(q)));
     }
   }
-  if (file_mode_name != nullptr) {
-    std::fprintf(stderr, "file ingest (%s): readahead stall %.3f ms\n",
-                 file_mode_name, source->ReadaheadStallNs() / 1e6);
+  if (!stream_path.empty()) {
+    std::fprintf(stderr, "file ingest: readahead stall %.3f ms\n",
+                 source->ReadaheadStallNs() / 1e6);
   }
   if (options.async_ingest) {
     const IngestStats& ingest = engine.ingest_stats();

@@ -69,13 +69,13 @@ Result<QueryId> Engine::AddPlan(const LogicalOp& plan,
   ops_before_current_plan_ = executor_.NumOps();
   SGQ_ASSIGN_OR_RETURN(OpId root, Build(plan, vocab));
 
-  // PATTERN and PATH coalesce their own output (Def. 11); re-coalescing at
-  // the sink would only repeat the work. UNION/FILTER/WSCAN roots can still
-  // emit snapshot-redundant tuples, so the sink coalesces for them.
+  // Results are coalesced (Def. 11). PATTERN and PATH coalesce their own
+  // output; re-coalescing at the sink would only repeat the work.
+  // UNION/FILTER/WSCAN roots can still emit snapshot-redundant tuples, so
+  // the sink coalesces for them.
   const bool root_coalesces = plan.kind == LogicalOpKind::kPattern ||
                               plan.kind == LogicalOpKind::kPath;
-  auto sink = std::make_unique<SinkOp>(options_.coalesce_output &&
-                                       !root_coalesces);
+  auto sink = std::make_unique<SinkOp>(!root_coalesces);
   SinkOp* sink_ptr = sink.get();
   const OpId sink_id = executor_.AddOp(std::move(sink));
   SGQ_RETURN_NOT_OK(executor_.Connect(root, sink_id, 0));
@@ -293,7 +293,6 @@ std::vector<std::pair<std::string, std::string>> Engine::IdentityKeys()
   return {
       {"path_impl",
        options_.path_impl == PathImpl::kSPath ? "spath" : "delta-path"},
-      {"coalesce_output", options_.coalesce_output ? "1" : "0"},
       {"batch_size", std::to_string(options_.batch_size)},
       {"num_workers", std::to_string(options_.num_workers)},
       {"cross_query_sharing", options_.cross_query_sharing ? "1" : "0"},
@@ -305,8 +304,6 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
   // Ingest-side knobs change how bytes become elements, not what operator
   // state means — recorded for checkpoint_inspect, never refused.
   return {
-      {"ingest_format",
-       options_.ingest_format == StreamFormat::kCsv ? "csv" : "binary"},
       {"ingest_parsers", std::to_string(options_.ingest_parsers)},
       {"async_ingest", options_.async_ingest ? "1" : "0"},
       {"ingest_slack", std::to_string(options_.ingest_slack)},

@@ -73,8 +73,6 @@ struct EngineOptions {
   /// Physical implementation chosen for PATH operators (§6.2.3/§6.2.4).
   /// Engine-wide: a shared subtree must resolve to one implementation.
   PathImpl path_impl = PathImpl::kSPath;
-  /// Coalesce value-equivalent results at each query's sink (Def. 11).
-  bool coalesce_output = true;
   /// Micro-batch size of the runtime's ingest queue. 1 (the default)
   /// reproduces tuple-at-a-time semantics exactly; larger values trade
   /// result latency for throughput (results materialize when the batch
@@ -100,9 +98,9 @@ struct EngineOptions {
   /// execution runs on the calling thread, instead of walking the chunks
   /// inline before each Push. Execution order is unchanged, so results
   /// keep the exact contract of the synchronous path (byte-identical at
-  /// num_workers=1/batch_size=1). Engine-level only — the engine itself
-  /// never reads it (PushAll always pushes inline); recorded in
-  /// checkpoints.
+  /// num_workers=1/batch_size=1). The engine itself never reads it
+  /// (PushAll always pushes inline), the only such field: it stays
+  /// because the placement is a real choice. Recorded in checkpoints.
   bool async_ingest = false;
   /// Pin runtime threads to cores: workers to [0, num_workers), the
   /// pipeline's parse threads to the slots after them. Best-effort
@@ -120,19 +118,6 @@ struct EngineOptions {
   /// included: N > 1 decodes stream chunks on N threads behind the
   /// order-restoring merge; 1 (the default) is one ingest thread.
   std::size_t ingest_parsers = 1;
-  /// Declared encoding of raw stream bytes fed through the ChunkedStream
-  /// runners (workload/harness.h RunSgaText/RunSgaFile, the CLI): CSV
-  /// text or the SGQB binary record format. Engine-level only — the
-  /// executor sees decoded elements either way.
-  StreamFormat ingest_format = StreamFormat::kCsv;
-  /// How file-backed ingest (workload/harness.h RunSgaFile, the CLI)
-  /// maps stream bytes: mmap with sequential readahead where available
-  /// (kAuto), forced mmap, or portable buffered preads. Either way the
-  /// file is served through a bounded readahead window — peak
-  /// ingest-buffer memory is O(window · ~256 KB), not O(file) — and the
-  /// decoded element sequence is byte-identical to materializing the
-  /// file first (model/file_chunk_source.h).
-  FileIngestMode ingest_file_mode = FileIngestMode::kAuto;
 };
 
 /// \brief N persistent queries compiled onto one shared dataflow.

@@ -59,7 +59,7 @@ class QueryProcessor {
   /// \brief Drains any buffered micro-batch (no-op at batch_size 1).
   void Flush() { engine_.Flush(); }
 
-  /// \brief All results emitted so far (coalesced if configured). With
+  /// \brief All results emitted so far (coalesced, Def. 11). With
   /// batch_size > 1, reflects the input flushed so far.
   const std::vector<Sgt>& results() const { return engine_.results(0); }
 

@@ -51,7 +51,10 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// Version 3: the "meta" identity list lost its two dispatch keys (the
 /// query-index switch and the time-advance state bar) when the executor
 /// went down to one dispatch path; every other section is unchanged.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// Version 4: "meta" lost the sink-coalescing identity key (results are
+/// always coalesced) and the declared-stream-format informational key
+/// (chunk sources detect the format); every other section is unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers

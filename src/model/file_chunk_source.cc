@@ -9,7 +9,6 @@
 
 #if !defined(_WIN32)
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #define SGQ_FILE_SOURCE_POSIX 1
@@ -31,6 +30,18 @@ std::uint64_t ElapsedNs(Clock::time_point start) {
 std::string ErrnoText(int err) {
   if (err == 0) return "unknown error";
   return std::strerror(err);
+}
+
+/// \brief Chunk sizing: at least `min_chunks` chunks so every parser
+/// thread has work even on small inputs, but no smaller than ~256 KB per
+/// chunk on large inputs (finer slicing only adds merge overhead).
+std::size_t PickNumChunks(std::uint64_t payload_bytes,
+                          std::size_t min_chunks) {
+  constexpr std::uint64_t kChunkTargetBytes = 256 * 1024;
+  min_chunks = std::max<std::size_t>(min_chunks, 1);
+  const std::size_t by_size = static_cast<std::size_t>(
+      (payload_bytes + kChunkTargetBytes - 1) / kChunkTargetBytes);
+  return std::max(min_chunks, by_size);
 }
 
 /// \brief A cursor that is already dead: Next yields nothing and status()
@@ -72,36 +83,59 @@ class RetiringCursor : public StreamCursor {
   std::unique_ptr<StreamCursor> inner_;
 };
 
-#if defined(SGQ_FILE_SOURCE_POSIX)
 /// \brief pread() exactly `len` bytes at `off`, surviving short reads.
+/// Errors name the file and the offset where the read came up short.
 Status PreadExact(int fd, char* dst, std::size_t len, std::uint64_t off,
                   const std::string& path) {
+#if defined(SGQ_FILE_SOURCE_POSIX)
   while (len > 0) {
     const ssize_t n = ::pread(fd, dst, len, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("read error on stream file: " + path + ": " +
-                              ErrnoText(errno));
-    }
-    if (n == 0) {
-      return Status::Internal("read error on stream file: " + path +
-                              ": unexpected end of file");
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      return Status::Internal(
+          "read error on stream file: " + path + " at offset " +
+          std::to_string(off) + ": " +
+          (n == 0 ? std::string("unexpected end of file") : ErrnoText(errno)));
     }
     dst += n;
     len -= static_cast<std::size_t>(n);
     off += static_cast<std::uint64_t>(n);
   }
   return Status::OK();
+#else
+  (void)fd, (void)dst, (void)len, (void)off, (void)path;
+  return Status::Internal("file chunk source: no pread on this platform");
+#endif
+}
+
+#if defined(SGQ_FILE_SOURCE_POSIX)
+/// \brief Reads `fd` to end of input — the resident origin of files that
+/// cannot be windowed (pipes: the chunk count needs the size up front).
+Status ReadToEnd(int fd, const std::string& path, std::string* out) {
+  char block[kStreamIoBufferBytes];
+  for (;;) {
+    const ssize_t n = ::read(fd, block, sizeof(block));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal("read error on stream file: " + path + ": " +
+                              ErrnoText(errno));
+    }
+    if (n == 0) return Status::OK();
+    out->append(block, static_cast<std::size_t>(n));
+  }
 }
 #endif
 
 }  // namespace
 
+FileChunkSource::FileChunkSource(Vocabulary* vocab,
+                                 const FileChunkOptions& options)
+    : vocab_(vocab),
+      allow_disorder_(options.allow_disorder),
+      window_(std::max<std::size_t>(options.readahead_chunks, 2)) {}
+
 FileChunkSource::~FileChunkSource() {
 #if defined(SGQ_FILE_SOURCE_POSIX)
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_size_);
-  }
   if (fd_ >= 0) ::close(fd_);
 #endif
 }
@@ -117,135 +151,112 @@ void FileChunkSource::Abort() const {
   cv_.notify_all();
 }
 
-FileChunkSource::LoadResult FileChunkSource::LoadChunk(
-    std::size_t k, std::uint64_t begin, std::string recycled) const {
-  LoadResult r;
-  const std::uint64_t size = file_size_;
-  const std::size_t n = chunks_.size();
+Status FileChunkSource::Fill(std::uint64_t begin, std::uint64_t upto,
+                             std::string* buffer,
+                             std::string_view* view) const {
+  const std::size_t len = static_cast<std::size_t>(upto - begin);
+  if (fd_ < 0) {
+    *view = resident_.substr(static_cast<std::size_t>(begin), len);
+    return Status::OK();
+  }
+  const std::size_t have = buffer->size();
+  buffer->resize(len);
+  *view = *buffer;
+  if (len <= have) return Status::OK();
+  return PreadExact(fd_, buffer->data() + have, len - have, begin + have,
+                    path_);
+}
 
+FileChunkSource::LoadResult FileChunkSource::LoadChunk(
+    std::size_t k, std::uint64_t begin, std::string buffer) const {
+  LoadResult r;
+  r.buffer = std::move(buffer);
+  std::string_view view;
   if (format_ == StreamFormat::kBinary) {
     // Record-aligned boundaries were fixed arithmetically at
     // construction; loading is pure byte transfer.
     r.end = chunks_[k].end;
-    begin = chunks_[k].begin;
-    if (map_ != nullptr || materialized_) return r;
-#if defined(SGQ_FILE_SOURCE_POSIX)
-    r.buffer = std::move(recycled);
-    r.buffer.resize(static_cast<std::size_t>(r.end - begin));
-    r.status = PreadExact(fd_, r.buffer.data(), r.buffer.size(), begin,
-                          path_);
-#endif
+    r.status = Fill(begin, r.end, &r.buffer, &view);
     return r;
   }
 
-  // CSV: replicate the in-memory splitter exactly — ideal boundary
-  // size*(k+1)/n, extended to the first newline at or after it; a chunk
-  // whose ideal boundary fell behind its begin collapses to empty (the
-  // newline ending the previous chunk is also the first at/after this
-  // ideal boundary — boundaries are monotone).
-  const std::uint64_t ideal =
-      (k + 1 == n) ? size
-                   : (size * static_cast<std::uint64_t>(k + 1)) / n;
-  if (k + 1 < n && ideal < begin) {
-    r.end = begin;
-    return r;
-  }
-
-  const char* base = materialized_ ? owned_.data() : map_;
-  if (base != nullptr) {
-    // Mapped/materialized: boundary scan directly over the bytes (this
-    // touch is the sequential page-in mmap readahead runs ahead of).
-    std::uint64_t end = size;
-    if (k + 1 < n) {
-      const char* nl = static_cast<const char*>(std::memchr(
-          base + ideal, '\n', static_cast<std::size_t>(size - ideal)));
-      end = (nl == nullptr) ? size
-                            : static_cast<std::uint64_t>(nl - base) + 1;
+  // CSV: the ideal boundary size*(k+1)/n, extended to the first newline
+  // at or after it, scanned one I/O block at a time. A chunk whose ideal
+  // boundary fell behind its begin collapses to empty (the newline ending
+  // the previous chunk is also the first at/after this ideal boundary —
+  // boundaries are monotone).
+  const std::size_t n = chunks_.size();
+  std::uint64_t end = size_;
+  if (k + 1 < n) {
+    const std::uint64_t ideal =
+        (size_ * static_cast<std::uint64_t>(k + 1)) / n;
+    if (ideal < begin) {
+      r.end = begin;
+      return r;
     }
-    end = std::max(end, begin);
-    r.end = end;
-    r.newlines = static_cast<std::size_t>(
-        std::count(base + begin, base + end, '\n'));
-    return r;
-  }
-
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  // Buffered: read [begin, ideal), then extend block-by-block until the
-  // boundary newline (or EOF). Every byte is read exactly once — the next
-  // chunk starts its own pread at this chunk's end.
-  r.buffer = std::move(recycled);
-  r.buffer.clear();
-  const std::size_t head = static_cast<std::size_t>(ideal - begin);
-  r.buffer.resize(head);
-  if (head > 0) {
-    r.status = PreadExact(fd_, r.buffer.data(), head, begin, path_);
-    if (!r.status.ok()) return r;
-  }
-  std::uint64_t cur = ideal;
-  std::uint64_t end = size;
-  bool found = (k + 1 == n);
-  while (!found && cur < size) {
-    const std::size_t block = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kStreamIoBufferBytes, size - cur));
-    const std::size_t at = r.buffer.size();
-    r.buffer.resize(at + block);
-    r.status = PreadExact(fd_, r.buffer.data() + at, block, cur, path_);
-    if (!r.status.ok()) return r;
-    const char* nl = static_cast<const char*>(
-        std::memchr(r.buffer.data() + at, '\n', block));
-    if (nl != nullptr) {
-      end = cur + static_cast<std::uint64_t>(nl - (r.buffer.data() + at)) +
-            1;
-      found = true;
-    }
-    cur += block;
-  }
-  if (found && end < size) {
-    r.buffer.resize(static_cast<std::size_t>(end - begin));
-  } else {
-    // Final chunk, boundary newline on the last byte, or no boundary
-    // newline at all: the chunk runs to EOF; read whatever the head/scan
-    // loop did not cover yet.
-    end = size;
-    const std::size_t have = r.buffer.size();
-    const std::size_t want = static_cast<std::size_t>(end - begin);
-    if (have < want) {
-      r.buffer.resize(want);
-      r.status = PreadExact(fd_, r.buffer.data() + have, want - have,
-                            begin + have, path_);
+    for (std::uint64_t at = ideal; at < size_;) {
+      const std::uint64_t upto = std::min<std::uint64_t>(
+          at + kStreamIoBufferBytes, size_);
+      r.status = Fill(begin, upto, &r.buffer, &view);
       if (!r.status.ok()) return r;
+      const char* from = view.data() + (at - begin);
+      const void* nl =
+          std::memchr(from, '\n', static_cast<std::size_t>(upto - at));
+      if (nl != nullptr) {
+        end = at + static_cast<std::uint64_t>(
+                       static_cast<const char*>(nl) - from) + 1;
+        break;
+      }
+      at = upto;
     }
   }
-  r.end = std::max(end, begin);
-  r.newlines = static_cast<std::size_t>(
-      std::count(r.buffer.begin(), r.buffer.end(), '\n'));
+  r.status = Fill(begin, end, &r.buffer, &view);
+  if (!r.status.ok()) return r;
+  r.end = end;
+  r.newlines =
+      static_cast<std::size_t>(std::count(view.begin(), view.end(), '\n'));
   return r;
-#else
-  r.status = Status::Internal("file chunk source: no read path");
-  return r;
-#endif
 }
 
-Status FileChunkSource::ReloadChunk(ChunkState* c) const {
-  if (map_ != nullptr || materialized_) return Status::OK();
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  c->buffer.resize(static_cast<std::size_t>(c->end - c->begin));
-  return PreadExact(fd_, c->buffer.data(), c->buffer.size(), c->begin,
-                    path_);
-#else
-  return Status::Internal("file chunk source: no read path");
-#endif
+void FileChunkSource::AdmitChunk(std::size_t k, std::uint64_t begin,
+                                 LoadResult r) const {
+  ChunkState& c = chunks_[k];
+  if (format_ == StreamFormat::kCsv) {
+    c.begin = begin;
+    c.end = r.end;
+    c.base_line = lines_so_far_;
+    next_begin_ = r.end;
+    lines_so_far_ += r.newlines;
+  }
+  c.buffer = std::move(r.buffer);
+  c.phase = ChunkPhase::kLoaded;
+  next_unresolved_ = k + 1;
+  ++loaded_;
+  HoldChunkBytes(c);
+}
+
+void FileChunkSource::HoldChunkBytes(const ChunkState& c) const {
+  resident_bytes_ += fd_ < 0 ? c.end - c.begin : c.buffer.capacity();
+  peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
+}
+
+std::string FileChunkSource::TakePooledBuffer() const {
+  std::string buffer;
+  if (!free_buffers_.empty()) {
+    buffer = std::move(free_buffers_.back());
+    free_buffers_.pop_back();
+    resident_bytes_ -= buffer.capacity();
+    buffer.clear();  // Fill reads its size as bytes already held
+  }
+  return buffer;
 }
 
 std::unique_ptr<StreamCursor> FileChunkSource::MakeChunkCursor(
     const ChunkState& c) const {
-  const char* base = materialized_ ? owned_.data()
-                     : map_ != nullptr ? map_
-                                       : c.buffer.data();
-  const std::uint64_t view_begin =
-      (map_ != nullptr || materialized_) ? c.begin : 0;
-  const std::string_view view(base + view_begin,
-                              static_cast<std::size_t>(c.end - c.begin));
+  const std::string_view view =
+      fd_ < 0 ? resident_.substr(static_cast<std::size_t>(c.begin),
+                                 static_cast<std::size_t>(c.end - c.begin))
+              : std::string_view(c.buffer);
   if (format_ == StreamFormat::kBinary) {
     return std::make_unique<BinaryStreamCursor>(
         header_, view, static_cast<std::size_t>(c.begin), allow_disorder_);
@@ -256,8 +267,12 @@ std::unique_ptr<StreamCursor> FileChunkSource::MakeChunkCursor(
 
 std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
     std::size_t i) const {
-  const auto t0 = Clock::now();
   SGQ_CHECK(i < chunks_.size()) << "chunk index out of range";
+  // Resident chunks were all resolved at construction and are never
+  // released: nothing to load, wait for or retire.
+  if (fd_ < 0) return MakeChunkCursor(chunks_[i]);
+
+  const auto t0 = Clock::now();
   std::unique_ptr<StreamCursor> out;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -279,13 +294,16 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
         break;
       }
       if (c.phase == ChunkPhase::kRetired) {
-        // Reopening a retired chunk (tests, never the pipeline): the
-        // boundary is known, only the bytes may need re-reading. Counts
-        // against the window high-water mark but does not wait for a
-        // slot — a reopened chunk must not deadlock a full window.
+        // Reopening a retired chunk (a second walk, never the pipeline):
+        // the boundary is known, only the bytes need re-reading, into a
+        // pooled buffer like any load. Counts against the window
+        // high-water mark but does not wait for a slot — a reopened chunk
+        // must not deadlock a full window.
         c.phase = ChunkPhase::kLoading;
+        std::string buffer = TakePooledBuffer();
         lock.unlock();
-        Status reloaded = ReloadChunk(&c);
+        std::string_view view;
+        Status reloaded = Fill(c.begin, c.end, &buffer, &view);
         lock.lock();
         if (!reloaded.ok()) {
           c.phase = ChunkPhase::kRetired;
@@ -293,11 +311,10 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
           out = std::make_unique<ErrorCursor>(std::move(reloaded));
           break;
         }
+        c.buffer = std::move(buffer);
         c.phase = ChunkPhase::kLoaded;
-        ++resident_;
-        resident_bytes_ += c.end - c.begin;
-        peak_resident_bytes_ =
-            std::max(peak_resident_bytes_, resident_bytes_);
+        ++loaded_;
+        HoldChunkBytes(c);
         cv_.notify_all();
         continue;
       }
@@ -306,18 +323,14 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
         continue;
       }
       // Unresolved: resolution is strictly sequential and windowed.
-      if (resolving_ || resident_ >= window_ || next_unresolved_ > i) {
+      if (resolving_ || loaded_ >= window_ || next_unresolved_ > i) {
         cv_.wait(lock);
         continue;
       }
       const std::size_t k = next_unresolved_;
       const std::uint64_t begin =
           format_ == StreamFormat::kBinary ? chunks_[k].begin : next_begin_;
-      std::string recycled;
-      if (!free_buffers_.empty()) {
-        recycled = std::move(free_buffers_.back());
-        free_buffers_.pop_back();
-      }
+      std::string recycled = TakePooledBuffer();
       resolving_ = true;
       lock.unlock();
       LoadResult r = LoadChunk(k, begin, std::move(recycled));
@@ -329,21 +342,7 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
           failed_chunk_ = k;
         }
       } else {
-        ChunkState& loaded = chunks_[k];
-        if (format_ != StreamFormat::kBinary) {
-          loaded.begin = begin;
-          loaded.end = r.end;
-          loaded.base_line = lines_so_far_;
-          next_begin_ = r.end;
-          lines_so_far_ += r.newlines;
-        }
-        loaded.buffer = std::move(r.buffer);
-        loaded.phase = ChunkPhase::kLoaded;
-        next_unresolved_ = k + 1;
-        ++resident_;
-        resident_bytes_ += loaded.end - loaded.begin;
-        peak_resident_bytes_ =
-            std::max(peak_resident_bytes_, resident_bytes_);
+        AdmitChunk(k, begin, std::move(r));
       }
       cv_.notify_all();
     }
@@ -358,200 +357,128 @@ void FileChunkSource::RetireChunk(std::size_t i) const {
   if (c.opens > 0) --c.opens;
   if (c.opens > 0 || c.phase != ChunkPhase::kLoaded) return;
   c.phase = ChunkPhase::kRetired;
-  --resident_;
-  resident_bytes_ -= c.end - c.begin;
-  if (!c.buffer.empty()) {
-    free_buffers_.push_back(std::move(c.buffer));
-    c.buffer = std::string();
-  }
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  if (map_ != nullptr && c.end > c.begin) {
-    // Return the chunk's pages to the kernel so the mapping's resident
-    // set slides with the window. Inner page-aligned range only;
-    // advisory, so failure is ignorable.
-    const std::uint64_t page = static_cast<std::uint64_t>(
-        ::sysconf(_SC_PAGESIZE));
-    const std::uint64_t lo = (c.begin + page - 1) / page * page;
-    const std::uint64_t hi = c.end / page * page;
-    if (hi > lo) {
-      ::madvise(const_cast<char*>(map_) + lo,
-                static_cast<std::size_t>(hi - lo), MADV_DONTNEED);
-    }
-  }
-#endif
+  --loaded_;
+  // The buffer's bytes stay held, in the pool, until a load takes it.
+  free_buffers_.push_back(std::move(c.buffer));
+  c.buffer = std::string();
   cv_.notify_all();
 }
 
-Result<StreamFormat> DetectStreamFileFormat(const std::string& path) {
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return Status::InvalidArgument("cannot open stream file: " + path +
-                                   ": is a directory");
+Status FileChunkSource::Split(std::optional<StreamFormat> format,
+                              std::size_t min_chunks) {
+  // The stream's first bytes, read once: the resident buffer, or a pread
+  // prefix that also serves as the first binary-header attempt.
+  std::string prefix_buffer;
+  std::string_view prefix = resident_;
+  if (fd_ >= 0 && format != StreamFormat::kCsv) {
+    SGQ_RETURN_NOT_OK(Fill(0, std::min<std::uint64_t>(
+                                  size_, 2 * kStreamIoBufferBytes),
+                           &prefix_buffer, &prefix));
   }
-#endif
-  errno = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open stream file: " + path + ": " +
-                            ErrnoText(errno));
+  format_ = format.value_or(DetectStreamFormat(prefix));
+
+  if (format_ == StreamFormat::kCsv) {
+    chunks_.resize(PickNumChunks(size_, min_chunks));
+  } else {
+    // Parse the header once, up front (deterministic interning), growing
+    // a pread prefix only while the dictionaries extend past it. Any
+    // other failure (bad magic, bad version, bad counts) is final and
+    // matches the whole-buffer parse's text.
+    Result<BinaryStreamHeader> parsed =
+        ParseBinaryStreamHeaderPrefix(prefix, size_, vocab_);
+    while (!parsed.ok() && prefix.size() < size_ &&
+           parsed.status().message().find("truncated header") !=
+               std::string::npos) {
+      SGQ_RETURN_NOT_OK(
+          Fill(0, std::min<std::uint64_t>(size_, 4 * prefix.size()),
+               &prefix_buffer, &prefix));
+      parsed = ParseBinaryStreamHeaderPrefix(prefix, size_, vocab_);
+    }
+    SGQ_RETURN_NOT_OK(parsed.status());
+    const std::uint64_t records = parsed->num_records;
+    const std::uint64_t records_offset = parsed->records_offset;
+    header_ = std::make_shared<const BinaryStreamHeader>(
+        std::move(parsed).ValueOrDie());
+    const std::size_t n = PickNumChunks(records * kBinaryRecordBytes,
+                                        min_chunks);
+    chunks_.resize(n);
+    std::uint64_t begin = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t end =
+          std::max(begin, (i + 1 == n) ? records
+                                       : (records * (i + 1)) / n);
+      chunks_[i].begin = records_offset + begin * kBinaryRecordBytes;
+      chunks_[i].end = records_offset + end * kBinaryRecordBytes;
+      begin = end;
+    }
   }
-  char magic[sizeof(kBinaryStreamMagic)] = {0};
-  const std::size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return DetectStreamFormat(std::string_view(magic, n));
+
+  if (fd_ < 0) {
+    // Resident: resolve every chunk now, so OpenChunk never waits.
+    window_ = chunks_.size();
+    for (std::size_t k = 0; k < chunks_.size(); ++k) {
+      const std::uint64_t begin =
+          format_ == StreamFormat::kBinary ? chunks_[k].begin : next_begin_;
+      AdmitChunk(k, begin, LoadChunk(k, begin, std::string()));
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
+    const std::string& bytes, std::optional<StreamFormat> format,
+    Vocabulary* vocab, bool allow_disorder, std::size_t min_chunks) {
+  FileChunkOptions options;
+  options.allow_disorder = allow_disorder;
+  auto source =
+      std::unique_ptr<FileChunkSource>(new FileChunkSource(vocab, options));
+  source->resident_ = bytes;
+  source->size_ = bytes.size();
+  SGQ_RETURN_NOT_OK(source->Split(format, min_chunks));
+  return std::unique_ptr<ChunkedStream>(std::move(source));
 }
 
 Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
-    const std::string& path, StreamFormat format, Vocabulary* vocab,
-    const FileChunkOptions& options) {
-  auto source = std::unique_ptr<FileChunkSource>(new FileChunkSource());
+    const std::string& path, std::optional<StreamFormat> format,
+    Vocabulary* vocab, const FileChunkOptions& options) {
+  auto source =
+      std::unique_ptr<FileChunkSource>(new FileChunkSource(vocab, options));
   source->path_ = path;
-  source->format_ = format;
-  source->vocab_ = vocab;
-  source->allow_disorder_ = options.allow_disorder;
-  source->window_ = std::max<std::size_t>(options.readahead_chunks, 2);
-
 #if defined(SGQ_FILE_SOURCE_POSIX)
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return Status::InvalidArgument("cannot open stream file: " + path +
-                                   ": is a directory");
-  }
   errno = 0;
-  source->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (source->fd_ < 0) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("cannot open stream file: " + path + ": " +
                             ErrnoText(errno));
   }
-  if (::fstat(source->fd_, &st) != 0) {
+  source->fd_ = fd;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
     return Status::Internal("read error on stream file: " + path + ": " +
                             ErrnoText(errno));
   }
-  if (!S_ISREG(st.st_mode)) {
-    // Pipes and other non-seekable inputs cannot be windowed (chunk
-    // count needs the total size up front): degrade to a resident
-    // buffer. Forced mmap has nothing to map.
-    if (options.mode == FileIngestMode::kMmap) {
-      return Status::InvalidArgument(
-          "cannot mmap non-regular stream file: " + path);
-    }
-    SGQ_ASSIGN_OR_RETURN(source->owned_, ReadFileBytes(path));
-    source->materialized_ = true;
-    source->mode_ = FileIngestMode::kBuffered;
-    source->file_size_ = source->owned_.size();
+  if (S_ISDIR(st.st_mode)) {
+    return Status::InvalidArgument("cannot open stream file: " + path +
+                                   ": is a directory");
+  }
+  if (S_ISREG(st.st_mode) && st.st_size > 0) {
+    source->size_ = static_cast<std::uint64_t>(st.st_size);
   } else {
-    source->file_size_ = static_cast<std::uint64_t>(st.st_size);
-    const bool want_mmap = options.mode != FileIngestMode::kBuffered;
-    if (want_mmap && source->file_size_ > 0) {
-      void* map = ::mmap(nullptr,
-                         static_cast<std::size_t>(source->file_size_),
-                         PROT_READ, MAP_PRIVATE, source->fd_, 0);
-      if (map != MAP_FAILED) {
-        source->map_ = static_cast<const char*>(map);
-        source->map_size_ = static_cast<std::size_t>(source->file_size_);
-        source->mode_ = FileIngestMode::kMmap;
-        ::madvise(map, source->map_size_, MADV_SEQUENTIAL);
-      } else if (options.mode == FileIngestMode::kMmap) {
-        return Status::Internal("cannot mmap stream file: " + path + ": " +
-                                ErrnoText(errno));
-      }
-    }
-    if (source->map_ == nullptr) {
-      if (source->file_size_ == 0) {
-        // Empty file: nothing to map or window.
-        source->materialized_ = true;
-      }
-      source->mode_ = FileIngestMode::kBuffered;
-    }
+    // Pipes cannot be windowed (the chunk count needs the size up
+    // front), and an empty file has nothing to window: read the input
+    // once, from this descriptor — a pipe yields its bytes only once.
+    SGQ_RETURN_NOT_OK(ReadToEnd(fd, path, &source->owned_));
+    ::close(fd);
+    source->fd_ = -1;
   }
 #else
-  // No mmap/pread on this platform: materialize (the chunk contract and
-  // error text still match; only the memory bound degrades, and only
-  // here).
-  if (options.mode == FileIngestMode::kMmap) {
-    return Status::Unsupported("mmap ingest is unsupported on this platform");
-  }
   SGQ_ASSIGN_OR_RETURN(source->owned_, ReadFileBytes(path));
-  source->materialized_ = true;
-  source->mode_ = FileIngestMode::kBuffered;
-  source->file_size_ = source->owned_.size();
 #endif
-  if (source->materialized_) {
-    source->peak_resident_bytes_ = source->owned_.size();
+  if (source->fd_ < 0) {
+    source->resident_ = source->owned_;
+    source->size_ = source->owned_.size();
   }
-
-  std::size_t num_chunks;
-  if (format == StreamFormat::kBinary) {
-    // Parse the header once, up front (deterministic interning). Mapped
-    // and materialized sources parse in place; buffered sources read a
-    // growing prefix until the dictionaries fit.
-    BinaryStreamHeader parsed;
-    if (source->map_ != nullptr || source->materialized_) {
-      const char* base =
-          source->materialized_ ? source->owned_.data() : source->map_;
-      SGQ_ASSIGN_OR_RETURN(
-          parsed,
-          ParseBinaryStreamHeader(
-              std::string_view(
-                  base, static_cast<std::size_t>(source->file_size_)),
-              vocab));
-    } else {
-#if defined(SGQ_FILE_SOURCE_POSIX)
-      std::string prefix;
-      std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
-          source->file_size_, 2 * kStreamIoBufferBytes));
-      for (;;) {
-        prefix.resize(want);
-        SGQ_RETURN_NOT_OK(
-            PreadExact(source->fd_, prefix.data(), want, 0, path));
-        Result<BinaryStreamHeader> header = ParseBinaryStreamHeaderPrefix(
-            prefix, source->file_size_, vocab);
-        if (header.ok()) {
-          parsed = std::move(header).ValueOrDie();
-          break;
-        }
-        // Grow only while the dictionaries extend past the prefix; any
-        // other failure (bad magic, bad version, bad counts) is final
-        // and already matches the whole-buffer parse's text.
-        const bool truncated =
-            header.status().message().find("truncated header") !=
-            std::string::npos;
-        if (!truncated || want >= source->file_size_) {
-          return header.status();
-        }
-        want = static_cast<std::size_t>(std::min<std::uint64_t>(
-            source->file_size_, static_cast<std::uint64_t>(want) * 4));
-      }
-#else
-      return Status::Internal("file chunk source: no read path");
-#endif
-    }
-    const std::uint64_t records = parsed.num_records;
-    const std::uint64_t records_offset = parsed.records_offset;
-    source->header_ =
-        std::make_shared<const BinaryStreamHeader>(std::move(parsed));
-    num_chunks = PickNumChunks(
-        static_cast<std::size_t>(records) * kBinaryRecordBytes,
-        options.min_chunks);
-    source->chunks_.resize(num_chunks);
-    std::uint64_t begin = 0;
-    for (std::size_t i = 0; i < num_chunks; ++i) {
-      const std::uint64_t end =
-          (i + 1 == num_chunks)
-              ? records
-              : (records * static_cast<std::uint64_t>(i + 1)) / num_chunks;
-      source->chunks_[i].begin =
-          records_offset + begin * kBinaryRecordBytes;
-      source->chunks_[i].end =
-          records_offset + std::max(end, begin) * kBinaryRecordBytes;
-      begin = std::max(end, begin);
-    }
-  } else {
-    num_chunks = PickNumChunks(
-        static_cast<std::size_t>(source->file_size_), options.min_chunks);
-    source->chunks_.resize(num_chunks);
-  }
+  SGQ_RETURN_NOT_OK(source->Split(format, options.min_chunks));
   return source;
 }
 

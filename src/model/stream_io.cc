@@ -453,14 +453,6 @@ void AppendBinaryStreamRecord(const Sge& sge, std::uint32_t src,
   out->append(3, '\0');
 }
 
-std::size_t PickNumChunks(std::size_t payload_bytes, std::size_t min_chunks) {
-  constexpr std::size_t kChunkTargetBytes = 256 * 1024;
-  min_chunks = std::max<std::size_t>(min_chunks, 1);
-  const std::size_t by_size =
-      (payload_bytes + kChunkTargetBytes - 1) / kChunkTargetBytes;
-  return std::max(min_chunks, by_size);
-}
-
 Status ChunkBoundaryError(std::size_t chunk, Timestamp got, Timestamp prev) {
   return Status::ParseError(
       "chunk " + std::to_string(chunk) +
@@ -500,115 +492,6 @@ std::size_t ChunkWalkCursor::Next(Sge* buf, std::size_t cap) {
     // on windowed file sources — exactly one chunk stays resident.
     cursor_.reset();
   }
-}
-
-namespace {
-
-class CsvChunkedStream : public ChunkedStream {
- public:
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t base_line = 0;  ///< lines preceding `begin`
-  };
-
-  CsvChunkedStream(const std::string& text, Vocabulary* vocab,
-                   bool allow_disorder, std::size_t min_chunks)
-      : text_(text), vocab_(vocab), allow_disorder_(allow_disorder) {
-    const std::size_t n = PickNumChunks(text.size(), min_chunks);
-    // Split at the first newline at or after each ideal boundary; a chunk
-    // that would start past its successor's boundary collapses to empty.
-    std::size_t begin = 0;
-    std::size_t lines_before = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t end = (i + 1 == n) ? text.size() : (text.size() * (i + 1)) / n;
-      if (end < text.size()) {
-        const std::size_t nl = text.find('\n', end);
-        end = (nl == std::string::npos) ? text.size() : nl + 1;
-      }
-      end = std::max(end, begin);
-      chunks_.push_back({begin, end, lines_before});
-      lines_before += static_cast<std::size_t>(
-          std::count(text.data() + begin, text.data() + end, '\n'));
-      begin = end;
-    }
-  }
-
-  std::size_t NumChunks() const override { return chunks_.size(); }
-
-  std::unique_ptr<StreamCursor> OpenChunk(std::size_t i) const override {
-    const Chunk& c = chunks_[i];
-    return std::make_unique<StreamCsvCursor>(
-        std::string_view(text_).substr(c.begin, c.end - c.begin), vocab_,
-        allow_disorder_, c.base_line);
-  }
-
-  StreamFormat format() const override { return StreamFormat::kCsv; }
-
- private:
-  const std::string& text_;
-  Vocabulary* vocab_;
-  bool allow_disorder_;
-  std::vector<Chunk> chunks_;
-};
-
-class BinaryChunkedStream : public ChunkedStream {
- public:
-  BinaryChunkedStream(const std::string& bytes,
-                      std::shared_ptr<const BinaryStreamHeader> header,
-                      bool allow_disorder, std::size_t min_chunks)
-      : bytes_(bytes), header_(std::move(header)),
-        allow_disorder_(allow_disorder) {
-    const std::uint64_t records = header_->num_records;
-    const std::size_t n =
-        PickNumChunks(static_cast<std::size_t>(records) * kBinaryRecordBytes,
-                      min_chunks);
-    std::uint64_t begin = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t end =
-          (i + 1 == n) ? records : (records * (i + 1)) / n;
-      bounds_.push_back({begin, std::max(end, begin)});
-      begin = std::max(end, begin);
-    }
-  }
-
-  std::size_t NumChunks() const override { return bounds_.size(); }
-
-  std::unique_ptr<StreamCursor> OpenChunk(std::size_t i) const override {
-    const auto [begin, end] = bounds_[i];
-    const std::size_t byte_begin =
-        header_->records_offset +
-        static_cast<std::size_t>(begin) * kBinaryRecordBytes;
-    const std::size_t len =
-        static_cast<std::size_t>(end - begin) * kBinaryRecordBytes;
-    return std::make_unique<BinaryStreamCursor>(
-        header_, std::string_view(bytes_).substr(byte_begin, len), byte_begin,
-        allow_disorder_);
-  }
-
-  StreamFormat format() const override { return StreamFormat::kBinary; }
-
- private:
-  const std::string& bytes_;
-  std::shared_ptr<const BinaryStreamHeader> header_;
-  bool allow_disorder_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> bounds_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
-    const std::string& bytes, StreamFormat format, Vocabulary* vocab,
-    bool allow_disorder, std::size_t min_chunks) {
-  if (format == StreamFormat::kBinary) {
-    SGQ_ASSIGN_OR_RETURN(BinaryStreamHeader header,
-                         ParseBinaryStreamHeader(bytes, vocab));
-    return std::unique_ptr<ChunkedStream>(new BinaryChunkedStream(
-        bytes, std::make_shared<const BinaryStreamHeader>(std::move(header)),
-        allow_disorder, min_chunks));
-  }
-  return std::unique_ptr<ChunkedStream>(
-      new CsvChunkedStream(bytes, vocab, allow_disorder, min_chunks));
 }
 
 namespace {

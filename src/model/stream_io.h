@@ -28,19 +28,6 @@ enum class StreamFormat {
   kBinary,  ///< SGQB: dictionary header + fixed-width records
 };
 
-/// \brief How file-backed ingest maps stream bytes into memory
-/// (model/file_chunk_source.h): mmap the file and serve zero-copy chunk
-/// views, or pread chunks into a recycled buffer pool. Auto picks mmap
-/// where the platform supports it and falls back to buffered reads.
-/// Either way peak ingest-buffer memory is bounded by the readahead
-/// window, not the file size, and the decoded element sequence (chunk
-/// boundaries, error tagging included) is byte-identical.
-enum class FileIngestMode {
-  kAuto,      ///< mmap when available, buffered otherwise
-  kMmap,      ///< require mmap (error on platforms/inputs without it)
-  kBuffered,  ///< portable pread into a bounded recycled buffer pool
-};
-
 /// \brief Sniffs the format of a stream buffer: SGQB if it starts with the
 /// binary magic, CSV otherwise (CSV lines can never start with the magic
 /// because 'S','G','Q','B' would be a 4-field line, but the magic is
@@ -88,11 +75,11 @@ class StreamCsvCursor : public StreamCursor {
                   bool allow_disorder = false)
       : text_(text), vocab_(vocab), allow_disorder_(allow_disorder) {}
 
-  /// \brief Chunk-mode cursor over a slice of a larger CSV buffer
-  /// (MakeChunkedStream): `base_line` is the number of lines preceding the
-  /// slice, so errors keep reporting global 1-based line numbers. The
-  /// ordering check is chunk-local (starts from kMinTimestamp); the
-  /// consumer re-validates across chunk boundaries.
+  /// \brief Chunk-mode cursor over a slice of a larger CSV stream
+  /// (model/file_chunk_source.h): `base_line` is the number of lines
+  /// preceding the slice, so errors keep reporting global 1-based line
+  /// numbers. The ordering check is chunk-local (starts from
+  /// kMinTimestamp); the consumer re-validates across chunk boundaries.
   StreamCsvCursor(std::string_view text, Vocabulary* vocab,
                   bool allow_disorder, std::size_t base_line)
       : text_(text),
@@ -253,10 +240,11 @@ Result<std::string> FormatStreamBinary(const InputStream& stream,
 // a ChunkWalkCursor reads the chunks in order on the calling thread, or
 // the ingest pipeline's parse threads (runtime/ingest_pipeline.h) open
 // disjoint chunks concurrently and an order-restoring merge reassembles
-// elements in chunk order.
+// elements in chunk order. model/file_chunk_source.h implements it, over
+// in-memory bytes or a file.
 // ---------------------------------------------------------------------------
 
-/// \brief A stream buffer pre-split into record-aligned byte-range chunks.
+/// \brief A stream pre-split into record-aligned byte-range chunks.
 /// CSV chunks break at newline boundaries (with global line numbers
 /// preserved for errors); binary chunks slice the fixed-width record
 /// region after one shared header parse. Chunk order is stream order:
@@ -270,7 +258,7 @@ class ChunkedStream {
 
   /// \brief Opens a fresh cursor over chunk `i`. Thread-safe: parser
   /// threads call this concurrently for distinct (or even equal) chunks.
-  /// May block on sources with a bounded readahead window
+  /// May block on a file read through a bounded readahead window
   /// (model/file_chunk_source.h) until earlier chunks retire; header
   /// errors already surfaced at construction, so a returned cursor's
   /// status() carries any per-chunk load or parse error.
@@ -281,23 +269,14 @@ class ChunkedStream {
   /// \brief Wakes any thread blocked inside OpenChunk and makes further
   /// opens fail fast — called by the pipeline's merge when it aborts a
   /// run, so parser threads waiting on the readahead window cannot hang.
-  /// No-op for fully materialized streams (nothing ever blocks).
-  virtual void Abort() const {}
+  /// No-op for in-memory streams (nothing ever blocks).
+  virtual void Abort() const = 0;
 
   /// \brief Cumulative nanoseconds callers spent inside the chunk feeder —
-  /// pread/page-scan time plus readahead-window backpressure. 0 for fully
-  /// materialized streams.
-  virtual std::uint64_t ReadaheadStallNs() const { return 0; }
+  /// pread time plus readahead-window backpressure. 0 for in-memory
+  /// streams.
+  virtual std::uint64_t ReadaheadStallNs() const = 0;
 };
-
-/// \brief Chunk sizing shared by every ChunkedStream implementation: at
-/// least `min_chunks` chunks so every parser thread has work even on small
-/// inputs, but no smaller than ~256 KB per chunk on large inputs (finer
-/// slicing only adds merge overhead). File-backed sources must call this
-/// with the same payload size as the in-memory splitter so chunk
-/// boundaries — and therefore error tagging and merge order — stay
-/// byte-identical.
-std::size_t PickNumChunks(std::size_t payload_bytes, std::size_t min_chunks);
 
 /// \brief Sequential walk over a ChunkedStream's cursors — the reader of
 /// every synchronous run (workload/harness.h RunSgaText/RunSgaFile, the
@@ -338,17 +317,6 @@ class ChunkWalkCursor : public StreamCursor {
 /// ChunkWalkCursor report (chunk-local cursors cannot see across a
 /// boundary, so the consumer re-validates there).
 Status ChunkBoundaryError(std::size_t chunk, Timestamp got, Timestamp prev);
-
-/// \brief Splits `bytes` (borrowed; must outlive the result) into at least
-/// `min_chunks` chunks of roughly equal size where the input allows,
-/// capped so large inputs get ~256 KB chunks for load balancing. Binary
-/// inputs parse and validate the header here (interning into `*vocab`
-/// deterministically); CSV inputs only scan for newline boundaries, so
-/// header errors surface here but per-record errors surface from the
-/// chunk cursors.
-Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
-    const std::string& bytes, StreamFormat format, Vocabulary* vocab,
-    bool allow_disorder, std::size_t min_chunks);
 
 // ---------------------------------------------------------------------------
 // File I/O

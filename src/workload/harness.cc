@@ -77,7 +77,6 @@ FileChunkOptions IngestChunking(const EngineOptions& options) {
       options.async_ingest ? std::max<std::size_t>(options.ingest_parsers, 1)
                            : 1;
   FileChunkOptions chunking;
-  chunking.mode = options.ingest_file_mode;
   chunking.allow_disorder = options.ingest_slack > 0;
   chunking.min_chunks = parsers > 1 ? parsers * 2 : 1;
   chunking.readahead_chunks =
@@ -150,8 +149,8 @@ Result<RunMetrics> RunSgaText(const std::string& bytes,
   const FileChunkOptions chunking = IngestChunking(options);
   SGQ_ASSIGN_OR_RETURN(
       auto source,
-      MakeChunkedStream(bytes, options.ingest_format, vocab,
-                        chunking.allow_disorder, chunking.min_chunks));
+      MakeChunkedStream(bytes, std::nullopt, vocab, chunking.allow_disorder,
+                        chunking.min_chunks));
   return RunSgaChunks(*source, query, *vocab, options, std::move(name));
 }
 
@@ -160,7 +159,7 @@ Result<RunMetrics> RunSgaFile(const std::string& path,
                               Vocabulary* vocab, EngineOptions options,
                               std::string name) {
   SGQ_ASSIGN_OR_RETURN(
-      auto source, MakeFileChunkSource(path, options.ingest_format, vocab,
+      auto source, MakeFileChunkSource(path, std::nullopt, vocab,
                                        IngestChunking(options)));
   return RunSgaChunks(*source, query, *vocab, options, std::move(name));
 }

@@ -35,8 +35,7 @@ Result<RunMetrics> RunSgaPlan(const InputStream& stream,
                               EngineOptions options, std::string name);
 
 /// \brief Chunking of one ChunkedStream run under `options` — the same
-/// for the in-memory and the file-backed source, so both split a stream
-/// identically: serving mode, disorder tolerance (ingest_slack > 0), the
+/// for in-memory bytes and a file: disorder tolerance (ingest_slack > 0), the
 /// chunk-count floor (2 × parse threads when the pipeline runs several,
 /// so every parser has work even on small inputs; 1 otherwise) and the
 /// readahead window (at least parse threads + 1, so every parser can
@@ -45,7 +44,7 @@ Result<RunMetrics> RunSgaPlan(const InputStream& stream,
 FileChunkOptions IngestChunking(const EngineOptions& options);
 
 /// \brief Runs `query` over raw stream bytes (CSV text or SGQB binary,
-/// selected by options.ingest_format), parsing as part of the run — the
+/// detected from the magic bytes), parsing as part of the run — the
 /// ingest-bound configuration of the pipelined-ingest experiments
 /// (bench_ingest_pipeline). The bytes become an in-memory ChunkedStream
 /// (MakeChunkedStream, chunked per IngestChunking), read one of two ways
@@ -65,13 +64,12 @@ Result<RunMetrics> RunSgaText(const std::string& bytes,
 
 /// \brief RunSgaText over a stream *file* without materializing it: the
 /// source is a model/file_chunk_source.h FileChunkSource whose bounded
-/// readahead window (options.ingest_file_mode picks mmap vs buffered
-/// preads) keeps peak ingest-buffer memory at O(window · ~256 KB)
-/// regardless of file size. The decoded element sequence — and therefore
-/// every result and error — is byte-identical to RunSgaText over the same
-/// file's bytes in both placements (options.ingest_format declares the
-/// encoding; pair with DetectStreamFileFormat to sniff). Feeder time
-/// lands in RunMetrics::readahead_stall_ns.
+/// pread window keeps peak ingest-buffer memory at O(window · ~256 KB)
+/// regardless of file size, and which detects the format from the first
+/// bytes it reads. The decoded element sequence — and therefore every
+/// result and error — is byte-identical to RunSgaText over the same
+/// file's bytes in both placements. Feeder time lands in
+/// RunMetrics::readahead_stall_ns.
 Result<RunMetrics> RunSgaFile(const std::string& path,
                               const StreamingGraphQuery& query,
                               Vocabulary* vocab, EngineOptions options,

@@ -336,15 +336,14 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
   ASSERT_TRUE(binary.ok());
   const char* kQuery = "Answer(x,z) <- a+(x,y), b(y,z)";
 
-  auto run = [&](const std::string& bytes, StreamFormat format, bool async,
-                 std::size_t parsers) {
+  // RunSgaText detects each buffer's format from its magic bytes.
+  auto run = [&](const std::string& bytes, bool async, std::size_t parsers) {
     Vocabulary vocab;
     auto query = MakeQuery(kQuery, WindowSpec(12, 3), &vocab);
     EXPECT_TRUE(query.ok());
     EngineOptions options;
     options.async_ingest = async;
     options.ingest_parsers = parsers;
-    options.ingest_format = format;
     options.batch_size = 16;
     auto metrics = RunSgaText(bytes, *query, &vocab, options, "text");
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
@@ -357,12 +356,12 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
     }
     return metrics->results_emitted;
   };
-  const std::size_t expected = run(csv, StreamFormat::kCsv, false, 1);
+  const std::size_t expected = run(csv, false, 1);
   EXPECT_GT(expected, 0u);
-  EXPECT_EQ(run(csv, StreamFormat::kCsv, true, 4), expected);
-  EXPECT_EQ(run(*binary, StreamFormat::kBinary, false, 1), expected);
-  EXPECT_EQ(run(*binary, StreamFormat::kBinary, true, 1), expected);
-  EXPECT_EQ(run(*binary, StreamFormat::kBinary, true, 4), expected);
+  EXPECT_EQ(run(csv, true, 4), expected);
+  EXPECT_EQ(run(*binary, false, 1), expected);
+  EXPECT_EQ(run(*binary, true, 1), expected);
+  EXPECT_EQ(run(*binary, true, 4), expected);
 }
 
 // ---------------------------------------------------------------------------

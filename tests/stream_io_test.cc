@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "model/file_chunk_source.h"
 #include "model/stream_io.h"
 
 namespace sgq {
