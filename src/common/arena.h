@@ -21,6 +21,11 @@
 //    destructor is a no-op by design: unreleased overflow is reclaimed
 //    when the owning pool's arena dies; containers that erase runs
 //    mid-life call Release() to put the block back on the freelist.
+//  - PoolVec<T, N>: the same inline-then-overflow shape for non-trivial
+//    but memcpy-relocatable elements (PATTERN join buckets). Its overflow
+//    is one exact-size block on the global heap that the run owns and
+//    frees itself — no pool, no size-class rounding, nothing retained
+//    once the run is released or dies.
 
 #ifndef SGQ_COMMON_ARENA_H_
 #define SGQ_COMMON_ARENA_H_
@@ -314,8 +319,8 @@ class SmallRun {
   };
 };
 
-/// \brief Dynamic array with N elements inline and pool-backed overflow,
-/// for *non-trivial* payloads that are still memcpy-relocatable.
+/// \brief Dynamic array with N elements inline and heap overflow, for
+/// *non-trivial* payloads that are still memcpy-relocatable.
 ///
 /// SmallRun covers raw byte payloads; the PATTERN join-table buckets hold
 /// Bindings (a SmallVec plus an interval), whose user-provided copy and
@@ -325,9 +330,10 @@ class SmallRun {
 /// global heap, never at itself). PoolVec relocates with memcpy like
 /// SmallRun but runs element *destructors* exactly once, at removal
 /// (truncate / Release / PoolVec destruction), so payloads owning heap
-/// memory do not leak. Like SmallRun, the destructor does not return the
-/// overflow block — the owning pool's arena reclaims it wholesale; callers
-/// erasing a run mid-life call Release(pool) to recycle the block.
+/// memory do not leak. Overflow is one block of exactly cap × sizeof(T)
+/// bytes from the global heap, owned by the run: it is freed when the run
+/// grows into a larger block, on Release(), when a run is move-assigned
+/// over it, and on destruction.
 template <typename T, unsigned N>
 class PoolVec {
   static_assert(std::is_nothrow_move_constructible_v<T> &&
@@ -344,16 +350,13 @@ class PoolVec {
   PoolVec(PoolVec&& o) noexcept { MoveFrom(&o); }
   PoolVec& operator=(PoolVec&& o) noexcept {
     if (this != &o) {
-      DestroyElements();
-      // Note the overflow block (if any) is abandoned to the arena, like
-      // ~PoolVec: container shuffles (FlatMap backward-shift) only ever
-      // move *into* freshly-constructed or emptied slots.
+      Release();
       MoveFrom(&o);
     }
     return *this;
   }
 
-  ~PoolVec() { DestroyElements(); }
+  ~PoolVec() { Release(); }
 
   T* data() { return cap_ == N ? reinterpret_cast<T*>(inline_) : heap_; }
   const T* data() const {
@@ -369,8 +372,8 @@ class PoolVec {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  void push_back(SlabPool* pool, T v) {
-    if (size_ == cap_) Grow(pool);
+  void push_back(T v) {
+    if (size_ == cap_) Grow();
     new (data() + size_) T(std::move(v));
     ++size_;
   }
@@ -382,37 +385,30 @@ class PoolVec {
     size_ = static_cast<uint32_t>(n);
   }
 
-  /// \brief Destroys every element, returns overflow storage to the pool
-  /// and resets to inline.
-  void Release(SlabPool* pool) {
-    DestroyElements();
+  /// \brief Destroys every element, frees the overflow block and resets
+  /// to inline.
+  void Release() {
+    truncate(0);
     if (cap_ != N) {
-      pool->Free(heap_, cap_ * sizeof(T));
+      std::allocator<T>().deallocate(heap_, cap_);
       cap_ = N;
     }
-    size_ = 0;
   }
 
-  /// \brief Bytes of pool overflow held (0 while inline).
+  /// \brief Bytes of heap overflow held (0 while inline).
   std::size_t overflow_bytes() const {
     return cap_ == N ? 0 : cap_ * sizeof(T);
   }
 
  private:
-  void DestroyElements() {
-    T* d = data();
-    for (std::size_t i = 0; i < size_; ++i) d[i].~T();
-    size_ = 0;
-  }
-
-  void Grow(SlabPool* pool) {
+  void Grow() {
     const uint32_t new_cap = cap_ * 2;
-    T* block = static_cast<T*>(pool->Alloc(new_cap * sizeof(T)));
+    T* block = std::allocator<T>().allocate(new_cap);
     // Byte-wise relocation: the old objects are *moved*, not destroyed —
     // their lifetime continues in the new block (see class comment).
     std::memcpy(static_cast<void*>(block), static_cast<const void*>(data()),
                 size_ * sizeof(T));
-    if (cap_ != N) pool->Free(heap_, cap_ * sizeof(T));
+    if (cap_ != N) std::allocator<T>().deallocate(heap_, cap_);
     heap_ = block;
     cap_ = new_cap;
   }

@@ -23,6 +23,12 @@
 // entries that expire later within the same bucket — re-registering
 // survivors for which NeedsReAdd(exp, now) holds during the drain.
 // Stale duplicates cost one extra verification each and never accumulate.
+//
+// An owner may instead hint a *group* of entries once, at the group's
+// earliest expiry (PATTERN hints each join bucket this way, DESIGN.md
+// "Expiry calendars"): the drain hands the callback each hint's
+// registered expiry, so the owner tells its one live hint from stale
+// ones by comparing it with the expiry it recorded.
 
 #ifndef SGQ_COMMON_EXPIRY_CALENDAR_H_
 #define SGQ_COMMON_EXPIRY_CALENDAR_H_
@@ -98,11 +104,12 @@ class ExpiryCalendar {
            exp / slide_ == now / slide_;
   }
 
-  /// \brief Pops every due bucket and calls `fn(hint)` for each hint, in
-  /// bucket order then registration order (deterministic). `fn` must
-  /// re-check the live entry (hints may be stale) and may call Add —
-  /// including, via NeedsReAdd, for survivors in the current bucket;
-  /// buckets created during the drain are not drained again in this call.
+  /// \brief Pops every due bucket and calls `fn(exp, hint)` for each
+  /// hint, with the expiry it was registered at, in bucket order then
+  /// registration order (deterministic). `fn` must re-check the live entry
+  /// (hints may be stale) and may call Add — including, via NeedsReAdd,
+  /// for survivors in the current bucket; buckets created during the
+  /// drain are not drained again in this call.
   template <typename Fn>
   void DrainDue(Timestamp now, Fn&& fn) {
     if (!AnyDue(now)) return;
@@ -123,7 +130,7 @@ class ExpiryCalendar {
     for (const std::vector<Entry>& bucket : drain_scratch_) {
       for (const Entry& e : bucket) {
         ++hints_drained_;
-        fn(e.hint);
+        fn(e.exp, e.hint);
       }
     }
     drain_scratch_.clear();

@@ -80,7 +80,8 @@ void DeltaPathOp::OnTimeAdvance(Timestamp now) {
   // Drain the node calendar, verifying each hint against the live node
   // (hints can be stale: re-derived nodes, extended intervals).
   expired_scratch_.clear();
-  node_expiry_.DrainDue(now, [&](const std::pair<VertexId, NodeKey>& hint) {
+  node_expiry_.DrainDue(now, [&](Timestamp /*exp*/,
+                                const std::pair<VertexId, NodeKey>& hint) {
     auto tree_it = trees_.find(hint.first);
     if (tree_it == trees_.end()) return;
     auto node_it = tree_it->second.nodes.find(hint.second);

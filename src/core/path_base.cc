@@ -353,7 +353,8 @@ void PathOpBase::HandleExplicitDeletion(const Sgt& t) {
 void PathOpBase::Purge(Timestamp now) {
   window_->PurgeExpired(now);
   // Calendar drain: remove exactly the nodes whose derivation expired.
-  node_expiry_.DrainDue(now, [&](const std::pair<VertexId, NodeKey>& hint) {
+  node_expiry_.DrainDue(now, [&](Timestamp /*exp*/,
+                                const std::pair<VertexId, NodeKey>& hint) {
     auto tree_it = trees_.find(hint.first);
     if (tree_it == trees_.end()) return;  // tree already dropped
     SpanningTree& tree = tree_it->second;

@@ -99,7 +99,7 @@ void PatternOp::ForEachRightMatch(std::size_t level_idx, const Key& key,
   if (lv.store == nullptr) {
     auto it = lv.right.find(key);
     if (it == lv.right.end()) return;
-    for (const Binding& other : it->second) fn(other);
+    for (const Binding& other : it->second.bindings) fn(other);
     return;
   }
   // The key vector is aligned with the sorted key_vars.
@@ -149,18 +149,18 @@ void PatternOp::InsertCoalesced(int level, bool left, const Key& key,
   auto [it, inserted] = table.try_emplace(key);
   (void)inserted;
   Bucket& bucket = it->second;
-  for (Binding& existing : bucket) {
+  for (Binding& existing : bucket.bindings) {
     if (existing.vals == b.vals && existing.iv.OverlapsOrAdjacent(b.iv)) {
-      const Timestamp old_exp = existing.iv.exp;
+      // Coalescing only moves expiry later: the bucket's hint stays valid.
       existing.iv = existing.iv.Span(b.iv);
-      if (existing.iv.exp > old_exp) {
-        binding_expiry_.Add(existing.iv.exp, BucketRef{level, left, key});
-      }
       return;
     }
   }
-  binding_expiry_.Add(b.iv.exp, BucketRef{level, left, key});
-  bucket.push_back(&bucket_pool_, std::move(b));
+  if (b.iv.exp < bucket.hinted) {
+    bucket.hinted = b.iv.exp;
+    binding_expiry_.Add(b.iv.exp, BucketRef{level, left, key});
+  }
+  bucket.bindings.push_back(std::move(b));
   ++entries;
 }
 
@@ -279,7 +279,7 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
   }
   auto it = lv.left.find(key);
   if (it == lv.left.end()) return;
-  for (const Binding& acc : it->second) {
+  for (const Binding& acc : it->second.bindings) {
     Binding merged = Merge(acc, b);
     Cascade(static_cast<std::size_t>(port), merged, Mode::kInsert);
   }
@@ -288,17 +288,18 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
 template <typename Pred>
 void PatternOp::ScrubTable(Table* table, std::size_t* entries, Pred&& pred) {
   for (auto it = table->begin(); it != table->end();) {
-    Bucket& bucket = it->second;
+    // Removing bindings never moves the earliest expiry earlier, so the
+    // bucket's hint stays valid; an emptied bucket's hint goes stale.
+    BindingRun& run = it->second.bindings;
     std::size_t keep = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (pred(bucket[i])) continue;
-      if (keep != i) bucket[keep] = std::move(bucket[i]);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (pred(run[i])) continue;
+      if (keep != i) run[keep] = std::move(run[i]);
       ++keep;
     }
-    *entries -= bucket.size() - keep;
-    bucket.truncate(keep);
-    if (bucket.empty()) {
-      bucket.Release(&bucket_pool_);
+    *entries -= run.size() - keep;
+    run.truncate(keep);
+    if (run.empty()) {
       it = table->erase(it);
     } else {
       ++it;
@@ -320,7 +321,7 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
     const Key key = ExtractKey(lv, b);
     auto it = lv.left.find(key);
     if (it != lv.left.end()) {
-      for (const Binding& acc : it->second) {
+      for (const Binding& acc : it->second.bindings) {
         Binding merged = Merge(acc, b);
         Cascade(static_cast<std::size_t>(port), merged, Mode::kRetract);
       }
@@ -391,10 +392,10 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
   // Copy (kReassert re-inserts, idempotently, while iterating), sorted by
   // join key so the replay order — and with it the emission order — does
   // not depend on hash-iteration order.
-  std::vector<std::pair<Key, const Bucket*>> buckets;
+  std::vector<std::pair<Key, const BindingRun*>> buckets;
   buckets.reserve(levels_[0].left.size());
   for (const auto& [key, bucket] : levels_[0].left) {
-    buckets.emplace_back(key, &bucket);
+    buckets.emplace_back(key, &bucket.bindings);
   }
   std::sort(buckets.begin(), buckets.end(),
             [](const auto& a, const auto& b) {
@@ -414,29 +415,32 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
 }
 
 void PatternOp::Purge(Timestamp now) {
-  binding_expiry_.DrainDue(now, [&](const BucketRef& ref) {
+  binding_expiry_.DrainDue(now, [&](Timestamp exp, const BucketRef& ref) {
     Level& lv = levels_[static_cast<std::size_t>(ref.level)];
     Table& table = ref.left ? lv.left : lv.right;
     std::size_t& entries = ref.left ? lv.left_entries : lv.right_entries;
     auto it = table.find(ref.key);
-    if (it == table.end()) return;  // stale hint: bucket is gone
+    // Stale hint: the bucket is gone, or an earlier hint replaced this one.
+    if (it == table.end() || it->second.hinted != exp) return;
     Bucket& bucket = it->second;
+    BindingRun& run = bucket.bindings;
+    Timestamp earliest = kMaxTimestamp;
     std::size_t keep = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      Binding& b = bucket[i];
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      Binding& b = run[i];
       if (b.iv.exp <= now) continue;  // expired: drop
-      if (binding_expiry_.NeedsReAdd(b.iv.exp, now)) {
-        binding_expiry_.Add(b.iv.exp, ref);
-      }
-      if (keep != i) bucket[keep] = std::move(b);
+      earliest = std::min(earliest, b.iv.exp);
+      if (keep != i) run[keep] = std::move(b);
       ++keep;
     }
-    entries -= bucket.size() - keep;
-    bucket.truncate(keep);
-    if (bucket.empty()) {
-      bucket.Release(&bucket_pool_);
+    entries -= run.size() - keep;
+    run.truncate(keep);
+    if (run.empty()) {
       table.erase(it);
+      return;
     }
+    bucket.hinted = earliest;
+    binding_expiry_.Add(earliest, ref);
   });
   for (Level& lv : levels_) {
     if (lv.store != nullptr) lv.store->PurgeExpired(now);
@@ -454,17 +458,13 @@ std::size_t PatternOp::StateSize() const {
 }
 
 std::size_t PatternOp::StateBytes() const {
-  // Bucket overflow is pool-backed: count the pool's slabs once instead
-  // of per-bucket capacities (inline bucket storage is part of the slot
-  // array, covered by capacity_bytes).
-  std::size_t n = out_coalescer_.ApproxBytes() +
-                  binding_expiry_.ApproxBytes() +
-                  bucket_pool_.reserved_bytes();
+  // Inline bucket storage is part of the slot array (capacity_bytes);
+  // each bucket's overflow block is counted at its exact size.
+  std::size_t n = out_coalescer_.ApproxBytes() + binding_expiry_.ApproxBytes();
   auto table_bytes = [](const Table& table) {
     std::size_t bytes = table.capacity_bytes();
     for (const auto& [key, bucket] : table) {
-      (void)bucket;
-      bytes += key.overflow_bytes();
+      bytes += key.overflow_bytes() + bucket.bindings.overflow_bytes();
     }
     return bytes;
   };
@@ -485,25 +485,14 @@ std::size_t PatternOp::num_store_backed_ports() const {
 
 namespace {
 
-void PutPatternKey(std::string* out, const SmallVec<uint64_t, 3>& key) {
-  PutU32(out, static_cast<std::uint32_t>(key.size()));
-  for (uint64_t v : key) PutU64(out, v);
-}
-
-SmallVec<uint64_t, 3> GetPatternKey(ByteReader* in) {
-  SmallVec<uint64_t, 3> key;
-  const std::uint32_t n = in->U32();
-  for (std::uint32_t i = 0; i < n && in->ok(); ++i) key.push_back(in->U64());
-  return key;
-}
-
 bool KeyLess(const SmallVec<uint64_t, 3>& a, const SmallVec<uint64_t, 3>& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 }  // namespace
 
-void PatternOp::SerializeTable(const Table& table, std::string* out) {
+void PatternOp::SerializeTable(const Table& table, std::size_t entries,
+                               std::string* out) {
   // Keys sorted (deterministic checkpoint bytes); bucket contents verbatim
   // — every bucket mutation (ScrubTable, Purge) compacts order-preservingly,
   // so restoring bindings in stored order reproduces probe order exactly.
@@ -516,62 +505,89 @@ void PatternOp::SerializeTable(const Table& table, std::string* out) {
   std::sort(keys.begin(), keys.end(), KeyLess);
   PutU64(out, keys.size());
   for (const Key& key : keys) {
-    const auto it = table.find(key);
-    PutPatternKey(out, key);
-    const Bucket& bucket = it->second;
-    PutU32(out, static_cast<std::uint32_t>(bucket.size()));
-    for (const Binding& b : bucket) {
+    const Bucket& bucket = table.find(key)->second;
+    PutU32(out, static_cast<std::uint32_t>(key.size()));
+    for (uint64_t v : key) PutU64(out, v);
+    PutI64(out, bucket.hinted);
+    PutU32(out, static_cast<std::uint32_t>(bucket.bindings.size()));
+    for (const Binding& b : bucket.bindings) {
       PutU32(out, static_cast<std::uint32_t>(b.vals.size()));
       for (VertexId v : b.vals) PutU64(out, v);
       PutI64(out, b.iv.ts);
       PutI64(out, b.iv.exp);
     }
   }
+  PutU64(out, entries);
 }
 
-Status PatternOp::DeserializeTable(Table* table, ByteReader* in) {
+Status PatternOp::DeserializeTable(int level, bool left, ByteReader* in) {
+  Level& lv = levels_[static_cast<std::size_t>(level)];
+  Table& table = left ? lv.left : lv.right;
+  std::size_t restored = 0;
   const std::uint64_t num_keys = in->U64();
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
-    Key key = GetPatternKey(in);
+    const std::uint32_t key_arity = in->U32();
+    if (in->ok() && key_arity != lv.key_vars.size()) {
+      return in->Fail("join key arity " + std::to_string(key_arity) +
+                      ", want " + std::to_string(lv.key_vars.size()));
+    }
+    Key key;
+    for (std::uint32_t i = 0; i < key_arity && in->ok(); ++i) {
+      key.push_back(in->U64());
+    }
+    const Timestamp hinted = in->I64();
     const std::uint32_t n = in->U32();
     if (!in->ok()) break;
-    auto [it, inserted] = table->try_emplace(std::move(key));
+    if (n == 0) return in->Fail("empty join bucket");
+    auto [it, inserted] = table.try_emplace(std::move(key));
     if (!inserted) return in->Fail("duplicate join key");
     Bucket& bucket = it->second;
+    Timestamp earliest = kMaxTimestamp;
     for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
+      // ExtractKey, Merge and Project index bindings by variable position.
+      const std::uint32_t arity = in->U32();
+      if (in->ok() && arity != num_vars_) {
+        return in->Fail("binding arity " + std::to_string(arity) + ", want " +
+                        std::to_string(num_vars_));
+      }
       Binding b;
-      const std::uint32_t nvals = in->U32();
-      for (std::uint32_t v = 0; v < nvals && in->ok(); ++v) {
+      for (std::uint32_t v = 0; v < arity && in->ok(); ++v) {
         b.vals.push_back(in->U64());
       }
       b.iv.ts = in->I64();
       b.iv.exp = in->I64();
-      bucket.push_back(&bucket_pool_, std::move(b));
+      earliest = std::min(earliest, b.iv.exp);
+      bucket.bindings.push_back(std::move(b));
     }
+    if (!in->ok()) break;
+    if (hinted > earliest) {
+      return in->Fail("bucket hint " + std::to_string(hinted) +
+                      " is later than its earliest binding expiry " +
+                      std::to_string(earliest));
+    }
+    bucket.hinted = hinted;
+    binding_expiry_.Add(hinted, BucketRef{level, left, it->first});
+    restored += n;
   }
+  const std::uint64_t entries = in->U64();
+  if (in->ok() && entries != restored) {
+    return in->Fail("entry counter " + std::to_string(entries) +
+                    " disagrees with the " + std::to_string(restored) +
+                    " bindings restored");
+  }
+  (left ? lv.left_entries : lv.right_entries) = restored;
   return in->status();
 }
 
 void PatternOp::SerializeState(std::string* out) const {
   PutU32(out, static_cast<std::uint32_t>(levels_.size()));
   for (const Level& lv : levels_) {
-    SerializeTable(lv.left, out);
-    PutU64(out, lv.left_entries);
+    SerializeTable(lv.left, lv.left_entries, out);
     // Store-backed right sides live in WindowStore partitions checkpointed
     // by the registry; only the flag round-trips (topology verification).
     PutU8(out, lv.store != nullptr ? 1 : 0);
-    if (lv.store == nullptr) {
-      SerializeTable(lv.right, out);
-      PutU64(out, lv.right_entries);
-    }
+    if (lv.store == nullptr) SerializeTable(lv.right, lv.right_entries, out);
   }
-  PutU64(out, binding_expiry_.num_hints());
-  binding_expiry_.VisitEntries([&](Timestamp exp, const BucketRef& ref) {
-    PutI64(out, exp);
-    PutU32(out, static_cast<std::uint32_t>(ref.level));
-    PutU8(out, ref.left ? 1 : 0);
-    PutPatternKey(out, ref.key);
-  });
   out_coalescer_.SerializeState(out);
 }
 
@@ -591,31 +607,17 @@ Status PatternOp::DeserializeState(ByteReader* in) {
     return in->Fail("PATTERN level count mismatch (checkpoint was taken "
                     "with a different plan topology)");
   }
-  for (Level& lv : levels_) {
-    SGQ_RETURN_NOT_OK(DeserializeTable(&lv.left, in));
-    lv.left_entries = in->U64();
+  for (std::size_t j = 0; j < levels_.size(); ++j) {
+    const int level = static_cast<int>(j);
+    SGQ_RETURN_NOT_OK(DeserializeTable(level, /*left=*/true, in));
     const bool store_backed = in->U8() != 0;
-    if (in->ok() && store_backed != (lv.store != nullptr)) {
+    if (in->ok() && store_backed != (levels_[j].store != nullptr)) {
       return in->Fail("PATTERN store-backed flag mismatch (checkpoint was "
                       "taken with a different plan topology)");
     }
-    if (lv.store == nullptr) {
-      SGQ_RETURN_NOT_OK(DeserializeTable(&lv.right, in));
-      lv.right_entries = in->U64();
+    if (levels_[j].store == nullptr) {
+      SGQ_RETURN_NOT_OK(DeserializeTable(level, /*left=*/false, in));
     }
-  }
-  const std::uint64_t num_hints = in->U64();
-  for (std::uint64_t i = 0; i < num_hints && in->ok(); ++i) {
-    const Timestamp exp = in->I64();
-    BucketRef ref;
-    ref.level = static_cast<int>(in->U32());
-    ref.left = in->U8() != 0;
-    ref.key = GetPatternKey(in);
-    if (in->ok() &&
-        static_cast<std::size_t>(ref.level) >= levels_.size()) {
-      return in->Fail("expiry hint references a level out of range");
-    }
-    binding_expiry_.Add(exp, std::move(ref));
   }
   return out_coalescer_.DeserializeState(in);
 }

@@ -22,12 +22,13 @@
 //
 // State layout (DESIGN.md §"State layout"): join tables are flat hash
 // maps keyed by small-inlined key vectors; bindings inline their variable
-// values (no per-binding heap allocation at the typical arity), and the
-// buckets themselves are PoolVec runs on an operator-owned SlabPool — one
-// binding inline in the map slot, overflow recycled through the pool's
-// size-class freelists — so bucket growth never touches the global heap.
-// Expired bindings are reclaimed through a slide-aligned expiry calendar —
-// Purge() touches only buckets whose expiry range passed, not the whole
+// values (no per-binding heap allocation at the typical arity), and each
+// bucket keeps one binding inline in the map slot and its overflow in one
+// exact-size heap block it owns, freed when the bucket grows, empties or
+// dies — a bucket costs what its bindings cost. Expired bindings are
+// reclaimed through a slide-aligned expiry calendar holding one live hint
+// per bucket, at (no later than) the bucket's earliest binding expiry —
+// Purge() touches only buckets whose hint has come due, not the whole
 // table.
 
 #ifndef SGQ_CORE_PATTERN_OP_H_
@@ -112,14 +113,20 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// (diagnostics).
   std::size_t num_store_backed_ports() const;
 
+  /// \brief Hints pending in the binding-expiry calendar, stale ones
+  /// included (diagnostics; one live hint per private bucket).
+  std::size_t num_expiry_hints() const { return binding_expiry_.num_hints(); }
+
   /// \brief Checkpoint encoding (model/checkpoint.h, DESIGN.md §7): every
-  /// level's private left/right tables (keys sorted, bucket contents
-  /// verbatim — scrubs and purges compact buckets order-preservingly, so
-  /// binding order is round-trippable), entry counters, the binding-expiry
-  /// calendar in drain order, and the output coalescer. Store-backed port
-  /// state lives in WindowStore partitions checkpointed by the registry;
-  /// the in-flight retraction scratch sets are provably empty at batch
-  /// boundaries and are not serialized.
+  /// level's private left/right tables (keys sorted, each bucket's hinted
+  /// expiry, bucket contents verbatim — scrubs and purges compact buckets
+  /// order-preservingly, so binding order is round-trippable), entry
+  /// counters, and the output coalescer. The calendar is not serialized:
+  /// restore registers each bucket's one live hint, so stale hints never
+  /// reach an image. Store-backed port state lives in WindowStore
+  /// partitions checkpointed by the registry; the in-flight retraction
+  /// scratch sets are provably empty at batch boundaries and are not
+  /// serialized.
   void SerializeState(std::string* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
@@ -134,14 +141,22 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   /// Join keys hold the shared variables of a level: 1-3 values inline.
   using Key = SmallVec<uint64_t, 3>;
-  /// Bucket of bindings sharing a join key: the common single-binding
-  /// bucket lives inline in the map slot; growth draws on bucket_pool_
-  /// (no per-bucket heap allocation — the last one on the PATTERN hot
-  /// path, see ROADMAP "Arena-backed PATTERN buckets").
-  using Bucket = PoolVec<Binding, 1>;
+  /// The bindings of one bucket: a single binding lives inline in the map
+  /// slot; more hold one exact-size heap block.
+  using BindingRun = PoolVec<Binding, 1>;
+  /// Bucket of bindings sharing a join key. `hinted` is the expiry of the
+  /// bucket's one live calendar hint (kMaxTimestamp: none). Invariant: a
+  /// bucket holding a finite-expiry binding has a live hint at `hinted`,
+  /// and `hinted` is no later than its earliest binding expiry.
+  struct Bucket {
+    BindingRun bindings;
+    Timestamp hinted = kMaxTimestamp;
+  };
   using Table = FlatMap<Key, Bucket, SmallVecHash>;
 
-  /// Locator of one join-table bucket for the expiry calendar.
+  /// Locator of one join-table bucket for the expiry calendar. A drained
+  /// hint is live only when its expiry equals the bucket's `hinted`;
+  /// otherwise (or when the bucket is gone) it is stale and skipped.
   struct BucketRef {
     int level;
     bool left;
@@ -185,7 +200,8 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   /// Inserts `b` into the level's left or right table under `key`,
   /// coalescing with a value-equivalent entry whose interval overlaps or
-  /// is adjacent; maintains the entry counters and the expiry calendar.
+  /// is adjacent; maintains the entry counters and the bucket's hint (a
+  /// new one only when `b` expires before it; extensions need none).
   void InsertCoalesced(int level, bool left, const Key& key, Binding b);
 
   /// Merges two bindings (caller guarantees agreement on shared vars).
@@ -206,19 +222,19 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   void Project(const Binding& b, Mode mode);
 
   /// Scrubs every binding matching `pred` from `table`, maintaining the
-  /// entry counter and recycling emptied buckets through bucket_pool_.
+  /// entry counter and erasing emptied buckets.
   template <typename Pred>
   void ScrubTable(Table* table, std::size_t* entries, Pred&& pred);
 
-  static void SerializeTable(const Table& table, std::string* out);
-  Status DeserializeTable(Table* table, ByteReader* in);
+  /// Writes `table` and its entry counter.
+  static void SerializeTable(const Table& table, std::size_t entries,
+                             std::string* out);
+  /// Restores one table of `level` and its entry counter, validating
+  /// arities, hints and the counter, and registers each bucket's live
+  /// hint in serialized key order.
+  Status DeserializeTable(int level, bool left, ByteReader* in);
 
   int num_ports_;
-  /// Backing store of every level's bucket overflow. Declared before
-  /// levels_ so it is destroyed *after* them: ~PoolVec walks its block to
-  /// run the remaining Binding destructors, so the pool's arena must
-  /// still be alive when the tables die.
-  SlabPool bucket_pool_;
   std::vector<std::pair<int, int>> port_vars_;  ///< (src,trg) var idx
   int out_src_var_;
   int out_trg_var_;
@@ -240,8 +256,9 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   /// \brief True when `b` could still derive a retracted output value.
   bool MayReassert(const Binding& b) const;
-  /// Expiry calendar over the private join tables (store-backed sides
-  /// purge through their partition's own calendar).
+  /// Expiry calendar over the private join tables, one live hint per
+  /// bucket (store-backed sides purge through their partition's own
+  /// calendar).
   ExpiryCalendar<BucketRef> binding_expiry_;
 };
 

@@ -278,7 +278,7 @@ Status WindowEdgeStore::DeserializeState(ByteReader* in) {
 
 std::vector<Sgt> WindowEdgeStore::PurgeExpired(Timestamp now) {
   std::vector<Sgt> dropped;
-  calendar_.DrainDue(now, [&](const Key& key) {
+  calendar_.DrainDue(now, [&](Timestamp /*exp*/, const Key& key) {
     auto it = adjacency_.find(key);
     if (it == adjacency_.end()) return;  // stale hint: entries are gone
     EdgeRun& edges = it->second;

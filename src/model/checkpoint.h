@@ -4,7 +4,7 @@
 // clock, window partitions, per-operator state, sink buffers).
 //
 //   offset 0   magic "SGQC" (4 bytes)
-//          4   u32  version        (currently 3)
+//          4   u32  version        (currently 5)
 //          8   u32  section_count
 //         12   section_count × {
 //                u16 name_len, name bytes,
@@ -54,7 +54,10 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// Version 4: "meta" lost the sink-coalescing identity key (results are
 /// always coalesced) and the declared-stream-format informational key
 /// (chunk sources detect the format); every other section is unchanged.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// Version 5: PATTERN state in "ops" carries each join bucket's hinted
+/// expiry with the bucket instead of the binding-expiry calendar's hint
+/// list; every other section is unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers

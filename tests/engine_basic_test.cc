@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/basic_ops.h"
 #include "core/pattern_op.h"
 #include "core/query_processor.h"
@@ -259,6 +262,52 @@ TEST_F(PatternOpTest, PurgeDropsExpiredState) {
   EXPECT_EQ(op_->StateSize(), 2u);
   op_->Purge(20);
   EXPECT_EQ(op_->StateSize(), 1u);
+}
+
+TEST_F(PatternOpTest, StateBytesFallsBackAfterTheWindowPasses) {
+  // 2,000 a-edges sharing y land in one left bucket. Once the window has
+  // passed them all, the bucket and its overflow block must be gone, not
+  // kept for reuse.
+  const std::size_t fresh = op_->StateBytes();
+  for (VertexId i = 0; i < 2000; ++i) {
+    const Timestamp ts = static_cast<Timestamp>(i);
+    op_->OnTuple(0, Sgt(100 + i, 7, a_, Interval(ts, ts + 10)));
+  }
+  EXPECT_EQ(op_->StateSize(), 2000u);
+  EXPECT_GT(op_->StateBytes(), fresh + 100 * 1024);  // the block counts
+  op_->Purge(3000);
+  EXPECT_EQ(op_->StateSize(), 0u);
+  EXPECT_LE(op_->StateBytes(), fresh + 16 * 1024);
+}
+
+TEST_F(PatternOpTest, OneExpiryHintPerBucket) {
+  // One binding, then 999 coalescing extensions of it: expiry only
+  // grows, so none needs a hint of its own.
+  for (Timestamp t = 0; t < 1000; ++t) {
+    op_->OnTuple(0, Sgt(1, 2, a_, Interval(t, t + 10)));
+  }
+  EXPECT_EQ(op_->StateSize(), 1u);
+  // 100 more bindings in the same bucket, at staggered expiries that all
+  // lie after the bucket's hint.
+  std::vector<Timestamp> expiries = {1009};  // the extended binding
+  for (VertexId i = 0; i < 100; ++i) {
+    const Timestamp exp = 20 + 10 * static_cast<Timestamp>(i);
+    op_->OnTuple(0, Sgt(100 + i, 2, a_, Interval(exp - 15, exp)));
+    expiries.push_back(exp);
+  }
+  EXPECT_EQ(op_->StateSize(), 101u);
+  EXPECT_LE(op_->num_expiry_hints(), 1u);
+  // Each binding is dropped by the first purge at its expiry, not before.
+  std::sort(expiries.begin(), expiries.end());
+  std::size_t live = expiries.size();
+  for (const Timestamp exp : expiries) {
+    op_->Purge(exp - 1);
+    EXPECT_EQ(op_->StateSize(), live) << "dropped before " << exp;
+    op_->Purge(exp);
+    EXPECT_EQ(op_->StateSize(), --live) << "kept after " << exp;
+    EXPECT_LE(op_->num_expiry_hints(), 1u);
+  }
+  EXPECT_EQ(op_->num_expiry_hints(), 0u);
 }
 
 TEST(PatternOpSelfJoinTest, IntraAtomConstraint) {

@@ -456,16 +456,20 @@ TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
   // (its `atom:` partitions and PATTERN state) left the image, which
   // changed only the "windows" and "ops" sections and the footer CRC.
   // Re-frozen for version 4: "meta" lost two keys (48 bytes); only the
-  // header version, "meta" and the footer CRC moved.
+  // header version, "meta" and the footer CRC moved. Re-frozen for
+  // version 5, since every config registers a PATTERN join: its "ops"
+  // payload carries each join bucket's hinted expiry instead of the
+  // binding-expiry calendar's hint list (every image shrank); only the
+  // header version, "ops" and the footer CRC moved.
   const GoldenConfig goldens[] = {
-      {"spath-b1", false, PathImpl::kSPath, 1, 1, 11417,
-       0x67a1519762a3d593ull},
-      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 8645,
-       0xca240161e56f7241ull},
-      {"spath-w2", false, PathImpl::kSPath, 4, 2, 13254,
-       0x591e976a898081e5ull},
-      {"so-b1", true, PathImpl::kSPath, 1, 1, 7496411,
-       0xf62648f5f87a757aull},
+      {"spath-b1", false, PathImpl::kSPath, 1, 1, 10142,
+       0x7b01314ae5d85612ull},
+      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 7363,
+       0x7d6770697ea14ebaull},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 12103,
+       0xf8efdecefbdc3f80ull},
+      {"so-b1", true, PathImpl::kSPath, 1, 1, 7269194,
+       0x6263a287b85d279aull},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const GoldenConfig& golden : goldens) {

@@ -327,14 +327,14 @@ int TrackedPayload::live = 0;
 }  // namespace
 
 TEST(PoolVecTest, InlineThenPoolOverflowRunsDestructors) {
-  SlabPool pool;
   {
     PoolVec<TrackedPayload, 1> run;
-    run.push_back(&pool, TrackedPayload(10));
+    run.push_back(TrackedPayload(10));
     EXPECT_EQ(run.overflow_bytes(), 0u);  // single element stays inline
-    run.push_back(&pool, TrackedPayload(20));
-    run.push_back(&pool, TrackedPayload(30));
-    EXPECT_GT(run.overflow_bytes(), 0u);
+    run.push_back(TrackedPayload(20));
+    run.push_back(TrackedPayload(30));
+    // Capacity 1 -> 2 -> 4; the block is exactly 4 elements, unrounded.
+    EXPECT_EQ(run.overflow_bytes(), 4 * sizeof(TrackedPayload));
     ASSERT_EQ(run.size(), 3u);
     EXPECT_EQ(run[0].values[0], 10u);
     EXPECT_EQ(run[1].values[0], 20u);
@@ -343,33 +343,45 @@ TEST(PoolVecTest, InlineThenPoolOverflowRunsDestructors) {
     run.truncate(1);  // destroys the tail
     EXPECT_EQ(TrackedPayload::live, 1);
     EXPECT_EQ(run[0].values[7], 17u);
-    run.Release(&pool);
+    run.Release();
     EXPECT_EQ(TrackedPayload::live, 0);
     EXPECT_EQ(run.overflow_bytes(), 0u);
   }
   EXPECT_EQ(TrackedPayload::live, 0);
 }
 
-TEST(PoolVecTest, DestructorReleasesElementsNotBlock) {
-  SlabPool pool;
+TEST(PoolVecTest, DestructorReleasesElementsAndBlock) {
   {
     PoolVec<TrackedPayload, 1> run;
-    for (uint64_t i = 0; i < 50; ++i) run.push_back(&pool, TrackedPayload(i));
+    for (uint64_t i = 0; i < 50; ++i) run.push_back(TrackedPayload(i));
     EXPECT_EQ(TrackedPayload::live, 50);
-  }  // ~PoolVec: element destructors run, block abandoned to the arena
+  }  // ~PoolVec: element destructors run and the block is freed (the
+     // sanitizer build's leak checker fails the test otherwise)
   EXPECT_EQ(TrackedPayload::live, 0);
-  pool.Clear();
 }
 
 TEST(PoolVecTest, MoveTransfersElementsAndCompactionWorks) {
-  SlabPool pool;
   PoolVec<TrackedPayload, 1> run;
-  for (uint64_t i = 0; i < 10; ++i) run.push_back(&pool, TrackedPayload(i));
+  for (uint64_t i = 0; i < 10; ++i) run.push_back(TrackedPayload(i));
   PoolVec<TrackedPayload, 1> moved = std::move(run);
   EXPECT_TRUE(run.empty());  // NOLINT(bugprone-use-after-move)
   ASSERT_EQ(moved.size(), 10u);
   EXPECT_EQ(moved[9].values[0], 9u);
   EXPECT_EQ(TrackedPayload::live, 10);
+  // Move-assigning over a run that holds a block destroys its elements
+  // and frees its block (the leak checker catches an abandoned one).
+  PoolVec<TrackedPayload, 1> target;
+  for (uint64_t i = 100; i < 105; ++i) target.push_back(TrackedPayload(i));
+  ASSERT_GT(target.overflow_bytes(), 0u);
+  EXPECT_EQ(TrackedPayload::live, 15);
+  target = std::move(moved);
+  EXPECT_EQ(TrackedPayload::live, 10);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.overflow_bytes(), 0u);
+  moved = std::move(target);
+  EXPECT_EQ(target.overflow_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  ASSERT_EQ(moved.size(), 10u);
+  EXPECT_EQ(moved[9].values[0], 9u);
   // Keep-compaction idiom used by PatternOp's scrub/purge: move survivors
   // down, truncate the tail.
   std::size_t keep = 0;
@@ -384,20 +396,20 @@ TEST(PoolVecTest, MoveTransfersElementsAndCompactionWorks) {
     EXPECT_EQ(moved[i].values[0], 2 * i);
   }
   EXPECT_EQ(TrackedPayload::live, 5);
-  moved.Release(&pool);
+  moved.Release();
   EXPECT_EQ(TrackedPayload::live, 0);
+  EXPECT_EQ(moved.overflow_bytes(), 0u);
 }
 
 TEST(PoolVecTest, WorksAsFlatMapValue) {
   // The PatternOp bucket configuration: FlatMap slots hold PoolVec runs,
   // robin-hood shifts and rehashes relocate them.
-  SlabPool pool;
   FlatMap<uint64_t, PoolVec<TrackedPayload, 1>> table;
   for (uint64_t k = 0; k < 200; ++k) {
     auto [it, inserted] = table.try_emplace(k);
     EXPECT_TRUE(inserted);
     for (uint64_t i = 0; i <= k % 3; ++i) {
-      it->second.push_back(&pool, TrackedPayload(100 * k + i));
+      it->second.push_back(TrackedPayload(100 * k + i));
     }
   }
   std::size_t total = 0;
@@ -409,11 +421,10 @@ TEST(PoolVecTest, WorksAsFlatMapValue) {
     total += run.size();
   }
   EXPECT_EQ(TrackedPayload::live, static_cast<int>(total));
-  // Erase half the keys, releasing their blocks back to the pool first.
+  // Erase half the keys; each erased run frees its own block.
   for (uint64_t k = 0; k < 200; k += 2) {
     auto it = table.find(k);
     ASSERT_NE(it, table.end());
-    it->second.Release(&pool);
     table.erase(it);
   }
   EXPECT_EQ(table.size(), 100u);
@@ -471,9 +482,9 @@ TEST(ExpiryCalendarTest, DrainsExactlyDueBucketsAcrossBoundaries) {
   // expires hints <= now and re-registers in-bucket survivors (18, 19).
   const Timestamp now1 = 17;
   std::set<uint64_t> drained1;
-  cal.DrainDue(now1, [&](uint64_t id) {
+  cal.DrainDue(now1, [&](Timestamp exp, uint64_t id) {
     drained1.insert(id);
-    const Timestamp exp = static_cast<Timestamp>(id);
+    EXPECT_EQ(exp, static_cast<Timestamp>(id));  // the registered expiry
     if (exp <= now1) {
       live.erase(id);
     } else if (cal.NeedsReAdd(exp, now1)) {
@@ -491,9 +502,9 @@ TEST(ExpiryCalendarTest, DrainsExactlyDueBucketsAcrossBoundaries) {
   // except the re-registered bucket-1 survivors.
   const std::size_t drained_before = cal.hints_drained();
   std::set<uint64_t> drained2;
-  cal.DrainDue(19, [&](uint64_t id) {
+  cal.DrainDue(19, [&](Timestamp exp, uint64_t id) {
     drained2.insert(id);
-    const Timestamp exp = static_cast<Timestamp>(id);
+    EXPECT_EQ(exp, static_cast<Timestamp>(id));
     if (exp <= 19) {
       live.erase(id);
     } else if (cal.NeedsReAdd(exp, 19)) {
@@ -505,7 +516,10 @@ TEST(ExpiryCalendarTest, DrainsExactlyDueBucketsAcrossBoundaries) {
   EXPECT_EQ(live.size(), 15u);
 
   // Far advance drains every remaining bucket.
-  cal.DrainDue(100, [&](uint64_t id) { live.erase(id); });
+  cal.DrainDue(100, [&](Timestamp exp, uint64_t id) {
+    EXPECT_EQ(exp, static_cast<Timestamp>(id));
+    live.erase(id);
+  });
   EXPECT_TRUE(live.empty());
   EXPECT_EQ(cal.num_hints(), 0u);
 }
@@ -519,7 +533,7 @@ TEST(ExpiryCalendarTest, NothingDueTouchesNothing) {
   // Every expiry lies at >= 1000; advancing below that must not invoke
   // the callback at all — the O(expiring bucket) contract.
   for (Timestamp now = 0; now < 999; now += 7) {
-    cal.DrainDue(now, [&](uint64_t) { FAIL() << "nothing is due"; });
+    cal.DrainDue(now, [&](Timestamp, uint64_t) { FAIL() << "nothing is due"; });
   }
   EXPECT_EQ(cal.hints_drained(), 0u);
   EXPECT_EQ(cal.num_hints(), 10000u);
@@ -533,8 +547,9 @@ TEST(ExpiryCalendarTest, ReconfigureSlideRebuckets) {
   cal.ConfigureSlide(25);
   EXPECT_EQ(cal.num_hints(), 100u);
   std::set<uint64_t> drained;
-  cal.DrainDue(49, [&](uint64_t id) {
-    if (static_cast<Timestamp>(id) <= 49) drained.insert(id);
+  cal.DrainDue(49, [&](Timestamp exp, uint64_t id) {
+    EXPECT_EQ(exp, static_cast<Timestamp>(id));  // re-bucketed, not moved
+    if (exp <= 49) drained.insert(id);
   });
   EXPECT_EQ(drained.size(), 50u);  // exactly exps 0..49
 }
@@ -543,7 +558,7 @@ TEST(ExpiryCalendarTest, MaxTimestampNeverRegisters) {
   ExpiryCalendar<int> cal;
   cal.Add(kMaxTimestamp, 1);
   EXPECT_EQ(cal.num_hints(), 0u);
-  cal.DrainDue(kMaxTimestamp - 1, [&](int) { FAIL(); });
+  cal.DrainDue(kMaxTimestamp - 1, [&](Timestamp, int) { FAIL(); });
 }
 
 }  // namespace

@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "algebra/logical_plan.h"
+#include "core/pattern_op.h"
 #include "core/reorder_buffer.h"
 #include "core/window_store.h"
 #include "model/checkpoint.h"
 #include "model/coalesce.h"
+#include "model/vocabulary.h"
 
 namespace sgq {
 namespace {
@@ -267,6 +271,239 @@ TEST(ReorderBufferCheckpointTest, CorruptStateRejected) {
   Status st = target.DeserializeState(&in);
   if (st.ok()) st = in.ExpectEnd();
   EXPECT_FALSE(st.ok());
+}
+
+// ---------------------------------------------------------------------------
+// PatternOp
+// ---------------------------------------------------------------------------
+
+class CollectOp : public PhysicalOp {
+ public:
+  void OnTuple(int port, const Sgt& tuple) override {
+    (void)port;
+    tuples.push_back(tuple);
+  }
+  std::string Name() const override { return "COLLECT"; }
+  std::vector<Sgt> tuples;
+};
+
+/// \brief Decoded PATTERN payload of a one-level pattern whose right side
+/// is a private table (DESIGN.md §7), so tests can re-encode it with one
+/// field changed.
+struct PatternImage {
+  struct Binding {
+    std::vector<std::uint64_t> vals;
+    Timestamp ts = 0;
+    Timestamp exp = 0;
+  };
+  struct Bucket {
+    std::vector<std::uint64_t> key;
+    Timestamp hinted = 0;
+    std::vector<Binding> bindings;
+  };
+  struct Table {
+    std::vector<Bucket> buckets;
+    std::uint64_t entries = 0;
+  };
+  std::uint32_t levels = 0;
+  Table left;
+  std::uint8_t store_backed = 0;
+  Table right;
+  std::string tail;  ///< the output coalescer, verbatim
+
+  static Table GetTable(ByteReader* in) {
+    Table t;
+    t.buckets.resize(in->U64());
+    for (Bucket& bucket : t.buckets) {
+      bucket.key.resize(in->U32());
+      for (std::uint64_t& v : bucket.key) v = in->U64();
+      bucket.hinted = in->I64();
+      bucket.bindings.resize(in->U32());
+      for (Binding& b : bucket.bindings) {
+        b.vals.resize(in->U32());
+        for (std::uint64_t& v : b.vals) v = in->U64();
+        b.ts = in->I64();
+        b.exp = in->I64();
+      }
+    }
+    t.entries = in->U64();
+    return t;
+  }
+  static void PutTable(const Table& t, std::string* out) {
+    PutU64(out, t.buckets.size());
+    for (const Bucket& bucket : t.buckets) {
+      PutU32(out, static_cast<std::uint32_t>(bucket.key.size()));
+      for (std::uint64_t v : bucket.key) PutU64(out, v);
+      PutI64(out, bucket.hinted);
+      PutU32(out, static_cast<std::uint32_t>(bucket.bindings.size()));
+      for (const Binding& b : bucket.bindings) {
+        PutU32(out, static_cast<std::uint32_t>(b.vals.size()));
+        for (std::uint64_t v : b.vals) PutU64(out, v);
+        PutI64(out, b.ts);
+        PutI64(out, b.exp);
+      }
+    }
+    PutU64(out, t.entries);
+  }
+
+  static PatternImage Decode(const std::string& bytes) {
+    ByteReader in(bytes, "decode");
+    PatternImage image;
+    image.levels = in.U32();
+    image.left = GetTable(&in);
+    image.store_backed = in.U8();
+    image.right = GetTable(&in);
+    image.tail = std::string(in.Raw(in.remaining()));
+    EXPECT_TRUE(in.ok()) << in.status().ToString();
+    return image;
+  }
+  std::string Encode() const {
+    std::string out;
+    PutU32(&out, levels);
+    PutTable(left, &out);
+    PutU8(&out, store_backed);
+    PutTable(right, &out);
+    return out + tail;
+  }
+};
+
+/// \brief a(x,y), b(y,z) -> out(x,z) with both sides in private tables:
+/// the one level keys on y, and bindings hold (x, y, z).
+class PatternCheckpointTest : public ::testing::Test {
+ protected:
+  // Offsets into the payload Feed() leaves: u32 levels and the left
+  // table's u64 key count, then its one bucket — u32 key arity, one u64
+  // key value, i64 hinted, u32 bindings, and three bindings of u32 arity,
+  // three u64 values, i64 ts and i64 exp — then the u64 entry counter.
+  static constexpr std::size_t kKeyArityAt = 4 + 8;
+  static constexpr std::size_t kCountAt = kKeyArityAt + 4 + 8 + 8;
+  static constexpr std::size_t kArityAt = kCountAt + 4;
+  static constexpr std::size_t kEntriesAt = kArityAt + 3 * (4 + 3 * 8 + 16);
+
+  void SetUp() override {
+    a_ = *vocab_.InternInputLabel("a");
+    b_ = *vocab_.InternInputLabel("b");
+    const LabelId out = *vocab_.InternDerivedLabel("out");
+    std::vector<LogicalPlan> children;
+    children.push_back(MakeWScan(a_, WindowSpec(40, 1)));
+    children.push_back(MakeWScan(b_, WindowSpec(40, 1)));
+    logical_ = MakePattern(out, {{"x", "y"}, {"y", "z"}}, "x", "z",
+                           std::move(children));
+  }
+
+  std::unique_ptr<PatternOp> MakeOp(CollectOp* sink) {
+    auto op = std::make_unique<PatternOp>(*logical_);
+    wires_.push_back(std::make_unique<OutputChannel>(sink, 0));
+    op->BindOutput(wires_.back().get());
+    return op;
+  }
+
+  /// \brief One left bucket (y = 5) of three bindings, whose second
+  /// insert moved the hint earlier (20, leaving a stale hint at 30), and
+  /// one right bucket of one binding.
+  void Feed(PatternOp* op) {
+    op->OnTuple(0, Sgt(1, 5, a_, Interval(0, 30)));
+    op->OnTuple(0, Sgt(2, 5, a_, Interval(2, 20)));
+    op->OnTuple(0, Sgt(3, 5, a_, Interval(4, 40)));
+    op->OnTuple(1, Sgt(5, 9, b_, Interval(6, 26)));
+  }
+
+  Vocabulary vocab_;
+  LabelId a_ = 0;
+  LabelId b_ = 0;
+  LogicalPlan logical_;
+  std::vector<std::unique_ptr<OutputChannel>> wires_;
+};
+
+TEST_F(PatternCheckpointTest, RestoreRegistersOneHintPerBucket) {
+  CollectOp original_out;
+  CollectOp restored_out;
+  auto original = MakeOp(&original_out);
+  Feed(original.get());
+  EXPECT_EQ(original->num_expiry_hints(), 3u);  // one of them stale
+  auto restored = MakeOp(&restored_out);
+  RoundTrip(*original, restored.get());
+  EXPECT_EQ(restored->num_expiry_hints(), 2u);
+
+  // The stale hint never reaches an image: from here on the two operators
+  // drop the same bindings, emit the same joins and write the same state.
+  original_out.tuples.clear();
+  for (const Timestamp now : {19, 20, 25, 26, 29, 30, 39, 40}) {
+    original->Purge(now);
+    restored->Purge(now);
+    EXPECT_EQ(original->StateSize(), restored->StateSize()) << now;
+    const Sgt probe(5, 100 + static_cast<VertexId>(now), b_,
+                    Interval(now, now + 5));
+    original->OnTuple(1, probe);
+    restored->OnTuple(1, probe);
+    std::string a;
+    std::string b;
+    original->SerializeState(&a);
+    restored->SerializeState(&b);
+    EXPECT_EQ(a, b) << "images diverged after purge at " << now;
+  }
+  ASSERT_EQ(original_out.tuples.size(), restored_out.tuples.size());
+  EXPECT_FALSE(original_out.tuples.empty());
+  for (std::size_t i = 0; i < original_out.tuples.size(); ++i) {
+    EXPECT_EQ(original_out.tuples[i].edge(), restored_out.tuples[i].edge());
+    EXPECT_EQ(original_out.tuples[i].validity,
+              restored_out.tuples[i].validity);
+  }
+}
+
+TEST_F(PatternCheckpointTest, MalformedBucketsRejectedWithOffsets) {
+  CollectOp sink;
+  auto original = MakeOp(&sink);
+  Feed(original.get());
+  std::string bytes;
+  original->SerializeState(&bytes);
+  const PatternImage valid = PatternImage::Decode(bytes);
+  ASSERT_EQ(valid.Encode(), bytes);
+  ASSERT_EQ(valid.left.buckets.size(), 1u);
+  ASSERT_EQ(valid.left.buckets[0].key.size(), 1u);
+  ASSERT_EQ(valid.left.buckets[0].hinted, 20);
+  ASSERT_EQ(valid.left.buckets[0].bindings.size(), 3u);
+
+  struct Case {
+    const char* what;
+    PatternImage image;
+    std::string error;  ///< expected "offset N: ..." substring
+  };
+  std::vector<Case> cases;
+  // Each case is a well-formed payload except for one field.
+  cases.push_back({"binding arity", valid,
+                   "offset " + std::to_string(kArityAt + 4) +
+                       ": binding arity 2, want 3"});
+  cases.back().image.left.buckets[0].bindings[0].vals.pop_back();
+  cases.push_back({"key arity", valid,
+                   "offset " + std::to_string(kKeyArityAt + 4) +
+                       ": join key arity 2, want 1"});
+  cases.back().image.left.buckets[0].key.push_back(6);
+  cases.push_back({"empty bucket", valid,
+                   "offset " + std::to_string(kCountAt + 4) +
+                       ": empty join bucket"});
+  cases.back().image.left.buckets[0].bindings.clear();
+  cases.back().image.left.entries = 0;
+  cases.push_back({"late hint", valid,
+                   "offset " + std::to_string(kEntriesAt) +
+                       ": bucket hint 21 is later than its earliest "
+                       "binding expiry 20"});
+  cases.back().image.left.buckets[0].hinted = 21;
+  cases.push_back({"entry counter", valid,
+                   "offset " + std::to_string(kEntriesAt + 8) +
+                       ": entry counter 4 disagrees with the 3 bindings "
+                       "restored"});
+  cases.back().image.left.entries = 4;
+  for (const Case& c : cases) {
+    CollectOp fresh_out;
+    auto fresh = MakeOp(&fresh_out);
+    const std::string image = c.image.Encode();
+    ByteReader in(image, "pattern");
+    const Status st = fresh->DeserializeState(&in);
+    ASSERT_FALSE(st.ok()) << c.what << " accepted";
+    EXPECT_NE(st.message().find("pattern: " + c.error), std::string::npos)
+        << c.what << ": " << st.ToString();
+  }
 }
 
 }  // namespace
