@@ -24,21 +24,21 @@
 // survivors for which NeedsReAdd(exp, now) holds during the drain.
 // Stale duplicates cost one extra verification each and never accumulate.
 //
-// An owner may instead hint a *group* of entries once, at the group's
-// earliest expiry (PATTERN hints each join bucket this way, DESIGN.md
-// "Expiry calendars"): the drain hands the callback each hint's
-// registered expiry, so the owner tells its one live hint from stale
-// ones by comparing it with the expiry it recorded.
+// An owner may instead hint a *group* of entries at the group's earliest
+// expiry (DESIGN.md "Expiry calendars"). PATTERN hints each join bucket
+// once: the drain hands the callback each hint's registered expiry, so
+// the owner tells its one live hint from stale ones by comparing it with
+// the expiry it recorded. The streaming coalescer hints each key's
+// interval list without such a record and verifies every hint against
+// the key's live coverage instead.
 
 #ifndef SGQ_COMMON_EXPIRY_CALENDAR_H_
 #define SGQ_COMMON_EXPIRY_CALENDAR_H_
 
 #include <algorithm>
 #include <cstddef>
-#include <queue>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "model/types.h"
 
 namespace sgq {
@@ -46,6 +46,14 @@ namespace sgq {
 /// \brief Bucketed expiry index. `Hint` is a small trivially-copyable
 /// locator (a map key, a (root, node) pair) the drain callback uses to
 /// find the live entry.
+///
+/// Buckets live in one vector sorted by bucket id. Expiries are window
+/// bounded, so a calendar holds about window / slide buckets, and new
+/// hints mostly land in the newest one: Add checks the last bucket
+/// before a binary search, AnyDue reads the first live bucket, and a
+/// drain advances past a prefix (compacted once the drained prefix is
+/// as long as the live part) — no hashing anywhere, and a small calendar
+/// costs a few dozen bytes per bucket.
 template <typename Hint>
 class ExpiryCalendar {
  public:
@@ -55,15 +63,18 @@ class ExpiryCalendar {
   /// is always correct — one bucket per distinct expiry instant.
   void ConfigureSlide(Timestamp slide) {
     if (slide <= 0 || slide == slide_) return;
+    if (num_hints_ == 0) {
+      Clear();
+      slide_ = slide;
+      return;
+    }
     std::vector<Entry> all;
     all.reserve(num_hints_);
-    for (auto& [bucket, data] : buckets_) {
-      (void)bucket;
-      all.insert(all.end(), data.entries.begin(), data.entries.end());
+    for (std::size_t i = head_; i < buckets_.size(); ++i) {
+      all.insert(all.end(), buckets_[i].entries.begin(),
+                 buckets_[i].entries.end());
     }
-    buckets_.clear();
-    heap_ = {};
-    num_hints_ = 0;
+    Clear();
     slide_ = slide;
     for (const Entry& e : all) Add(e.exp, e.hint);
   }
@@ -74,15 +85,9 @@ class ExpiryCalendar {
   /// never expire (kMaxTimestamp) are not tracked.
   void Add(Timestamp exp, const Hint& hint) {
     if (exp == kMaxTimestamp) return;
-    const Timestamp bucket = exp / slide_;
-    auto [it, inserted] = buckets_.try_emplace(bucket);
-    if (inserted) {
-      heap_.push(bucket);
-      it->second.min_exp = exp;
-    } else if (exp < it->second.min_exp) {
-      it->second.min_exp = exp;
-    }
-    it->second.entries.push_back(Entry{exp, hint});
+    Bucket& b = BucketFor(exp / slide_);
+    b.min_exp = std::min(b.min_exp, exp);
+    b.entries.push_back(Entry{exp, hint});
     ++num_hints_;
   }
 
@@ -91,9 +96,7 @@ class ExpiryCalendar {
   /// implies min-expiry order), so a bucket whose time range has started
   /// but whose earliest entry is still in the future triggers nothing.
   bool AnyDue(Timestamp now) const {
-    if (heap_.empty()) return false;
-    const auto it = buckets_.find(heap_.top());
-    return it != buckets_.end() && it->second.min_exp <= now;
+    return head_ < buckets_.size() && buckets_[head_].min_exp <= now;
   }
 
   /// \brief True when a surviving entry seen during a drain at `now` must
@@ -112,25 +115,32 @@ class ExpiryCalendar {
   /// drain are not drained again in this call.
   template <typename Fn>
   void DrainDue(Timestamp now, Fn&& fn) {
-    if (!AnyDue(now)) return;
-    drain_scratch_.clear();
-    while (!heap_.empty()) {
-      const Timestamp bucket = heap_.top();
-      auto it = buckets_.find(bucket);
-      if (it == buckets_.end()) {  // defensive; buckets outlive heap ids
-        heap_.pop();
-        continue;
-      }
-      if (it->second.min_exp > now) break;
-      heap_.pop();
-      num_hints_ -= it->second.entries.size();
-      drain_scratch_.push_back(std::move(it->second.entries));
-      buckets_.erase(it);
+    // min_exp grows with the bucket id, so the due buckets are a prefix
+    // of the live ones.
+    std::size_t end = head_;
+    while (end < buckets_.size() && buckets_[end].min_exp <= now) {
+      num_hints_ -= buckets_[end].entries.size();
+      drain_scratch_.push_back(std::move(buckets_[end].entries));
+      ++end;
     }
-    for (const std::vector<Entry>& bucket : drain_scratch_) {
+    if (end == head_) return;
+    head_ = end;
+    if (head_ == buckets_.size()) {
+      buckets_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= buckets_.size()) {
+      buckets_.erase(buckets_.begin(), buckets_.begin() + head_);
+      head_ = 0;
+    }
+    // Callbacks may Add, so the popped buckets are drained from scratch.
+    for (std::vector<Entry>& bucket : drain_scratch_) {
       for (const Entry& e : bucket) {
         ++hints_drained_;
         fn(e.exp, e.hint);
+      }
+      if (spare_.capacity() == 0 && bucket.capacity() <= kMaxSpareEntries) {
+        bucket.clear();
+        spare_.swap(bucket);
       }
     }
     drain_scratch_.clear();
@@ -138,8 +148,9 @@ class ExpiryCalendar {
 
   void Clear() {
     buckets_.clear();
-    heap_ = {};
+    head_ = 0;
     num_hints_ = 0;
+    spare_ = {};
   }
 
   std::size_t num_hints() const { return num_hints_; }
@@ -154,31 +165,21 @@ class ExpiryCalendar {
   /// (model/checkpoint.h) replays Add(exp, hint) in visit order into a
   /// Clear()'d calendar with the same slide, which reconstructs an
   /// identical drain schedule (bucket ids, min_exp, entry order,
-  /// num_hints); the heap is rebuilt with the same id set, and its pop
-  /// order depends only on the ids.
+  /// num_hints).
   template <typename Fn>
   void VisitEntries(Fn&& fn) const {
-    std::vector<Timestamp> ids;
-    ids.reserve(buckets_.size());
-    for (const auto& [bucket, data] : buckets_) {
-      (void)data;
-      ids.push_back(bucket);
-    }
-    std::sort(ids.begin(), ids.end());
-    for (const Timestamp bucket : ids) {
-      const auto it = buckets_.find(bucket);
-      for (const Entry& e : it->second.entries) fn(e.exp, e.hint);
+    for (std::size_t i = head_; i < buckets_.size(); ++i) {
+      for (const Entry& e : buckets_[i].entries) fn(e.exp, e.hint);
     }
   }
 
-  /// \brief Approximate resident bytes (bucket map + hint vectors).
+  /// \brief Approximate resident bytes (bucket vector + hint vectors).
   std::size_t ApproxBytes() const {
-    std::size_t n = buckets_.capacity_bytes();
-    for (const auto& [bucket, data] : buckets_) {
-      (void)bucket;
-      n += data.entries.capacity() * sizeof(Entry);
+    std::size_t n = buckets_.capacity() * sizeof(Bucket);
+    for (std::size_t i = head_; i < buckets_.size(); ++i) {
+      n += buckets_[i].entries.capacity() * sizeof(Entry);
     }
-    return n;
+    return n + spare_.capacity() * sizeof(Entry);
   }
 
  private:
@@ -187,20 +188,52 @@ class ExpiryCalendar {
     Hint hint;
   };
   struct Bucket {
-    Timestamp min_exp = kMaxTimestamp;
+    Timestamp id;
+    Timestamp min_exp;
     std::vector<Entry> entries;
   };
+  /// A drained bucket's vector (cleared, capacity intact) is kept as the
+  /// spare for the next bucket created: a steady slide drains about one
+  /// bucket per boundary and opens about one, so one small spare stops
+  /// the per-slide reallocation of the many small calendars (one per
+  /// coalescer) without holding on to a large calendar's capacity.
+  static constexpr std::size_t kMaxSpareEntries = 64;
+
+  /// The bucket with id `id`, created (empty) in sorted position if
+  /// absent. New hints mostly go to the newest bucket, so it is checked
+  /// first.
+  Bucket& BucketFor(Timestamp id) {
+    const bool live = head_ < buckets_.size();
+    if (live && buckets_.back().id == id) return buckets_.back();
+    auto pos = buckets_.end();
+    if (live && id < buckets_.back().id) {
+      pos = std::lower_bound(
+          buckets_.begin() + static_cast<std::ptrdiff_t>(head_),
+          buckets_.end(), id,
+          [](const Bucket& b, Timestamp key) { return b.id < key; });
+      if (pos->id == id) return *pos;
+    }
+    Bucket fresh{id, kMaxTimestamp, {}};
+    fresh.entries.swap(spare_);  // a drained bucket's capacity, reused
+    if (head_ > 0 && pos == buckets_.begin() + static_cast<std::ptrdiff_t>(
+                                                   head_)) {
+      --head_;  // a new first bucket reuses the drained slot before it
+      buckets_[head_] = std::move(fresh);
+      return buckets_[head_];
+    }
+    return *buckets_.insert(pos, std::move(fresh));
+  }
 
   Timestamp slide_ = 1;
-  FlatMap<Timestamp, Bucket> buckets_;
-  /// Min-heap of bucket ids with content (no duplicates: pushed only when
-  /// the bucket is created).
-  std::priority_queue<Timestamp, std::vector<Timestamp>,
-                      std::greater<Timestamp>>
-      heap_;
+  /// buckets_[head_..] are the buckets with at least one hint, ascending
+  /// by id (hence by min_exp); buckets_[..head_) were drained and await
+  /// compaction.
+  std::vector<Bucket> buckets_;
+  std::size_t head_ = 0;
   std::size_t num_hints_ = 0;
   std::size_t hints_drained_ = 0;
   std::vector<std::vector<Entry>> drain_scratch_;
+  std::vector<Entry> spare_;
 };
 
 }  // namespace sgq

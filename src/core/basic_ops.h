@@ -86,6 +86,12 @@ class SinkOp : public PhysicalOp {
 
   void OnTuple(int port, const Sgt& tuple) override;
   void Purge(Timestamp now) override;
+  bool PurgeDue(Timestamp now) const override {
+    return coalescer_.AnyDue(now);
+  }
+  void ConfigureExpirySlide(Timestamp slide) override {
+    coalescer_.ConfigureExpirySlide(slide);
+  }
   std::string Name() const override { return "SINK"; }
   std::size_t StateSize() const override { return coalescer_.NumKeys(); }
 

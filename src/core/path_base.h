@@ -83,13 +83,22 @@ class PathOpBase : public PhysicalOp {
   void ConfigureExpirySlide(Timestamp slide) override {
     node_expiry_.ConfigureSlide(slide);
     owned_window_.ConfigureExpirySlide(slide);
+    out_coalescer_.ConfigureExpirySlide(slide);
   }
 
   /// \brief Frees window edges, tree nodes and coalescer state that
-  /// expired before `now` (memory only; results are unaffected because
-  /// probes intersect intervals). Calendar-driven: cost is proportional
-  /// to what actually expired, not to the forest size.
+  /// expired at or before `now`, and drops trees reduced to their root.
+  /// Calendar-driven: cost is proportional to what actually expired, not
+  /// to the forest size.
   void Purge(Timestamp now) override;
+
+  /// \brief Due when the window partition, the node calendar or the
+  /// output coalescer has a due hint, or a tree may have shrunk to its
+  /// root.
+  bool PurgeDue(Timestamp now) const override {
+    return window_->AnyDue(now) || node_expiry_.AnyDue(now) ||
+           !empty_tree_candidates_.empty() || out_coalescer_.AnyDue(now);
+  }
 
   /// \brief Checkpoint encoding (model/checkpoint.h, DESIGN.md §7):
   /// forest, inverted index, node-expiry calendar, output coalescer, and

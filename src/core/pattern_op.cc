@@ -448,6 +448,14 @@ void PatternOp::Purge(Timestamp now) {
   out_coalescer_.PurgeBefore(now);
 }
 
+bool PatternOp::PurgeDue(Timestamp now) const {
+  if (binding_expiry_.AnyDue(now) || out_coalescer_.AnyDue(now)) return true;
+  for (const Level& lv : levels_) {
+    if (lv.store != nullptr && lv.store->AnyDue(now)) return true;
+  }
+  return false;
+}
+
 std::size_t PatternOp::StateSize() const {
   std::size_t n = out_coalescer_.NumKeys();
   for (const Level& lv : levels_) {

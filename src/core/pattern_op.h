@@ -76,12 +76,16 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   void OnTuple(int port, const Sgt& tuple) override;
   void Purge(Timestamp now) override;
+  /// \brief Due when the binding calendar, a store-backed partition or
+  /// the output coalescer has a due hint.
+  bool PurgeDue(Timestamp now) const override;
   std::string Name() const override { return "PATTERN"; }
   std::size_t StateSize() const override;
   std::size_t StateBytes() const override;
 
   void ConfigureExpirySlide(Timestamp slide) override {
     binding_expiry_.ConfigureSlide(slide);
+    out_coalescer_.ConfigureExpirySlide(slide);
   }
 
   /// \brief Port 0 (the driving atom) hash-partitions by edge value;

@@ -5,14 +5,14 @@
 // see DESIGN.md for the substitution note). Operators do not call each
 // other: outputs go through an OutputChannel, and the Executor
 // (runtime/executor.h) that owns the operator topology drives
-// OnTuple/OnTimeAdvance/MaybePurge waves in topological order. Time
-// advances monotonically; OnTimeAdvance lets stateful operators process
-// expirations and purge state.
+// OnTuple/OnTimeAdvance/Purge waves in topological order. Time advances
+// monotonically; OnTimeAdvance lets stateful operators process
+// expirations, and at every slide boundary the executor purges each
+// operator that has expired state due.
 
 #ifndef SGQ_CORE_PHYSICAL_H_
 #define SGQ_CORE_PHYSICAL_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,27 +55,33 @@ class PhysicalOp {
   /// operators are guaranteed this base no-op.
   virtual void OnTimeAdvance(Timestamp now) { (void)now; }
 
-  /// \brief Purges internal state that expired before `now`. Affects
-  /// memory, never results (expired entries are already invisible to
-  /// probes because interval intersections come out empty).
+  /// \brief Drops exactly the state entries whose expiry is at or before
+  /// `now` — window edges, join bindings, tree nodes, coalescer coverage —
+  /// touching only what its expiry calendars have due (O(due), not
+  /// O(state)). The executor calls it at every slide boundary `b` at
+  /// which PurgeDue(b) holds, so after the boundary no operator holds an
+  /// entry expiring at or before `b`, and operator state at a batch
+  /// boundary is a function of the input prefix alone.
+  ///
+  /// Purging is not invisible: an expired entry can no longer join or
+  /// extend a path during a deletion's retract/re-derive replay, nor
+  /// suppress a re-emission in an output coalescer. What it would have
+  /// produced is a past-only tuple, one whose interval ended before the
+  /// current time and that earlier emissions already cover, so the output
+  /// stream is snapshot-equivalent either way; purging exactly when due
+  /// makes which of these tuples appear depend on the input alone.
+  ///
+  /// CONTRACT: an operator that overrides this must also override
+  /// PurgeDue(); the executor skips the purge of every operator whose
+  /// PurgeDue() is false, and the base one always is.
   virtual void Purge(Timestamp now) { (void)now; }
 
-  /// \brief Amortized purge used by the runtime at slide boundaries: a full
-  /// Purge() scan runs only once the operator's state has doubled since
-  /// the last purge, keeping purge cost O(state) amortized instead of
-  /// O(state) per slide.
-  void MaybePurge(Timestamp now) {
-    const std::size_t size = StateSize();
-    if (size < purge_watermark_) return;
-    Purge(now);
-    purge_watermark_ = std::max<std::size_t>(1024, 2 * StateSize());
+  /// \brief True when Purge(`now`) has something to drop. Answered in O(1)
+  /// from the expiry calendars' earliest due bucket.
+  virtual bool PurgeDue(Timestamp now) const {
+    (void)now;
+    return false;
   }
-
-  /// \brief True when the next MaybePurge will run a full Purge scan. The
-  /// sharded executor uses this to skip the worker-pool dispatch on the
-  /// (common) slide boundaries where every shard's watermark check would
-  /// return immediately.
-  bool PurgeDue() const { return StateSize() >= purge_watermark_; }
 
   /// \brief Sets the expiry-calendar bucket granularity of stateful
   /// operators to the engine's window slide. Called by the executor at
@@ -151,14 +157,6 @@ class PhysicalOp {
     return Status::OK();
   }
 
-  /// \brief MaybePurge's adaptive threshold — checkpointed and restored
-  /// (runtime/executor.h) so the resumed run purges at the same boundaries
-  /// as the uninterrupted one, keeping container histories identical.
-  std::size_t checkpoint_purge_watermark() const { return purge_watermark_; }
-  void restore_purge_watermark(std::size_t watermark) {
-    purge_watermark_ = watermark;
-  }
-
  protected:
   /// \brief Pushes an output tuple into the bound output channel.
   void EmitTuple(const Sgt& tuple) {
@@ -167,7 +165,6 @@ class PhysicalOp {
 
  private:
   OutputChannel* out_ = nullptr;
-  std::size_t purge_watermark_ = 1024;
 };
 
 /// \brief A source operator: entry point of raw stream elements. The

@@ -95,6 +95,9 @@ class WindowEdgeStore {
   /// the return value of a shared partition.
   std::vector<Sgt> PurgeExpired(Timestamp now);
 
+  /// \brief True when PurgeExpired(`now`) has entries to drop. O(1).
+  bool AnyDue(Timestamp now) const { return calendar_.AnyDue(now); }
+
   std::size_t NumEntries() const { return num_entries_; }
 
   /// \brief Resident bytes: map capacities, pooled runs, calendar.

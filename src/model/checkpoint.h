@@ -57,7 +57,12 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// Version 5: PATTERN state in "ops" carries each join bucket's hinted
 /// expiry with the bucket instead of the binding-expiry calendar's hint
 /// list; every other section is unchanged.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// Version 6: "ops" lost each operator instance's and each merge
+/// coalescer's purge-watermark u64 and each operator's purge-dispatch
+/// `touched` byte (purging is exact at every slide boundary, so no purge
+/// schedule is carried). "ops" and "windows" hold no expired state at a
+/// boundary any more; every other section is unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers

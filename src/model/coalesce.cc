@@ -62,7 +62,7 @@ std::vector<Sgt> Coalesce(const std::vector<Sgt>& tuples) {
 bool StreamingCoalescer::Offer(const Sgt& t) {
   if (t.is_deletion) return true;  // deletions pass through unconsolidated
   if (t.validity.Empty()) return false;
-  auto& ivs = covered_[t.edge()];
+  Coverage& ivs = covered_[t.edge()];
 
   // Fast path: the common case is an interval touching the last recorded
   // one (results for a key arrive with non-decreasing start).
@@ -90,6 +90,9 @@ bool StreamingCoalescer::Offer(const Sgt& t) {
       t.validity.exp <= ivs[lo].exp) {
     return false;  // fully covered
   }
+  // The earliest expiry before the splice (none for a new key): a new
+  // key, or an interval spliced in first, may expire before every hint.
+  const Timestamp earliest = ivs.empty() ? kMaxTimestamp : ivs[0].exp;
   Timestamp ts = t.validity.ts;
   Timestamp exp = t.validity.exp;
   std::size_t hi = lo;
@@ -100,13 +103,15 @@ bool StreamingCoalescer::Offer(const Sgt& t) {
   }
   ivs.erase_range(lo, hi);
   ivs.insert_at(lo, Interval(ts, exp));
+  if (ivs[0].exp < earliest) expiry_.Add(ivs[0].exp, t.edge());
   return true;
 }
 
 void StreamingCoalescer::Forget(const EdgeRef& key, Timestamp from) {
   auto it = covered_.find(key);
   if (it == covered_.end()) return;
-  auto& ivs = it->second;
+  Coverage& ivs = it->second;
+  const Timestamp earliest = ivs[0].exp;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < ivs.size(); ++i) {
     Interval iv = ivs[i];
@@ -114,7 +119,12 @@ void StreamingCoalescer::Forget(const EdgeRef& key, Timestamp from) {
     if (!iv.Empty()) ivs[keep++] = iv;
   }
   ivs.erase_range(keep, ivs.size());
-  if (ivs.empty()) covered_.erase(it);
+  if (ivs.empty()) {
+    covered_.erase(it);
+    return;
+  }
+  // The truncated key must still leave at its (now earlier) expiry.
+  if (ivs[0].exp < earliest) expiry_.Add(ivs[0].exp, key);
 }
 
 void StreamingCoalescer::SerializeState(std::string* out) const {
@@ -131,7 +141,7 @@ void StreamingCoalescer::SerializeState(std::string* out) const {
     PutU64(out, key.src);
     PutU64(out, key.trg);
     PutU32(out, key.label);
-    const auto& ivs = it->second;
+    const Coverage& ivs = it->second;
     PutU32(out, static_cast<std::uint32_t>(ivs.size()));
     for (std::size_t i = 0; i < ivs.size(); ++i) {
       PutI64(out, ivs[i].ts);
@@ -152,31 +162,42 @@ Status StreamingCoalescer::DeserializeState(ByteReader* in) {
     key.label = in->U32();
     const std::uint32_t n = in->U32();
     if (!in->ok()) break;
-    auto& ivs = covered_[key];
+    if (n == 0) return in->Fail("coalescer key without coverage");
+    auto [it, inserted] = covered_.try_emplace(key);
+    if (!inserted) return in->Fail("duplicate coalescer key");
+    Coverage& ivs = it->second;
     for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
       Interval iv;
       iv.ts = in->I64();
       iv.exp = in->I64();
+      if (!in->ok()) break;
+      if (iv.Empty() || (!ivs.empty() && iv.ts <= ivs.back().exp)) {
+        return in->Fail("coalescer intervals not sorted and disjoint");
+      }
       ivs.push_back(iv);
     }
+    if (!in->ok()) break;
+    expiry_.Add(ivs[0].exp, key);
   }
   return in->status();
 }
 
 void StreamingCoalescer::PurgeBefore(Timestamp t) {
-  for (auto it = covered_.begin(); it != covered_.end();) {
-    auto& ivs = it->second;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < ivs.size(); ++i) {
-      if (ivs[i].exp > t) ivs[keep++] = ivs[i];
+  expiry_.DrainDue(t, [&](Timestamp /*exp*/, const EdgeRef& key) {
+    auto it = covered_.find(key);
+    if (it == covered_.end()) return;  // stale hint: the key is gone
+    Coverage& ivs = it->second;
+    // Sorted disjoint intervals expire in order: drop the expired prefix.
+    std::size_t expired = 0;
+    while (expired < ivs.size() && ivs[expired].exp <= t) ++expired;
+    if (expired == ivs.size()) {
+      covered_.erase(it);
+      return;
     }
-    ivs.erase_range(keep, ivs.size());
-    if (ivs.empty()) {
-      it = covered_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    ivs.erase_range(0, expired);
+    // This drain consumed a hint: re-register at the earliest expiry.
+    expiry_.Add(ivs[0].exp, key);
+  });
 }
 
 std::vector<EdgeRef> SnapshotEdges(const SgtStream& stream, Timestamp t) {

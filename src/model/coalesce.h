@@ -10,6 +10,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/expiry_calendar.h"
 #include "common/flat_map.h"
 #include "common/small_vec.h"
 #include "model/checkpoint.h"
@@ -40,17 +41,44 @@ std::vector<Sgt> Coalesce(const std::vector<Sgt>& tuples);
 /// interval adds at least one not-yet-covered instant; fully covered tuples
 /// are suppressed. This keeps the emitted stream snapshot-equivalent to the
 /// uncoalesced stream while removing redundancy.
+///
+/// Expired coverage is found through a slide-aligned expiry calendar
+/// (common/expiry_calendar.h). Invariant: every key has a pending hint at
+/// or before the expiry of its earliest interval. A hint is registered
+/// when a key is created, when an out-of-order Offer puts an earlier
+/// interval first, and when Forget truncates the earliest interval;
+/// extending an interval registers nothing. PurgeBefore drains only the
+/// due hints, so a purge costs what expired, not the number of keys.
+///
+/// Hints are verified, not tracked: a key keeps no record of its hints,
+/// so the last two cases can leave it more than one. The drain checks
+/// each hint against the key's live coverage — a hint for an erased key
+/// is skipped, a hint for a live key drops its expired intervals and
+/// re-registers it — so a duplicate costs one extra verification per
+/// drain, and duplicates never outnumber the out-of-order Offers and
+/// Forget calls that made them. (Tracking the live hint per key would
+/// widen every map slot past one cache line.)
 class StreamingCoalescer {
  public:
   /// \brief Returns true if `t` must be emitted; false if suppressed.
   bool Offer(const Sgt& t);
 
-  /// \brief Removes interval state that expired before `t` (periodic purge).
+  /// \brief Sets the expiry-calendar bucket granularity to the engine's
+  /// window slide (the default of 1 is always correct, just finer).
+  void ConfigureExpirySlide(Timestamp slide) { expiry_.ConfigureSlide(slide); }
+
+  /// \brief True when PurgeBefore(`now`) has coverage to drop. O(1).
+  bool AnyDue(Timestamp now) const { return expiry_.AnyDue(now); }
+
+  /// \brief Drops every interval with expiry <= `t` and every key left
+  /// empty; O(due keys). Afterwards no key holds an interval expiring at
+  /// or before `t`.
   void PurgeBefore(Timestamp t);
 
   /// \brief Drops all coverage recorded for `key`. Only for retraction
   /// paths where the deletion instant is unknown (cross-shard re-assert
-  /// coordination); prefer the interval-level overload.
+  /// coordination); prefer the interval-level overload. The key's hints
+  /// go stale and are skipped when drained.
   void Forget(const EdgeRef& key) { covered_.erase(key); }
 
   /// \brief Interval-level forget: removes coverage at instants >= `from`,
@@ -63,9 +91,14 @@ class StreamingCoalescer {
   /// \brief Number of distinct keys currently tracked.
   std::size_t NumKeys() const { return covered_.size(); }
 
-  /// \brief Approximate resident bytes (map capacity + overflow runs).
+  /// \brief Total hints drained so far (diagnostics; a purge with nothing
+  /// due drains none).
+  std::size_t expiry_hints_drained() const { return expiry_.hints_drained(); }
+
+  /// \brief Approximate resident bytes (map capacity, overflow runs and
+  /// the expiry calendar).
   std::size_t ApproxBytes() const {
-    std::size_t n = covered_.capacity_bytes();
+    std::size_t n = covered_.capacity_bytes() + expiry_.ApproxBytes();
     for (const auto& [key, ivs] : covered_) {
       (void)key;
       n += ivs.overflow_bytes();
@@ -76,19 +109,27 @@ class StreamingCoalescer {
   /// \brief Checkpoint encoding (model/checkpoint.h): keys in sorted order
   /// (deterministic bytes), per-key interval lists verbatim. Suppression
   /// decisions depend only on per-key coverage, never on map layout, so
-  /// re-inserting on restore reproduces identical Offer() behavior.
+  /// re-inserting on restore reproduces identical Offer() behavior. The
+  /// calendar is not serialized: restore registers one hint per key, at
+  /// its earliest expiry, in sorted key order.
   void SerializeState(std::string* out) const;
 
   /// \brief Rebuilds coverage from SerializeState bytes; requires an empty
-  /// coalescer (freshly built restore topology).
+  /// coalescer (freshly built restore topology). Rejects a key without
+  /// intervals and interval lists that are not non-empty, sorted and
+  /// disjoint — the shape Offer maintains and PurgeBefore relies on.
   Status DeserializeState(ByteReader* in);
 
  private:
-  // Per key: disjoint covered intervals, sorted by ts, in a small inlined
-  // vector — most keys hold one or two intervals, so the whole entry
-  // (key + coverage) lives in one flat-map slot and one Offer touches one
-  // cache line (hot path: one Offer per candidate result).
-  FlatMap<EdgeRef, SmallVec<Interval, 2>, EdgeRefHash> covered_;
+  // Per key: disjoint covered intervals, sorted by ts (hence by expiry),
+  // in a small inlined vector — most keys hold one or two intervals, so
+  // the whole entry (key + coverage) lives in one flat-map slot and one
+  // Offer touches one cache line (hot path: one Offer per candidate
+  // result).
+  using Coverage = SmallVec<Interval, 2>;
+
+  FlatMap<EdgeRef, Coverage, EdgeRefHash> covered_;
+  ExpiryCalendar<EdgeRef> expiry_;
 };
 
 /// \brief Restricts a stream to the tuples valid at instant `t` and returns

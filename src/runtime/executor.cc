@@ -229,6 +229,7 @@ Status Executor::Finalize() {
     WorkerPoolOptions pool_options;
     pool_options.pin = options_.pin_workers;
     pool_ = std::make_unique<WorkerPool>(options_.num_workers, pool_options);
+    purge_due_.resize(options_.num_workers);
   }
   // Time-advance phases fire per distinct input timestamp and only visit
   // operators that declared time-driven work.
@@ -245,13 +246,20 @@ Status Executor::Finalize() {
   // is correct but finer-bucketed than necessary).
   window_store_.ConfigureExpirySlide(slide_);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
-      instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
-    }
+    ConfigureNodeExpirySlide(i);
   }
   finalized_ = true;
   finalized_nodes_ = nodes_.size();
   return Status::OK();
+}
+
+void Executor::ConfigureNodeExpirySlide(std::size_t i) {
+  for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
+    instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
+  }
+  if (nodes_[i].merge_coalesce) {
+    nodes_[i].merge_coalescer.ConfigureExpirySlide(slide_);
+  }
 }
 
 Status Executor::FinalizeNewOps() {
@@ -283,9 +291,7 @@ Status Executor::FinalizeNewOps() {
     // adopt it (RegisterSource refused finer slides). New ids are larger
     // than every existing one, so push_back keeps time_driven_ops_ in
     // ascending (wave) order.
-    for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
-      instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
-    }
+    ConfigureNodeExpirySlide(i);
     if (nodes_[i].op->HasTimeDrivenWork()) {
       time_driven_ops_.push_back(static_cast<OpId>(i));
     }
@@ -335,9 +341,7 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
     node.merge_coalesce = false;
     node.merge_coalescer = StreamingCoalescer();
     node.merge_retracted.clear();
-    node.merge_purge_watermark = 1024;
     node.dirty = false;
-    node.touched = false;
     node.source_label = kInvalidLabel;
     node.source_wildcard = false;
     --num_live_;
@@ -412,21 +416,6 @@ void Executor::PopDirtyWave(Fn&& visit) {
     visit(id);
   }
   index_skipped_ += nodes_.size() - visited;
-}
-
-void Executor::MarkTouchedCone(OpId id) {
-  if (nodes_[static_cast<std::size_t>(id)].touched) return;
-  // `touched` is monotone, so each node is expanded at most once over the
-  // executor's lifetime — amortized O(channels) total, not per edge.
-  std::vector<OpId> work = {id};
-  while (!work.empty()) {
-    const OpId cur = work.back();
-    work.pop_back();
-    OpNode& node = nodes_[static_cast<std::size_t>(cur)];
-    if (node.touched) continue;
-    node.touched = true;
-    for (const PortRef& dst : node.out.dests_) work.push_back(dst.op);
-  }
 }
 
 void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
@@ -730,7 +719,6 @@ void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
   // order, into per-shard capture buffers) is cheaper than a pool
   // dispatch; the heavy lifting parallelizes downstream.
   for (const auto& [source, per_shard] : batches) {
-    MarkTouchedCone(source);
     ++ops_touched_;
     for (std::size_t s = 0; s < per_shard.size(); ++s) {
       if (per_shard[s].empty()) continue;
@@ -770,7 +758,6 @@ void Executor::DeliverSge(const Sge& sge) {
   // Label postings in registration order, then the wildcard bucket in
   // registration order (the ordering contract of query_index.h).
   auto deliver = [&](OpId source) {
-    MarkTouchedCone(source);
     ++ops_touched_;
     auto* src = static_cast<SourceOp*>(
         nodes_[static_cast<std::size_t>(source)].op.get());
@@ -813,47 +800,25 @@ void Executor::TimeAdvanceWave(Timestamp now) {
 void Executor::ProcessBoundary(Timestamp boundary) {
   Stopwatch timer;
   TimeAdvanceWave(boundary);
+  // Exact purge: every operator with expired state due drops exactly that
+  // state. PurgeDue is O(1), so an operator with nothing due — one that
+  // never received input among them — costs one check.
   if (sharded()) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const OpId id = static_cast<OpId>(i);
-      if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
-      if (!nodes_[i].touched) {
-        // Never received input: every shard's StateSize() is 0, below the
-        // purge watermark, so MaybePurge would return immediately.
-        ++index_skipped_;
-        continue;
-      }
-      // Worth a pool dispatch only when at least two shards will actually
-      // run their O(state) purge scan; watermark checks run inline.
-      const std::size_t instances = NumInstances(id);
-      std::size_t due = 0;
-      for (std::size_t s = 0; s < instances && due < 2; ++s) {
-        if (instance(id, s)->PurgeDue()) ++due;
-      }
-      ++ops_touched_;
-      RunInstances(id, /*parallel=*/due >= 2,
-                   [boundary](PhysicalOp* op) { op->MaybePurge(boundary); });
-    }
+    PurgeDueShards(boundary);
     RunShardedWave();
+    // Merge coalescers drain their calendars like any other coalescer.
     for (OpNode& node : nodes_) {
-      // Amortized merge-coalescer purge (memory only, like MaybePurge).
-      if (!node.merge_coalesce ||
-          node.merge_coalescer.NumKeys() < node.merge_purge_watermark) {
-        continue;
-      }
-      node.merge_coalescer.PurgeBefore(boundary);
-      node.merge_purge_watermark =
-          std::max<std::size_t>(1024, 2 * node.merge_coalescer.NumKeys());
+      if (node.merge_coalesce) node.merge_coalescer.PurgeBefore(boundary);
     }
   } else {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
-      if (!node.touched) {
-        ++index_skipped_;  // StateSize() 0 < watermark: MaybePurge no-ops
+      if (!node.op->PurgeDue(boundary)) {
+        ++index_skipped_;
         continue;
       }
       ++ops_touched_;
-      RunOpPhase([&] { node.op->MaybePurge(boundary); });
+      RunOpPhase([&] { node.op->Purge(boundary); });
     }
     if (wave_mode()) RunWave();
   }
@@ -862,6 +827,41 @@ void Executor::ProcessBoundary(Timestamp boundary) {
   // slide that just closed (arrivals within it plus expiry work).
   slide_latencies_.Record(slide_accum_seconds_);
   slide_accum_seconds_ = 0;
+}
+
+void Executor::PurgeDueShards(Timestamp boundary) {
+  // One dispatch covers every due (operator, shard) pair: worker s purges
+  // shard s of each due operator in ascending id order. Window partitions
+  // are per shard index, so no partition is touched by two workers, and
+  // operators sharing one run back to back on the same worker.
+  for (std::vector<OpId>& due : purge_due_) due.clear();
+  purge_due_ops_.clear();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const OpId id = static_cast<OpId>(i);
+    if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
+    bool any = false;
+    for (std::size_t s = 0; s < NumInstances(id); ++s) {
+      if (!instance(id, s)->PurgeDue(boundary)) continue;
+      purge_due_[s].push_back(id);
+      any = true;
+    }
+    if (!any) {
+      ++index_skipped_;
+      continue;
+    }
+    ++ops_touched_;
+    purge_due_ops_.push_back(id);
+  }
+  if (purge_due_ops_.empty()) return;
+  auto run_shard = [&](std::size_t s) {
+    for (const OpId id : purge_due_[s]) instance(id, s)->Purge(boundary);
+  };
+  std::size_t active_shards = 0;
+  for (const std::vector<OpId>& due : purge_due_) {
+    if (!due.empty()) ++active_shards;
+  }
+  RunShardsMaybeParallel(purge_due_.size(), active_shards, run_shard);
+  for (const OpId id : purge_due_ops_) MergeAndRoute(id);
 }
 
 void Executor::AdvanceClock(Timestamp t) {
@@ -1049,18 +1049,13 @@ Status Executor::SerializeOps(CheckpointWriter* out) const {
     // whose live set differs from the replayed registration history.
     PutU8(&scratch, node.op != nullptr ? 1 : 0);
     if (node.op == nullptr) continue;
-    PutU8(&scratch, node.touched ? 1 : 0);
     PutU8(&scratch, node.merge_coalesce ? 1 : 0);
-    if (node.merge_coalesce) {
-      node.merge_coalescer.SerializeState(&scratch);
-      PutU64(&scratch, node.merge_purge_watermark);
-    }
+    if (node.merge_coalesce) node.merge_coalescer.SerializeState(&scratch);
     const std::size_t instances = 1 + node.replicas.size();
     PutU32(&scratch, static_cast<std::uint32_t>(instances));
     for (std::size_t s = 0; s < instances; ++s) {
       const PhysicalOp* inst =
           s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      PutU64(&scratch, inst->checkpoint_purge_watermark());
       const std::size_t length_at = PutLengthPlaceholder(&scratch);
       inst->SerializeState(&scratch);
       PatchLength(&scratch, length_at);
@@ -1087,7 +1082,6 @@ Status Executor::DeserializeOps(ByteReader* in) {
                       "different set of removed queries)");
     }
     if (!live) continue;
-    node.touched = in->U8() != 0;
     const bool merge_coalesce = in->U8() != 0;
     if (in->ok() && merge_coalesce != node.merge_coalesce) {
       return in->Fail("merge-coalescer flag mismatch at operator " +
@@ -1095,7 +1089,6 @@ Status Executor::DeserializeOps(ByteReader* in) {
     }
     if (node.merge_coalesce) {
       SGQ_RETURN_NOT_OK(node.merge_coalescer.DeserializeState(in));
-      node.merge_purge_watermark = in->U64();
     }
     const std::uint32_t instances = in->U32();
     if (in->ok() && instances != 1 + node.replicas.size()) {
@@ -1105,7 +1098,6 @@ Status Executor::DeserializeOps(ByteReader* in) {
     }
     for (std::size_t s = 0; s < 1 + node.replicas.size() && in->ok(); ++s) {
       PhysicalOp* inst = s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      const std::uint64_t watermark = in->U64();
       const std::string blob = in->Str();
       if (!in->ok()) break;
       ByteReader sub(blob, in->context() + ": operator " +
@@ -1113,7 +1105,6 @@ Status Executor::DeserializeOps(ByteReader* in) {
                                ") shard " + std::to_string(s));
       SGQ_RETURN_NOT_OK(inst->DeserializeState(&sub));
       SGQ_RETURN_NOT_OK(sub.ExpectEnd());
-      inst->restore_purge_watermark(watermark);
     }
   }
   return in->status();

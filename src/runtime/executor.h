@@ -1,7 +1,7 @@
 // Explicit dataflow runtime (§6.1): the Executor owns the physical
 // operator topology of one compiled query — operator IDs, their typed
 // output channels, and the per-timestamp micro-batch ingest queue — and
-// drives OnTuple/OnTimeAdvance/MaybePurge waves in topological order.
+// drives OnTuple/OnTimeAdvance/Purge waves in topological order.
 //
 // This replaces the previous recursive push architecture (operator ->
 // parent_->OnTuple()) whose unbounded recursion could not batch, share
@@ -35,8 +35,8 @@
 // reaches only the sources posted under its label (then the wildcard
 // bucket), a wave pops its dirty worklist in ascending operator id — the
 // wave order — time-advance phases run only for operators that declare
-// HasTimeDrivenWork(), and purge phases skip operators that never
-// received input.
+// HasTimeDrivenWork(), and a slide boundary purges only the operators
+// whose expiry calendars have something due (PhysicalOp::PurgeDue).
 //
 // Window bookkeeping is consolidated in a shared WindowStore
 // (runtime/window_store.h) owned by the executor. Sharded instances
@@ -247,8 +247,7 @@ class Executor {
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
   /// \brief Total operator state entries (diagnostics). Shared window
-  /// partitions are counted once per consumer (each consumer's watermark
-  /// must see them).
+  /// partitions are counted once per consumer.
   std::size_t StateSize() const;
 
   /// \brief Resident operator-state bytes (diagnostics; approximate —
@@ -280,11 +279,11 @@ class Executor {
   void SerializeClock(std::string* out) const;
   Status DeserializeClock(ByteReader* in);
 
-  /// \brief Serializes per-node runtime state: the touched bit (purge
-  /// dispatch), the merge-side coalescer + its purge watermark when
-  /// enabled, and every shard instance's purge watermark plus its
-  /// length-framed SerializeState blob — streamed into the open section
-  /// of `out` one operator instance at a time.
+  /// \brief Serializes per-node runtime state: the merge-side coalescer
+  /// when enabled and every shard instance's length-framed SerializeState
+  /// blob — streamed into the open section of `out` one operator instance
+  /// at a time. Purging is exact at every boundary, so no purge schedule
+  /// or dispatch state is carried.
   Status SerializeOps(CheckpointWriter* out) const;
   Status DeserializeOps(ByteReader* in);
   /// @}
@@ -329,9 +328,6 @@ class Executor {
     /// dedupes the negative each retracting shard emits for the same
     /// value. Cleared after the deletion's reassert phase.
     FlatSet<EdgeRef, EdgeRefHash> merge_retracted;
-    /// Amortized purge watermark for merge_coalescer (doubling, like
-    /// PhysicalOp::MaybePurge).
-    std::size_t merge_purge_watermark = 1024;
 
     /// Source registration of this node (WSCAN leaves), recorded so
     /// RemoveOps can prune the query index without scanning it: the
@@ -342,11 +338,6 @@ class Executor {
     /// True while the node sits in the dirty worklist of the current wave
     /// (it has pending input to run).
     bool dirty = false;
-    /// Monotone: the node received input at least once (directly or via
-    /// its upstream cone), so it may hold state worth a purge scan.
-    /// Never-touched operators are skipped by the boundary phases —
-    /// exact, because operator state only grows from input.
-    bool touched = false;
   };
 
   /// \brief Channel entry point: dispatches an emitted tuple according to
@@ -368,6 +359,10 @@ class Executor {
   /// body shared by Finalize() and FinalizeNewOps().
   Status SetupNodeTopology(std::size_t i);
 
+  /// \brief Aligns the expiry calendars of node `i` — every instance's and
+  /// the merge coalescer's — to the engine slide.
+  void ConfigureNodeExpirySlide(std::size_t i);
+
   /// \brief Adds `id` to the current wave's dirty worklist (a min-heap on
   /// OpId, popped ascending by PopDirtyWave).
   void MarkDirty(OpId id);
@@ -379,11 +374,8 @@ class Executor {
   template <typename Fn>
   void PopDirtyWave(Fn&& visit);
 
-  /// \brief Marks `id` and its downstream cone as touched (first input).
-  void MarkTouchedCone(OpId id);
-
   /// \brief Runs one operator phase call (OnSge / OnTimeAdvance /
-  /// MaybePurge) and delivers whatever it emitted.
+  /// Purge) and delivers whatever it emitted.
   template <typename Fn>
   void RunOpPhase(Fn&& fn);
 
@@ -441,6 +433,12 @@ class Executor {
   /// \brief Routes one timestamp group of sges to the source shards and
   /// drains the resulting waves.
   void DeliverSgesSharded(const Sge* sges, std::size_t n);
+
+  /// \brief Purges every due (operator, shard) pair in one dispatch —
+  /// worker s runs shard s of each due operator in ascending id order,
+  /// inline when fewer than two shards have work — then merges each
+  /// purged operator's emissions in ascending id order.
+  void PurgeDueShards(Timestamp boundary);
   /// @}
 
   /// \brief Runs one timestamp-ordered batch through the topology:
@@ -473,6 +471,10 @@ class Executor {
   std::vector<OpId> dirty_heap_;
   WindowStore window_store_;
   std::unique_ptr<WorkerPool> pool_;  ///< created by Finalize when sharded
+  /// Boundary purge plan (sharded): due operator ids per shard, and the
+  /// operators with at least one due shard. Capacity reused per boundary.
+  std::vector<std::vector<OpId>> purge_due_;
+  std::vector<OpId> purge_due_ops_;
   bool finalized_ = false;
   /// Nodes already bound by Finalize()/FinalizeNewOps(); nodes at or past
   /// this index are un-finalized appends of an in-flight live attach.

@@ -49,10 +49,6 @@ std::size_t WindowStore::StateBytes() const {
   return n;
 }
 
-void WindowStore::PurgeExpired(Timestamp now) {
-  for (auto& [_, p] : partitions_) p.store->PurgeExpired(now);
-}
-
 void WindowStore::SerializeState(std::string* out) const {
   std::vector<const std::string*> signatures;
   signatures.reserve(partitions_.size());

@@ -9,8 +9,9 @@
 // their input (algebra/translate.h), so structurally identical inputs
 // resolve to one shared WindowEdgeStore. Inserts are idempotent
 // (value-equivalent edges coalesce, Def. 11) and purges are cheap to
-// repeat (the partition tracks its earliest expiry), so any number of
-// consumers can maintain the shared partition without coordination.
+// repeat (the partition's expiry calendar answers "nothing due" in O(1)),
+// so any number of consumers can maintain the shared partition without
+// coordination: each consumer purges the partitions it reads.
 
 #ifndef SGQ_RUNTIME_WINDOW_STORE_H_
 #define SGQ_RUNTIME_WINDOW_STORE_H_
@@ -59,9 +60,6 @@ class WindowStore {
 
   /// \brief Resident bytes across partitions (diagnostics).
   std::size_t StateBytes() const;
-
-  /// \brief Purges every partition (memory only; results unaffected).
-  void PurgeExpired(Timestamp now);
 
   /// \brief Checkpoint encoding (model/checkpoint.h, DESIGN.md §7):
   /// partitions enumerated in sorted signature order, each with its

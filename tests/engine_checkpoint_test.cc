@@ -460,16 +460,20 @@ TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
   // version 5, since every config registers a PATTERN join: its "ops"
   // payload carries each join bucket's hinted expiry instead of the
   // binding-expiry calendar's hint list (every image shrank); only the
-  // header version, "ops" and the footer CRC moved.
+  // header version, "ops" and the footer CRC moved. Re-frozen for version
+  // 6: "ops" lost the purge watermarks and the touched bytes, and every
+  // slide boundary now purges exactly what expired, so "ops" and
+  // "windows" no longer carry expired state (every image shrank); only
+  // the header version, "ops", "windows" and the footer CRC moved.
   const GoldenConfig goldens[] = {
-      {"spath-b1", false, PathImpl::kSPath, 1, 1, 10142,
-       0x7b01314ae5d85612ull},
-      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 7363,
-       0x7d6770697ea14ebaull},
-      {"spath-w2", false, PathImpl::kSPath, 4, 2, 12103,
-       0xf8efdecefbdc3f80ull},
-      {"so-b1", true, PathImpl::kSPath, 1, 1, 7269194,
-       0x6263a287b85d279aull},
+      {"spath-b1", false, PathImpl::kSPath, 1, 1, 2702,
+       0x99be546263232672ull},
+      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 3813,
+       0x7ce3f717024f478full},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 4746,
+       0x065002ef2fdfdd2aull},
+      {"so-b1", true, PathImpl::kSPath, 1, 1, 6359038,
+       0x58ec038011e011aaull},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const GoldenConfig& golden : goldens) {

@@ -554,6 +554,76 @@ TEST(ExpiryCalendarTest, ReconfigureSlideRebuckets) {
   EXPECT_EQ(drained.size(), 50u);  // exactly exps 0..49
 }
 
+TEST(ExpiryCalendarTest, RandomizedAgainstReferenceModel) {
+  // Out-of-order expiries (earlier than every pending bucket, between
+  // buckets, after a drain emptied the calendar), adds from inside drain
+  // callbacks, and drains at arbitrary instants: AnyDue is exact, every
+  // pending hint with exp <= now is delivered, nothing outside the due
+  // buckets is,
+  // delivery goes bucket by bucket in registration order, and the
+  // checkpoint visit order replays into the same schedule.
+  std::mt19937 rng(20221);
+  for (int round = 0; round < 20; ++round) {
+    ExpiryCalendar<uint64_t> cal;
+    const Timestamp slide = 1 + static_cast<Timestamp>(rng() % 7);
+    cal.ConfigureSlide(slide);
+    std::multiset<std::pair<Timestamp, uint64_t>> pending;
+    uint64_t next_id = 0;
+    Timestamp now = 0;
+    for (int step = 0; step < 400; ++step) {
+      if (rng() % 3 != 0) {
+        const Timestamp exp = now + static_cast<Timestamp>(rng() % 60);
+        cal.Add(exp, next_id);
+        pending.insert({exp, next_id++});
+        continue;
+      }
+      now += static_cast<Timestamp>(rng() % 9);
+      // Due exactly when some pending hint expires at or before now.
+      ASSERT_EQ(cal.AnyDue(now),
+                !pending.empty() && pending.begin()->first <= now);
+      std::vector<std::pair<Timestamp, uint64_t>> delivered;
+      cal.DrainDue(now, [&](Timestamp exp, uint64_t id) {
+        delivered.push_back({exp, id});
+        if (exp > now && rng() % 2 == 0) {  // survivor re-registers
+          cal.Add(exp, next_id);
+          pending.insert({exp, next_id++});
+        }
+      });
+      for (std::size_t i = 0; i < delivered.size(); ++i) {
+        const auto it = pending.find(delivered[i]);
+        ASSERT_NE(it, pending.end()) << "delivered a hint never added";
+        pending.erase(it);
+        EXPECT_LE(delivered[i].first / slide, now / slide);
+        if (i > 0) {
+          const Timestamp prev = delivered[i - 1].first / slide;
+          const Timestamp cur = delivered[i].first / slide;
+          EXPECT_TRUE(prev < cur ||
+                      (prev == cur &&
+                       delivered[i - 1].second < delivered[i].second));
+        }
+      }
+      for (const auto& [exp, id] : pending) {
+        ASSERT_GT(exp, now) << "hint " << id << " due but not delivered";
+      }
+      ASSERT_EQ(cal.num_hints(), pending.size());
+    }
+    ExpiryCalendar<uint64_t> replay;
+    replay.ConfigureSlide(slide);
+    cal.VisitEntries([&](Timestamp exp, uint64_t id) { replay.Add(exp, id); });
+    std::vector<uint64_t> a;
+    std::vector<uint64_t> b;
+    cal.DrainDue(kMaxTimestamp - 1, [&](Timestamp, uint64_t id) {
+      a.push_back(id);
+    });
+    replay.DrainDue(kMaxTimestamp - 1, [&](Timestamp, uint64_t id) {
+      b.push_back(id);
+    });
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a.size(), pending.size());
+    EXPECT_EQ(cal.num_hints(), 0u);
+  }
+}
+
 TEST(ExpiryCalendarTest, MaxTimestampNeverRegisters) {
   ExpiryCalendar<int> cal;
   cal.Add(kMaxTimestamp, 1);

@@ -164,6 +164,73 @@ TEST(StreamingCoalescerTest, PerKeyTracking) {
   EXPECT_EQ(c.NumKeys(), 0u);
 }
 
+TEST(StreamingCoalescerTest, PurgeWithNothingDueDrainsNoHint) {
+  StreamingCoalescer c;
+  c.ConfigureExpirySlide(3);
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(0, 50))));
+  EXPECT_TRUE(c.Offer(Sgt(3, 4, 0, Interval(10, 40))));
+  EXPECT_FALSE(c.AnyDue(24));
+  c.PurgeBefore(24);
+  EXPECT_EQ(c.expiry_hints_drained(), 0u);
+  EXPECT_EQ(c.NumKeys(), 2u);
+  c.PurgeBefore(40);  // (3,4) expires; (1,2) shares no bucket with it
+  EXPECT_EQ(c.NumKeys(), 1u);
+  EXPECT_EQ(c.expiry_hints_drained(), 1u);
+}
+
+TEST(StreamingCoalescerTest, TruncatedKeyLeavesAtItsNewExpiry) {
+  StreamingCoalescer c;
+  c.ConfigureExpirySlide(3);
+  const EdgeRef key(1, 2, 0);
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(0, 50))));
+  c.Forget(key, 20);  // coverage is now [0, 20)
+  EXPECT_EQ(c.NumKeys(), 1u);
+  EXPECT_TRUE(c.AnyDue(24));
+  c.PurgeBefore(24);
+  EXPECT_EQ(c.NumKeys(), 0u);
+  // Re-asserting past the deletion is novel again.
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(25, 50))));
+}
+
+TEST(StreamingCoalescerTest, RecreatedKeyIsPurgedOnTime) {
+  StreamingCoalescer c;
+  c.ConfigureExpirySlide(3);
+  const EdgeRef key(1, 2, 0);
+  // Created, fully forgotten (its hint at 50 goes stale), re-created with
+  // an earlier expiry: the new key leaves at 30, not 50.
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(0, 50))));
+  c.Forget(key);
+  EXPECT_EQ(c.NumKeys(), 0u);
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(10, 30))));
+  c.PurgeBefore(27);
+  EXPECT_EQ(c.NumKeys(), 1u);
+  c.PurgeBefore(30);
+  EXPECT_EQ(c.NumKeys(), 0u);
+  // Re-created with a later expiry: the stale hint at 20 leaves it alone.
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(12, 20))));
+  c.Forget(key);
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(14, 45))));
+  c.PurgeBefore(21);
+  EXPECT_EQ(c.NumKeys(), 1u);
+  EXPECT_FALSE(c.Offer(Sgt(1, 2, 0, Interval(20, 40))));  // still covered
+  c.PurgeBefore(45);
+  EXPECT_EQ(c.NumKeys(), 0u);
+}
+
+TEST(StreamingCoalescerTest, EarlierIntervalMovesTheHint) {
+  StreamingCoalescer c;
+  c.ConfigureExpirySlide(3);
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(30, 60))));
+  // Out of order: an earlier, disjoint interval becomes the first one.
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(5, 15))));
+  c.PurgeBefore(15);
+  EXPECT_EQ(c.NumKeys(), 1u);
+  // [5, 15) is gone, [30, 60) survives: [5, 15) is novel again.
+  EXPECT_TRUE(c.Offer(Sgt(1, 2, 0, Interval(5, 15))));
+  c.PurgeBefore(60);
+  EXPECT_EQ(c.NumKeys(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Figure 2/3/4: the running example of the paper.
 // ---------------------------------------------------------------------------

@@ -213,6 +213,49 @@ TEST(StreamingCoalescerCheckpointTest, NonEmptyTargetRefused) {
   EXPECT_FALSE(dirty.DeserializeState(&in).ok());
 }
 
+TEST(StreamingCoalescerCheckpointTest, MalformedCoverageRejected) {
+  // The purge drops each key's expired prefix and restore hints each key
+  // at its first interval's expiry, so an image must hold keys with
+  // non-empty, sorted, disjoint intervals, each key once.
+  using Ivs = std::vector<std::pair<Timestamp, Timestamp>>;
+  auto image = [](const std::vector<std::pair<EdgeRef, Ivs>>& keys) {
+    std::string out;
+    PutU64(&out, keys.size());
+    for (const auto& [key, ivs] : keys) {
+      PutU64(&out, key.src);
+      PutU64(&out, key.trg);
+      PutU32(&out, key.label);
+      PutU32(&out, static_cast<std::uint32_t>(ivs.size()));
+      for (const auto& [ts, exp] : ivs) {
+        PutI64(&out, ts);
+        PutI64(&out, exp);
+      }
+    }
+    return out;
+  };
+  const EdgeRef a(1, 2, 0);
+  const EdgeRef b(3, 4, 0);
+  const std::string bad[] = {
+      image({{a, {}}}),                          // no coverage
+      image({{a, {{5, 5}}}}),                    // empty interval
+      image({{a, {{10, 20}, {0, 5}}}}),          // unsorted
+      image({{a, {{0, 10}, {10, 20}}}}),         // adjacent, not merged
+      image({{a, {{0, 10}}}, {a, {{20, 30}}}}),  // key twice
+  };
+  for (const std::string& bytes : bad) {
+    StreamingCoalescer target;
+    ByteReader in(bytes, "malformed");
+    EXPECT_FALSE(target.DeserializeState(&in).ok());
+  }
+  StreamingCoalescer good;
+  const std::string valid = image({{a, {{0, 10}, {12, 20}}}, {b, {{5, 30}}}});
+  ByteReader in(valid, "good");
+  ASSERT_TRUE(good.DeserializeState(&in).ok());
+  good.PurgeBefore(10);  // a's first interval leaves on time after restore
+  EXPECT_FALSE(good.Offer(Sgt(1, 2, 0, Interval(12, 20))));
+  EXPECT_TRUE(good.Offer(Sgt(1, 2, 0, Interval(8, 10))));
+}
+
 // ---------------------------------------------------------------------------
 // ReorderBuffer
 // ---------------------------------------------------------------------------

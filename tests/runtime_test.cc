@@ -1,7 +1,8 @@
 // Tests for the dataflow runtime (runtime/executor.h): topology
 // construction, exact depth-first delivery at batch=1, micro-batch waves,
-// purge amortization (MaybePurge watermark doubling), time-advance
-// ordering (OnTimeAdvance for every distinct timestamp), shared
+// exact boundary purging (expired state leaves at the next slide
+// boundary), time-advance ordering (OnTimeAdvance for every distinct
+// timestamp), shared
 // WindowStore partitions and WSCAN deduplication, and batch=1 vs batch=N
 // result equivalence on seeded random streams.
 
@@ -43,15 +44,11 @@ class ProbeOp : public PhysicalOp {
   // Contract (core/physical.h): OnTimeAdvance overriders must declare
   // themselves, or the indexed time-advance wave skips them.
   bool HasTimeDrivenWork() const override { return true; }
-  void Purge(Timestamp now) override { purges.push_back(now); }
-  std::size_t StateSize() const override { return fake_state_size; }
   std::string Name() const override { return "PROBE"; }
 
   std::vector<Sgt> tuples;
   std::vector<std::size_t> batch_sizes;
   std::vector<Timestamp> advances;
-  std::vector<Timestamp> purges;
-  std::size_t fake_state_size = 0;
 };
 
 /// Emits `fanout` copies of every input tuple (exercises cascades).
@@ -73,37 +70,45 @@ class FanOp : public PhysicalOp {
 };
 
 // ---------------------------------------------------------------------------
-// MaybePurge amortization
+// Exact boundary purging
 // ---------------------------------------------------------------------------
 
-TEST(MaybePurgeTest, WatermarkDoubles) {
-  ProbeOp op;
-  // Below the initial watermark (1024): no purge regardless of calls.
-  op.fake_state_size = 1023;
-  op.MaybePurge(10);
-  op.MaybePurge(20);
-  EXPECT_TRUE(op.purges.empty());
-
-  // Reaching the watermark triggers a purge and doubles the bar.
-  op.fake_state_size = 1024;
-  op.MaybePurge(30);
-  ASSERT_EQ(op.purges.size(), 1u);
-  EXPECT_EQ(op.purges[0], 30);
-
-  // New watermark is 2 * post-purge state = 2048: 2047 stays quiet.
-  op.fake_state_size = 2047;
-  op.MaybePurge(40);
-  EXPECT_EQ(op.purges.size(), 1u);
-  op.fake_state_size = 2048;
-  op.MaybePurge(50);
-  ASSERT_EQ(op.purges.size(), 2u);
-  EXPECT_EQ(op.purges[1], 50);
-
-  // The floor never drops below 1024 even when the state shrinks to
-  // nothing during the purge.
-  op.fake_state_size = 0;
-  op.MaybePurge(60);
-  EXPECT_EQ(op.purges.size(), 2u);
+TEST(PurgeTest, ExpiredStateLeavesAtTheNextBoundary) {
+  // Every entry of these runs expires by t = 100 (window 12 over a stream
+  // ending well before 88). An edge of a label no query references still
+  // advances the clock across the boundaries in between, and each
+  // boundary purges exactly what it expired — however small the state.
+  const char* queries[] = {
+      "Answer(x,z) <- a(x,y), b(y,z)",
+      "Answer(x,y) <- a+(x,y)",
+  };
+  for (const char* text : queries) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      Vocabulary vocab;
+      RandomStreamOptions opt;
+      opt.seed = 5;
+      opt.num_vertices = 8;
+      opt.num_labels = 2;
+      opt.num_edges = 60;
+      opt.max_gap = 2;
+      auto stream = GenerateRandomStream(opt, &vocab);
+      ASSERT_TRUE(stream.ok());
+      ASSERT_LT(stream->back().t + 12, 100);
+      auto query = MakeQuery(text, WindowSpec(12, 3), &vocab);
+      ASSERT_TRUE(query.ok()) << text;
+      const LabelId idle = *vocab.InternInputLabel("idle");
+      const VertexId v = vocab.InternVertex("v0");
+      EngineOptions options;
+      options.num_workers = workers;
+      auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+      ASSERT_TRUE(qp.ok()) << text;
+      (*qp)->PushAll(*stream);
+      EXPECT_GT((*qp)->StateSize(), 0u) << text << " workers=" << workers;
+      (*qp)->Push(Sge(v, v, idle, 100));
+      (*qp)->Flush();
+      EXPECT_EQ((*qp)->StateSize(), 0u) << text << " workers=" << workers;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
