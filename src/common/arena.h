@@ -291,7 +291,8 @@ class SmallRun {
   void Grow(SlabPool* pool) {
     const uint32_t new_cap = cap_ * 2;
     T* block = static_cast<T*>(pool->Alloc(new_cap * sizeof(T)));
-    std::memcpy(block, data(), size_ * sizeof(T));
+    std::memcpy(static_cast<void*>(block), static_cast<const void*>(data()),
+                size_ * sizeof(T));
     if (cap_ != N) pool->Free(heap_, cap_ * sizeof(T));
     heap_ = block;
     cap_ = new_cap;
@@ -302,7 +303,8 @@ class SmallRun {
     cap_ = o->cap_;
     if (cap_ == N) {
       // size_ <= N in inline mode; the min makes the bound provable.
-      std::memcpy(inline_, o->inline_,
+      std::memcpy(static_cast<void*>(inline_),
+                  static_cast<const void*>(o->inline_),
                   std::min<std::size_t>(size_, N) * sizeof(T));
     } else {
       heap_ = o->heap_;

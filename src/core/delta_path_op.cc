@@ -4,15 +4,7 @@
 
 namespace sgq {
 
-void DeltaPathOp::OnTuple(int port, const Sgt& tuple) {
-  (void)port;
-  if (tuple.is_deletion) {
-    HandleExplicitDeletion(tuple);
-    return;
-  }
-  if (tuple.validity.Empty()) return;
-  window_->Insert(tuple.src, tuple.trg, tuple.label, tuple.validity);
-
+void DeltaPathOp::ExtendTrees(const Sgt& tuple) {
   std::vector<AttachWork> work;
   for (const auto& [s, q] : dfa().TransitionsOnLabel(tuple.label)) {
     if (s == dfa().start() && OwnsRoot(tuple.src)) EnsureTree(tuple.src);
@@ -71,10 +63,16 @@ void DeltaPathOp::DrainWorklist(std::vector<AttachWork> work) {
   }
 }
 
+void DeltaPathOp::ReadSharedWindows() {
+  PathOpBase::ReadSharedWindows();
+  window_->EnableInIndex();
+}
+
 void DeltaPathOp::OnTimeAdvance(Timestamp now) {
   // Window memory is reclaimed calendar-cheaply regardless of whether any
-  // tree node expired.
-  window_->PurgeExpired(now);
+  // tree node expired (a shard's shared window at the slide boundaries,
+  // by the driver).
+  if (!window_reader_) window_->PurgeExpired(now);
   if (!node_expiry_.AnyDue(now)) return;
 
   // Drain the node calendar, verifying each hint against the live node

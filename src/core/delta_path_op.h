@@ -32,10 +32,13 @@ class DeltaPathOp : public PathOpBase {
   DeltaPathOp(Dfa dfa, LabelId output_label)
       : PathOpBase(std::move(dfa), output_label) {}
 
-  void OnTuple(int port, const Sgt& tuple) override;
-
   /// \brief Processes pending window expirations (delete + re-derive).
   void OnTimeAdvance(Timestamp now) override;
+
+  /// \brief Also enables the shared window's reverse index: the shards'
+  /// expiry re-derivation probes it from the first time advance on, and
+  /// a reader may not build it.
+  void ReadSharedWindows() override;
 
   /// \brief Runs pending expirations first, then frees state.
   void Purge(Timestamp now) override;
@@ -59,6 +62,7 @@ class DeltaPathOp : public PathOpBase {
     Interval iv;
   };
 
+  void ExtendTrees(const Sgt& tuple) override;
   void DrainWorklist(std::vector<AttachWork> work);
 
   /// Scratch for the calendar drain (capacity reused across waves).

@@ -576,9 +576,10 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
 
   // With num_workers > 1 every operator compiles to `workers` shard
   // instances (shard 0 is the primary; `make_shard` builds the replicas).
-  // Shard-suffixed WindowStore partitions keep runtime state sharing
-  // within one shard index: a partition is only ever touched by one shard,
-  // so parallel waves need no locking (DESIGN.md §2.4).
+  // The shards of an operator bind its WindowStore partitions once: the
+  // executor's driver thread is their only writer, and the shards only
+  // read them inside the parallel section, so no partition needs a lock
+  // (DESIGN.md §2.4).
   const std::size_t workers = options_.num_workers;
 
   // A PATTERN that matches a compiled join up to its head label reuses
@@ -617,9 +618,9 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
 
   std::unique_ptr<PhysicalOp> op;
   std::function<std::unique_ptr<PhysicalOp>(std::size_t)> make_shard;
-  // Window partitions acquired for this operator (all shards). The PATTERN
-  // op_key embeds NumOps() at build time, so the keys cannot be recomputed
-  // later — RemoveQuery releases exactly this recorded set.
+  // Window partitions acquired for this operator, one per input. The
+  // PATTERN op_key embeds NumOps() at build time, so the keys cannot be
+  // recomputed later — RemoveQuery releases exactly this recorded set.
   std::vector<std::string> wkeys;
   switch (node.kind) {
     case LogicalOpKind::kWScan: {
@@ -662,23 +663,21 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
       // partitions are per-operator (keyed by the operator's position):
       // deletion retraction replays the join against pre-deletion state,
       // which cross-operator aliasing would make order-dependent. Under
-      // sharding they are additionally per-shard: broadcast ports >= 1
-      // give every shard its own full replica of the right-side state.
+      // sharding the broadcast ports >= 1 give every shard the whole
+      // right-side state, which the shards read from these partitions.
       const std::string op_key = std::to_string(executor_.NumOps());
-      make_shard = [this, &node, op_key, workers,
-                    &wkeys](std::size_t shard) {
-        std::vector<PatternPortState> port_state(node.children.size());
-        for (std::size_t i = 1; i < node.children.size(); ++i) {
-          const LabelId label = node.children[i]->OutputLabel();
-          if (label == kInvalidLabel) continue;  // mixed-label: private
-          port_state[i].label = label;
-          std::string key = "atom:" + op_key + ":" + std::to_string(i) +
-                            ":" + PlanSignature(*node.children[i]);
-          if (workers > 1) key += "#shard" + std::to_string(shard);
-          port_state[i].store = executor_.window_store()->Acquire(key);
-          wkeys.push_back(std::move(key));
-        }
-        return std::make_unique<PatternOp>(node, std::move(port_state));
+      std::vector<PatternPortState> port_state(node.children.size());
+      for (std::size_t i = 1; i < node.children.size(); ++i) {
+        const LabelId label = node.children[i]->OutputLabel();
+        if (label == kInvalidLabel) continue;  // mixed-label: private
+        port_state[i].label = label;
+        std::string key = "atom:" + op_key + ":" + std::to_string(i) + ":" +
+                          PlanSignature(*node.children[i]);
+        port_state[i].store = executor_.window_store()->Acquire(key);
+        wkeys.push_back(std::move(key));
+      }
+      make_shard = [&node, port_state](std::size_t) {
+        return std::make_unique<PatternOp>(node, port_state);
       };
       op = make_shard(0);
       break;
@@ -687,16 +686,16 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
       // PATH operators over structurally identical inputs share one
       // window partition: the adjacency depends only on the input stream,
       // not on the regex, and maintenance is idempotent. Under sharding
-      // the partition is per shard index (inputs are broadcast, so every
-      // shard maintains the full adjacency), and sharing across PATH
-      // operators still applies shard-by-shard.
+      // the inputs are broadcast and the shards read the same partition.
       std::string in_sig = "path-in:";
       for (std::size_t i = 0; i < node.children.size(); ++i) {
         if (i > 0) in_sig += ",";
         in_sig += PlanSignature(*node.children[i]);
       }
-      make_shard = [this, &node, in_sig, workers,
-                    &wkeys](std::size_t shard) -> std::unique_ptr<PhysicalOp> {
+      WindowEdgeStore* window = executor_.window_store()->Acquire(in_sig);
+      wkeys.push_back(std::move(in_sig));
+      make_shard = [this, &node, window,
+                    workers](std::size_t shard) -> std::unique_ptr<PhysicalOp> {
         Dfa dfa = Dfa::FromRegex(node.regex);
         std::unique_ptr<PathOpBase> path;
         if (options_.path_impl == PathImpl::kSPath) {
@@ -706,13 +705,10 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
           path = std::make_unique<DeltaPathOp>(std::move(dfa),
                                                node.output_label);
         }
-        std::string key = in_sig;
         if (workers > 1) {
           path->ConfigureShard(static_cast<ShardId>(shard), workers);
-          key += "#shard" + std::to_string(shard);
         }
-        path->BindSharedWindow(executor_.window_store()->Acquire(key));
-        wkeys.push_back(std::move(key));
+        path->BindSharedWindow(window);
         return path;
       };
       op = make_shard(0);

@@ -254,8 +254,15 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
   // edge either way, and the queue's canonical order fixes the processing
   // order regardless of how candidates were found. The reverse index is
   // enabled lazily: the first delete/re-derive pays one re-index of the
-  // partition, every later one is a point probe.
-  window_->EnableInIndex();
+  // partition, every later one is a point probe. A reader cannot enable
+  // it; the driver did, before the shards could re-derive (WriteWindows,
+  // DeltaPathOp::ReadSharedWindows).
+  if (!window_reader_) {
+    window_->EnableInIndex();
+  } else {
+    SGQ_CHECK(window_->in_index_enabled())
+        << "a PATH shard re-derives over a window without reverse index";
+  }
   for (const NodeKey& child : subtree) {
     for (const auto& [label, s] : in_transitions_[child.second]) {
       // Reverse-index entries store the *source* vertex in `trg`.
@@ -319,13 +326,45 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
   }
 }
 
-void PathOpBase::HandleExplicitDeletion(const Sgt& t) {
+void PathOpBase::OnTuple(int port, const Sgt& tuple) {
+  (void)port;
+  if (tuple.is_deletion) {
+    // A reader repairs as the sibling consumer of a shared partition
+    // does: the driver truncated the entry already (WriteWindows).
+    const bool truncated =
+        !window_reader_ && window_->DeleteAt(tuple.src, tuple.trg,
+                                             tuple.label, tuple.validity.ts);
+    RepairDeletion(tuple, truncated);
+    return;
+  }
+  if (tuple.validity.Empty()) return;
+  if (!window_reader_) {
+    window_->Insert(tuple.src, tuple.trg, tuple.label, tuple.validity);
+  }
+  ExtendTrees(tuple);
+}
+
+void PathOpBase::WriteWindows(int port, const Sgt* tuples, std::size_t n) {
+  (void)port;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sgt& t = tuples[i];
+    if (!t.is_deletion) {
+      window_->Insert(t.src, t.trg, t.label, t.validity);
+    } else if (window_->DeleteAt(t.src, t.trg, t.label, t.validity.ts)) {
+      // Only a truncation lets a tree repair run (a live tree edge is a
+      // live window entry), and the repair probes the reverse index.
+      window_->EnableInIndex();
+    }
+  }
+}
+
+void PathOpBase::RepairDeletion(const Sgt& t, bool truncated) {
   const Timestamp td = t.validity.ts;
   // A shared partition may already have been truncated by a sibling
-  // consumer of the same deletion, so DeleteAt's "affected" bit alone
-  // cannot gate the tree repair: the forest can reference the edge as
-  // `via` regardless of who truncated the store first.
-  const bool affected = window_->DeleteAt(t.src, t.trg, t.label, td);
+  // consumer of the same deletion, or by the driver for a shard, so the
+  // truncation bit alone cannot gate the tree repair: the forest can
+  // reference the edge as `via` regardless of who truncated the store
+  // first.
   // A deleted *tree* edge disconnects the subtree under its child node;
   // non-tree edges leave the forest unchanged (§6.2.5).
   for (const auto& [s, q] : dfa_.TransitionsOnLabel(t.label)) {
@@ -343,7 +382,7 @@ void PathOpBase::HandleExplicitDeletion(const Sgt& t) {
       // before), only still-live references need repair — the sibling-
       // truncated-first case. Dead references ended naturally with the
       // window; re-deriving them would emit spurious retractions.
-      if (!affected && node.iv.exp <= td) continue;
+      if (!truncated && node.iv.exp <= td) continue;
       RederiveSubtree(tree, CollectSubtree(tree, child_key), td,
                       /*emit_negatives=*/true);
     }
@@ -351,7 +390,7 @@ void PathOpBase::HandleExplicitDeletion(const Sgt& t) {
 }
 
 void PathOpBase::Purge(Timestamp now) {
-  window_->PurgeExpired(now);
+  if (!window_reader_) window_->PurgeExpired(now);
   // Calendar drain: remove exactly the nodes whose derivation expired.
   node_expiry_.DrainDue(now, [&](Timestamp /*exp*/,
                                 const std::pair<VertexId, NodeKey>& hint) {
@@ -535,11 +574,14 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
 }
 
 std::size_t PathOpBase::StateSize() const {
-  return window_->NumEntries() + out_coalescer_.NumKeys() + num_tree_nodes_;
+  // A shared window is a WindowStore partition, counted by the executor.
+  const std::size_t window = shares_window() ? 0 : window_->NumEntries();
+  return window + out_coalescer_.NumKeys() + num_tree_nodes_;
 }
 
 std::size_t PathOpBase::StateBytes() const {
-  std::size_t n = window_->StateBytes() + trees_.capacity_bytes() +
+  std::size_t n = (shares_window() ? 0 : window_->StateBytes()) +
+                  trees_.capacity_bytes() +
                   inverted_.capacity_bytes() +
                   inverted_pool_.reserved_bytes() +
                   children_pool_.reserved_bytes() +

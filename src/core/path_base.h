@@ -43,15 +43,34 @@ class PathOpBase : public PhysicalOp {
   std::size_t StateSize() const override;
   std::size_t StateBytes() const override;
 
+  /// \brief Window write, then tree work: a deletion truncates the window
+  /// and repairs the trees that used the edge; an insertion is stored and
+  /// extends the trees (ExtendTrees). A reader of a shared partition does
+  /// only the tree work: the driver wrote the batch (WriteWindows).
+  void OnTuple(int port, const Sgt& tuple) final;
+
   /// \brief Sharded execution: every input tuple is broadcast to every
   /// shard — spanning trees are keyed by *root* vertex, but any edge can
-  /// extend any tree, so each shard maintains the full window adjacency
-  /// (its own shard-suffixed partition) and owns the trees whose root
-  /// hashes to it.
+  /// extend any tree, so each shard reads the full window adjacency (the
+  /// one partition the operator's shards share) and owns the trees whose
+  /// root hashes to it.
   RoutingKey InputRouting(int port) const override {
     (void)port;
     return RoutingKey::kBroadcast;
   }
+
+  /// \brief A shard reads the partition its operator's shards share. Its
+  /// deletion repair treats every deletion as one a sibling consumer
+  /// truncated first, which is exact (DESIGN.md §2.3), so no truncation
+  /// outcome passes from the driver to the shards.
+  void ReadSharedWindows() override { window_reader_ = true; }
+
+  /// \brief Inserts and DeleteAt truncations in batch order. Driven before
+  /// the shards run the batch: an expansion must see the edges that came
+  /// earlier in its batch, and a sharded wave holds one timestamp, so
+  /// seeing the whole batch changes no snapshot (DESIGN.md §2.4). A
+  /// truncation enables the reverse index the shards' repair probes.
+  void WriteWindows(int port, const Sgt* tuples, std::size_t n) override;
 
   /// \brief Declares this instance shard `shard` of `num_shards`. With
   /// num_shards == 1 (the default) the operator owns every tree root —
@@ -86,18 +105,19 @@ class PathOpBase : public PhysicalOp {
     out_coalescer_.ConfigureExpirySlide(slide);
   }
 
-  /// \brief Frees window edges, tree nodes and coalescer state that
-  /// expired at or before `now`, and drops trees reduced to their root.
-  /// Calendar-driven: cost is proportional to what actually expired, not
-  /// to the forest size.
+  /// \brief Frees window edges (a writer's), tree nodes and coalescer
+  /// state that expired at or before `now`, and drops trees reduced to
+  /// their root. Calendar-driven: cost is proportional to what actually
+  /// expired, not to the forest size.
   void Purge(Timestamp now) override;
 
-  /// \brief Due when the window partition, the node calendar or the
-  /// output coalescer has a due hint, or a tree may have shrunk to its
-  /// root.
+  /// \brief Due when the window partition (a writer's), the node calendar
+  /// or the output coalescer has a due hint, or a tree may have shrunk to
+  /// its root.
   bool PurgeDue(Timestamp now) const override {
-    return window_->AnyDue(now) || node_expiry_.AnyDue(now) ||
-           !empty_tree_candidates_.empty() || out_coalescer_.AnyDue(now);
+    return (!window_reader_ && window_->AnyDue(now)) ||
+           node_expiry_.AnyDue(now) || !empty_tree_candidates_.empty() ||
+           out_coalescer_.AnyDue(now);
   }
 
   /// \brief Checkpoint encoding (model/checkpoint.h, DESIGN.md §7):
@@ -192,10 +212,16 @@ class PathOpBase : public PhysicalOp {
   void RederiveSubtree(SpanningTree& tree, const std::vector<NodeKey>& subtree,
                        Timestamp now, bool emit_negatives);
 
-  /// \brief Explicit deletion of the edge carried by the negative sgt `t`:
-  /// truncates the window store, then re-derives every subtree hanging off
-  /// a deleted tree edge (deleting a non-tree edge changes nothing).
-  void HandleExplicitDeletion(const Sgt& t);
+  /// \brief Tree repair for the explicit deletion carried by the negative
+  /// sgt `t`, after the window was truncated (`truncated`: this instance's
+  /// DeleteAt found a live entry): re-derives every subtree hanging off a
+  /// deleted tree edge (deleting a non-tree edge changes nothing).
+  void RepairDeletion(const Sgt& t, bool truncated);
+
+  /// \brief Extends the trees with the inserted edge `tuple`, already in
+  /// the window (S-PATH's Expand/Propagate, the Δ-tree's attach-only
+  /// insert). `tuple.validity` is non-empty.
+  virtual void ExtendTrees(const Sgt& tuple) = 0;
 
   /// \brief Transitions (label, target) leaving automaton state `s`.
   const std::vector<std::pair<LabelId, StateId>>& OutTransitions(
@@ -207,10 +233,13 @@ class PathOpBase : public PhysicalOp {
   LabelId out_label() const { return out_label_; }
 
   /// Window adjacency: points at the operator's own store, or at a shared
-  /// WindowStore partition after BindSharedWindow(). Shared maintenance is
-  /// safe without coordination: inserts coalesce idempotently and repeated
-  /// purges are cheap (calendar-driven).
+  /// WindowStore partition after BindSharedWindow(). Maintenance shared by
+  /// several writers needs no coordination: inserts coalesce idempotently
+  /// and repeated purges are cheap (calendar-driven).
   WindowEdgeStore* window_ = &owned_window_;
+  /// Sharded execution: the window is a partition the driver writes
+  /// (ReadSharedWindows); this instance only reads it.
+  bool window_reader_ = false;
   FlatMap<VertexId, SpanningTree> trees_;
 
   /// Node-expiry calendar: (root, key) hints at the node's expiry bucket.

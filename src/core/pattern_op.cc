@@ -273,7 +273,9 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
   const Key key = ExtractKey(lv, b);
   if (lv.store != nullptr) {
     SGQ_DCHECK(tuple.label == lv.store_label);
-    lv.store->Insert(tuple.src, tuple.trg, lv.store_label, b.iv);
+    if (!window_reader_) {
+      lv.store->Insert(tuple.src, tuple.trg, lv.store_label, b.iv);
+    }
   } else {
     InsertCoalesced(port - 1, /*left=*/false, key, b);
   }
@@ -345,14 +347,10 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
     }
   } else {
     Level& lv = levels_[static_cast<std::size_t>(port - 1)];
-    if (lv.store != nullptr) {
-      const auto& [src_var, trg_var] =
-          port_vars_[static_cast<std::size_t>(port)];
-      lv.store->RemoveValue(b.vals[static_cast<std::size_t>(src_var)],
-                            b.vals[static_cast<std::size_t>(trg_var)],
-                            lv.store_label);
-    } else {
+    if (lv.store == nullptr) {
       ScrubTable(&lv.right, &lv.right_entries, matches);
+    } else if (!window_reader_) {
+      lv.store->RemoveValue(tuple.src, tuple.trg, lv.store_label);
     }
   }
   // Accumulated bindings at levels >= port embed port tuples.
@@ -414,6 +412,22 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
   retracted_values_.clear();
 }
 
+void PatternOp::WriteWindows(int port, const Sgt* tuples, std::size_t n) {
+  if (port < 1) return;
+  const Level& lv = levels_[static_cast<std::size_t>(port - 1)];
+  if (lv.store == nullptr) return;
+  Binding b;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sgt& tuple = tuples[i];
+    if (!BindPort(port, tuple, &b)) continue;
+    if (tuple.is_deletion) {
+      lv.store->RemoveValue(tuple.src, tuple.trg, lv.store_label);
+    } else {
+      lv.store->Insert(tuple.src, tuple.trg, lv.store_label, b.iv);
+    }
+  }
+}
+
 void PatternOp::Purge(Timestamp now) {
   binding_expiry_.DrainDue(now, [&](Timestamp exp, const BucketRef& ref) {
     Level& lv = levels_[static_cast<std::size_t>(ref.level)];
@@ -442,14 +456,17 @@ void PatternOp::Purge(Timestamp now) {
     bucket.hinted = earliest;
     binding_expiry_.Add(earliest, ref);
   });
-  for (Level& lv : levels_) {
-    if (lv.store != nullptr) lv.store->PurgeExpired(now);
+  if (!window_reader_) {
+    for (Level& lv : levels_) {
+      if (lv.store != nullptr) lv.store->PurgeExpired(now);
+    }
   }
   out_coalescer_.PurgeBefore(now);
 }
 
 bool PatternOp::PurgeDue(Timestamp now) const {
   if (binding_expiry_.AnyDue(now) || out_coalescer_.AnyDue(now)) return true;
+  if (window_reader_) return false;
   for (const Level& lv : levels_) {
     if (lv.store != nullptr && lv.store->AnyDue(now)) return true;
   }
@@ -457,10 +474,12 @@ bool PatternOp::PurgeDue(Timestamp now) const {
 }
 
 std::size_t PatternOp::StateSize() const {
+  // Store-backed right sides are WindowStore partitions, counted by the
+  // executor.
   std::size_t n = out_coalescer_.NumKeys();
   for (const Level& lv : levels_) {
     n += lv.left_entries;
-    n += lv.store != nullptr ? lv.store->NumEntries() : lv.right_entries;
+    n += lv.store != nullptr ? 0 : lv.right_entries;
   }
   return n;
 }
@@ -478,7 +497,7 @@ std::size_t PatternOp::StateBytes() const {
   };
   for (const Level& lv : levels_) {
     n += table_bytes(lv.left);
-    n += lv.store != nullptr ? lv.store->StateBytes() : table_bytes(lv.right);
+    n += lv.store != nullptr ? 0 : table_bytes(lv.right);
   }
   return n;
 }

@@ -16,9 +16,11 @@
 // by target via the reverse index, or by both) instead of a private hash
 // table. The partitions are per-operator — deletion handling replays the
 // join against pre-deletion state, so aliasing them across operators
-// would make retraction order-dependent (see DESIGN.md). Ports without a
-// single static label (label-preserving UNION inputs) and cross-product
-// levels (no shared variables) fall back to the private table.
+// would make retraction order-dependent (see DESIGN.md) — and the shards
+// of a sharded operator share them: the executor's driver thread writes
+// them, the shards only probe. Ports without a single static label
+// (label-preserving UNION inputs) and cross-product levels (no shared
+// variables) fall back to the private table.
 //
 // State layout (DESIGN.md §"State layout"): join tables are flat hash
 // maps keyed by small-inlined key vectors; bindings inline their variable
@@ -59,11 +61,13 @@ struct PatternPortState {
 /// Sharded execution partitions the join by the *driving atom*: port-0
 /// tuples hash to one shard (kEdgeValue), which then owns every
 /// accumulated binding — and thus every derivation — growing from them;
-/// ports >= 1 broadcast, so each shard keeps a full replica of the
-/// right-side single-atom state its left bindings probe. Each derivation
-/// therefore happens on exactly one shard. Deletions need the two-phase
-/// cross-shard protocol (DeletionCoordination): an output value retracted
-/// on one shard may survive via a derivation owned by another.
+/// ports >= 1 broadcast, so each shard sees all of the right-side
+/// single-atom state its left bindings probe (one WindowStore partition
+/// per store-backed port, shared by the shards and written by the driver;
+/// a private table per shard otherwise). Each derivation therefore happens
+/// on exactly one shard. Deletions need the two-phase cross-shard protocol
+/// (DeletionCoordination): an output value retracted on one shard may
+/// survive via a derivation owned by another.
 class PatternOp : public PhysicalOp, public DeletionCoordination {
  public:
   /// \brief Builds the join pipeline from a logical PATTERN node. The join
@@ -89,10 +93,20 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   }
 
   /// \brief Port 0 (the driving atom) hash-partitions by edge value;
-  /// every other port broadcasts (replicated right-side state).
+  /// every other port broadcasts (right-side state every shard probes).
   RoutingKey InputRouting(int port) const override {
     return port == 0 ? RoutingKey::kEdgeValue : RoutingKey::kBroadcast;
   }
+
+  /// \brief The shards share the store-backed ports' partitions.
+  void ReadSharedWindows() override { window_reader_ = true; }
+  /// \brief Store-backed ports only: inserts, and RemoveValue for
+  /// deletions, of the tuples BindPort accepts. Driven after the shards
+  /// ran the tuples: within a wave port p's store is read only by
+  /// cascades from ports < p, which every shard runs first, so the shards
+  /// read exactly the store a lone instance would. A deletion's
+  /// RemoveValue runs between the coordinated deletion's two phases.
+  void WriteWindows(int port, const Sgt* tuples, std::size_t n) override;
 
   /// \brief Multi-atom patterns derive one output value from several
   /// port-0 bindings, potentially on different shards; single-atom
@@ -260,6 +274,9 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   /// \brief True when `b` could still derive a retracted output value.
   bool MayReassert(const Binding& b) const;
+  /// Sharded execution: store-backed partitions are shared with sibling
+  /// shards and written only by the driver (WriteWindows).
+  bool window_reader_ = false;
   /// Expiry calendar over the private join tables, one live hint per
   /// bucket (store-backed sides purge through their partition's own
   /// calendar).

@@ -130,12 +130,45 @@ class PhysicalOp {
   /// Mandatory for OnTimeAdvance overriders (see its contract note).
   virtual bool HasTimeDrivenWork() const { return false; }
 
-  /// \brief Approximate number of state entries held (for diagnostics).
+  /// \name Shared window partitions under sharding (DESIGN.md §2.4)
+  ///
+  /// The shard instances of one operator bind the same WindowStore
+  /// partitions, and the executor's driver thread is their only writer:
+  /// the executor makes every instance a reader (ReadSharedWindows) and
+  /// applies the window writes itself, outside the parallel section,
+  /// through the primary instance. Shards only read a partition while
+  /// they run, so none needs a lock. A lone instance — every operator of
+  /// the unsharded engine — writes its own partitions.
+  /// @{
+
+  /// \brief Makes this instance a reader of its window partitions: it
+  /// never writes one. Driver thread, before any shard runs.
+  virtual void ReadSharedWindows() {}
+
+  /// \brief Driver thread, called on the primary of a sharded operator:
+  /// applies the window writes of `n` tuples arriving on `port`, in
+  /// order — the writes a lone instance's OnBatch would make. The plain
+  /// sharded wave calls it before the operator's shard section; under
+  /// deletion coordination it runs after the shards ran a run of
+  /// positives, and a deletion alone between the deletion's two phases.
+  /// The executor passes the batch shard 0 received, which is the whole
+  /// batch only on a broadcast port: only broadcast ports may write.
+  virtual void WriteWindows(int port, const Sgt* tuples, std::size_t n) {
+    (void)port;
+    (void)tuples;
+    (void)n;
+  }
+  /// @}
+
+  /// \brief Approximate number of state entries the instance owns (for
+  /// diagnostics). WindowStore partitions are not the instance's: the
+  /// executor counts each of them once, however many operators and
+  /// shards read it.
   virtual std::size_t StateSize() const { return 0; }
 
-  /// \brief Approximate resident bytes of operator state (containers at
-  /// capacity plus arena slabs). Tracks memory wins alongside StateSize's
-  /// entry counts; 0 for stateless operators.
+  /// \brief Approximate resident bytes of the state StateSize counts
+  /// (containers at capacity plus arena slabs). Tracks memory wins
+  /// alongside StateSize's entry counts; 0 for stateless operators.
   virtual std::size_t StateBytes() const { return 0; }
 
   /// \brief Binds the output channel tuples are emitted into. The channel

@@ -4,15 +4,7 @@
 
 namespace sgq {
 
-void SPathOp::OnTuple(int port, const Sgt& tuple) {
-  (void)port;
-  if (tuple.is_deletion) {
-    HandleExplicitDeletion(tuple);
-    return;
-  }
-  if (tuple.validity.Empty()) return;
-  window_->Insert(tuple.src, tuple.trg, tuple.label, tuple.validity);
-
+void SPathOp::ExtendTrees(const Sgt& tuple) {
   std::vector<AttachWork> work;
   for (const auto& [s, q] : dfa().TransitionsOnLabel(tuple.label)) {
     if (s == dfa().start() && OwnsRoot(tuple.src)) {

@@ -25,10 +25,11 @@ class SPathOp : public PathOpBase {
   SPathOp(Dfa dfa, LabelId output_label)
       : PathOpBase(std::move(dfa), output_label) {}
 
-  void OnTuple(int port, const Sgt& tuple) override;
   std::string Name() const override { return "PATH[S-PATH]"; }
 
  private:
+  void ExtendTrees(const Sgt& tuple) override;
+
   /// One unit of traversal work: try to attach/improve `child` under
   /// `parent` in the tree rooted at `root`, via `edge` with joint validity
   /// `iv` (already intersected with the parent's interval).

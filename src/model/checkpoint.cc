@@ -198,7 +198,9 @@ std::uint64_t ByteReader::U64() {
 
 std::int64_t ByteReader::I64() { return static_cast<std::int64_t>(U64()); }
 
-std::string ByteReader::Str() {
+std::string ByteReader::Str() { return std::string(StrView()); }
+
+std::string_view ByteReader::StrView() {
   const std::uint32_t len = U32();
   if (!status_.ok()) return {};
   if (bytes_.size() - offset_ < len) {
@@ -206,7 +208,7 @@ std::string ByteReader::Str() {
          std::to_string(bytes_.size() - offset_));
     return {};
   }
-  return std::string(Raw(len));
+  return Raw(len);
 }
 
 Status ByteReader::ExpectEnd() {

@@ -4,7 +4,7 @@
 // clock, window partitions, per-operator state, sink buffers).
 //
 //   offset 0   magic "SGQC" (4 bytes)
-//          4   u32  version        (currently 5)
+//          4   u32  version        (kCheckpointVersion)
 //          8   u32  section_count
 //         12   section_count × {
 //                u16 name_len, name bytes,
@@ -62,7 +62,11 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// `touched` byte (purging is exact at every slide boundary, so no purge
 /// schedule is carried). "ops" and "windows" hold no expired state at a
 /// boundary any more; every other section is unchanged.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+/// Version 7: a sharded engine's "windows" holds one partition per key
+/// instead of one per (key, shard) — the shards of an operator share
+/// their window partitions — so an image taken at num_workers > 1 lists
+/// fewer partitions; every other section's layout is unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers
@@ -110,6 +114,9 @@ class ByteReader {
   std::string_view Raw(std::size_t n);
   /// \brief u32 length + bytes (inverse of PutStr).
   std::string Str();
+  /// \brief Str without the copy: a view into the input (valid while it
+  /// lives), with the same positioned errors.
+  std::string_view StrView();
 
   std::size_t offset() const { return offset_; }
   std::size_t remaining() const { return bytes_.size() - offset_; }

@@ -204,6 +204,13 @@ Status Executor::SetupNodeTopology(std::size_t i) {
   node.shard_scratch.assign(node.pending.size(),
                             std::vector<std::vector<Sgt>>(instances));
   node.merge_coalesce = instances > 1 && node.op->CoalesceAtMerge();
+  if (instances > 1) {
+    // The shards share the operator's window partitions; the driver is
+    // their only writer (DESIGN.md §2.4).
+    for (std::size_t s = 0; s < instances; ++s) {
+      instance(static_cast<OpId>(i), s)->ReadSharedWindows();
+    }
+  }
   if (instances > 1 && node.op->NeedsDeletionCoordination()) {
     node.coordination.reserve(instances);
     for (std::size_t s = 0; s < instances; ++s) {
@@ -572,7 +579,7 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
   while (i < batch.size()) {
     if (!batch[i].is_deletion) {
       // Maximal run of positives: partition by the port's routing key and
-      // process shard-parallel.
+      // process shard-parallel, the run's window writes on this thread.
       for (auto& slot : split) slot.clear();
       std::size_t j = i;
       for (; j < batch.size() && !batch[j].is_deletion; ++j) {
@@ -587,6 +594,7 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
           instance(id, s)->OnBatch(port, split[s].data(), split[s].size());
         }
       });
+      node.op->WriteWindows(port, batch.data() + i, j - i);
       MergeAndRoute(id);
       i = j;
       continue;
@@ -608,6 +616,10 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
           node.coordination[owner]->RetractForDeletion(port, deletion);
     }
     MergeAndRoute(id);  // the negative tuples
+    // The deleted value leaves the shared window between the phases: the
+    // retraction replayed pre-deletion state, the re-assertion must not
+    // see it.
+    node.op->WriteWindows(port, &deletion, 1);
     std::set<EdgeRef> all_retracted;
     for (const auto& shard_retracted : retracted) {
       all_retracted.insert(shard_retracted.begin(), shard_retracted.end());
@@ -641,6 +653,16 @@ void Executor::RunShardedOpBatches(OpId id) {
     return;
   }
   const std::size_t instances = NumInstances(id);
+  // The wave's window writes run here, on the driver; the shards then
+  // only read the partitions they share.
+  if (instances > 1) {
+    for (std::size_t p = 0; p < take.size(); ++p) {
+      if (!take[p][0].empty()) {
+        node.op->WriteWindows(static_cast<int>(p), take[p][0].data(),
+                              take[p][0].size());
+      }
+    }
+  }
   std::size_t active_shards = 0;
   for (std::size_t s = 0; s < instances && active_shards < 2; ++s) {
     for (std::size_t p = 0; p < take.size(); ++p) {
@@ -830,10 +852,11 @@ void Executor::ProcessBoundary(Timestamp boundary) {
 }
 
 void Executor::PurgeDueShards(Timestamp boundary) {
-  // One dispatch covers every due (operator, shard) pair: worker s purges
-  // shard s of each due operator in ascending id order. Window partitions
-  // are per shard index, so no partition is touched by two workers, and
-  // operators sharing one run back to back on the same worker.
+  // The shards share their window partitions and only read them, so the
+  // partitions purge here, once each, before the shards purge their own
+  // state. Then one dispatch covers every due (operator, shard) pair:
+  // worker s purges shard s of each due operator in ascending id order.
+  window_store_.PurgeExpired(boundary);
   for (std::vector<OpId>& due : purge_due_) due.clear();
   purge_due_ops_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -981,21 +1004,23 @@ void Executor::AdvanceTo(Timestamp t) {
 }
 
 std::size_t Executor::StateSize() const {
-  std::size_t n = 0;
+  std::size_t n = window_store_.NumEntries();
   for (const auto& node : nodes_) {
     if (node.op == nullptr) continue;  // removed (tombstoned) slot
     n += node.op->StateSize();
     for (const auto& replica : node.replicas) n += replica->StateSize();
+    if (node.merge_coalesce) n += node.merge_coalescer.NumKeys();
   }
   return n;
 }
 
 std::size_t Executor::StateBytes() const {
-  std::size_t n = 0;
+  std::size_t n = window_store_.StateBytes();
   for (const auto& node : nodes_) {
     if (node.op == nullptr) continue;  // removed (tombstoned) slot
     n += node.op->StateBytes();
     for (const auto& replica : node.replicas) n += replica->StateBytes();
+    if (node.merge_coalesce) n += node.merge_coalescer.ApproxBytes();
   }
   return n;
 }
@@ -1098,7 +1123,7 @@ Status Executor::DeserializeOps(ByteReader* in) {
     }
     for (std::size_t s = 0; s < 1 + node.replicas.size() && in->ok(); ++s) {
       PhysicalOp* inst = s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      const std::string blob = in->Str();
+      const std::string_view blob = in->StrView();
       if (!in->ok()) break;
       ByteReader sub(blob, in->context() + ": operator " +
                                std::to_string(id) + " (" + inst->Name() +

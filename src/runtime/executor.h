@@ -39,10 +39,13 @@
 // whose expiry calendars have something due (PhysicalOp::PurgeDue).
 //
 // Window bookkeeping is consolidated in a shared WindowStore
-// (runtime/window_store.h) owned by the executor. Sharded instances
-// acquire shard-suffixed partitions, so a partition is only ever touched
-// by one shard index — the worker-pool barrier between operators orders
-// accesses by co-indexed shards of different operators.
+// (runtime/window_store.h) owned by the executor. The shard instances of
+// an operator bind the same partitions, and the driver thread is their
+// only writer (PhysicalOp::WriteWindows): it applies a wave's window
+// writes before the operator's shard section — after it under deletion
+// coordination, a deletion's between its two phases — and every window
+// purge, so shards only read partitions inside the parallel section and
+// need no lock.
 
 #ifndef SGQ_RUNTIME_EXECUTOR_H_
 #define SGQ_RUNTIME_EXECUTOR_H_
@@ -246,13 +249,13 @@ class Executor {
   /// (zeros when the pipeline never ran).
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
-  /// \brief Total operator state entries (diagnostics). Shared window
-  /// partitions are counted once per consumer.
+  /// \brief Total state entries (diagnostics): every operator instance's
+  /// own state, each WindowStore partition once however many operators
+  /// and shards read it, and the merge-side coalescers.
   std::size_t StateSize() const;
 
-  /// \brief Resident operator-state bytes (diagnostics; approximate —
-  /// container capacities plus arena slabs, shared window partitions
-  /// counted once per consumer like StateSize).
+  /// \brief Resident bytes of the state StateSize counts (diagnostics;
+  /// approximate — container capacities plus arena slabs).
   std::size_t StateBytes() const;
 
   /// \brief Timestamps every operator has been advanced to so far.
@@ -434,10 +437,11 @@ class Executor {
   /// drains the resulting waves.
   void DeliverSgesSharded(const Sge* sges, std::size_t n);
 
-  /// \brief Purges every due (operator, shard) pair in one dispatch —
-  /// worker s runs shard s of each due operator in ascending id order,
-  /// inline when fewer than two shards have work — then merges each
-  /// purged operator's emissions in ascending id order.
+  /// \brief Purges the due window partitions on the driver, then every
+  /// due (operator, shard) pair in one dispatch — worker s runs shard s of
+  /// each due operator in ascending id order, inline when fewer than two
+  /// shards have work — then merges each purged operator's emissions in
+  /// ascending id order.
   void PurgeDueShards(Timestamp boundary);
   /// @}
 

@@ -14,8 +14,9 @@
 //  - kBroadcast:  replicate the tuple to every shard. Used by operators
 //                 whose per-key state can grow from any input tuple (PATH
 //                 trees are keyed by *root*, but any edge can extend any
-//                 tree), trading duplicated window maintenance for
-//                 coordination-free parallel traversals.
+//                 tree). Every shard reads the whole input; the window
+//                 it builds is stored once, in partitions the shards
+//                 share and the driver thread alone writes.
 //
 // The hash must be stable across runs and platforms (determinism contract,
 // DESIGN.md §2.4), so it is a fixed splitmix64 finalizer rather than

@@ -37,6 +37,12 @@ void WindowStore::ConfigureExpirySlide(Timestamp slide) {
   for (auto& [_, p] : partitions_) p.store->ConfigureExpirySlide(slide);
 }
 
+void WindowStore::PurgeExpired(Timestamp now) {
+  for (auto& [_, p] : partitions_) {
+    if (p.store->AnyDue(now)) p.store->PurgeExpired(now);
+  }
+}
+
 std::size_t WindowStore::NumEntries() const {
   std::size_t n = 0;
   for (const auto& [_, p] : partitions_) n += p.store->NumEntries();
@@ -77,7 +83,7 @@ Status WindowStore::DeserializeState(ByteReader* in) {
   }
   for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
     const std::string sig = in->Str();
-    const std::string blob = in->Str();
+    const std::string_view blob = in->StrView();
     if (!in->ok()) break;
     auto it = partitions_.find(sig);
     if (it == partitions_.end()) {

@@ -11,7 +11,10 @@
 // (value-equivalent edges coalesce, Def. 11) and purges are cheap to
 // repeat (the partition's expiry calendar answers "nothing due" in O(1)),
 // so any number of consumers can maintain the shared partition without
-// coordination: each consumer purges the partitions it reads.
+// coordination: each consumer purges the partitions it reads. The shards
+// of a sharded operator are the exception: they bind the operator's
+// partitions once and only read them, and the executor's driver thread
+// writes and purges for them (DESIGN.md §2.4).
 
 #ifndef SGQ_RUNTIME_WINDOW_STORE_H_
 #define SGQ_RUNTIME_WINDOW_STORE_H_
@@ -48,6 +51,11 @@ class WindowStore {
   /// (existing and future) to the engine's slide. Called by the executor
   /// once the slide is fixed at Finalize.
   void ConfigureExpirySlide(Timestamp slide);
+
+  /// \brief Drops the entries of every partition that expired at or
+  /// before `now` (sharded execution, where the partitions' readers do
+  /// not purge them).
+  void PurgeExpired(Timestamp now);
 
   std::size_t NumPartitions() const { return partitions_.size(); }
 

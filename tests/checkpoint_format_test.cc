@@ -161,11 +161,11 @@ TEST(CheckpointFormatTest, EncodingIsDeterministic) {
 TEST(CheckpointFormatTest, StreamedImageMatchesPreStreamingEncoder) {
   // Golden frozen from the encoder that built the whole image in memory
   // before writing it: streaming with backpatched frames and a combined
-  // file CRC must not change one byte. (Re-frozen for versions 3, 4, 5
-  // and 6: only the header version and the footer CRC moved.)
+  // file CRC must not change one byte. (Re-frozen for versions 3, 4, 5,
+  // 6 and 7: only the header version and the footer CRC moved.)
   const std::string image = SampleImage();
   EXPECT_EQ(image.size(), 401u);
-  EXPECT_EQ(testing_util::Fingerprint(image), 0x1730a195c747ddc3ull);
+  EXPECT_EQ(testing_util::Fingerprint(image), 0x283f844956eeb55cull);
   // How the payload is cut into Append calls is invisible in the bytes.
   for (std::size_t piece : {1, 2, 7, 64}) {
     EXPECT_EQ(Image(SampleSections(), piece), image) << "piece " << piece;
@@ -214,8 +214,8 @@ TEST(CheckpointFaultTest, ErrorsCarryByteOffsets) {
 }
 
 TEST(CheckpointFaultTest, VersionSkewRejected) {
-  // Older (v5: "ops" still carried the purge watermarks) and newer images
-  // alike.
+  // Older (v6: a sharded image still held one window partition per
+  // shard) and newer images alike.
   for (const std::uint32_t version :
        {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     std::string image = SampleImage();

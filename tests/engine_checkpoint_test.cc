@@ -371,6 +371,74 @@ TEST(EngineCheckpointTest, TruncationAtEverySectionBoundaryRejected) {
   std::remove(bad_path.c_str());
 }
 
+TEST(EngineCheckpointTest, BlobLengthPastSectionEndRejectedPositioned) {
+  // A CRC-valid image whose first window-partition blob, or first
+  // operator blob, claims more bytes than its section holds: restore
+  // reads blobs in place, and must refuse with the blob's position.
+  Vocabulary vocab;
+  const InputStream stream = DeletionHeavyStream(&vocab, 12, 100);
+  auto query = MakeQuery(kQuery, WindowSpec(16, 2), &vocab);
+  ASSERT_TRUE(query.ok());
+  EngineOptions options;
+  const std::string path = SnapshotAfterPrefix(stream, *query, &vocab,
+                                               options, "ckpt_blob.sgqc");
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  auto reader = CheckpointReader::Parse(*bytes, path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+  auto u32_at = [](std::string_view payload, std::size_t at) {
+    ByteReader in(payload.substr(at), "u32");
+    return in.U32();
+  };
+  auto patch_u32 = [](std::string* payload, std::size_t at,
+                      std::uint32_t v) {
+    std::string le;
+    PutU32(&le, v);
+    payload->replace(at, le.size(), le);
+  };
+  // "windows": u32 count, then per partition the key string and the
+  // blob. "ops": u32 count, then node 0 (a scan): live and merge-
+  // coalescer bytes, u32 instances, and the instance's blob.
+  const std::string_view windows = reader->payload(*reader->Find("windows"));
+  const std::size_t windows_blob = 8 + u32_at(windows, 4);
+  const struct {
+    const char* section;
+    std::size_t length_at;
+  } cases[] = {{"windows", windows_blob}, {"ops", 10}};
+  const std::string bad_path = TempPath("ckpt_blob_bad.sgqc");
+  for (const auto& c : cases) {
+    StringByteSink sink;
+    CheckpointWriter writer(&sink);
+    for (const CheckpointSection& section : reader->sections()) {
+      std::string payload(reader->payload(section));
+      if (section.name == c.section) {
+        ASSERT_LE(c.length_at + 4, payload.size()) << c.section;
+        patch_u32(&payload, c.length_at,
+                  static_cast<std::uint32_t>(payload.size()));
+      }
+      ASSERT_TRUE(writer.BeginSection(section.name).ok());
+      ASSERT_TRUE(writer.Append(payload).ok());
+      ASSERT_TRUE(writer.EndSection().ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    ASSERT_TRUE(WriteFileBytes(bad_path, sink.bytes()).ok());
+
+    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+    ASSERT_TRUE(qp.ok());
+    Vocabulary fresh_vocab;
+    const Status st = (*qp)->engine().Restore(bad_path, &fresh_vocab);
+    ASSERT_FALSE(st.ok()) << c.section << " blob overrun accepted";
+    const std::string where = "section '" + std::string(c.section) +
+                              "': offset " + std::to_string(c.length_at + 4) +
+                              ": truncated string";
+    EXPECT_NE(st.message().find(where), std::string::npos)
+        << c.section << ": " << st.ToString();
+  }
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
 TEST(EngineCheckpointTest, MissingFileIsACleanError) {
   Vocabulary vocab;
   const InputStream stream = DeletionHeavyStream(&vocab, 2, 40);
@@ -465,15 +533,19 @@ TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
   // slide boundary now purges exactly what expired, so "ops" and
   // "windows" no longer carry expired state (every image shrank); only
   // the header version, "ops", "windows" and the footer CRC moved.
+  // Re-frozen for version 7: the two shards of spath-w2 share one window
+  // partition per key, so its "windows" section halved (1,698 -> 830
+  // bytes, the image 4,746 -> 3,878); the unsharded images moved only in
+  // the header version and the footer CRC.
   const GoldenConfig goldens[] = {
       {"spath-b1", false, PathImpl::kSPath, 1, 1, 2702,
-       0x99be546263232672ull},
+       0xca73b39a6b6bd22bull},
       {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 3813,
-       0x7ce3f717024f478full},
-      {"spath-w2", false, PathImpl::kSPath, 4, 2, 4746,
-       0x065002ef2fdfdd2aull},
+       0xe408d530ce474881ull},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 3878,
+       0x4943b1d7da96c16bull},
       {"so-b1", true, PathImpl::kSPath, 1, 1, 6359038,
-       0x58ec038011e011aaull},
+       0x2e74b28b76961860ull},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const GoldenConfig& golden : goldens) {

@@ -332,15 +332,14 @@ TEST(SharedStateTest, IdenticalClosuresCompileToOnePathOp) {
   EXPECT_EQ(ResultPairsAt((*qp)->results(), 1).size(), 6u);
 }
 
-TEST(SharedStateTest, PathOpsShareWindowPartitions) {
-  Vocabulary vocab;
-  // Two PATH operators with *different* regexes over the same scanned
-  // input cannot merge into one operator, but still resolve to the same
-  // "path-in" adjacency partition.
-  const LabelId a = *vocab.InternInputLabel("a");
-  const LabelId p1 = *vocab.InternDerivedLabel("p1");
-  const LabelId p2 = *vocab.InternDerivedLabel("p2");
-  const LabelId ans = *vocab.InternDerivedLabel("Answer");
+/// \brief Two PATH operators with *different* regexes (`a+` and `a·a*`)
+/// over the same scanned input, unioned: they cannot merge into one
+/// operator, but still resolve to the same "path-in" adjacency partition.
+LogicalPlan TwoPathsOverOneScan(Vocabulary* vocab) {
+  const LabelId a = *vocab->InternInputLabel("a");
+  const LabelId p1 = *vocab->InternDerivedLabel("p1");
+  const LabelId p2 = *vocab->InternDerivedLabel("p2");
+  const LabelId ans = *vocab->InternDerivedLabel("Answer");
   const WindowSpec window(10, 1);
   std::vector<LogicalPlan> kids1;
   kids1.push_back(MakeWScan(a, window));
@@ -353,7 +352,13 @@ TEST(SharedStateTest, PathOpsShareWindowPartitions) {
   std::vector<LogicalPlan> branches;
   branches.push_back(std::move(plus));
   branches.push_back(std::move(star));
-  auto plan = MakeUnion(ans, std::move(branches));
+  return MakeUnion(ans, std::move(branches));
+}
+
+TEST(SharedStateTest, PathOpsShareWindowPartitions) {
+  Vocabulary vocab;
+  const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
+  const LabelId a = *vocab.FindLabel("a");
   auto qp = QueryProcessor::Compile(*plan, vocab, {});
   ASSERT_TRUE(qp.ok()) << qp.status().ToString();
   EXPECT_GE((*qp)->executor().window_store()->NumSharedAcquires(), 1u);
@@ -362,6 +367,73 @@ TEST(SharedStateTest, PathOpsShareWindowPartitions) {
   // Both regexes derive the same closure pairs; the relabeling UNION's
   // sink coalesces them.
   EXPECT_EQ(ResultPairsAt((*qp)->results(), 1).size(), 3u);
+}
+
+TEST(SharedStateTest, StateAccountingCountsASharedPartitionOnce) {
+  Vocabulary vocab;
+  const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
+  const LabelId a = *vocab.FindLabel("a");
+  auto qp = QueryProcessor::Compile(*plan, vocab, {});
+  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+  (*qp)->Push(Sge(1, 2, a, 0));
+  (*qp)->Push(Sge(2, 3, a, 1));
+  (*qp)->Flush();
+  const Executor& exec = (*qp)->executor();
+  ASSERT_EQ(exec.window_store()->NumPartitions(), 1u);
+  ASSERT_EQ(exec.window_store()->NumEntries(), 2u);
+  // Both PATH operators read the partition, and neither owns it: the
+  // executor's total is the operators' own state plus the partition once.
+  std::size_t owned_entries = 0;
+  std::size_t owned_bytes = 0;
+  for (std::size_t i = 0; i < exec.NumOps(); ++i) {
+    owned_entries += exec.op(static_cast<OpId>(i))->StateSize();
+    owned_bytes += exec.op(static_cast<OpId>(i))->StateBytes();
+  }
+  EXPECT_EQ(exec.StateSize(),
+            owned_entries + exec.window_store()->NumEntries());
+  EXPECT_EQ(exec.StateBytes(),
+            owned_bytes + exec.window_store()->StateBytes());
+}
+
+TEST(SharedStateTest, ShardedPathOpsSharingAPartitionMatchOneWorker) {
+  // Under sharding both operators' shards read the one partition, which
+  // the driver writes once per operator: the first operator's write
+  // truncates a deleted edge, the second's finds it truncated, and the
+  // second operator's shards must still repair the trees that used it.
+  for (uint64_t seed : {3, 11, 29}) {
+    Vocabulary vocab;
+    RandomStreamOptions opt;
+    opt.seed = seed;
+    opt.num_vertices = 8;
+    opt.num_labels = 1;
+    opt.num_edges = 150;
+    opt.max_gap = 2;
+    opt.deletion_probability = 0.2;
+    auto stream = GenerateRandomStream(opt, &vocab);
+    ASSERT_TRUE(stream.ok());
+    const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
+    auto reference = QueryProcessor::Compile(*plan, vocab, {});
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    (*reference)->PushAll(*stream);
+    const std::vector<Timestamp> times = SampleTimes(*stream, 8);
+    for (std::size_t workers : {2, 4}) {
+      for (std::size_t batch : {1, 16}) {
+        EngineOptions options;
+        options.num_workers = workers;
+        options.batch_size = batch;
+        auto sharded = QueryProcessor::Compile(*plan, vocab, options);
+        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+        ASSERT_EQ((*sharded)->executor().window_store()->NumPartitions(), 1u);
+        (*sharded)->PushAll(*stream);
+        for (Timestamp t : times) {
+          ASSERT_EQ(ResultPairsAt((*sharded)->results(), t),
+                    ResultPairsAt((*reference)->results(), t))
+              << "seed=" << seed << " workers=" << workers
+              << " batch=" << batch << " t=" << t;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "runtime/worker_pool.h"
 #include "test_util.h"
 #include "workload/generators.h"
+#include "workload/plan_gallery.h"
 #include "workload/queries.h"
 
 namespace sgq {
@@ -96,6 +97,9 @@ const Config kConfigs[] = {
     {"Answer(x,y) <- a+(x,y)", PathImpl::kDeltaPath},
     {"Answer(x,z) <- a+(x,y), b(y,z)", PathImpl::kSPath},
     {"Answer(x,z) <- a+(x,y), b(y,z)", PathImpl::kDeltaPath},
+    // Two store-backed ports on one label: the shards share one partition
+    // per port, and the two stay distinct.
+    {"Answer(x,w) <- a(x,y), b(y,z), b(z,w)", PathImpl::kSPath},
 };
 
 InputStream DeletionHeavyStream(uint64_t seed, Vocabulary* vocab) {
@@ -162,6 +166,44 @@ TEST_P(ShardedEquivalenceTest, SnapshotsMatchSingleWorkerAndOracle) {
   }
 }
 
+TEST_P(ShardedEquivalenceTest, MultiInputPathPlansMatchSingleWorker) {
+  // Q4's plans put PATH operators over several inputs — P1 is (a.b.c)+
+  // over three scans, P2 and P3 over a scan and a join. The inputs merge
+  // on the PATH's one port, so a wave's batch mixes labels and deletions,
+  // and the driver writes all of it before the shards run it.
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 131 + 17;
+  for (const PathImpl impl : {PathImpl::kSPath, PathImpl::kDeltaPath}) {
+    Vocabulary vocab;
+    const InputStream stream = DeletionHeavyStream(seed, &vocab);
+    const std::vector<Timestamp> times = SampleTimes(stream, 8);
+    for (const auto& [name, plan] :
+         Q4Plans(&vocab, "a", "b", "c", WindowSpec(12, 3))) {
+      auto run = [&](std::size_t workers, std::size_t batch) {
+        EngineOptions options;
+        options.path_impl = impl;
+        options.num_workers = workers;
+        options.batch_size = batch;
+        auto qp = QueryProcessor::Compile(*plan, vocab, options);
+        EXPECT_TRUE(qp.ok()) << name << ": " << qp.status().ToString();
+        if (!qp.ok()) return std::vector<Sgt>{};
+        (*qp)->PushAll(stream);
+        return (*qp)->results();
+      };
+      const std::vector<Sgt> reference = run(1, 1);
+      for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+        for (std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
+          const std::vector<Sgt> sharded = run(workers, batch);
+          for (Timestamp t : times) {
+            ASSERT_EQ(ResultPairsAt(sharded, t), ResultPairsAt(reference, t))
+                << name << " workers=" << workers << " batch=" << batch
+                << " t=" << t << " seed=" << seed;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedEquivalenceTest,
                          ::testing::Range(0, 6));
 
@@ -207,6 +249,39 @@ TEST(ShardedDeterminismTest, ExplicitSingleWorkerIsByteIdenticalToDefault) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_TRUE(expected[i] == actual[i])
           << config.query << " position " << i;
+    }
+  }
+}
+
+TEST(ShardedStateTest, BroadcastWindowsAreStoredOncePerOperator) {
+  // The shards of the PATH operator and of the join's store-backed port
+  // read one partition each, so the window store holds what the
+  // single-worker engine holds, whatever the worker count.
+  for (const PathImpl impl : {PathImpl::kSPath, PathImpl::kDeltaPath}) {
+    Vocabulary vocab;
+    const InputStream stream = DeletionHeavyStream(5, &vocab);
+    auto query = MakeQuery("Answer(x,z) <- a+(x,y), b(y,z)",
+                           WindowSpec(12, 3), &vocab);
+    ASSERT_TRUE(query.ok());
+    std::vector<std::size_t> partitions;
+    std::vector<std::size_t> entries;
+    for (std::size_t workers : {1, 2, 4}) {
+      EngineOptions options;
+      options.path_impl = impl;
+      options.num_workers = workers;
+      options.batch_size = 16;
+      auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+      ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+      (*qp)->PushAll(stream);
+      const WindowStore* store = (*qp)->executor().window_store();
+      partitions.push_back(store->NumPartitions());
+      entries.push_back(store->NumEntries());
+    }
+    EXPECT_EQ(partitions[0], 2u);
+    EXPECT_GT(entries[0], 0u);
+    for (std::size_t i = 1; i < partitions.size(); ++i) {
+      EXPECT_EQ(partitions[i], partitions[0]) << "run " << i;
+      EXPECT_EQ(entries[i], entries[0]) << "run " << i;
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include "core/delta_path_op.h"
 #include "core/spath_op.h"
+#include "core/window_store.h"
 #include "model/coalesce.h"
 #include "model/snapshot_graph.h"
 #include "query/oracle.h"
@@ -197,6 +198,50 @@ TEST_F(Figure9Test, ExplicitDeletionRetractsAndReasserts) {
   // But the surviving (x,u) witness now has the direct edge's expiry 30.
   EXPECT_TRUE(PairsAt(sink.tuples, 29).count({Id("x"), Id("u")}) > 0);
   EXPECT_EQ(PairsAt(sink.tuples, 31).count({Id("x"), Id("u")}), 0u);
+}
+
+TEST_F(Figure9Test, ShardRepairSkipsOnlyDeadReferences) {
+  // A shard reads a window the driver wrote, so its deletion repair
+  // cannot tell whether the deletion truncated a live entry; it repairs as
+  // the sibling consumer of a shared partition does, skipping tree edges
+  // whose derivation already ended. Here (x, u) hangs off x -> z, which
+  // ended at 20, and z -> u is still live when it is deleted at 25 (no
+  // purge ran in between): a lone instance re-derives that dead reference.
+  auto edge = [&](const char* s, const char* g, Timestamp ts,
+                  Timestamp exp) {
+    return Sgt(Id(s), Id(g), rl_, Interval(ts, exp),
+               {EdgeRef(Id(s), Id(g), rl_)});
+  };
+  const std::vector<Sgt> stream = {
+      edge("x", "z", 10, 20), edge("z", "u", 11, 40),
+      Sgt(Id("z"), Id("u"), rl_, Interval(25, kMaxTimestamp), {},
+          /*del=*/true)};
+
+  SPathOp lone(dfa_, out_);
+  CollectOp lone_sink;
+  OutputChannel lone_wire(&lone_sink, 0);
+  lone.BindOutput(&lone_wire);
+  for (const Sgt& t : stream) lone.OnTuple(0, t);
+
+  WindowEdgeStore shared;
+  SPathOp shard(dfa_, out_);
+  shard.BindSharedWindow(&shared);
+  shard.ReadSharedWindows();
+  CollectOp shard_sink;
+  OutputChannel shard_wire(&shard_sink, 0);
+  shard.BindOutput(&shard_wire);
+  for (const Sgt& t : stream) {
+    shard.WriteWindows(0, &t, 1);  // the driver writes, the shard reads
+    shard.OnTuple(0, t);
+  }
+
+  // Only the lone instance retracts (x, u) at 25, a result that ended at
+  // 20; no snapshot tells the two apart.
+  EXPECT_EQ(lone_sink.tuples.size(), shard_sink.tuples.size() + 1);
+  for (Timestamp t = 0; t <= 45; ++t) {
+    EXPECT_EQ(PairsAt(shard_sink.tuples, t), PairsAt(lone_sink.tuples, t))
+        << "t=" << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
