@@ -49,10 +49,9 @@ int main() {
                                                    canonical->get()},
           {"heuristic-opt", heuristic->get()},
           {"sampling-opt", sampled->get()}}) {
-      auto metrics =
-          RunSgaPlan(*stream, *plan, vocab, EngineOptions{}, label);
-      bench::CheckOk(metrics.status(), label);
-      PrintMetricsRow(*metrics);
+      auto run = Run(RunSource::Decoded(*stream), {*plan}, &vocab, {}, label);
+      bench::CheckOk(run.status(), label);
+      PrintMetricsRow(run->totals);
     }
   }
   return 0;

@@ -18,11 +18,10 @@ int main() {
       auto query =
           MakeQuery(bq.text, WindowSpec(days * kDay, kDay), &vocab);
       bench::CheckOk(query.status(), bq.name.c_str());
-      auto metrics =
-          RunSga(*stream, *query, vocab, EngineOptions{},
-                 bq.name + "/W=" + std::to_string(days) + "d");
-      bench::CheckOk(metrics.status(), "run");
-      PrintMetricsRow(*metrics);
+      auto run = Run(RunSource::Decoded(*stream), {*query}, &vocab, {},
+                     bq.name + "/W=" + std::to_string(days) + "d");
+      bench::CheckOk(run.status(), "run");
+      PrintMetricsRow(run->totals);
     }
   }
   return 0;

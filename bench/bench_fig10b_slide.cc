@@ -24,11 +24,10 @@ int main() {
       auto query =
           MakeQuery(bq.text, WindowSpec(30 * kDay, slide), &vocab);
       bench::CheckOk(query.status(), bq.name.c_str());
-      auto metrics =
-          RunSga(*stream, *query, vocab, EngineOptions{},
-                 bq.name + "/slide=" + label);
-      bench::CheckOk(metrics.status(), "run");
-      PrintMetricsRow(*metrics);
+      auto run = Run(RunSource::Decoded(*stream), {*query}, &vocab, {},
+                     bq.name + "/slide=" + label);
+      bench::CheckOk(run.status(), "run");
+      PrintMetricsRow(run->totals);
     }
   }
   return 0;

@@ -5,9 +5,9 @@
 //
 // The workload is deliberately *ingest-bound*: the SO-like stream is
 // rendered once (CSV text and SGQB binary of the same stream), and every
-// run parses those bytes as part of the measured region
-// (workload/harness.cc RunSgaText). Synchronous runs parse inline on the
-// execution thread; async runs parse on the dedicated ingest thread,
+// run parses those bytes as part of the measured region (a
+// workload/harness.h Run over the bytes). Synchronous runs parse inline on
+// the execution thread; async runs parse on the dedicated ingest thread,
 // overlapped with execution, so the async/sync ratio isolates exactly the
 // pipeline win. Sharded runs split the parse itself over N parser
 // threads; parse_tuples_per_sec (elements / slowest parser's busy time)
@@ -172,34 +172,35 @@ int main() {
         Vocabulary vocab;
         auto query = MakeQuery(w.query, bench::PaperWindow(), &vocab);
         bench::CheckOk(query.status(), w.name);
-        EngineOptions options;
-        options.batch_size = kBatch;
-        options.num_workers = workers;
+        RunOptions options;
+        options.engine.batch_size = kBatch;
+        options.engine.num_workers = workers;
+        options.engine.pin_workers = pin;
         options.async_ingest = async;
-        options.pin_workers = pin;
-        auto metrics = RunSgaText(
-            csv, *query, &vocab, options,
+        auto run = Run(
+            RunSource::Bytes(csv), {*query}, &vocab, options,
             std::string(w.name) + "/workers=" + std::to_string(workers) +
                 (async ? "/async" : "/sync") + (pin ? "/pin" : ""));
-        bench::CheckOk(metrics.status(), "run");
+        bench::CheckOk(run.status(), "run");
+        const RunMetrics& metrics = run->totals;
 
-        const double tput = metrics->Throughput();
+        const double tput = metrics.Throughput();
         if (!async) {
           sync_tput = tput;
-          sync_results = metrics->results_emitted;
+          sync_results = metrics.results_emitted;
         } else {
-          check_results(metrics->results_emitted, sync_results,
-                        metrics->name.c_str());
+          check_results(metrics.results_emitted, sync_results,
+                        metrics.name.c_str());
         }
         const double speedup = sync_tput > 0 ? tput / sync_tput : 0;
-        PrintRow(*metrics, w.name, workers, kBatch, async, pin, "csv", 1,
+        PrintRow(metrics, w.name, workers, kBatch, async, pin, "csv", 1,
                  speedup);
         std::fprintf(stderr,
                      "  workers=%zu %-11s %10.0f tuples/s  (%.2fx vs "
                      "sync)  stalls: ingest %.1f ms, exec %.1f ms\n",
                      workers, async ? (pin ? "async+pin" : "async") : "sync",
-                     tput, speedup, metrics->ingest_stall_ns / 1e6,
-                     metrics->exec_stall_ns / 1e6);
+                     tput, speedup, metrics.ingest_stall_ns / 1e6,
+                     metrics.exec_stall_ns / 1e6);
       }
     }
   }
@@ -217,14 +218,15 @@ int main() {
     Vocabulary vocab;
     auto query = MakeQuery(matrix_w.query, bench::PaperWindow(), &vocab);
     bench::CheckOk(query.status(), matrix_w.name);
-    EngineOptions options;
-    options.batch_size = kBatch;
-    options.num_workers = 1;
-    auto metrics = RunSgaText(csv, *query, &vocab, options,
-                              "matrix/csv/sync");
-    bench::CheckOk(metrics.status(), "run");
-    csv_sync_parse_tput = metrics->ParseTuplesPerSec();
-    matrix_results = metrics->results_emitted;
+    RunOptions options;
+    options.engine.batch_size = kBatch;
+    options.engine.num_workers = 1;
+    auto run = Run(RunSource::Bytes(csv), {*query}, &vocab, options,
+                   "matrix/csv/sync");
+    bench::CheckOk(run.status(), "run");
+    const RunMetrics& metrics = run->totals;
+    csv_sync_parse_tput = metrics.ParseTuplesPerSec();
+    matrix_results = metrics.results_emitted;
     std::fprintf(stderr,
                  "  csv    sync       parse %10.0f tuples/s  (reference)\n",
                  csv_sync_parse_tput);
@@ -235,35 +237,36 @@ int main() {
       Vocabulary vocab;
       auto query = MakeQuery(matrix_w.query, bench::PaperWindow(), &vocab);
       bench::CheckOk(query.status(), matrix_w.name);
-      EngineOptions options;
-      options.batch_size = kBatch;
-      options.num_workers = 1;
+      RunOptions options;
+      options.engine.batch_size = kBatch;
+      options.engine.num_workers = 1;
+      options.engine.ingest_parsers = parsers;
       options.async_ingest = true;
-      options.ingest_parsers = parsers;
       const char* format = use_binary ? "binary" : "csv";
-      auto metrics = RunSgaText(
-          use_binary ? binary : csv, *query, &vocab, options,
-          std::string("matrix/") + format + "/parsers=" +
-              std::to_string(parsers));
-      bench::CheckOk(metrics.status(), "run");
-      check_results(metrics->results_emitted, matrix_results,
-                    metrics->name.c_str());
-      const double parse_tput = metrics->ParseTuplesPerSec();
+      auto run = Run(RunSource::Bytes(use_binary ? binary : csv), {*query},
+                     &vocab, options,
+                     std::string("matrix/") + format + "/parsers=" +
+                         std::to_string(parsers));
+      bench::CheckOk(run.status(), "run");
+      const RunMetrics& metrics = run->totals;
+      check_results(metrics.results_emitted, matrix_results,
+                    metrics.name.c_str());
+      const double parse_tput = metrics.ParseTuplesPerSec();
       const double parse_speedup =
           csv_sync_parse_tput > 0 ? parse_tput / csv_sync_parse_tput : 0;
-      PrintRow(*metrics, matrix_w.name, 1, kBatch, /*async=*/true,
+      PrintRow(metrics, matrix_w.name, 1, kBatch, /*async=*/true,
                /*pin=*/false, format, parsers, parse_speedup);
       std::fprintf(stderr,
                    "  %-6s parsers=%zu  parse %10.0f tuples/s  (%.2fx vs "
                    "csv sync)  merge stall %.1f ms\n",
                    format, parsers, parse_tput, parse_speedup,
-                   metrics->merge_stall_ns / 1e6);
+                   metrics.merge_stall_ns / 1e6);
     }
   }
 
   // File-ingest rows: the bounded-memory pread chunk source against the
   // same workload at workers=1. Both streams are rendered to temp files
-  // once; every cell re-ingests the file through RunSgaFile, so the
+  // once; every cell re-ingests the file through a file Run, so the
   // measured region includes the source's I/O. The acceptance bar is
   // throughput: the windowed source must not be slower than fully
   // materializing the file first.
@@ -284,24 +287,25 @@ int main() {
       Vocabulary vocab;
       auto query = MakeQuery(matrix_w.query, bench::PaperWindow(), &vocab);
       bench::CheckOk(query.status(), matrix_w.name);
-      EngineOptions options;
-      options.batch_size = kBatch;
-      options.num_workers = 1;
+      RunOptions options;
+      options.engine.batch_size = kBatch;
+      options.engine.num_workers = 1;
+      options.engine.ingest_parsers = parsers;
       options.async_ingest = true;
-      options.ingest_parsers = parsers;
-      auto metrics = RunSgaFile(path, *query, &vocab, options,
-                                std::string("file/") + format +
-                                    "/parsers=" + std::to_string(parsers));
-      bench::CheckOk(metrics.status(), "run");
-      check_results(metrics->results_emitted, matrix_results,
-                    metrics->name.c_str());
-      PrintFileRow(*metrics, matrix_w.name, format, parsers, kBatch);
+      auto run = Run(RunSource::File(path), {*query}, &vocab, options,
+                     std::string("file/") + format + "/parsers=" +
+                         std::to_string(parsers));
+      bench::CheckOk(run.status(), "run");
+      const RunMetrics& metrics = run->totals;
+      check_results(metrics.results_emitted, matrix_results,
+                    metrics.name.c_str());
+      PrintFileRow(metrics, matrix_w.name, format, parsers, kBatch);
       std::fprintf(stderr,
                    "  %-6s parsers=%zu  %10.0f tuples/s  "
                    "parse %10.0f tuples/s  readahead stall %.1f ms\n",
-                   format, parsers, metrics->Throughput(),
-                   metrics->ParseTuplesPerSec(),
-                   metrics->readahead_stall_ns / 1e6);
+                   format, parsers, metrics.Throughput(),
+                   metrics.ParseTuplesPerSec(),
+                   metrics.readahead_stall_ns / 1e6);
     }
   }
   std::remove(csv_path.c_str());

@@ -61,23 +61,22 @@ int main() {
   std::size_t shared_core_at_gallery = 0;
   for (std::size_t num_queries : {std::size_t{1}, std::size_t{4},
                                   std::size_t{16}, std::size_t{64}}) {
-    std::vector<const LogicalOp*> plans;
+    std::vector<RunQuery> plans;
     plans.reserve(num_queries);
     for (std::size_t q = 0; q < num_queries; ++q) {
-      plans.push_back(gallery[q % gallery.size()].second.get());
+      plans.push_back(*gallery[q % gallery.size()].second);
     }
     std::fprintf(stderr, "-- %zu queries --\n", num_queries);
 
     double unshared_tput = 0;
     std::vector<std::size_t> unshared_counts;
     for (const bool sharing : {false, true}) {
-      EngineOptions options;
-      options.batch_size = kBatch;
-      options.cross_query_sharing = sharing;
-      auto metrics = RunMultiSgaPlans(
-          *stream, plans, vocab, options,
-          "q=" + std::to_string(num_queries) +
-              (sharing ? "/shared" : "/unshared"));
+      RunOptions options;
+      options.engine.batch_size = kBatch;
+      options.engine.cross_query_sharing = sharing;
+      auto metrics = Run(RunSource::Decoded(*stream), plans, &vocab, options,
+                         "q=" + std::to_string(num_queries) +
+                             (sharing ? "/shared" : "/unshared"));
       bench::CheckOk(metrics.status(), "run");
 
       const double tput = metrics->totals.Throughput();

@@ -36,10 +36,9 @@ inline void RunPlanBench(
     auto stream = ds.stream(&vocab);
     CheckOk(stream.status(), "stream");
     for (const auto& [name, plan] : ds.plans(&vocab, PaperWindow())) {
-      auto metrics = RunSgaPlan(*stream, *plan, vocab, EngineOptions{},
-                                name);
-      CheckOk(metrics.status(), name.c_str());
-      PrintMetricsRow(*metrics);
+      auto run = Run(RunSource::Decoded(*stream), {*plan}, &vocab, {}, name);
+      CheckOk(run.status(), name.c_str());
+      PrintMetricsRow(run->totals);
     }
   }
 }

@@ -67,11 +67,13 @@ int main() {
       std::fprintf(stderr, "-- K=%zu workers=%zu --\n", num_queries,
                    workers);
 
-      EngineOptions options;
-      options.batch_size = kBatch;
-      options.num_workers = workers;
-      auto metrics = RunMultiSga(*stream, queries, vocab, options,
-                                 "K=" + std::to_string(num_queries));
+      RunOptions options;
+      options.engine.batch_size = kBatch;
+      options.engine.num_workers = workers;
+      auto metrics =
+          Run(RunSource::Decoded(*stream),
+              std::vector<RunQuery>(queries.begin(), queries.end()), &vocab,
+              options, "K=" + std::to_string(num_queries));
       bench::CheckOk(metrics.status(), "run");
 
       const RunMetrics& t = metrics->totals;

@@ -34,16 +34,16 @@ int main() {
       bench::CheckOk(stream.status(), "stream");
       auto query = MakeQuery(w.query, bench::PaperWindow(), &vocab);
       bench::CheckOk(query.status(), w.name);
-      EngineOptions options;
-      options.batch_size = batch;
-      auto metrics = RunSga(*stream, *query, vocab, options,
-                            std::string(w.name) + "/batch=" +
-                                std::to_string(batch));
-      bench::CheckOk(metrics.status(), "run");
-      PrintMetricsRow(*metrics);
+      RunOptions options;
+      options.engine.batch_size = batch;
+      auto run = Run(RunSource::Decoded(*stream), {*query}, &vocab, options,
+                     std::string(w.name) + "/batch=" + std::to_string(batch));
+      bench::CheckOk(run.status(), "run");
+      const RunMetrics& metrics = run->totals;
+      PrintMetricsRow(metrics);
       if (batch == 1) {
-        baseline_results = metrics->results_emitted;
-      } else if (metrics->results_emitted == 0 && baseline_results != 0) {
+        baseline_results = metrics.results_emitted;
+      } else if (metrics.results_emitted == 0 && baseline_results != 0) {
         std::fprintf(stderr, "batch=%zu produced no results (baseline %zu)\n",
                      batch, baseline_results);
         return 1;

@@ -59,21 +59,22 @@ int main() {
       bench::CheckOk(stream.status(), "stream");
       auto query = MakeQuery(w.query, bench::PaperWindow(), &vocab);
       bench::CheckOk(query.status(), w.name);
-      EngineOptions options;
-      options.batch_size = kBatch;
-      options.num_workers = workers;
-      auto metrics =
-          RunSga(*stream, *query, vocab, options,
-                 std::string(w.name) + "/workers=" + std::to_string(workers));
-      bench::CheckOk(metrics.status(), "run");
+      RunOptions options;
+      options.engine.batch_size = kBatch;
+      options.engine.num_workers = workers;
+      auto run =
+          Run(RunSource::Decoded(*stream), {*query}, &vocab, options,
+              std::string(w.name) + "/workers=" + std::to_string(workers));
+      bench::CheckOk(run.status(), "run");
+      const RunMetrics& metrics = run->totals;
 
-      const double tput = metrics->Throughput();
+      const double tput = metrics.Throughput();
       double emission_ratio = 1.0;
       if (workers == 1) {
         baseline_tput = tput;
-        baseline_results = metrics->results_emitted;
+        baseline_results = metrics.results_emitted;
       } else {
-        if (metrics->results_emitted == 0 && baseline_results != 0) {
+        if (metrics.results_emitted == 0 && baseline_results != 0) {
           std::fprintf(stderr,
                        "workers=%zu produced no results (baseline %zu)\n",
                        workers, baseline_results);
@@ -81,7 +82,7 @@ int main() {
         }
         emission_ratio =
             baseline_results > 0
-                ? static_cast<double>(metrics->results_emitted) /
+                ? static_cast<double>(metrics.results_emitted) /
                       static_cast<double>(baseline_results)
                 : 1.0;
         if (emission_ratio > w.max_emission_ratio) {
@@ -89,7 +90,7 @@ int main() {
                        "workers=%zu emission volume %zu exceeds workers=1 "
                        "volume %zu beyond the %.2f bound (merge-side "
                        "coalescer regression?)\n",
-                       workers, metrics->results_emitted, baseline_results,
+                       workers, metrics.results_emitted, baseline_results,
                        w.max_emission_ratio);
           ++failures;
         }
@@ -100,7 +101,7 @@ int main() {
           std::fprintf(stderr,
                        "workers=%zu emission volume %zu fell below 95%% "
                        "of the workers=1 volume %zu (results lost?)\n",
-                       workers, metrics->results_emitted, baseline_results);
+                       workers, metrics.results_emitted, baseline_results);
           ++failures;
         }
       }
@@ -114,17 +115,17 @@ int main() {
           "\"ingest_stall_ns\":%llu,\"exec_stall_ns\":%llu,"
           "\"ops_touched_per_edge\":%.3f,"
           "\"index_skipped_dispatches\":%zu%s}\n",
-          w.name, workers, bench::Cpus(), kBatch, metrics->edges_processed,
-          metrics->elapsed_seconds, tput, metrics->results_emitted,
-          emission_ratio, speedup, metrics->state_bytes,
-          static_cast<unsigned long long>(metrics->ingest_stall_ns),
-          static_cast<unsigned long long>(metrics->exec_stall_ns),
-          metrics->OpsTouchedPerEdge(), metrics->index_skipped_dispatches,
-          bench::CheckpointJson(*metrics).c_str());
+          w.name, workers, bench::Cpus(), kBatch, metrics.edges_processed,
+          metrics.elapsed_seconds, tput, metrics.results_emitted,
+          emission_ratio, speedup, metrics.state_bytes,
+          static_cast<unsigned long long>(metrics.ingest_stall_ns),
+          static_cast<unsigned long long>(metrics.exec_stall_ns),
+          metrics.OpsTouchedPerEdge(), metrics.index_skipped_dispatches,
+          bench::CheckpointJson(metrics).c_str());
       std::fprintf(stderr,
                    "  workers=%zu  %10.0f tuples/s  (%.2fx vs 1)  "
                    "%zu results (%.3fx emission)\n",
-                   workers, tput, speedup, metrics->results_emitted,
+                   workers, tput, speedup, metrics.results_emitted,
                    emission_ratio);
     }
   }

@@ -25,10 +25,10 @@ void RunDataset(const char* dataset_name,
     auto query = MakeQuery(bq.text, bench::PaperWindow(), &vocab);
     bench::CheckOk(query.status(), bq.name.c_str());
 
-    auto sga = RunSga(*stream, *query, vocab, EngineOptions{},
-                      bq.name + "/SGA");
+    auto sga = Run(RunSource::Decoded(*stream), {*query}, &vocab, {},
+                   bq.name + "/SGA");
     bench::CheckOk(sga.status(), "SGA run");
-    PrintMetricsRow(*sga);
+    PrintMetricsRow(sga->totals);
 
     auto dd = RunDd(*stream, *query, vocab, bq.name + "/DD");
     bench::CheckOk(dd.status(), "DD run");

@@ -25,24 +25,24 @@ void RunDataset(const char* dataset_name,
     auto query = MakeQuery(bq.text, bench::PaperWindow(), &vocab);
     bench::CheckOk(query.status(), bq.name.c_str());
 
-    EngineOptions delta;
-    delta.path_impl = PathImpl::kDeltaPath;
-    auto base = RunSga(*stream, *query, vocab, delta,
-                       bq.name + "/delta-tree");
+    RunOptions delta;
+    delta.engine.path_impl = PathImpl::kDeltaPath;
+    auto base = Run(RunSource::Decoded(*stream), {*query}, &vocab, delta,
+                    bq.name + "/delta-tree");
     bench::CheckOk(base.status(), "delta run");
 
-    EngineOptions spath;
-    spath.path_impl = PathImpl::kSPath;
-    auto fast =
-        RunSga(*stream, *query, vocab, spath, bq.name + "/S-PATH");
+    RunOptions spath;
+    spath.engine.path_impl = PathImpl::kSPath;
+    auto fast = Run(RunSource::Decoded(*stream), {*query}, &vocab, spath,
+                    bq.name + "/S-PATH");
     bench::CheckOk(fast.status(), "spath run");
 
-    PrintMetricsRow(*base);
-    PrintMetricsRow(*fast);
+    PrintMetricsRow(base->totals);
+    PrintMetricsRow(fast->totals);
+    const double base_tput = base->totals.Throughput();
     const double tput_gain =
-        base->Throughput() > 0
-            ? (fast->Throughput() / base->Throughput() - 1.0) * 100.0
-            : 0.0;
+        base_tput > 0 ? (fast->totals.Throughput() / base_tput - 1.0) * 100.0
+                      : 0.0;
     std::printf("%-24s %+13.1f%%\n",
                 (bq.name + "/improvement").c_str(), tput_gain);
   }

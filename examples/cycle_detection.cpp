@@ -2,7 +2,7 @@
 // the paper cites ([60]): flag money flows that return to their origin
 // within a sliding window (a common fraud signal).
 //
-// Two persistent queries run side by side:
+// Two persistent queries run side by side on one engine:
 //   1. a fixed-length cycle (a transfer triangle) via PATTERN, and
 //   2. arbitrary-length cycles via PATH (transfer+ from x back to x),
 //      demonstrating SGA's unified handling of both (R1 & R2).
@@ -32,9 +32,11 @@ int main() {
   LogicalPlan filtered =
       MakeFilter({closed}, std::move(*triangle_plan));
 
-  auto triangle_qp = QueryProcessor::Compile(*filtered, vocab, {});
-  if (!triangle_qp.ok()) {
-    std::fprintf(stderr, "%s\n", triangle_qp.status().ToString().c_str());
+  // Both queries run on one engine; each QueryId names its results.
+  Engine engine;
+  auto triangle_q = engine.AddPlan(*filtered, vocab);
+  if (!triangle_q.ok()) {
+    std::fprintf(stderr, "%s\n", triangle_q.status().ToString().c_str());
     return 1;
   }
 
@@ -46,8 +48,8 @@ int main() {
   if (!cycles_plan.ok()) return 1;
   LogicalPlan cycles_filtered =
       MakeFilter({closed}, std::move(*cycles_plan));
-  auto cycles_qp = QueryProcessor::Compile(*cycles_filtered, vocab, {});
-  if (!cycles_qp.ok()) return 1;
+  auto cycles_q = engine.AddPlan(*cycles_filtered, vocab);
+  if (!cycles_q.ok() || !engine.Finalize().ok()) return 1;
 
   // Synthetic account-to-account transfer stream with a few planted rings.
   std::mt19937_64 rng(2024);
@@ -76,13 +78,12 @@ int main() {
 
   std::size_t triangles = 0, rings = 0;
   for (const Sge& sge : stream) {
-    (*triangle_qp)->Push(sge);
-    (*cycles_qp)->Push(sge);
-    for (const Sgt& r : (*triangle_qp)->TakeResults()) {
+    engine.Push(sge);
+    for (const Sgt& r : engine.TakeResults(*triangle_q)) {
       (void)r;
       ++triangles;
     }
-    for (const Sgt& r : (*cycles_qp)->TakeResults()) {
+    for (const Sgt& r : engine.TakeResults(*cycles_q)) {
       ++rings;
       if (rings <= 5) {
         std::printf("cycle alert: %s returns to itself via %zu hops %s\n",

@@ -34,10 +34,11 @@ int main() {
   std::printf("compiled RQ (two rules = OPTIONAL union):\n%s\n",
               query->rq.ToString(vocab).c_str());
 
-  auto processor = QueryProcessor::FromQuery(*query, vocab, EngineOptions{});
-  if (!processor.ok()) {
-    std::fprintf(stderr, "compile error: %s\n",
-                 processor.status().ToString().c_str());
+  Engine engine;
+  auto q = engine.AddQuery(*query, vocab);
+  const Status compiled = q.ok() ? engine.Finalize() : q.status();
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile error: %s\n", compiled.ToString().c_str());
     return 1;
   }
 
@@ -57,8 +58,8 @@ int main() {
   if (!stream.ok()) return 1;
 
   for (const Sge& sge : *stream) {
-    (*processor)->Push(sge);
-    for (const Sgt& r : (*processor)->TakeResults()) {
+    engine.Push(sge);
+    for (const Sgt& r : engine.TakeResults(*q)) {
       std::printf("t=%3lld  recommend %-12s to %-8s (valid %s)\n",
                   static_cast<long long>(sge.t),
                   vocab.VertexName(r.trg).c_str(),
@@ -68,7 +69,6 @@ int main() {
   }
 
   std::printf("\n%zu recommendations from %zu events\n",
-              (*processor)->results_emitted(),
-              (*processor)->edges_pushed());
+              engine.results_emitted(*q), engine.edges_pushed());
   return 0;
 }

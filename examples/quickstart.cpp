@@ -27,14 +27,17 @@ int main() {
     return 1;
   }
 
-  // 2. Compile it: the canonical SGA plan with incremental operators.
-  auto processor = QueryProcessor::FromQuery(*query, vocab, EngineOptions{});
-  if (!processor.ok()) {
-    std::fprintf(stderr, "compile error: %s\n",
-                 processor.status().ToString().c_str());
+  // 2. Register it on an engine, which compiles the canonical SGA plan
+  //    into incremental operators. An engine hosts any number of standing
+  //    queries; each gets a QueryId that names its results.
+  Engine engine;
+  auto q = engine.AddQuery(*query, vocab);
+  const Status compiled = q.ok() ? engine.Finalize() : q.status();
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile error: %s\n", compiled.ToString().c_str());
     return 1;
   }
-  std::printf("physical plan:\n%s\n", (*processor)->Explain().c_str());
+  std::printf("physical plan:\n%s\n", engine.Explain().c_str());
 
   // 3. Push the stream (the paper's Figure 2). Results appear as soon as
   //    the last edge of a match arrives.
@@ -55,8 +58,8 @@ int main() {
   }
 
   for (const Sge& sge : *stream) {
-    (*processor)->Push(sge);
-    for (const Sgt& result : (*processor)->TakeResults()) {
+    engine.Push(sge);
+    for (const Sgt& result : engine.TakeResults(*q)) {
       std::printf("t=%2lld  new result: %s\n",
                   static_cast<long long>(sge.t),
                   result.ToString(vocab).c_str());
@@ -64,7 +67,6 @@ int main() {
   }
 
   std::printf("\nprocessed %zu edges, emitted %zu results\n",
-              (*processor)->edges_processed(),
-              (*processor)->results_emitted());
+              engine.edges_processed(), engine.results_emitted(*q));
   return 0;
 }

@@ -35,10 +35,11 @@ int main() {
   }
   std::printf("compiled RQ:\n%s\n", query->rq.ToString(vocab).c_str());
 
-  auto processor = QueryProcessor::FromQuery(*query, vocab, EngineOptions{});
-  if (!processor.ok()) {
-    std::fprintf(stderr, "compile error: %s\n",
-                 processor.status().ToString().c_str());
+  Engine engine;
+  auto q = engine.AddQuery(*query, vocab);
+  const Status compiled = q.ok() ? engine.Finalize() : q.status();
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile error: %s\n", compiled.ToString().c_str());
     return 1;
   }
 
@@ -62,8 +63,8 @@ int main() {
   }
 
   for (const Sge& sge : *stream) {
-    (*processor)->Push(sge);
-    for (const Sgt& r : (*processor)->TakeResults()) {
+    engine.Push(sge);
+    for (const Sgt& r : engine.TakeResults(*q)) {
       std::printf("notify %s about %s   (valid %s)\n",
                   vocab.VertexName(r.src).c_str(),
                   vocab.VertexName(r.trg).c_str(),

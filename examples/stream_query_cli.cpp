@@ -58,8 +58,12 @@
 //                INGEST / QUIT commands from stdin (server/session.h
 //                protocol) and attach/detach standing queries live on the
 //                running engine, interleaved with stream ingest. The one
-//                positional argument is the stream; window/slide set the
-//                window attached to every subscribed query. Result lines
+//                positional argument is the stream, read through the same
+//                bounded chunk source as a batch run (INGEST decodes as
+//                it pulls, so a malformed element ends the session when
+//                INGEST reaches it: exit 1, after the results of the
+//                elements before it); window/slide set the window
+//                attached to every subscribed query. Result lines
 //                are tagged `s<id><TAB>`. Engine flags (--batch,
 //                --workers, --delta-path, --no-share) apply; --gcore,
 //                --query, --slack, --async-ingest and checkpointing are
@@ -173,6 +177,7 @@ int main(int argc, char** argv) {
   std::uint64_t checkpoint_every = 0;
   bool restore = false;
   bool serve = false;
+  bool async_ingest = false;
   EngineOptions options;
 
   // Positional meaning depends on --serve (which may come later on the
@@ -186,7 +191,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-share") == 0) {
       options.cross_query_sharing = false;
     } else if (std::strcmp(argv[i], "--async-ingest") == 0) {
-      options.async_ingest = true;
+      async_ingest = true;
     } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
       options.pin_workers = true;
     } else if (std::strcmp(argv[i], "--query") == 0 && i + 1 < argc) {
@@ -254,7 +259,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.ingest_parsers = static_cast<std::size_t>(n);
-      if (options.ingest_parsers > 1) options.async_ingest = true;
+      if (options.ingest_parsers > 1) async_ingest = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       int64_t n = 0;
       if (!ParseInt64(argv[++i], &n) || n <= 0) {
@@ -322,7 +327,7 @@ int main(int argc, char** argv) {
                  "--checkpoint-every/--restore require --checkpoint-dir\n");
     return 2;
   }
-  if (checkpointing && options.async_ingest) {
+  if (checkpointing && async_ingest) {
     // The pipelined paths have no element-indexed batch boundary to
     // snapshot at (parse and reorder run on other threads mid-flight).
     std::fprintf(stderr,
@@ -336,47 +341,65 @@ int main(int argc, char** argv) {
     ::mkdir(checkpoint_dir.c_str(), 0755);
   }
 
+  // Serve mode has no query to compile ahead of the stream: refuse its
+  // incompatible flags before touching the input.
+  if (serve && (use_gcore || !extra_query_texts.empty() || slack > 0 ||
+                async_ingest || options.ingest_parsers > 1 ||
+                checkpointing || restore)) {
+    std::fprintf(stderr,
+                 "--serve is incompatible with --gcore, --query, --slack, "
+                 "--async-ingest, --parsers, and checkpointing\n");
+    return 2;
+  }
+
+  // Every run reads one ChunkedStream: the stream file through the
+  // bounded readahead window, or the demo text in memory. --slack applies
+  // on either reader: the pipeline's merge stage or the chunk walk's
+  // ReorderBuffer below. A binary header interns its dictionary when the
+  // source opens, so a batch run opens it after its queries have
+  // interned theirs.
   Vocabulary vocab;
+  options.ingest_slack = slack;
+  const FileChunkOptions chunking =
+      IngestChunking(RunOptions{options, async_ingest});
+  std::unique_ptr<ChunkedStream> source;
+  auto open_source = [&]() -> bool {
+    Status st = Status::OK();
+    if (!stream_path.empty()) {
+      auto file = MakeFileChunkSource(stream_path, format, &vocab, chunking);
+      st = file.status();
+      if (st.ok()) source = std::move(file).ValueOrDie();
+    } else {
+      auto chunked =
+          MakeChunkedStream(stream_text, format, &vocab,
+                            chunking.allow_disorder, chunking.min_chunks);
+      st = chunked.status();
+      if (st.ok()) source = std::move(chunked).ValueOrDie();
+    }
+    if (!st.ok()) std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
+    return st.ok();
+  };
 
   if (serve) {
     // Subscription-session mode: queries arrive over the line protocol,
-    // never from files; the exotic ingest paths don't apply.
-    if (use_gcore || !extra_query_texts.empty() || slack > 0 ||
-        options.async_ingest || options.ingest_parsers > 1 || checkpointing ||
-        restore) {
-      std::fprintf(stderr,
-                   "--serve is incompatible with --gcore, --query, --slack, "
-                   "--async-ingest, --parsers, and checkpointing\n");
-      return 2;
-    }
-    if (!stream_path.empty()) {
-      auto text = ReadFileBytes(stream_path);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 1;
-      }
-      stream_text = std::move(text).ValueOrDie();
-    }
-    auto stream =
-        format.value_or(DetectStreamFormat(stream_text)) ==
-                StreamFormat::kBinary
-            ? ParseStreamBinary(stream_text, &vocab)
-            : ParseStreamCsv(stream_text, &vocab);
-    if (!stream.ok()) {
-      std::fprintf(stderr, "stream: %s\n",
-                   stream.status().ToString().c_str());
-      return 1;
-    }
+    // and INGEST pulls elements from one chunk walk over the source, so a
+    // session holds no more of the stream than a batch run does. A
+    // malformed element ends the session after the results of the
+    // elements before it.
     SessionOptions session_options;
     session_options.engine = options;
     session_options.window = WindowSpec(window, slide);
+    if (!open_source()) return 1;
     SessionServer server(std::move(session_options), &vocab);
     if (Status st = server.Init(); !st.ok()) {
       std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
       return 1;
     }
-    if (Status st = server.Run(*stream, std::cin, std::cout); !st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    ChunkWalkCursor cursor(*source, chunking.allow_disorder);
+    if (Status st = server.Run(&cursor, std::cin, std::cout); !st.ok()) {
+      std::cout.flush();
+      std::fprintf(stderr, "%s: %s\n", cursor.ok() ? "serve" : "stream",
+                   st.ToString().c_str());
       return 1;
     }
     return 0;
@@ -407,35 +430,9 @@ int main(int argc, char** argv) {
     queries.push_back(*parsed);
   }
   const bool multi = queries.size() > 1;
+  if (!open_source()) return 1;
 
-  // Every run reads one ChunkedStream: the stream file through the
-  // bounded readahead window, or the demo text in memory. --slack applies
-  // on either reader: the pipeline's merge stage or the chunk walk's
-  // ReorderBuffer below.
-  options.ingest_slack = slack;
-  const FileChunkOptions chunking = IngestChunking(options);
-  std::unique_ptr<ChunkedStream> source;
-  if (!stream_path.empty()) {
-    auto file = MakeFileChunkSource(stream_path, format, &vocab, chunking);
-    if (!file.ok()) {
-      std::fprintf(stderr, "stream: %s\n", file.status().ToString().c_str());
-      return 1;
-    }
-    source = std::move(file).ValueOrDie();
-  } else {
-    auto chunked =
-        MakeChunkedStream(stream_text, format, &vocab,
-                          chunking.allow_disorder, chunking.min_chunks);
-    if (!chunked.ok()) {
-      std::fprintf(stderr, "stream: %s\n",
-                   chunked.status().ToString().c_str());
-      return 1;
-    }
-    source = std::move(chunked).ValueOrDie();
-  }
-
-  // All queries — one or many — register on a shared multi-query engine;
-  // a single query is exactly the classic QueryProcessor configuration.
+  // All queries — one or many — register on one multi-query engine.
   // The engine lives behind a pointer so a failed restore attempt can
   // discard it wholesale and rebuild fresh (no partial restore ever runs).
   auto make_engine = [&]() -> Result<std::unique_ptr<Engine>> {
@@ -556,7 +553,7 @@ int main(int argc, char** argv) {
   Stopwatch timer;
   const char* const disorder_hint =
       slack == 0 ? " (out-of-order input? try --slack N)" : "";
-  if (options.async_ingest) {
+  if (async_ingest) {
     // Pipelined run: the parse executes on the ingest thread (or, with
     // --parsers N > 1, on N parse threads behind the order-restoring
     // merge), overlapped with execution; results materialize when the
@@ -650,7 +647,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "file ingest: readahead stall %.3f ms\n",
                  source->ReadaheadStallNs() / 1e6);
   }
-  if (options.async_ingest) {
+  if (async_ingest) {
     const IngestStats& ingest = engine.ingest_stats();
     std::fprintf(stderr,
                  "ingest pipeline: %zu batches, ingest stall %.3f ms, "

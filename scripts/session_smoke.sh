@@ -11,7 +11,11 @@
 #   id 2 attaches mid-stream (fresh plan)  -> suffix static run
 #
 # The ack sequence is also checked verbatim, including that a detached
-# subscription id is never reused.
+# subscription id is never reused. The session reads its stream through
+# the same chunk source as a batch run, so the same session over a pipe
+# (`<(cat stream.csv)`) must print the same bytes, and a stream with a
+# malformed line must print the results of the lines before it, then
+# exit 1 naming the line.
 #
 # Usage: session_smoke.sh <path-to-stream_query_cli>
 set -euo pipefail
@@ -66,5 +70,37 @@ check_sub() {
 check_sub 0 'Answer(x,y) <- follows+(x,y)' "$TMP/stream.csv"
 check_sub 1 'Answer(x,y) <- likes(x,y)' "$TMP/prefix.csv"
 check_sub 2 'Answer(x,y) <- posts(x,y)' "$TMP/suffix.csv"
+
+# The same session over a pipe: byte-identical output.
+"$CLI" --serve <(cat "$TMP/stream.csv") < "$TMP/session.txt" \
+  2>/dev/null > "$TMP/session_pipe.txt"
+cmp "$TMP/session_out.txt" "$TMP/session_pipe.txt"
+
+# A malformed line 41: the results of lines 1-40 print first, then the
+# session exits 1 with the line named on stderr.
+BAD_LINE=41
+awk -v bad="$BAD_LINE" 'NR == bad { print "v0,follows,v1,not-a-time"; next }
+                        { print }' "$TMP/stream.csv" > "$TMP/bad.csv"
+head -n "$((BAD_LINE - 1))" "$TMP/stream.csv" > "$TMP/good_prefix.csv"
+printf 'SUBSCRIBE Answer(x,y) <- follows+(x,y)\nINGEST ALL\nQUIT\n' \
+  > "$TMP/bad_session.txt"
+set +e
+"$CLI" --serve "$TMP/bad.csv" < "$TMP/bad_session.txt" \
+  2> "$TMP/bad_err.txt" > "$TMP/bad_out.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+  echo "malformed stream exited $rc, want 1"; exit 1
+fi
+grep -q "line $BAD_LINE" "$TMP/bad_err.txt"
+if grep -q '^INGESTED' "$TMP/bad_out.txt"; then
+  echo "the failed INGEST was acknowledged"; exit 1
+fi
+grep "^s0${TAB}" "$TMP/bad_out.txt" | cut -f2- > "$TMP/bad_sub.txt"
+printf 'Answer(x,y) <- follows+(x,y)\n' > "$TMP/bad_q.dl"
+"$CLI" "$TMP/bad_q.dl" "$TMP/good_prefix.csv" 2>/dev/null \
+  > "$TMP/bad_static.txt"
+test -s "$TMP/bad_static.txt"
+cmp "$TMP/bad_static.txt" "$TMP/bad_sub.txt"
 
 echo "session smoke: all subscriptions byte-identical to static runs"

@@ -46,7 +46,7 @@ class DifferentialEngine {
   void Push(const Sge& sge);
 
   /// \brief Feeds a whole stream in order and closes the final epoch —
-  /// the batch driver loop mirroring QueryProcessor::PushAll.
+  /// the batch loop mirroring Engine::PushAll.
   void PushAll(const InputStream& stream);
 
   /// \brief Advances the clock to `t`, closing and processing every epoch

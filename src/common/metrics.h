@@ -146,7 +146,7 @@ struct RunMetrics {
   uint64_t merge_stall_ns = 0;
   std::vector<uint64_t> parser_stall_ns;
   uint64_t parse_busy_ns = 0;
-  /// File-backed ingest only (workload/harness.h RunSgaFile): summed
+  /// File-backed ingest only (a workload/harness.h Run over a file): summed
   /// nanoseconds the parse threads (or the synchronous chunk walk) spent
   /// inside the chunk feeder — pread / boundary-scan time plus
   /// readahead-window backpressure. 0 for in-memory streams.

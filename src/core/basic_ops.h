@@ -94,6 +94,9 @@ class SinkOp : public PhysicalOp {
   }
   std::string Name() const override { return "SINK"; }
   std::size_t StateSize() const override { return coalescer_.NumKeys(); }
+  std::size_t StateBytes() const override {
+    return coalescer_.ApproxBytes();
+  }
 
   const std::vector<Sgt>& results() const { return results_; }
   std::vector<Sgt> TakeResults() { return std::move(results_); }

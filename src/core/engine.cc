@@ -305,7 +305,6 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
   // state means — recorded for checkpoint_inspect, never refused.
   return {
       {"ingest_parsers", std::to_string(options_.ingest_parsers)},
-      {"async_ingest", options_.async_ingest ? "1" : "0"},
       {"ingest_slack", std::to_string(options_.ingest_slack)},
       {"pin_workers", options_.pin_workers ? "1" : "0"},
   };

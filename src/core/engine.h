@@ -92,16 +92,6 @@ struct EngineOptions {
   /// (each AddPlan compiles a private topology) — the ablation baseline
   /// bench_multi_query measures against.
   bool cross_query_sharing = true;
-  /// Pipelined ingest for raw stream bytes (DESIGN.md §6): the
-  /// ChunkedStream runners (workload/harness.h RunSgaText/RunSgaFile, the
-  /// CLI) parse on the pipeline's threads through RunPipelined while
-  /// execution runs on the calling thread, instead of walking the chunks
-  /// inline before each Push. Execution order is unchanged, so results
-  /// keep the exact contract of the synchronous path (byte-identical at
-  /// num_workers=1/batch_size=1). The engine itself never reads it
-  /// (PushAll always pushes inline), the only such field: it stays
-  /// because the placement is a real choice. Recorded in checkpoints.
-  bool async_ingest = false;
   /// Pin runtime threads to cores: workers to [0, num_workers), the
   /// pipeline's parse threads to the slots after them. Best-effort
   /// pthread affinity with silent fallback on unsupported platforms.
@@ -111,8 +101,8 @@ struct EngineOptions {
   /// Out-of-order slack absorbed ahead of execution: elements more than
   /// this far behind the newest seen timestamp are dropped late. Applied
   /// by the pipeline's merge stage (RunPipelined) and by the synchronous
-  /// ChunkedStream runners' ReorderBuffer; Push and PushAll require an
-  /// ordered stream regardless.
+  /// chunk walks' ReorderBuffer (workload/harness.h Run, the CLI); Push
+  /// and PushAll require an ordered stream regardless.
   Timestamp ingest_slack = 0;
   /// Parse threads of RunPipelined (DESIGN.md §6), the merge thread
   /// included: N > 1 decodes stream chunks on N threads behind the

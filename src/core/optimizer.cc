@@ -3,7 +3,7 @@
 #include <limits>
 
 #include "common/metrics.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "regex/dfa.h"
 
 namespace sgq {
@@ -83,10 +83,13 @@ Result<LogicalPlan> OptimizeBySampling(const LogicalOp& plan,
   std::size_t best = 0;
   double best_seconds = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    auto qp = QueryProcessor::Compile(*candidates[i], *vocab, {});
-    if (!qp.ok()) continue;  // unexecutable candidate: skip
+    Engine engine;
+    if (!engine.AddPlan(*candidates[i], *vocab).ok() ||
+        !engine.Finalize().ok()) {
+      continue;  // unexecutable candidate: skip
+    }
     Stopwatch timer;
-    (*qp)->PushAll(sample);
+    engine.PushAll(sample);
     const double elapsed = timer.ElapsedSeconds();
     if (elapsed < best_seconds) {
       best_seconds = elapsed;

@@ -21,7 +21,7 @@
 
 namespace sgq {
 
-/// \brief Watermark-based reordering stage in front of a QueryProcessor.
+/// \brief Watermark-based reordering stage in front of Engine::Push.
 class ReorderBuffer {
  public:
   /// \brief `slack` bounds the tolerated disorder: an element may arrive

@@ -276,8 +276,8 @@ Status WindowEdgeStore::DeserializeState(ByteReader* in) {
   return in->status();
 }
 
-std::vector<Sgt> WindowEdgeStore::PurgeExpired(Timestamp now) {
-  std::vector<Sgt> dropped;
+std::size_t WindowEdgeStore::PurgeExpired(Timestamp now) {
+  std::size_t dropped = 0;
   calendar_.DrainDue(now, [&](Timestamp /*exp*/, const Key& key) {
     auto it = adjacency_.find(key);
     if (it == adjacency_.end()) return;  // stale hint: entries are gone
@@ -285,7 +285,7 @@ std::vector<Sgt> WindowEdgeStore::PurgeExpired(Timestamp now) {
     for (std::size_t i = 0; i < edges.size();) {
       const StoredEdge& e = edges[i];
       if (e.validity.exp <= now) {
-        dropped.emplace_back(key.first, e.trg, key.second, e.validity);
+        ++dropped;
         if (in_index_enabled_) {
           RemoveFromInIndex(e.trg, key.first, key.second, e.validity);
         }

@@ -87,13 +87,12 @@ class WindowEdgeStore {
   void EnableInIndex();
   bool in_index_enabled() const { return in_index_enabled_; }
 
-  /// \brief Drops entries with exp <= now and returns them (diagnostics
-  /// and tests). Calendar-driven: touches only the buckets whose expiry
-  /// range passed, so repeated purges of a shared partition are O(1) when
-  /// nothing expired — which also means only the *first* purge at a given
-  /// instant sees the dropped edges; do not build re-derivation logic on
-  /// the return value of a shared partition.
-  std::vector<Sgt> PurgeExpired(Timestamp now);
+  /// \brief Drops entries with exp <= now and returns how many it dropped
+  /// (diagnostics and tests). Calendar-driven: touches only the buckets
+  /// whose expiry range passed, so repeated purges of a shared partition
+  /// are O(1) when nothing expired — which also means only the *first*
+  /// purge at a given instant counts the dropped edges.
+  std::size_t PurgeExpired(Timestamp now);
 
   /// \brief True when PurgeExpired(`now`) has entries to drop. O(1).
   bool AnyDue(Timestamp now) const { return calendar_.AnyDue(now); }

@@ -66,7 +66,10 @@ inline constexpr char kCheckpointEndMagic[4] = {'C', 'Q', 'G', 'S'};
 /// instead of one per (key, shard) — the shards of an operator share
 /// their window partitions — so an image taken at num_workers > 1 lists
 /// fewer partitions; every other section's layout is unchanged.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+/// Version 8: "meta" lost the `async_ingest` informational key (it is a
+/// run option, not engine configuration); every other section is
+/// unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers

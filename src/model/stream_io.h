@@ -279,11 +279,11 @@ class ChunkedStream {
 };
 
 /// \brief Sequential walk over a ChunkedStream's cursors — the reader of
-/// every synchronous run (workload/harness.h RunSgaText/RunSgaFile, the
-/// CLI), feeding Engine::Push on the calling thread: identical element
-/// sequence to one cursor over the whole buffer, plus the cross-chunk
-/// ordering check the chunk-local cursors cannot perform — the same
-/// sequence, and the same first error, the pipelined reader
+/// every synchronous run (workload/harness.h Run, the CLI, the `--serve`
+/// session), feeding Engine::Push on the calling thread: identical
+/// element sequence to one cursor over the whole buffer, plus the
+/// cross-chunk ordering check the chunk-local cursors cannot perform — the
+/// same sequence, and the same first error, the pipelined reader
 /// (runtime/ingest_pipeline.h) merges at any parser count. Accounts pure
 /// parse time (busy_ns) for parse_tuples_per_sec parity with the
 /// pipeline. Retires each chunk (drops its cursor) before opening the

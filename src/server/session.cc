@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -56,7 +57,7 @@ void SessionServer::StreamResults(QueryId q, std::ostream& out) {
 }
 
 Status SessionServer::HandleLine(const std::string& line,
-                                 const InputStream& stream, std::ostream& out,
+                                 StreamCursor* stream, std::ostream& out,
                                  bool* quit) {
   if (!initialized_) return Status::Internal("SessionServer not initialized");
   auto [cmd, rest] = SplitCommand(line);
@@ -112,20 +113,25 @@ Status SessionServer::HandleLine(const std::string& line,
     StreamResults(q, out);
     out << "OK " << q << "\n";
   } else if (cmd == "INGEST") {
-    std::size_t n = 0;
-    if (rest == "ALL") {
-      n = stream.size() - position_;
-    } else {
+    std::size_t n = std::numeric_limits<std::size_t>::max();
+    if (rest != "ALL") {
       std::int64_t parsed = 0;
       if (!ParseInt64(rest.c_str(), &parsed) || parsed < 0) {
         out << "ERR INGEST expects a count or ALL, got '" << rest << "'\n";
         return Status::OK();
       }
-      n = std::min(static_cast<std::size_t>(parsed),
-                   stream.size() - position_);
+      n = static_cast<std::size_t>(parsed);
     }
-    for (std::size_t i = 0; i < n; ++i) engine_.Push(stream[position_ + i]);
-    position_ += n;
+    std::vector<Sge> buffer(1024);
+    std::size_t ingested = 0;
+    while (ingested < n) {
+      const std::size_t got = stream->Next(
+          buffer.data(), std::min(n - ingested, buffer.size()));
+      if (got == 0) break;  // end of stream, or an error
+      for (std::size_t i = 0; i < got; ++i) engine_.Push(buffer[i]);
+      ingested += got;
+    }
+    position_ += ingested;
     // New results stream eagerly, in subscription-id order (deterministic:
     // each sink's buffer order is the engine's delivery order).
     for (std::size_t q = 0; q < engine_.num_queries(); ++q) {
@@ -133,7 +139,8 @@ Status SessionServer::HandleLine(const std::string& line,
         StreamResults(static_cast<QueryId>(q), out);
       }
     }
-    out << "INGESTED " << n << "\n";
+    SGQ_RETURN_NOT_OK(stream->status());
+    out << "INGESTED " << ingested << "\n";
   } else if (cmd == "QUIT") {
     out << "BYE\n";
     *quit = true;
@@ -143,7 +150,7 @@ Status SessionServer::HandleLine(const std::string& line,
   return Status::OK();
 }
 
-Status SessionServer::Run(const InputStream& stream, std::istream& in,
+Status SessionServer::Run(StreamCursor* stream, std::istream& in,
                           std::ostream& out) {
   std::string line;
   bool quit = false;

@@ -20,9 +20,12 @@
 //       Drains and prints the subscription's accumulated results.
 //   INGEST <n|ALL>                -> results of all live subscriptions,
 //                                    INGESTED <count>
-//       Pushes the next n elements (or the whole remainder) of the
-//       session's stream, then streams every live subscription's new
-//       results in subscription-id order.
+//       Pulls the next n elements (or the whole remainder) from the
+//       session's stream cursor and pushes them, then streams every live
+//       subscription's new results in subscription-id order. <count> is
+//       what the stream still held, at most n. A malformed element ends
+//       the session: the results of the elements before it stream first,
+//       then Run returns the cursor's positioned error.
 //   QUIT                          -> BYE
 //       Ends the session (EOF does the same, without the BYE).
 //
@@ -81,14 +84,16 @@ class SessionServer {
   Status Init();
 
   /// \brief Runs the command loop over `in`/`out` until QUIT or EOF,
-  /// drawing INGEST elements from `stream` (timestamp-ordered). Protocol
-  /// errors (unparsable query, unknown id) are reported inline as ERR
-  /// lines and do not end the session; only transport failure does.
-  Status Run(const InputStream& stream, std::istream& in, std::ostream& out);
+  /// pulling INGEST elements from `stream` (timestamp-ordered; the CLI
+  /// passes a ChunkWalkCursor over its chunk source, so the session holds
+  /// a readahead window of the stream, not the stream). Protocol errors
+  /// (unparsable query, unknown id) are reported inline as ERR lines and
+  /// do not end the session; a stream error does, and is returned.
+  Status Run(StreamCursor* stream, std::istream& in, std::ostream& out);
 
   /// \brief Dispatches one protocol line (the Run loop body; tests call
   /// it directly). Sets `*quit` on QUIT.
-  Status HandleLine(const std::string& line, const InputStream& stream,
+  Status HandleLine(const std::string& line, StreamCursor* stream,
                     std::ostream& out, bool* quit);
 
   /// \brief Elements of the session stream ingested so far.
@@ -105,7 +110,7 @@ class SessionServer {
   SessionOptions options_;
   Vocabulary* vocab_;
   Engine engine_;
-  std::size_t position_ = 0;  ///< cursor into the session stream
+  std::size_t position_ = 0;  ///< elements pulled from the stream
   bool initialized_ = false;
 };
 

@@ -7,7 +7,7 @@
 //     parser and the one-time oracle evaluator,
 //   - the logical streaming graph algebra (SGA), the canonical SGQ -> SGA
 //     translation and the transformation rules,
-//   - the incremental query processor with its physical operators
+//   - the multi-query Engine with its incremental physical operators
 //     (S-PATH, Δ-tree PATH, symmetric-hash-join PATTERN),
 //   - the standing-query subscription session server (live attach/detach
 //     of queries on a running engine — DESIGN.md §10),
@@ -26,7 +26,6 @@
 #include "common/status.h"            // IWYU pragma: export
 #include "core/engine.h"              // IWYU pragma: export
 #include "core/optimizer.h"           // IWYU pragma: export
-#include "core/query_processor.h"     // IWYU pragma: export
 #include "core/reorder_buffer.h"      // IWYU pragma: export
 #include "model/coalesce.h"           // IWYU pragma: export
 #include "model/file_chunk_source.h"  // IWYU pragma: export

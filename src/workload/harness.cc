@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "algebra/translate.h"
 #include "baseline/engine.h"
 #include "core/reorder_buffer.h"
 #include "model/stream_io.h"
@@ -13,7 +12,7 @@ namespace sgq {
 
 namespace {
 
-/// \brief Collects the post-run metrics every SGA harness entry reports.
+/// \brief Collects the post-run metrics of an engine.
 RunMetrics CollectEngineMetrics(const Engine& engine, std::string name,
                                 double elapsed_seconds) {
   RunMetrics m;
@@ -43,140 +42,90 @@ RunMetrics CollectEngineMetrics(const Engine& engine, std::string name,
 
 }  // namespace
 
-Result<RunMetrics> RunSga(const InputStream& stream,
-                          const StreamingGraphQuery& query,
-                          const Vocabulary& vocab, EngineOptions options,
-                          std::string name) {
-  SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::FromQuery(query, vocab, options));
-  Stopwatch timer;
-  qp->PushAll(stream);
-  RunMetrics m = CollectEngineMetrics(qp->engine(), std::move(name),
-                                      timer.ElapsedSeconds());
-  m.results_emitted = qp->results_emitted();
-  return m;
-}
-
-Result<RunMetrics> RunSgaPlan(const InputStream& stream,
-                              const LogicalOp& plan, const Vocabulary& vocab,
-                              EngineOptions options, std::string name) {
-  SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::Compile(plan, vocab, options));
-  Stopwatch timer;
-  qp->PushAll(stream);
-  RunMetrics m = CollectEngineMetrics(qp->engine(), std::move(name),
-                                      timer.ElapsedSeconds());
-  m.results_emitted = qp->results_emitted();
-  return m;
-}
-
-FileChunkOptions IngestChunking(const EngineOptions& options) {
+FileChunkOptions IngestChunking(const RunOptions& options) {
   // The threads that decode chunks: the pipeline's parsers, or the
   // calling thread.
   const std::size_t parsers =
-      options.async_ingest ? std::max<std::size_t>(options.ingest_parsers, 1)
-                           : 1;
+      options.async_ingest
+          ? std::max<std::size_t>(options.engine.ingest_parsers, 1)
+          : 1;
   FileChunkOptions chunking;
-  chunking.allow_disorder = options.ingest_slack > 0;
+  chunking.allow_disorder = options.engine.ingest_slack > 0;
   chunking.min_chunks = parsers > 1 ? parsers * 2 : 1;
   chunking.readahead_chunks =
       std::max(chunking.readahead_chunks, parsers + 1);
   return chunking;
 }
 
-namespace {
+Result<MultiQueryMetrics> Run(const RunSource& source,
+                              const std::vector<RunQuery>& queries,
+                              Vocabulary* vocab, const RunOptions& options,
+                              std::string name) {
+  // The chunk source comes first: a binary header interns its dictionary
+  // before the queries compile.
+  const FileChunkOptions chunking = IngestChunking(options);
+  std::unique_ptr<ChunkedStream> chunks;
+  if (source.bytes != nullptr) {
+    SGQ_ASSIGN_OR_RETURN(
+        chunks, MakeChunkedStream(*source.bytes, std::nullopt, vocab,
+                                  chunking.allow_disorder,
+                                  chunking.min_chunks));
+  } else if (source.decoded == nullptr) {
+    SGQ_ASSIGN_OR_RETURN(chunks, MakeFileChunkSource(source.path,
+                                                     std::nullopt, vocab,
+                                                     chunking));
+  }
+  Engine engine(options.engine);
+  for (const RunQuery& q : queries) {
+    SGQ_RETURN_NOT_OK((q.plan != nullptr ? engine.AddPlan(*q.plan, *vocab)
+                                         : engine.AddQuery(*q.query, *vocab))
+                          .status());
+  }
+  SGQ_RETURN_NOT_OK(engine.Finalize());
 
-/// \brief The body RunSgaText and RunSgaFile share once each has built
-/// its source: the pipeline when async_ingest is set, a ChunkWalkCursor
-/// pump on the calling thread otherwise.
-Result<RunMetrics> RunSgaChunks(const ChunkedStream& source,
-                                const StreamingGraphQuery& query,
-                                const Vocabulary& vocab,
-                                const EngineOptions& options,
-                                std::string name) {
-  SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::FromQuery(query, vocab, options));
-  Status parse_status = Status::OK();
+  Status status = Status::OK();
   uint64_t sync_parse_ns = 0;
   Stopwatch timer;
-  if (options.async_ingest) {
-    parse_status = qp->engine().RunPipelined(source);
+  if (chunks == nullptr) {
+    engine.PushAll(*source.decoded);
+  } else if (options.async_ingest) {
+    status = engine.RunPipelined(*chunks);
   } else {
-    const bool slack = options.ingest_slack > 0;
-    ChunkWalkCursor cursor(source, /*allow_disorder=*/slack);
-    ReorderBuffer reorder(options.ingest_slack);
+    const Timestamp slack = options.engine.ingest_slack;
+    ChunkWalkCursor cursor(*chunks, chunking.allow_disorder);
+    ReorderBuffer reorder(slack);
     std::vector<Sge> chunk(1024);
     for (;;) {
       const std::size_t n = cursor.Next(chunk.data(), chunk.size());
       if (n == 0) break;
       for (std::size_t i = 0; i < n; ++i) {
-        if (!slack) {
-          qp->Push(chunk[i]);
+        if (slack == 0) {
+          engine.Push(chunk[i]);
         } else {
           for (const Sge& released : reorder.Offer(chunk[i])) {
-            qp->Push(released);
+            engine.Push(released);
           }
         }
       }
     }
     // Like the pipeline's slack stage, release the held-back tail only
     // when the walk ended cleanly.
-    if (slack && cursor.ok()) {
-      for (const Sge& released : reorder.Flush()) qp->Push(released);
+    if (slack > 0 && cursor.ok()) {
+      for (const Sge& released : reorder.Flush()) engine.Push(released);
     }
-    qp->Flush();
-    parse_status = cursor.status();
+    engine.Flush();
+    status = cursor.status();
     sync_parse_ns = cursor.busy_ns();
   }
   const double elapsed = timer.ElapsedSeconds();
-  SGQ_RETURN_NOT_OK(parse_status);
-  RunMetrics m =
-      CollectEngineMetrics(qp->engine(), std::move(name), elapsed);
-  if (!options.async_ingest) {
-    m.parse_busy_ns = sync_parse_ns;
-    m.readahead_stall_ns = source.ReadaheadStallNs();
-  }
-  m.results_emitted = qp->results_emitted();
-  return m;
-}
+  SGQ_RETURN_NOT_OK(status);
 
-}  // namespace
-
-Result<RunMetrics> RunSgaText(const std::string& bytes,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name) {
-  const FileChunkOptions chunking = IngestChunking(options);
-  SGQ_ASSIGN_OR_RETURN(
-      auto source,
-      MakeChunkedStream(bytes, std::nullopt, vocab, chunking.allow_disorder,
-                        chunking.min_chunks));
-  return RunSgaChunks(*source, query, *vocab, options, std::move(name));
-}
-
-Result<RunMetrics> RunSgaFile(const std::string& path,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name) {
-  SGQ_ASSIGN_OR_RETURN(
-      auto source, MakeFileChunkSource(path, std::nullopt, vocab,
-                                       IngestChunking(options)));
-  return RunSgaChunks(*source, query, *vocab, options, std::move(name));
-}
-
-Result<MultiQueryMetrics> RunMultiSgaPlans(
-    const InputStream& stream, const std::vector<const LogicalOp*>& plans,
-    const Vocabulary& vocab, EngineOptions options, std::string name) {
-  Engine engine(options);
-  for (const LogicalOp* plan : plans) {
-    SGQ_RETURN_NOT_OK(engine.AddPlan(*plan, vocab).status());
-  }
-  SGQ_RETURN_NOT_OK(engine.Finalize());
-  Stopwatch timer;
-  engine.PushAll(stream);
   MultiQueryMetrics m;
-  m.totals = CollectEngineMetrics(engine, std::move(name),
-                                  timer.ElapsedSeconds());
+  m.totals = CollectEngineMetrics(engine, std::move(name), elapsed);
+  if (chunks != nullptr && !options.async_ingest) {
+    m.totals.parse_busy_ns = sync_parse_ns;
+    m.totals.readahead_stall_ns = chunks->ReadaheadStallNs();
+  }
   m.per_query_results.reserve(engine.num_queries());
   for (std::size_t q = 0; q < engine.num_queries(); ++q) {
     const std::size_t emitted =
@@ -187,76 +136,6 @@ Result<MultiQueryMetrics> RunMultiSgaPlans(
   m.num_operators = engine.NumOperators();
   m.shared_subtrees = engine.NumSharedSubtrees();
   m.cross_query_shared = engine.NumCrossQuerySharedSubtrees();
-  return m;
-}
-
-Result<MultiQueryMetrics> RunMultiSga(
-    const InputStream& stream,
-    const std::vector<StreamingGraphQuery>& queries, const Vocabulary& vocab,
-    EngineOptions options, std::string name) {
-  std::vector<LogicalPlan> plans;
-  std::vector<const LogicalOp*> plan_ptrs;
-  plans.reserve(queries.size());
-  plan_ptrs.reserve(queries.size());
-  for (const StreamingGraphQuery& query : queries) {
-    SGQ_ASSIGN_OR_RETURN(LogicalPlan plan,
-                         TranslateToCanonicalPlan(query, vocab));
-    plan_ptrs.push_back(plan.get());
-    plans.push_back(std::move(plan));
-  }
-  return RunMultiSgaPlans(stream, plan_ptrs, vocab, std::move(options),
-                          std::move(name));
-}
-
-Result<RunMetrics> RunSgaCheckpointKill(const InputStream& stream,
-                                        const StreamingGraphQuery& query,
-                                        const Vocabulary& vocab,
-                                        EngineOptions options,
-                                        const std::string& checkpoint_path,
-                                        std::size_t checkpoint_at,
-                                        std::size_t kill_at,
-                                        std::string name,
-                                        std::vector<Sgt>* results_out) {
-  checkpoint_at = std::min(checkpoint_at, stream.size());
-  kill_at = std::min(std::max(kill_at, checkpoint_at), stream.size());
-
-  // Phase 1: run to the snapshot point, checkpoint, keep going, crash.
-  // The doomed engine goes out of scope without Flush() — everything it
-  // did after the snapshot is discarded, exactly like a SIGKILL.
-  std::uint64_t checkpoint_write_ns = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  {
-    SGQ_ASSIGN_OR_RETURN(auto doomed,
-                         QueryProcessor::FromQuery(query, vocab, options));
-    for (std::size_t i = 0; i < checkpoint_at; ++i) doomed->Push(stream[i]);
-    SGQ_RETURN_NOT_OK(doomed->engine().Checkpoint(checkpoint_path, &vocab));
-    SGQ_RETURN_NOT_OK(doomed->engine().WaitForCheckpoint());
-    checkpoint_write_ns = doomed->engine().checkpoint_write_ns();
-    checkpoint_bytes = doomed->engine().checkpoint_bytes();
-    for (std::size_t i = checkpoint_at; i < kill_at; ++i) {
-      doomed->Push(stream[i]);
-    }
-  }
-
-  // Phase 2: fresh engine, restore, resume from where the snapshot says
-  // the stream stood, and run the remainder to completion.
-  SGQ_ASSIGN_OR_RETURN(auto qp,
-                       QueryProcessor::FromQuery(query, vocab, options));
-  Stopwatch timer;
-  SGQ_RETURN_NOT_OK(qp->engine().Restore(checkpoint_path));
-  const std::uint64_t resume_from = qp->engine().ingested();
-  for (std::uint64_t i = resume_from; i < stream.size(); ++i) {
-    qp->Push(stream[i]);
-  }
-  qp->Flush();
-  RunMetrics m = CollectEngineMetrics(qp->engine(), std::move(name),
-                                      timer.ElapsedSeconds());
-  // The restored engine never checkpointed; report the snapshot the run
-  // actually took (phase 1) so the row carries its cost and size.
-  m.checkpoint_write_ns = checkpoint_write_ns;
-  m.checkpoint_bytes = checkpoint_bytes;
-  m.results_emitted = qp->results_emitted();
-  if (results_out != nullptr) *results_out = qp->results();
   return m;
 }
 

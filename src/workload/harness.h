@@ -1,108 +1,96 @@
-// Benchmark harness (§7.1.1): runs a query over a stream on one of the
-// engines and reports the paper's metrics — sustained throughput
-// (edges/second over the labels the query consumes) and the 99th-percentile
-// latency of a window slide.
+// Benchmark harness (§7.1.1): runs standing queries over a stream on one
+// Engine and reports the paper's metrics — sustained throughput
+// (edges/second over the labels the queries consume) and the
+// 99th-percentile latency of a window slide — next to per-query result
+// counts and the engine's sharing counters.
 
 #ifndef SGQ_WORKLOAD_HARNESS_H_
 #define SGQ_WORKLOAD_HARNESS_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/logical_plan.h"
 #include "common/metrics.h"
 #include "common/result.h"
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "model/file_chunk_source.h"
 #include "model/sgt.h"
 #include "query/rq.h"
 
 namespace sgq {
 
-/// \brief Runs `query` over `stream` on the SGA query processor (canonical
-/// plan) and reports metrics. `options.path_impl` selects the PATH
-/// implementation (Table 3 compares the two).
-Result<RunMetrics> RunSga(const InputStream& stream,
-                          const StreamingGraphQuery& query,
-                          const Vocabulary& vocab, EngineOptions options,
-                          std::string name);
+/// \brief The stream a Run reads. A decoded stream is pushed element by
+/// element (Engine::PushAll). Stream bytes — CSV text or SGQB binary,
+/// detected from the magic bytes — are decoded inside the timed run
+/// through one FileChunkSource: resident for bytes in memory, a bounded
+/// pread window for a file, whose peak ingest-buffer memory is
+/// O(window · ~256 KB) regardless of file size. Both byte origins decode
+/// the same element sequence, so every result and error is identical.
+struct RunSource {
+  /// \brief An already decoded stream (borrowed).
+  static RunSource Decoded(const InputStream& stream) {
+    RunSource s;
+    s.decoded = &stream;
+    return s;
+  }
+  /// \brief Raw stream bytes (borrowed; must outlive the run).
+  static RunSource Bytes(const std::string& bytes) {
+    RunSource s;
+    s.bytes = &bytes;
+    return s;
+  }
+  /// \brief A stream file, read without materializing it.
+  static RunSource File(std::string path) {
+    RunSource s;
+    s.path = std::move(path);
+    return s;
+  }
 
-/// \brief Runs an explicit logical plan on the SGA query processor
-/// (plan-space experiments of §7.4).
-Result<RunMetrics> RunSgaPlan(const InputStream& stream,
-                              const LogicalOp& plan, const Vocabulary& vocab,
-                              EngineOptions options, std::string name);
+  const InputStream* decoded = nullptr;
+  const std::string* bytes = nullptr;
+  std::string path;
+};
 
-/// \brief Chunking of one ChunkedStream run under `options` — the same
-/// for in-memory bytes and a file: disorder tolerance (ingest_slack > 0), the
+/// \brief One standing query of a Run: an SGQ, compiled through its
+/// canonical plan, or an explicit logical plan (the plan-space experiments
+/// of §7.4). Converts implicitly from either, so a query list reads
+/// `{*query}` or `{*plan_a, *plan_b}`.
+struct RunQuery {
+  RunQuery(const StreamingGraphQuery& q) : query(&q) {}  // NOLINT
+  RunQuery(const LogicalOp& p) : plan(&p) {}             // NOLINT
+
+  const StreamingGraphQuery* query = nullptr;
+  const LogicalOp* plan = nullptr;
+};
+
+/// \brief How a Run executes.
+struct RunOptions {
+  /// The hosting engine's configuration.
+  EngineOptions engine;
+  /// Pipelined ingest for byte and file sources (DESIGN.md §6): decode on
+  /// the pipeline's threads (Engine::RunPipelined, engine.ingest_parsers
+  /// of them, the merge thread included) while execution runs on the
+  /// calling thread, instead of a ChunkWalkCursor on the calling thread
+  /// feeding Push. Execution order is unchanged, so results keep the
+  /// synchronous path's contract (byte-identical at num_workers=1 /
+  /// batch_size=1). A decoded source has nothing to decode and always
+  /// pushes inline.
+  bool async_ingest = false;
+};
+
+/// \brief Chunking of one chunk source under `options` — the same for
+/// in-memory bytes and a file: disorder tolerance (ingest_slack > 0), the
 /// chunk-count floor (2 × parse threads when the pipeline runs several,
 /// so every parser has work even on small inputs; 1 otherwise) and the
 /// readahead window (at least parse threads + 1, so every parser can
 /// hold a chunk while one more loads). Pass min_chunks / allow_disorder
 /// to MakeChunkedStream and the whole struct to MakeFileChunkSource.
-FileChunkOptions IngestChunking(const EngineOptions& options);
+FileChunkOptions IngestChunking(const RunOptions& options);
 
-/// \brief Runs `query` over raw stream bytes (CSV text or SGQB binary,
-/// detected from the magic bytes), parsing as part of the run — the
-/// ingest-bound configuration of the pipelined-ingest experiments
-/// (bench_ingest_pipeline). The bytes become an in-memory ChunkedStream
-/// (MakeChunkedStream, chunked per IngestChunking), read one of two ways
-/// with the same element sequence, so the configurations are directly
-/// comparable:
-///  - sync (async_ingest off): a ChunkWalkCursor on the calling thread
-///    feeding Push, through a ReorderBuffer when ingest_slack > 0;
-///  - async: Engine::RunPipelined — ingest_parsers parse threads (the
-///    merge thread is parser 0) overlapped with execution.
-/// Labels/vertices are interned into `*vocab`; fails on malformed or
-/// out-of-order input. Parse-stage cost lands in RunMetrics
-/// (parse_busy_ns / ParseTuplesPerSec).
-Result<RunMetrics> RunSgaText(const std::string& bytes,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name);
-
-/// \brief RunSgaText over a stream *file* without materializing it: the
-/// source is a model/file_chunk_source.h FileChunkSource whose bounded
-/// pread window keeps peak ingest-buffer memory at O(window · ~256 KB)
-/// regardless of file size, and which detects the format from the first
-/// bytes it reads. The decoded element sequence — and therefore every
-/// result and error — is byte-identical to RunSgaText over the same
-/// file's bytes in both placements. Feeder time lands in
-/// RunMetrics::readahead_stall_ns.
-Result<RunMetrics> RunSgaFile(const std::string& path,
-                              const StreamingGraphQuery& query,
-                              Vocabulary* vocab, EngineOptions options,
-                              std::string name);
-
-/// \brief Crash-recovery driver (DESIGN.md §7): runs `query` over
-/// `stream`, checkpointing to `checkpoint_path` after element
-/// `checkpoint_at`, keeps pushing until element `kill_at` and then
-/// abandons that engine — the simulated crash, losing everything past
-/// the snapshot. A fresh engine is compiled from the same query,
-/// restored from the checkpoint, resumed from the element index the
-/// snapshot recorded (`Engine::ingested()`), and run to the end of the
-/// stream. `*results_out` (optional) receives the resumed run's complete
-/// result stream; at workers == 1 it is byte-identical to the
-/// uninterrupted run's, and identical as a multiset under the sharded
-/// configurations' documented reordering.
-Result<RunMetrics> RunSgaCheckpointKill(const InputStream& stream,
-                                        const StreamingGraphQuery& query,
-                                        const Vocabulary& vocab,
-                                        EngineOptions options,
-                                        const std::string& checkpoint_path,
-                                        std::size_t checkpoint_at,
-                                        std::size_t kill_at,
-                                        std::string name,
-                                        std::vector<Sgt>* results_out);
-
-/// \brief Runs `query` on the DD-style baseline engine.
-Result<RunMetrics> RunDd(const InputStream& stream,
-                         const StreamingGraphQuery& query,
-                         const Vocabulary& vocab, std::string name);
-
-/// \brief Metrics of a multi-query Engine run: the aggregate stream-side
-/// metrics plus the per-query result demux and sharing counters.
+/// \brief Metrics of a Run: the aggregate stream-side metrics plus the
+/// per-query result demux and sharing counters.
 struct MultiQueryMetrics {
   RunMetrics totals;  ///< results_emitted sums every query's sink
   std::vector<std::size_t> per_query_results;  ///< index == QueryId
@@ -116,19 +104,27 @@ struct MultiQueryMetrics {
   std::size_t cross_query_shared = 0;
 };
 
-/// \brief Registers every plan on one multi-query Engine (core/engine.h),
-/// runs `stream` through the shared dataflow once, and reports aggregate
-/// plus per-query metrics. `options.cross_query_sharing` selects shared
-/// vs per-query-private compilation (the bench_multi_query ablation).
-Result<MultiQueryMetrics> RunMultiSgaPlans(
-    const InputStream& stream, const std::vector<const LogicalOp*>& plans,
-    const Vocabulary& vocab, EngineOptions options, std::string name);
+/// \brief Registers every query on one Engine, runs `source` through the
+/// shared dataflow once, and reports aggregate plus per-query metrics.
+/// `options.engine.cross_query_sharing` selects shared vs
+/// per-query-private compilation (the bench_multi_query ablation).
+///
+/// Byte and file sources are built before the queries compile, and decode
+/// either on the calling thread — a ChunkWalkCursor feeding Push, through
+/// a ReorderBuffer when ingest_slack > 0 — or on the ingest pipeline
+/// (`options.async_ingest`). Labels and vertices are interned into
+/// `*vocab`; malformed or out-of-order input fails the run with a
+/// positioned error. Parse-stage cost lands in RunMetrics (parse_busy_ns
+/// / ParseTuplesPerSec), feeder time in readahead_stall_ns.
+Result<MultiQueryMetrics> Run(const RunSource& source,
+                              const std::vector<RunQuery>& queries,
+                              Vocabulary* vocab, const RunOptions& options,
+                              std::string name);
 
-/// \brief RunMultiSgaPlans over parsed SGQs (canonical plans).
-Result<MultiQueryMetrics> RunMultiSga(
-    const InputStream& stream,
-    const std::vector<StreamingGraphQuery>& queries, const Vocabulary& vocab,
-    EngineOptions options, std::string name);
+/// \brief Runs `query` on the DD-style baseline engine.
+Result<RunMetrics> RunDd(const InputStream& stream,
+                         const StreamingGraphQuery& query,
+                         const Vocabulary& vocab, std::string name);
 
 /// \brief Prints a fixed-width metrics row:
 /// name, throughput (edges/s), p99 slide latency (ms), #results.

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/engine.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -153,15 +153,16 @@ TEST(BaselineVsSgaTest, BothEnginesAgreeAtBoundaries) {
     if (sge.t < boundary) closed.push_back(sge);
   }
 
-  auto sga = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(sga.ok());
-  (*sga)->PushAll(closed);
+  Engine sga;
+  ASSERT_TRUE(sga.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(sga.Finalize().ok());
+  sga.PushAll(closed);
 
   auto dd = baseline::DifferentialEngine::Create(*query, vocab);
   ASSERT_TRUE(dd.ok());
   for (const Sge& sge : closed) (*dd)->Push(sge);
   (*dd)->AdvanceTo(boundary);
-  EXPECT_EQ(ResultPairsAt((*sga)->results(), boundary), (*dd)->Answers());
+  EXPECT_EQ(ResultPairsAt(sga.results(0), boundary), (*dd)->Answers());
 }
 
 TEST(BaselineDeletionTest, ExplicitDeletionsHandled) {

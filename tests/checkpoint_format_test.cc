@@ -162,10 +162,10 @@ TEST(CheckpointFormatTest, StreamedImageMatchesPreStreamingEncoder) {
   // Golden frozen from the encoder that built the whole image in memory
   // before writing it: streaming with backpatched frames and a combined
   // file CRC must not change one byte. (Re-frozen for versions 3, 4, 5,
-  // 6 and 7: only the header version and the footer CRC moved.)
+  // 6, 7 and 8: only the header version and the footer CRC moved.)
   const std::string image = SampleImage();
   EXPECT_EQ(image.size(), 401u);
-  EXPECT_EQ(testing_util::Fingerprint(image), 0x283f844956eeb55cull);
+  EXPECT_EQ(testing_util::Fingerprint(image), 0x5be36c02ef4e6e49ull);
   // How the payload is cut into Append calls is invisible in the bytes.
   for (std::size_t piece : {1, 2, 7, 64}) {
     EXPECT_EQ(Image(SampleSections(), piece), image) << "piece " << piece;
@@ -214,8 +214,8 @@ TEST(CheckpointFaultTest, ErrorsCarryByteOffsets) {
 }
 
 TEST(CheckpointFaultTest, VersionSkewRejected) {
-  // Older (v6: a sharded image still held one window partition per
-  // shard) and newer images alike.
+  // Older (v7: "meta" still carried the async_ingest key) and newer
+  // images alike.
   for (const std::uint32_t version :
        {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     std::string image = SampleImage();

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delta_path_op.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "core/spath_op.h"
 #include "model/coalesce.h"
 #include "query/oracle.h"
@@ -171,11 +171,12 @@ TEST_P(DeletionEquivalence, BothImplsMatchOracle) {
   for (PathImpl impl : {PathImpl::kSPath, PathImpl::kDeltaPath}) {
     EngineOptions options;
     options.path_impl = impl;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
-    (*qp)->PushAll(*stream);
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    engine.PushAll(*stream);
     for (Timestamp t : testing_util::SampleTimes(*stream, 10)) {
-      EXPECT_EQ(testing_util::ResultPairsAt((*qp)->results(), t),
+      EXPECT_EQ(testing_util::ResultPairsAt(engine.results(0), t),
                 testing_util::OraclePairsAt(*stream, *query, vocab, t))
           << "impl=" << static_cast<int>(impl) << " seed=" << GetParam()
           << " t=" << t;

@@ -9,7 +9,7 @@
 
 #include "core/basic_ops.h"
 #include "core/pattern_op.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "core/spath_op.h"
 #include "model/stream_io.h"
 #include "test_util.h"
@@ -120,11 +120,12 @@ TEST_F(RunningExampleTest, Example6PatternFindsRecentLikers) {
       "Answer(u1,u2) <- likes(u1,m1), follows+(u1,u2), posts(u2,m1)",
       WindowSpec(24, 1), &vocab_);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab_, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream_);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab_).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream_);
 
-  const std::vector<Sgt>& results = (*qp)->results();
+  const std::vector<Sgt>& results = engine.results(0);
   // Example 6: exactly the derived edges (y, RL, u, [28,37)) and
   // (u, RL, v, [29,31)) (the [30,31) duplicate coalesces away).
   ASSERT_EQ(results.size(), 2u);
@@ -144,19 +145,20 @@ TEST_F(RunningExampleTest, Example7PathOverRecentLikers) {
       "Answer(x,y) <- RL+(x,y)",
       WindowSpec(24, 1), &vocab_);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab_, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream_);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab_).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream_);
 
   const VertexId u = V("u"), v = V("v"), y = V("y");
-  VertexPairSet pairs = ResultPairsAt((*qp)->results(), 29);
+  VertexPairSet pairs = ResultPairsAt(engine.results(0), 29);
   VertexPairSet expected = {{y, u}, {u, v}, {y, v}};
   EXPECT_EQ(pairs, expected);
 
   // The (y, v) result is a materialized path of two RL edges (R3: paths
   // are first-class citizens and are returned).
   bool found_path = false;
-  for (const Sgt& r : (*qp)->results()) {
+  for (const Sgt& r : engine.results(0)) {
     if (r.src == y && r.trg == v) {
       found_path = true;
       ASSERT_EQ(r.payload.size(), 2u);
@@ -176,11 +178,12 @@ TEST_F(RunningExampleTest, SnapshotReducibilityOnRunningExample) {
       "Answer(x,y) <- RL+(x,y)",
       WindowSpec(24, 1), &vocab_);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab_, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->PushAll(stream_);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab_).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream_);
   for (Timestamp t : {7, 13, 22, 25, 28, 29, 30}) {
-    EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+    EXPECT_EQ(ResultPairsAt(engine.results(0), t),
               testing_util::OraclePairsAt(stream_, *query, vocab_, t))
         << "at t=" << t;
   }

@@ -1,7 +1,7 @@
 // Engine-level crash recovery (DESIGN.md §7): kill/restore/resume must be
 // indistinguishable from never having crashed. The differential runs a
-// deletion-heavy stream uninterrupted, then re-runs it through the
-// RunSgaCheckpointKill harness (checkpoint → keep running → simulated
+// deletion-heavy stream uninterrupted, then re-runs it through
+// CheckpointKillResume below (checkpoint → keep running → simulated
 // SIGKILL → fresh engine → Restore → resume) and demands *byte-identical*
 // results at workers=1 — at every batch boundary, across PathImpl × batch
 // size. The fault-injection half mutilates real engine snapshots (per-
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -26,12 +27,10 @@
 #endif
 
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "model/checkpoint.h"
 #include "model/stream_io.h"
 #include "test_util.h"
 #include "workload/generators.h"
-#include "workload/harness.h"
 #include "workload/queries.h"
 
 namespace sgq {
@@ -64,10 +63,11 @@ std::vector<Sgt> ReferenceRun(const InputStream& stream,
                               const StreamingGraphQuery& query,
                               const Vocabulary& vocab,
                               const EngineOptions& options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  EXPECT_TRUE(engine.AddQuery(query, vocab).ok());
+  EXPECT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 /// \brief Field-wise, *order-sensitive* comparison: the byte-identical bar
@@ -91,6 +91,48 @@ void ExpectIdenticalResults(const std::vector<Sgt>& expected,
 // the coalescer, and the shared window partitions.
 constexpr char kQuery[] = "Answer(x,y) <- a+(x,y), b(x,m), c(m,y)";
 
+/// \brief A simulated crash and recovery: runs `query` over `stream`,
+/// checkpoints to `path` after element `checkpoint_at`, keeps pushing
+/// until element `kill_at` and then abandons that engine — the simulated
+/// SIGKILL, losing everything past the snapshot. A fresh engine compiled
+/// from the same query restores the checkpoint, resumes from the element
+/// index the snapshot recorded (Engine::ingested()), and runs to the end
+/// of the stream. Returns the resumed run's complete result stream; at
+/// workers == 1 it is byte-identical to the uninterrupted run's.
+/// `*checkpoint_bytes` (optional) receives the snapshot's size.
+Result<std::vector<Sgt>> CheckpointKillResume(
+    const InputStream& stream, const StreamingGraphQuery& query,
+    const Vocabulary& vocab, const EngineOptions& options,
+    const std::string& path, std::size_t checkpoint_at, std::size_t kill_at,
+    std::uint64_t* checkpoint_bytes = nullptr) {
+  checkpoint_at = std::min(checkpoint_at, stream.size());
+  kill_at = std::min(std::max(kill_at, checkpoint_at), stream.size());
+  {
+    // The doomed engine goes out of scope without Flush(): everything it
+    // did after the snapshot is discarded, exactly like a SIGKILL.
+    Engine doomed(options);
+    SGQ_RETURN_NOT_OK(doomed.AddQuery(query, vocab).status());
+    SGQ_RETURN_NOT_OK(doomed.Finalize());
+    for (std::size_t i = 0; i < checkpoint_at; ++i) doomed.Push(stream[i]);
+    SGQ_RETURN_NOT_OK(doomed.Checkpoint(path, &vocab));
+    SGQ_RETURN_NOT_OK(doomed.WaitForCheckpoint());
+    if (checkpoint_bytes != nullptr) {
+      *checkpoint_bytes = doomed.checkpoint_bytes();
+    }
+    for (std::size_t i = checkpoint_at; i < kill_at; ++i) {
+      doomed.Push(stream[i]);
+    }
+  }
+  Engine engine(options);
+  SGQ_RETURN_NOT_OK(engine.AddQuery(query, vocab).status());
+  SGQ_RETURN_NOT_OK(engine.Finalize());
+  SGQ_RETURN_NOT_OK(engine.Restore(path));
+  for (std::uint64_t i = engine.ingested(); i < stream.size(); ++i) {
+    engine.Push(stream[i]);
+  }
+  return engine.TakeResults(0);
+}
+
 // ---------------------------------------------------------------------------
 // Differential: kill/restore/resume == uninterrupted
 // ---------------------------------------------------------------------------
@@ -113,13 +155,13 @@ TEST(EngineCheckpointTest, KillRestoreResumeMatchesUninterrupted) {
 
       const std::string path =
           TempPath("ckpt_matrix_" + std::to_string(config++) + ".sgqc");
-      std::vector<Sgt> resumed;
-      auto metrics = RunSgaCheckpointKill(
+      std::uint64_t checkpoint_bytes = 0;
+      auto resumed = CheckpointKillResume(
           stream, *query, vocab, options, path, stream.size() / 3,
-          2 * stream.size() / 3, "kill", &resumed);
-      ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-      EXPECT_GT(metrics->checkpoint_bytes, 0u);
-      ExpectIdenticalResults(expected, resumed,
+          2 * stream.size() / 3, &checkpoint_bytes);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      EXPECT_GT(checkpoint_bytes, 0u);
+      ExpectIdenticalResults(expected, *resumed,
                              "impl=" + std::to_string(static_cast<int>(impl)) +
                                  " batch=" + std::to_string(batch));
       std::remove(path.c_str());
@@ -141,13 +183,12 @@ TEST(EngineCheckpointTest, EveryBatchBoundaryIsACleanRecoveryPoint) {
 
   const std::string path = TempPath("ckpt_boundary.sgqc");
   for (std::size_t at = 1; at < stream.size(); ++at) {
-    std::vector<Sgt> resumed;
     const std::size_t kill = std::min(at + 9, stream.size());
-    auto metrics = RunSgaCheckpointKill(stream, *query, vocab, options, path,
-                                        at, kill, "boundary", &resumed);
-    ASSERT_TRUE(metrics.ok())
-        << "checkpoint at " << at << ": " << metrics.status().ToString();
-    ExpectIdenticalResults(expected, resumed,
+    auto resumed =
+        CheckpointKillResume(stream, *query, vocab, options, path, at, kill);
+    ASSERT_TRUE(resumed.ok())
+        << "checkpoint at " << at << ": " << resumed.status().ToString();
+    ExpectIdenticalResults(expected, *resumed,
                            "checkpoint at element " + std::to_string(at));
   }
   std::remove(path.c_str());
@@ -168,13 +209,11 @@ TEST(EngineCheckpointTest, ShardedResumeStaysDeterministic) {
       ReferenceRun(stream, *query, vocab, options);
 
   const std::string path = TempPath("ckpt_sharded.sgqc");
-  std::vector<Sgt> resumed;
-  auto metrics = RunSgaCheckpointKill(stream, *query, vocab, options, path,
+  auto resumed = CheckpointKillResume(stream, *query, vocab, options, path,
                                       stream.size() / 2,
-                                      3 * stream.size() / 4, "sharded",
-                                      &resumed);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  ExpectIdenticalResults(expected, resumed, "workers=2");
+                                      3 * stream.size() / 4);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectIdenticalResults(expected, *resumed, "workers=2");
   std::remove(path.c_str());
 }
 
@@ -189,15 +228,16 @@ std::string SnapshotAfterPrefix(const InputStream& stream,
                                 Vocabulary* vocab,
                                 const EngineOptions& options,
                                 const std::string& name) {
-  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
-  EXPECT_TRUE(qp.ok());
+  Engine engine(options);
+  EXPECT_TRUE(engine.AddQuery(query, *vocab).ok());
+  EXPECT_TRUE(engine.Finalize().ok());
   for (std::size_t i = 0; i < stream.size() / 2; ++i) {
-    (*qp)->Push(stream[i]);
+    engine.Push(stream[i]);
   }
   const std::string path = TempPath(name);
-  Status st = (*qp)->engine().Checkpoint(path, vocab);
+  Status st = engine.Checkpoint(path, vocab);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  st = (*qp)->engine().WaitForCheckpoint();
+  st = engine.WaitForCheckpoint();
   EXPECT_TRUE(st.ok()) << st.ToString();
   return path;
 }
@@ -215,9 +255,10 @@ TEST(EngineCheckpointTest, OptionsIdentityMismatchRefused) {
 
   EngineOptions delta;
   delta.path_impl = PathImpl::kDeltaPath;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, delta);
-  ASSERT_TRUE(qp.ok());
-  Status st = (*qp)->engine().Restore(path, &vocab);
+  Engine engine(delta);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  Status st = engine.Restore(path, &vocab);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("path_impl"), std::string::npos)
       << st.ToString();
@@ -242,9 +283,10 @@ TEST(EngineCheckpointTest, VocabularyIsVerifiedAndAdopted) {
     Vocabulary conflicting;
     ASSERT_TRUE(conflicting.InternInputLabel("z").ok());  // shifts ids
     ASSERT_TRUE(conflicting.InternInputLabel("a").ok());
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
-    Status st = (*qp)->engine().Restore(path, &conflicting);
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    Status st = engine.Restore(path, &conflicting);
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.message().find("vocab"), std::string::npos)
         << st.ToString();
@@ -253,11 +295,12 @@ TEST(EngineCheckpointTest, VocabularyIsVerifiedAndAdopted) {
   // The matching vocabulary restores cleanly.
   {
     Vocabulary same = vocab;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
-    Status st = (*qp)->engine().Restore(path, &same);
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    Status st = engine.Restore(path, &same);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ((*qp)->engine().ingested(), stream.size() / 2);
+    EXPECT_EQ(engine.ingested(), stream.size() / 2);
   }
   std::remove(path.c_str());
 }
@@ -272,10 +315,11 @@ TEST(EngineCheckpointTest, RestoreOnNonFreshEngineRefused) {
   const std::string path =
       SnapshotAfterPrefix(stream, *query, &vocab, options, "ckpt_dirty.sgqc");
 
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
-  (*qp)->Push(stream[0]);  // no longer fresh
-  Status st = (*qp)->engine().Restore(path, &vocab);
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.Push(stream[0]);  // no longer fresh
+  Status st = engine.Restore(path, &vocab);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("non-fresh"), std::string::npos)
       << st.ToString();
@@ -308,10 +352,11 @@ TEST(EngineCheckpointTest, CorruptionInAnySectionRejectedPositioned) {
     bad[section.offset] = static_cast<char>(bad[section.offset] ^ 0x40);
     ASSERT_TRUE(WriteFileBytes(bad_path, bad).ok());
 
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
     Vocabulary fresh_vocab;
-    Status st = (*qp)->engine().Restore(bad_path, &fresh_vocab);
+    Status st = engine.Restore(bad_path, &fresh_vocab);
     ASSERT_FALSE(st.ok()) << "corrupt '" << section.name << "' accepted";
     // Positioned: the whole-file CRC catches it first and names the file.
     EXPECT_NE(st.message().find("CRC"), std::string::npos)
@@ -324,14 +369,15 @@ TEST(EngineCheckpointTest, CorruptionInAnySectionRejectedPositioned) {
   // and resumes to the uninterrupted result.
   const std::vector<Sgt> expected =
       ReferenceRun(stream, *query, vocab, options);
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
-  ASSERT_TRUE((*qp)->engine().Restore(path, &vocab).ok());
-  for (std::size_t i = (*qp)->engine().ingested(); i < stream.size(); ++i) {
-    (*qp)->Push(stream[i]);
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  ASSERT_TRUE(engine.Restore(path, &vocab).ok());
+  for (std::size_t i = engine.ingested(); i < stream.size(); ++i) {
+    engine.Push(stream[i]);
   }
-  (*qp)->Flush();
-  ExpectIdenticalResults(expected, (*qp)->results(), "after bad candidates");
+  engine.Flush();
+  ExpectIdenticalResults(expected, engine.results(0), "after bad candidates");
 
   std::remove(path.c_str());
   std::remove(bad_path.c_str());
@@ -360,9 +406,10 @@ TEST(EngineCheckpointTest, TruncationAtEverySectionBoundaryRejected) {
   cuts.push_back(bytes->size() - 1);  // inside the footer CRC
   for (std::size_t cut : cuts) {
     ASSERT_TRUE(WriteFileBytes(bad_path, bytes->substr(0, cut)).ok());
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
-    Status st = (*qp)->engine().Restore(bad_path);
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    Status st = engine.Restore(bad_path);
     ASSERT_FALSE(st.ok()) << "truncation at byte " << cut << " accepted";
     EXPECT_NE(st.message().find("trunc"), std::string::npos)
         << "cut " << cut << ": " << st.ToString();
@@ -424,10 +471,11 @@ TEST(EngineCheckpointTest, BlobLengthPastSectionEndRejectedPositioned) {
     ASSERT_TRUE(writer.Finish().ok());
     ASSERT_TRUE(WriteFileBytes(bad_path, sink.bytes()).ok());
 
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
     Vocabulary fresh_vocab;
-    const Status st = (*qp)->engine().Restore(bad_path, &fresh_vocab);
+    const Status st = engine.Restore(bad_path, &fresh_vocab);
     ASSERT_FALSE(st.ok()) << c.section << " blob overrun accepted";
     const std::string where = "section '" + std::string(c.section) +
                               "': offset " + std::to_string(c.length_at + 4) +
@@ -444,9 +492,10 @@ TEST(EngineCheckpointTest, MissingFileIsACleanError) {
   const InputStream stream = DeletionHeavyStream(&vocab, 2, 40);
   auto query = MakeQuery(kQuery, WindowSpec(12, 2), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  Status st = (*qp)->engine().Restore(TempPath("no_such_ckpt.sgqc"));
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  Status st = engine.Restore(TempPath("no_such_ckpt.sgqc"));
   ASSERT_FALSE(st.ok());
 }
 
@@ -536,16 +585,18 @@ TEST(EngineCheckpointTest, StreamedSnapshotsMatchPreStreamingGoldens) {
   // Re-frozen for version 7: the two shards of spath-w2 share one window
   // partition per key, so its "windows" section halved (1,698 -> 830
   // bytes, the image 4,746 -> 3,878); the unsharded images moved only in
-  // the header version and the footer CRC.
+  // the header version and the footer CRC. Re-frozen for version 8:
+  // "meta" lost the async_ingest key (21 bytes, every image); only the
+  // header version, "meta" and the footer CRC moved.
   const GoldenConfig goldens[] = {
-      {"spath-b1", false, PathImpl::kSPath, 1, 1, 2702,
-       0xca73b39a6b6bd22bull},
-      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 3813,
-       0xe408d530ce474881ull},
-      {"spath-w2", false, PathImpl::kSPath, 4, 2, 3878,
-       0x4943b1d7da96c16bull},
-      {"so-b1", true, PathImpl::kSPath, 1, 1, 6359038,
-       0x2e74b28b76961860ull},
+      {"spath-b1", false, PathImpl::kSPath, 1, 1, 2681,
+       0x837b31ae0d5dde79ull},
+      {"delta-b7", false, PathImpl::kDeltaPath, 7, 1, 3792,
+       0xd4f77b01814605aeull},
+      {"spath-w2", false, PathImpl::kSPath, 4, 2, 3857,
+       0x34c93ba4d72bc2dbull},
+      {"so-b1", true, PathImpl::kSPath, 1, 1, 6359017,
+       0x9e1e4e6ab735d618ull},
   };
   const std::string path = TempPath("ckpt_golden.sgqc");
   for (const GoldenConfig& golden : goldens) {
@@ -571,10 +622,10 @@ TEST(EngineCheckpointTest, WriteFailureReturnsFromCheckpointAndKeepsPrevious) {
   const InputStream stream = DeletionHeavyStream(&vocab, 10, 100);
   auto query = MakeQuery(kQuery, WindowSpec(16, 2), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  Engine& engine = (*qp)->engine();
-  for (std::size_t i = 0; i < stream.size() / 2; ++i) (*qp)->Push(stream[i]);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  for (std::size_t i = 0; i < stream.size() / 2; ++i) engine.Push(stream[i]);
 
   const std::string path = TempPath("ckpt_enospc.sgqc");
   const std::string tmp = path + ".tmp";
@@ -587,7 +638,7 @@ TEST(EngineCheckpointTest, WriteFailureReturnsFromCheckpointAndKeepsPrevious) {
   // The next snapshot's temp file is a disk that is always full: the
   // ENOSPC is hit while serializing, so the call itself returns it.
   for (std::size_t i = stream.size() / 2; i < stream.size(); ++i) {
-    (*qp)->Push(stream[i]);
+    engine.Push(stream[i]);
   }
   ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
   const Status st = engine.Checkpoint(path, &vocab);
@@ -624,27 +675,27 @@ TEST(EngineCheckpointTest, MetricsAndExtrasRoundTrip) {
   ASSERT_TRUE(query.ok());
 
   EngineOptions options;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
-  for (std::size_t i = 0; i < stream.size() / 2; ++i) (*qp)->Push(stream[i]);
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  for (std::size_t i = 0; i < stream.size() / 2; ++i) engine.Push(stream[i]);
 
   const std::string path = TempPath("ckpt_extras.sgqc");
   std::string blob;
   PutU64(&blob, 12345);
-  ASSERT_TRUE((*qp)
-                  ->engine()
-                  .Checkpoint(path, &vocab, {{"x-reorder", blob}})
-                  .ok());
-  ASSERT_TRUE((*qp)->engine().WaitForCheckpoint().ok());
+  ASSERT_TRUE(
+      engine.Checkpoint(path, &vocab, {{"x-reorder", blob}}).ok());
+  ASSERT_TRUE(engine.WaitForCheckpoint().ok());
   // checkpoint_bytes counts the encoded image == the durable file.
   auto on_disk = ReadFileBytes(path);
   ASSERT_TRUE(on_disk.ok());
-  EXPECT_EQ((*qp)->engine().checkpoint_bytes(), on_disk->size());
+  EXPECT_EQ(engine.checkpoint_bytes(), on_disk->size());
 
-  auto restored = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(restored.ok());
+  Engine restored(options);
+  ASSERT_TRUE(restored.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(restored.Finalize().ok());
   std::unordered_map<std::string, std::string> extra;
-  ASSERT_TRUE((*restored)->engine().Restore(path, &vocab, &extra).ok());
+  ASSERT_TRUE(restored.Restore(path, &vocab, &extra).ok());
   ASSERT_EQ(extra.count("x-reorder"), 1u);
   ByteReader in(extra["x-reorder"], "extra");
   EXPECT_EQ(in.U64(), 12345u);

@@ -8,7 +8,7 @@
 
 #include "algebra/transform.h"
 #include "algebra/translate.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "query/gcore.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -46,11 +46,12 @@ TEST_P(EndToEndTest, CanonicalPlanMatchesOracle) {
   for (PathImpl impl : {PathImpl::kSPath, PathImpl::kDeltaPath}) {
     EngineOptions options;
     options.path_impl = impl;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-    (*qp)->PushAll(*stream);
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    engine.PushAll(*stream);
     for (Timestamp t : SampleTimes(*stream, 12)) {
-      EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+      EXPECT_EQ(ResultPairsAt(engine.results(0), t),
                 OraclePairsAt(*stream, *query, vocab, t))
           << GetParam().name << " impl=" << static_cast<int>(impl)
           << " t=" << t;
@@ -75,13 +76,14 @@ TEST_P(EndToEndTest, EnumeratedPlansAreEquivalent) {
   ASSERT_TRUE(canonical.ok());
 
   // Reference run: the canonical plan.
-  auto reference = QueryProcessor::Compile(**canonical, vocab, {});
-  ASSERT_TRUE(reference.ok());
-  (*reference)->PushAll(*stream);
+  Engine reference;
+  ASSERT_TRUE(reference.AddPlan(**canonical, vocab).ok());
+  ASSERT_TRUE(reference.Finalize().ok());
+  reference.PushAll(*stream);
   const std::vector<Timestamp> times = SampleTimes(*stream, 8);
   std::vector<VertexPairSet> expected;
   for (Timestamp t : times) {
-    expected.push_back(ResultPairsAt((*reference)->results(), t));
+    expected.push_back(ResultPairsAt(reference.results(0), t));
   }
 
   // Every plan found by the transformation rules must agree (Def. 14:
@@ -89,11 +91,13 @@ TEST_P(EndToEndTest, EnumeratedPlansAreEquivalent) {
   std::vector<LogicalPlan> plans = EnumeratePlans(**canonical, &vocab, 10);
   ASSERT_GE(plans.size(), 1u);
   for (std::size_t i = 1; i < plans.size(); ++i) {
-    auto qp = QueryProcessor::Compile(*plans[i], vocab, {});
-    ASSERT_TRUE(qp.ok()) << plans[i]->ToString(vocab);
-    (*qp)->PushAll(*stream);
+    Engine engine;
+    ASSERT_TRUE(engine.AddPlan(*plans[i], vocab).ok())
+        << plans[i]->ToString(vocab);
+    ASSERT_TRUE(engine.Finalize().ok());
+    engine.PushAll(*stream);
     for (std::size_t j = 0; j < times.size(); ++j) {
-      EXPECT_EQ(ResultPairsAt((*qp)->results(), times[j]), expected[j])
+      EXPECT_EQ(ResultPairsAt(engine.results(0), times[j]), expected[j])
           << GetParam().name << " plan#" << i << " t=" << times[j] << "\n"
           << plans[i]->ToString(vocab);
     }
@@ -147,11 +151,12 @@ TEST_P(DeletionCase, EngineMatchesOracleUnderExplicitDeletions) {
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(16, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->PushAll(*stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
   for (Timestamp t : SampleTimes(*stream, 10)) {
-    EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+    EXPECT_EQ(ResultPairsAt(engine.results(0), t),
               OraclePairsAt(*stream, *query, vocab, t))
         << "seed=" << GetParam() << " t=" << t;
   }
@@ -172,11 +177,12 @@ TEST_P(DeletionCase, PatternPlanMatchesOracleUnderDeletions) {
   auto query =
       MakeQuery("Answer(x,y) <- a(x,z), b(z,y)", WindowSpec(14, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->PushAll(*stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
   for (Timestamp t : SampleTimes(*stream, 10)) {
-    EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+    EXPECT_EQ(ResultPairsAt(engine.results(0), t),
               OraclePairsAt(*stream, *query, vocab, t))
         << "seed=" << GetParam() << " t=" << t;
   }
@@ -203,9 +209,10 @@ TEST(ComposabilityTest, QueryOutputFeedsAnotherQuery) {
   auto q1 = MakeQuery("Answer(x,y) <- a(x,z), b(z,y)", WindowSpec(20, 1),
                       &vocab);
   ASSERT_TRUE(q1.ok());
-  auto qp1 = QueryProcessor::FromQuery(*q1, vocab, {});
-  ASSERT_TRUE(qp1.ok());
-  (*qp1)->PushAll(*stream);
+  Engine engine1;
+  ASSERT_TRUE(engine1.AddQuery(*q1, vocab).ok());
+  ASSERT_TRUE(engine1.Finalize().ok());
+  engine1.PushAll(*stream);
 
   // Q': transitive closure over the derived Answer edges, evaluated as a
   // PATH plan over the (already windowed) output streaming graph.
@@ -217,13 +224,14 @@ TEST(ComposabilityTest, QueryOutputFeedsAnotherQuery) {
       MakePath(out2, Regex::Plus(Regex::Label(ans)), std::move(children));
   // Compile with a scan that simply forwards (the output tuples already
   // carry validity intervals, so we feed them directly as sgts).
-  auto qp2 = QueryProcessor::Compile(*plan2, vocab, {});
-  ASSERT_TRUE(qp2.ok());
+  Engine engine2;
+  ASSERT_TRUE(engine2.AddPlan(*plan2, vocab).ok());
+  ASSERT_TRUE(engine2.Finalize().ok());
   // Directly inject the first query's output via the scan's OnTuple hook:
   // here we reuse PushAll by converting sgts back to sges would lose the
   // intervals, so instead verify closedness through the oracle: the
   // composed semantics equals TC over Q's snapshot output.
-  const std::vector<Sgt>& results1 = (*qp1)->results();
+  const std::vector<Sgt>& results1 = engine1.results(0);
   for (Timestamp t : SampleTimes(*stream, 6)) {
     VertexPairSet q1_pairs = ResultPairsAt(results1, t);
     VertexPairSet composed = TransitiveClosure(q1_pairs);
@@ -259,9 +267,10 @@ TEST(GCoreEndToEndTest, Figure6QueryRunsOnRunningExample) {
   add("u", "likes", "b", 29);
   add("u", "likes", "c", 30);
 
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream);
 
   // Example 1's notification: y is notified of v's posts via the
   // recentLiker path y -> u -> v, and of u's posts via y -> u.
@@ -270,14 +279,14 @@ TEST(GCoreEndToEndTest, Figure6QueryRunsOnRunningExample) {
   const VertexId a = *vocab.FindVertex("a");
   const VertexId b = *vocab.FindVertex("b");
   const VertexId c = *vocab.FindVertex("c");
-  VertexPairSet pairs = ResultPairsAt((*qp)->results(), 30);
+  VertexPairSet pairs = ResultPairsAt(engine.results(0), 30);
   EXPECT_TRUE(pairs.count({y, a}) > 0);  // u posted a; y recentLikes u
   EXPECT_TRUE(pairs.count({y, b}) > 0);  // v posted b; path y->u->v
   EXPECT_TRUE(pairs.count({y, c}) > 0);
   EXPECT_TRUE(pairs.count({u, b}) > 0);  // u recentLikes v directly
   // Snapshot reducibility for the whole G-CORE query.
   for (Timestamp t : {25, 28, 29, 30}) {
-    EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+    EXPECT_EQ(ResultPairsAt(engine.results(0), t),
               OraclePairsAt(stream, *query, vocab, t))
         << " t=" << t;
   }
@@ -295,14 +304,15 @@ TEST(MultiWindowTest, PerLabelWindowsChangeExpiry) {
       Sge(1, 2, *vocab.FindLabel("a"), 0),
       Sge(2, 3, *vocab.FindLabel("b"), 1),
   };
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->PushAll(stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(stream);
   // Join valid only while BOTH are alive: a expires at 10.
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 5).size(), 1u);
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 10).size(), 0u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 5).size(), 1u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 10).size(), 0u);
   for (Timestamp t : {0, 5, 9, 10, 11}) {
-    EXPECT_EQ(ResultPairsAt((*qp)->results(), t),
+    EXPECT_EQ(ResultPairsAt(engine.results(0), t),
               OraclePairsAt(stream, *query, vocab, t))
         << " t=" << t;
   }

@@ -12,9 +12,9 @@
 //  - a file truncated mid-run ends in a read error naming the file and
 //    the offset, never a crash;
 //  - engine results through RunPipelined are identical between a file
-//    and in-memory bytes across format × parsers, and the RunSgaFile
-//    harness matches RunSgaText in every parse placement, reorder slack
-//    included;
+//    and in-memory bytes across format × parsers, and a harness Run over
+//    the file matches one over its bytes in every parse placement,
+//    reorder slack included;
 //  - peak held chunk bytes, pooled buffers included, are O(readahead
 //    window), independent of file size and of how often the source is
 //    walked (the bounded-memory contract);
@@ -44,7 +44,7 @@
 #include <sys/inotify.h>
 #endif
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "model/file_chunk_source.h"
 #include "model/stream_io.h"
 #include "test_util.h"
@@ -489,11 +489,11 @@ TEST(FileChunkSourceTest, FileTruncatedMidRunEndsInPositionedReadError) {
 #endif
 
 #if defined(__linux__)
-TEST(FileIngestDifferentialTest, RunSgaFileReportsMidRunTruncation) {
+TEST(FileIngestDifferentialTest, FileRunReportsMidRunTruncation) {
   // The same failure through the harness: a helper thread truncates the
   // file to a third as soon as the source first reads it (inotify), long
-  // before the run's walk gets there, and RunSgaFile must return the
-  // positioned read error rather than a short, successful run.
+  // before the run's walk gets there, and Run must return the positioned
+  // read error rather than a short, successful run.
   const std::string csv = SyntheticCsv(8u << 20);
   const std::string path = WriteTemp("truncated_run.csv", csv);
   Vocabulary vocab;
@@ -519,7 +519,8 @@ TEST(FileIngestDifferentialTest, RunSgaFileReportsMidRunTruncation) {
     EXPECT_EQ(::truncate(path.c_str(), static_cast<off_t>(csv.size() / 3)),
               0);
   });
-  auto run = RunSgaFile(path, *query, &vocab, EngineOptions(), "truncated");
+  auto run = sgq::Run(RunSource::File(path), {*query}, &vocab, RunOptions(),
+                      "truncated");
   truncator.join();
   ::close(watch);
   ASSERT_FALSE(run.ok());
@@ -539,12 +540,14 @@ std::vector<Sgt> RunShardedOver(const StreamingGraphQuery& query,
                                 Vocabulary* vocab,
                                 const ChunkedStream& chunks,
                                 EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  Status run = (*qp)->engine().RunPipelined(chunks);
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, *vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  Status run = engine.RunPipelined(chunks);
   EXPECT_TRUE(run.ok()) << run.ToString();
-  return (*qp)->results();
+  return engine.results(0);
 }
 
 TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
@@ -598,9 +601,9 @@ TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
   }
 }
 
-TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
-  // Harness-level parity in every parse placement RunSgaText supports:
-  // sync inline parse, async single producer, async sharded.
+TEST(FileIngestDifferentialTest, FileRunMatchesBytesRun) {
+  // Harness-level parity in every parse placement: sync inline parse,
+  // async single producer, async sharded.
   Vocabulary vocab;
   const InputStream stream = TestStream(&vocab);
   const std::string csv = FormatStreamCsv(stream, vocab);
@@ -619,20 +622,20 @@ TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
   const Placement placements[] = {{false, 1}, {true, 1}, {true, 4}};
   for (const bool use_binary : {false, true}) {
     for (const Placement& p : placements) {
-      EngineOptions options;
-      options.batch_size = 16;
+      RunOptions options;
+      options.engine.batch_size = 16;
+      options.engine.ingest_parsers = p.parsers;
       options.async_ingest = p.async;
-      options.ingest_parsers = p.parsers;
-      auto text = RunSgaText(use_binary ? *binary : csv, *query, &vocab,
-                             options, "text");
+      auto text = sgq::Run(RunSource::Bytes(use_binary ? *binary : csv),
+                           {*query}, &vocab, options, "text");
       ASSERT_TRUE(text.ok()) << text.status().ToString();
-      auto file = RunSgaFile(use_binary ? bin_path : csv_path, *query,
-                             &vocab, options, "file");
+      auto file = sgq::Run(RunSource::File(use_binary ? bin_path : csv_path),
+                           {*query}, &vocab, options, "file");
       ASSERT_TRUE(file.ok()) << file.status().ToString();
-      EXPECT_EQ(file->results_emitted, text->results_emitted)
+      EXPECT_EQ(file->totals.results_emitted, text->totals.results_emitted)
           << "format=" << (use_binary ? "binary" : "csv")
           << " async=" << p.async << " parsers=" << p.parsers;
-      EXPECT_EQ(file->edges_processed, text->edges_processed);
+      EXPECT_EQ(file->totals.edges_processed, text->totals.edges_processed);
     }
   }
   std::remove(csv_path.c_str());
@@ -640,7 +643,7 @@ TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
 }
 
 TEST(FileIngestDifferentialTest, SlackRunsAgreeAcrossSourcesAndPlacements) {
-  // ingest_slack on every ChunkedStream runner: the synchronous chunk
+  // ingest_slack on every chunk source: the synchronous chunk
   // walk must reorder through a ReorderBuffer exactly like the pipeline's
   // merge stage, for in-memory bytes and files alike. The small stream
   // holds two adjacent swaps; the large one swaps every adjacent pair.
@@ -668,15 +671,15 @@ TEST(FileIngestDifferentialTest, SlackRunsAgreeAcrossSourcesAndPlacements) {
         auto query = MakeQuery("Answer(x,y) <- a(x,y)\nAnswer(x,y) <- b(x,y)",
                                WindowSpec(12, 3), &vocab);
         ASSERT_TRUE(query.ok()) << query.status().ToString();
-        EngineOptions options;
+        RunOptions options;
+        options.engine.ingest_slack = 4;
         options.async_ingest = async;
-        options.ingest_slack = 4;
-        auto m = from_file
-                     ? RunSgaFile(path, *query, &vocab, options, "file")
-                     : RunSgaText(csv, *query, &vocab, options, "text");
+        auto m = sgq::Run(
+            from_file ? RunSource::File(path) : RunSource::Bytes(csv),
+            {*query}, &vocab, options, from_file ? "file" : "text");
         ASSERT_TRUE(m.ok()) << m.status().ToString() << " file=" << from_file
                             << " async=" << async;
-        runs.push_back({m->results_emitted, m->edges_processed});
+        runs.push_back({m->totals.results_emitted, m->totals.edges_processed});
       }
     }
     EXPECT_GT(runs[0].results, 0u);
@@ -754,14 +757,15 @@ TEST(FileIngestAbortTest, EarlyParseErrorTerminatesShardedRun) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.ingest_parsers = 4;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   FileChunkOptions fco;
   fco.min_chunks = 8;
   fco.readahead_chunks = 2;
   auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
-  Status run = (*qp)->engine().RunPipelined(**source);
+  Status run = engine.RunPipelined(**source);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.message().find("line 1"), std::string::npos)
       << run.ToString();

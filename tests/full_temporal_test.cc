@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -37,13 +37,14 @@ TEST_P(FullTemporalTest, EveryInstantMatchesOracle) {
   auto query = MakeQuery(GetParam().text, WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
 
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(*stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
 
   const Timestamp horizon = stream->back().t;
   for (Timestamp t = 0; t <= horizon; ++t) {
-    ASSERT_EQ(testing_util::ResultPairsAt((*qp)->results(), t),
+    ASSERT_EQ(testing_util::ResultPairsAt(engine.results(0), t),
               testing_util::OraclePairsAt(*stream, *query, vocab, t))
         << GetParam().name << " seed=" << GetParam().seed << " t=" << t;
   }

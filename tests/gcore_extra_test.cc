@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/translate.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "query/gcore.h"
 
 namespace sgq {
@@ -88,15 +88,16 @@ TEST(GCoreExtraTest, ParsedQueriesTranslateAndCompile) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto plan = TranslateToCanonicalPlan(*q, vocab);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto qp = QueryProcessor::Compile(**plan, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+  Engine engine;
+  ASSERT_TRUE(engine.AddPlan(**plan, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   // Smoke: run a tiny stream through it.
   LabelId e = *vocab.FindLabel("e");
   LabelId f = *vocab.FindLabel("f");
-  (*qp)->Push(Sge(1, 2, e, 0));
-  (*qp)->Push(Sge(2, 3, e, 1));
-  (*qp)->Push(Sge(3, 9, f, 2));
-  EXPECT_GE((*qp)->results_emitted(), 1u);
+  engine.Push(Sge(1, 2, e, 0));
+  engine.Push(Sge(2, 3, e, 1));
+  engine.Push(Sge(3, 9, f, 2));
+  EXPECT_GE(engine.results_emitted(0), 1u);
 }
 
 TEST(GCoreExtraTest, RejectsPathConstruct) {

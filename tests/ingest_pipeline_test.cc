@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "core/reorder_buffer.h"
 #include "model/stream_io.h"
 #include "runtime/spsc_queue.h"
@@ -225,11 +225,13 @@ InputStream DeletionHeavyStream(uint64_t seed, Vocabulary* vocab) {
 std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
                            const Vocabulary& vocab, const InputStream& stream,
                            EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 /// \brief Runs a query over raw stream bytes through Engine::RunPipelined
@@ -241,18 +243,20 @@ std::vector<Sgt> RunEnginePipelined(const StreamingGraphQuery& query,
                                     const std::string& bytes,
                                     StreamFormat format,
                                     EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, *vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
   auto chunked = MakeChunkedStream(
       bytes, format, vocab, /*allow_disorder=*/options.ingest_slack > 0,
       /*min_chunks=*/options.ingest_parsers > 1 ? options.ingest_parsers * 2
                                                 : 1);
   EXPECT_TRUE(chunked.ok()) << chunked.status().ToString();
   if (!chunked.ok()) return {};
-  Status run = (*qp)->engine().RunPipelined(**chunked);
+  Status run = engine.RunPipelined(**chunked);
   EXPECT_TRUE(run.ok()) << run.ToString();
-  return (*qp)->results();
+  return engine.results(0);
 }
 
 class AsyncIngestEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -314,13 +318,14 @@ TEST(AsyncIngestTest, CsvHarnessMatchesSynchronousParse) {
     Vocabulary vocab;
     auto query = MakeQuery(kQuery, WindowSpec(12, 3), &vocab);
     EXPECT_TRUE(query.ok());
-    EngineOptions options;
+    RunOptions options;
+    options.engine.num_workers = workers;
+    options.engine.batch_size = batch;
     options.async_ingest = async;
-    options.num_workers = workers;
-    options.batch_size = batch;
-    auto metrics = RunSgaText(csv, *query, &vocab, options, "csv");
+    auto metrics = sgq::Run(RunSource::Bytes(csv), {*query}, &vocab,
+                            options, "csv");
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return metrics.ok() ? metrics->results_emitted : std::size_t(0);
+    return metrics.ok() ? metrics->totals.results_emitted : std::size_t(0);
   };
   const std::size_t expected = run(false, 1, 1);
   EXPECT_EQ(run(true, 1, 1), expected);
@@ -336,25 +341,27 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
   ASSERT_TRUE(binary.ok());
   const char* kQuery = "Answer(x,z) <- a+(x,y), b(y,z)";
 
-  // RunSgaText detects each buffer's format from its magic bytes.
+  // Run detects each buffer's format from its magic bytes.
   auto run = [&](const std::string& bytes, bool async, std::size_t parsers) {
     Vocabulary vocab;
     auto query = MakeQuery(kQuery, WindowSpec(12, 3), &vocab);
     EXPECT_TRUE(query.ok());
-    EngineOptions options;
+    RunOptions options;
+    options.engine.ingest_parsers = parsers;
+    options.engine.batch_size = 16;
     options.async_ingest = async;
-    options.ingest_parsers = parsers;
-    options.batch_size = 16;
-    auto metrics = RunSgaText(bytes, *query, &vocab, options, "text");
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    if (!metrics.ok()) return std::size_t(0);
+    auto result = sgq::Run(RunSource::Bytes(bytes), {*query}, &vocab,
+                           options, "text");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return std::size_t(0);
+    const RunMetrics& metrics = result->totals;
     // Every placement measures the parse stage.
-    EXPECT_GT(metrics->parse_busy_ns, 0u);
-    EXPECT_GT(metrics->ParseTuplesPerSec(), 0.0);
+    EXPECT_GT(metrics.parse_busy_ns, 0u);
+    EXPECT_GT(metrics.ParseTuplesPerSec(), 0.0);
     if (async) {
-      EXPECT_EQ(metrics->parsers, parsers);
+      EXPECT_EQ(metrics.parsers, parsers);
     }
-    return metrics->results_emitted;
+    return metrics.results_emitted;
   };
   const std::size_t expected = run(csv, false, 1);
   EXPECT_GT(expected, 0u);
@@ -485,12 +492,13 @@ TEST(ShardedParseTest, ParseErrorsSurfaceWithGlobalPosition) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.ingest_parsers = 4;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false,
                                    /*min_chunks=*/8);
   ASSERT_TRUE(chunked.ok());
-  Status run = (*qp)->engine().RunPipelined(**chunked);
+  Status run = engine.RunPipelined(**chunked);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.message().find("line 401"), std::string::npos)
       << run.ToString();
@@ -515,13 +523,14 @@ TEST(ShardedParseTest, CrossChunkDisorderRejected) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.ingest_parsers = 4;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok());
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false,
                                    /*min_chunks=*/8);
   ASSERT_TRUE(chunked.ok());
   ASSERT_GE((*chunked)->NumChunks(), 2u);
-  Status run = (*qp)->engine().RunPipelined(**chunked);
+  Status run = engine.RunPipelined(**chunked);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.message().find("non-decreasing"), std::string::npos)
       << run.ToString();
@@ -538,13 +547,14 @@ TEST(ShardedParseTest, StatsReportPerParserAccounting) {
     EngineOptions options;
     options.ingest_parsers = parsers;
     options.batch_size = 16;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
     auto chunked =
         MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false, 8);
     ASSERT_TRUE(chunked.ok());
-    ASSERT_TRUE((*qp)->engine().RunPipelined(**chunked).ok());
-    const IngestStats& stats = (*qp)->engine().ingest_stats();
+    ASSERT_TRUE(engine.RunPipelined(**chunked).ok());
+    const IngestStats& stats = engine.ingest_stats();
     EXPECT_EQ(stats.parsers, parsers);
     ASSERT_EQ(stats.parser_stall_ns.size(), parsers);
     ASSERT_EQ(stats.parser_busy_ns.size(), parsers);
@@ -565,11 +575,12 @@ TEST(AsyncIngestTest, CsvHarnessSurfacesParseErrors) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
+  const std::string bad = "u,a,v,1\nbroken line\n";
   for (const bool async : {false, true}) {
-    EngineOptions options;
+    RunOptions options;
     options.async_ingest = async;
     auto metrics =
-        RunSgaText("u,a,v,1\nbroken line\n", *query, &vocab, options, "bad");
+        sgq::Run(RunSource::Bytes(bad), {*query}, &vocab, options, "bad");
     ASSERT_FALSE(metrics.ok()) << "async=" << async;
     EXPECT_NE(metrics.status().message().find("line 2"), std::string::npos)
         << metrics.status().ToString();
@@ -591,31 +602,33 @@ TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
 
   // Synchronous reference: ReorderBuffer in front of per-element pushes.
   EngineOptions sync_options;
-  auto sync_qp = QueryProcessor::FromQuery(*query, vocab, sync_options);
-  ASSERT_TRUE(sync_qp.ok());
+  Engine sync_engine(sync_options);
+  ASSERT_TRUE(sync_engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(sync_engine.Finalize().ok());
   ReorderBuffer buffer(kSlack);
   std::size_t sync_late = 0;
   buffer.OnLate([&](const Sge&) { ++sync_late; });
   for (const Sge& sge : disordered) {
-    for (const Sge& released : buffer.Offer(sge)) (*sync_qp)->Push(released);
+    for (const Sge& released : buffer.Offer(sge)) sync_engine.Push(released);
   }
-  for (const Sge& released : buffer.Flush()) (*sync_qp)->Push(released);
-  (*sync_qp)->Flush();
-  const std::vector<Sgt> expected = (*sync_qp)->results();
+  for (const Sge& released : buffer.Flush()) sync_engine.Push(released);
+  sync_engine.Flush();
+  const std::vector<Sgt> expected = sync_engine.results(0);
 
   // Pipelined: the disordered stream's CSV bytes, chunked with the order
   // check lifted; the slack stage runs on the merge thread.
   const std::string csv = FormatStreamCsv(disordered, vocab);
   EngineOptions async_options;
   async_options.ingest_slack = kSlack;
-  auto async_qp = QueryProcessor::FromQuery(*query, vocab, async_options);
-  ASSERT_TRUE(async_qp.ok());
+  Engine async_engine(async_options);
+  ASSERT_TRUE(async_engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(async_engine.Finalize().ok());
   auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab,
                                    /*allow_disorder=*/true, /*min_chunks=*/1);
   ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-  ASSERT_TRUE((*async_qp)->engine().RunPipelined(**chunked).ok());
-  const std::vector<Sgt> actual = (*async_qp)->results();
-  EXPECT_EQ((*async_qp)->engine().ingest_stats().late_dropped, sync_late);
+  ASSERT_TRUE(async_engine.RunPipelined(**chunked).ok());
+  const std::vector<Sgt> actual = async_engine.results(0);
+  EXPECT_EQ(async_engine.ingest_stats().late_dropped, sync_late);
 
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -634,12 +647,13 @@ TEST(AsyncIngestTest, StatsAccumulateAndPinnedRunsStayCorrect) {
   options.pin_workers = true;  // best-effort; must never change results
   options.num_workers = 2;
   options.batch_size = 16;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false, 1);
   ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-  ASSERT_TRUE((*qp)->engine().RunPipelined(**chunked).ok());
-  const IngestStats& stats = (*qp)->engine().ingest_stats();
+  ASSERT_TRUE(engine.RunPipelined(**chunked).ok());
+  const IngestStats& stats = engine.ingest_stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.late_dropped, 0u);
 
@@ -647,7 +661,7 @@ TEST(AsyncIngestTest, StatsAccumulateAndPinnedRunsStayCorrect) {
   unpinned.pin_workers = false;
   const std::vector<Sgt> expected = RunEnginePipelined(
       *query, &vocab, csv, StreamFormat::kCsv, unpinned);
-  const std::vector<Sgt>& actual = (*qp)->results();
+  const std::vector<Sgt>& actual = engine.results(0);
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_TRUE(expected[i] == actual[i]) << "position " << i;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -70,11 +69,13 @@ std::vector<StreamingGraphQuery> MixedQueries(Vocabulary* vocab) {
 std::vector<Sgt> RunSolo(const StreamingGraphQuery& query,
                          const Vocabulary& vocab, const InputStream& stream,
                          EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 std::vector<std::vector<Sgt>> RunMulti(
@@ -301,10 +302,11 @@ TEST(MultiQueryEngineTest, RelabeledRootIsByteIdenticalToItsSoloRun) {
   engine.PushAll(stream);
   ASSERT_FALSE(engine.results(1).empty());
   for (std::size_t q = 0; q < 2; ++q) {
-    auto solo = QueryProcessor::Compile(*plans[q], vocab, EngineOptions{});
-    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
-    (*solo)->PushAll(stream);
-    ExpectByteIdentical((*solo)->results(),
+    Engine solo;
+    ASSERT_TRUE(solo.AddPlan(*plans[q], vocab).ok());
+    ASSERT_TRUE(solo.Finalize().ok());
+    solo.PushAll(stream);
+    ExpectByteIdentical(solo.results(0),
                         engine.results(static_cast<QueryId>(q)),
                         "plan " + std::to_string(q));
   }
@@ -430,11 +432,12 @@ TEST(MergeCoalescerTest, RestoresSingleWorkerEmissionVolume) {
     EngineOptions options;
     options.num_workers = workers;
     options.batch_size = 64;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    EXPECT_TRUE(qp.ok());
-    (*qp)->PushAll(stream);
-    return std::make_pair((*qp)->results_emitted(),
-                          (*qp)->executor().merge_suppressed());
+    Engine engine(options);
+    EXPECT_TRUE(engine.AddQuery(*query, vocab).ok());
+    EXPECT_TRUE(engine.Finalize().ok());
+    engine.PushAll(stream);
+    return std::make_pair(engine.results_emitted(0),
+                          engine.executor().merge_suppressed());
   };
 
   const auto [single_volume, single_suppressed] = run(1);

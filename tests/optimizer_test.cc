@@ -6,7 +6,7 @@
 
 #include "algebra/translate.h"
 #include "core/optimizer.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -73,15 +73,17 @@ TEST_F(OptimizerTest, OptimizedPlanIsEquivalent) {
   auto stream = GenerateRandomStream(opt, &vocab_);
   ASSERT_TRUE(stream.ok());
 
-  auto reference = QueryProcessor::Compile(*canonical, vocab_, {});
-  auto optimized = QueryProcessor::Compile(**best, vocab_, {});
-  ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(optimized.ok());
-  (*reference)->PushAll(*stream);
-  (*optimized)->PushAll(*stream);
+  Engine reference;
+  ASSERT_TRUE(reference.AddPlan(*canonical, vocab_).ok());
+  ASSERT_TRUE(reference.Finalize().ok());
+  Engine optimized;
+  ASSERT_TRUE(optimized.AddPlan(**best, vocab_).ok());
+  ASSERT_TRUE(optimized.Finalize().ok());
+  reference.PushAll(*stream);
+  optimized.PushAll(*stream);
   for (Timestamp t : SampleTimes(*stream, 10)) {
-    EXPECT_EQ(ResultPairsAt((*reference)->results(), t),
-              ResultPairsAt((*optimized)->results(), t))
+    EXPECT_EQ(ResultPairsAt(reference.results(0), t),
+              ResultPairsAt(optimized.results(0), t))
         << " t=" << t;
   }
 }
@@ -100,8 +102,9 @@ TEST_F(OptimizerTest, SamplingSelectsExecutablePlan) {
   auto best = OptimizeBySampling(*canonical, &vocab_, *sample, 8);
   ASSERT_TRUE(best.ok());
   EXPECT_TRUE(ValidatePlan(**best, vocab_).ok());
-  auto qp = QueryProcessor::Compile(**best, vocab_, {});
-  EXPECT_TRUE(qp.ok());
+  Engine engine;
+  EXPECT_TRUE(engine.AddPlan(**best, vocab_).ok());
+  EXPECT_TRUE(engine.Finalize().ok());
 }
 
 TEST(CostModelTest, PathCostGrowsWithAutomaton) {

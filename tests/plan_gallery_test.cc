@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/plan_gallery.h"
@@ -28,12 +28,13 @@ void CheckAllPlansAgree(const std::vector<NamedPlan>& plans,
   std::vector<std::vector<VertexPairSet>> snapshots;
   const std::vector<Timestamp> times = SampleTimes(stream, 10);
   for (const auto& [name, plan] : plans) {
-    auto qp = QueryProcessor::Compile(*plan, vocab, {});
-    ASSERT_TRUE(qp.ok()) << name << ": " << qp.status().ToString();
-    (*qp)->PushAll(stream);
+    Engine engine;
+    ASSERT_TRUE(engine.AddPlan(*plan, vocab).ok()) << name;
+    ASSERT_TRUE(engine.Finalize().ok());
+    engine.PushAll(stream);
     std::vector<VertexPairSet> per_time;
     for (Timestamp t : times) {
-      per_time.push_back(ResultPairsAt((*qp)->results(), t));
+      per_time.push_back(ResultPairsAt(engine.results(0), t));
     }
     snapshots.push_back(std::move(per_time));
   }

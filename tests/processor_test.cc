@@ -1,4 +1,4 @@
-// Tests for the QueryProcessor shell: compilation errors, stream routing,
+// Tests for a single-query Engine: compilation errors, stream routing,
 // metrics accounting, slide boundaries, and randomized PATTERN-vs-oracle
 // properties on multi-atom conjunctive queries.
 
@@ -6,7 +6,7 @@
 
 #include <random>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -28,7 +28,8 @@ TEST(ProcessorTest, CompileRejectsMalformedPlans) {
   LabelId other = *vocab.InternInputLabel("zzz");
   auto bad = MakePath(out, Regex::Plus(Regex::Label(other)),
                       std::move(children));
-  EXPECT_FALSE(QueryProcessor::Compile(*bad, vocab, {}).ok());
+  Engine engine;
+  EXPECT_FALSE(engine.AddPlan(*bad, vocab).ok());
 }
 
 TEST(ProcessorTest, DiscardsUnreferencedLabels) {
@@ -36,39 +37,42 @@ TEST(ProcessorTest, DiscardsUnreferencedLabels) {
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
   LabelId noise = *vocab.InternInputLabel("noise");
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->Push(Sge(1, 2, *vocab.FindLabel("a"), 0));
-  (*qp)->Push(Sge(3, 4, noise, 1));
-  EXPECT_EQ((*qp)->edges_pushed(), 2u);
-  EXPECT_EQ((*qp)->edges_processed(), 1u);
-  EXPECT_EQ((*qp)->results_emitted(), 1u);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.Push(Sge(1, 2, *vocab.FindLabel("a"), 0));
+  engine.Push(Sge(3, 4, noise, 1));
+  EXPECT_EQ(engine.edges_pushed(), 2u);
+  EXPECT_EQ(engine.edges_processed(), 1u);
+  EXPECT_EQ(engine.results_emitted(0), 1u);
 }
 
 TEST(ProcessorTest, SlideLatenciesRecordedPerBoundary) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(10, 5), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   LabelId a = *vocab.FindLabel("a");
-  for (Timestamp t : {0, 3, 7, 11, 22}) (*qp)->Push(Sge(1, 2, a, t));
+  for (Timestamp t : {0, 3, 7, 11, 22}) engine.Push(Sge(1, 2, a, t));
   // Boundaries crossed: 5, 10, 15, 20 -> four recorded slides.
-  EXPECT_EQ((*qp)->slide_latencies().count(), 4u);
+  EXPECT_EQ(engine.slide_latencies().count(), 4u);
 }
 
 TEST(ProcessorTest, AdvanceToDrainsWithoutInput) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(6, 2), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->Push(Sge(1, 2, *vocab.FindLabel("a"), 1));
-  (*qp)->AdvanceTo(40);
-  EXPECT_GE((*qp)->slide_latencies().count(), 19u);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.Push(Sge(1, 2, *vocab.FindLabel("a"), 1));
+  engine.AdvanceTo(40);
+  EXPECT_GE(engine.slide_latencies().count(), 19u);
   // Results survive as the recorded interval; state may be purged.
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 3).size(), 1u);
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 30).size(), 0u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 3).size(), 1u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 30).size(), 0u);
 }
 
 TEST(ProcessorTest, ExplainDescribesPlan) {
@@ -76,9 +80,10 @@ TEST(ProcessorTest, ExplainDescribesPlan) {
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  const std::string plan = (*qp)->Explain();
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  const std::string plan = engine.Explain();
   EXPECT_NE(plan.find("PATH"), std::string::npos);
   EXPECT_NE(plan.find("WSCAN"), std::string::npos);
 }
@@ -87,24 +92,26 @@ TEST(ProcessorTest, TakeResultsDrainsBuffer) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
-  (*qp)->Push(Sge(1, 2, *vocab.FindLabel("a"), 0));
-  EXPECT_EQ((*qp)->TakeResults().size(), 1u);
-  EXPECT_TRUE((*qp)->results().empty());
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.Push(Sge(1, 2, *vocab.FindLabel("a"), 0));
+  EXPECT_EQ(engine.TakeResults(0).size(), 1u);
+  EXPECT_TRUE(engine.results(0).empty());
   // Metrics keep counting across takes.
-  EXPECT_EQ((*qp)->results_emitted(), 1u);
+  EXPECT_EQ(engine.results_emitted(0), 1u);
 }
 
 TEST(ProcessorTest, RejectsOutOfOrderTimestamps) {
   Vocabulary vocab;
   auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   LabelId a = *vocab.FindLabel("a");
-  (*qp)->Push(Sge(1, 2, a, 10));
-  EXPECT_DEATH((*qp)->Push(Sge(1, 2, a, 5)), "ordered");
+  engine.Push(Sge(1, 2, a, 10));
+  EXPECT_DEATH(engine.Push(Sge(1, 2, a, 5)), "ordered");
 }
 
 // ---------------------------------------------------------------------------
@@ -147,11 +154,12 @@ TEST_P(RandomPatternTest, RandomConjunctiveQueryMatchesOracle) {
 
   auto query = MakeQuery(text, WindowSpec(14, 1), &vocab);
   ASSERT_TRUE(query.ok()) << text;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok()) << text;
-  (*qp)->PushAll(*stream);
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok()) << text;
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
   for (Timestamp t : SampleTimes(*stream, 8)) {
-    ASSERT_EQ(ResultPairsAt((*qp)->results(), t),
+    ASSERT_EQ(ResultPairsAt(engine.results(0), t),
               OraclePairsAt(*stream, *query, vocab, t))
         << "query: " << text << " t=" << t;
   }

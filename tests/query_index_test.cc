@@ -29,7 +29,6 @@
 
 #include "algebra/translate.h"
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "runtime/query_index.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -121,11 +120,13 @@ std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
                            const Vocabulary& vocab,
                            const InputStream& stream,
                            EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 void ExpectByteIdentical(const std::vector<Sgt>& expected,

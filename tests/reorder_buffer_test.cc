@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <random>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "core/reorder_buffer.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -93,22 +93,24 @@ TEST_P(ShuffledStreamTest, EngineBehindBufferMatchesOrderedRun) {
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 1), &vocab);
   ASSERT_TRUE(query.ok());
 
-  auto reference = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(reference.ok());
-  (*reference)->PushAll(*ordered);
+  Engine reference;
+  ASSERT_TRUE(reference.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(reference.Finalize().ok());
+  reference.PushAll(*ordered);
 
-  auto buffered = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(buffered.ok());
+  Engine buffered;
+  ASSERT_TRUE(buffered.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(buffered.Finalize().ok());
   ReorderBuffer buf(disorder * (opt.max_gap + 1));
   for (const Sge& sge : shuffled) {
-    for (const Sge& released : buf.Offer(sge)) (*buffered)->Push(released);
+    for (const Sge& released : buf.Offer(sge)) buffered.Push(released);
   }
-  for (const Sge& released : buf.Flush()) (*buffered)->Push(released);
+  for (const Sge& released : buf.Flush()) buffered.Push(released);
   EXPECT_EQ(buf.LateCount(), 0u);
 
   for (Timestamp t : testing_util::SampleTimes(*ordered, 10)) {
-    EXPECT_EQ(testing_util::ResultPairsAt((*reference)->results(), t),
-              testing_util::ResultPairsAt((*buffered)->results(), t))
+    EXPECT_EQ(testing_util::ResultPairsAt(reference.results(0), t),
+              testing_util::ResultPairsAt(buffered.results(0), t))
         << "seed=" << GetParam() << " t=" << t;
   }
 }

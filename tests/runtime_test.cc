@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/basic_ops.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "runtime/executor.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -100,13 +100,14 @@ TEST(PurgeTest, ExpiredStateLeavesAtTheNextBoundary) {
       const VertexId v = vocab.InternVertex("v0");
       EngineOptions options;
       options.num_workers = workers;
-      auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-      ASSERT_TRUE(qp.ok()) << text;
-      (*qp)->PushAll(*stream);
-      EXPECT_GT((*qp)->StateSize(), 0u) << text << " workers=" << workers;
-      (*qp)->Push(Sge(v, v, idle, 100));
-      (*qp)->Flush();
-      EXPECT_EQ((*qp)->StateSize(), 0u) << text << " workers=" << workers;
+      Engine engine(options);
+      ASSERT_TRUE(engine.AddQuery(*query, vocab).ok()) << text;
+      ASSERT_TRUE(engine.Finalize().ok());
+      engine.PushAll(*stream);
+      EXPECT_GT(engine.StateSize(), 0u) << text << " workers=" << workers;
+      engine.Push(Sge(v, v, idle, 100));
+      engine.Flush();
+      EXPECT_EQ(engine.StateSize(), 0u) << text << " workers=" << workers;
     }
   }
 }
@@ -291,15 +292,16 @@ TEST(SharedStateTest, DuplicateScansCompileToOneOperator) {
   auto query =
       MakeQuery("Answer(x,z) <- a(x,y), a(y,z)", WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok());
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   // Topology: WSCAN + PATTERN + SINK (the second scan deduplicated away).
-  EXPECT_EQ((*qp)->executor().NumOps(), 3u);
+  EXPECT_EQ(engine.executor().NumOps(), 3u);
   // Results unaffected by the dedup.
   LabelId a = *vocab.FindLabel("a");
-  (*qp)->Push(Sge(1, 2, a, 0));
-  (*qp)->Push(Sge(2, 3, a, 1));
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 1).size(), 1u);
+  engine.Push(Sge(1, 2, a, 0));
+  engine.Push(Sge(2, 3, a, 1));
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 1).size(), 1u);
 }
 
 TEST(SharedStateTest, IdenticalClosuresCompileToOnePathOp) {
@@ -313,10 +315,11 @@ TEST(SharedStateTest, IdenticalClosuresCompileToOnePathOp) {
       "Answer(x,y) <- a+(x,y)\nAnswer(x,y) <- a+(y,x)",
       WindowSpec(10, 1), &vocab);
   ASSERT_TRUE(query.ok());
-  auto qp = QueryProcessor::FromQuery(*query, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
   std::size_t path_ops = 0;
-  const Executor& exec = (*qp)->executor();
+  const Executor& exec = engine.executor();
   for (std::size_t i = 0; i < exec.NumOps(); ++i) {
     if (exec.op(static_cast<OpId>(i))->Name().find("PATH") !=
         std::string::npos) {
@@ -324,12 +327,12 @@ TEST(SharedStateTest, IdenticalClosuresCompileToOnePathOp) {
     }
   }
   EXPECT_EQ(path_ops, 1u);
-  EXPECT_GE((*qp)->engine().NumSharedSubtrees(), 1u);
+  EXPECT_GE(engine.NumSharedSubtrees(), 1u);
   LabelId a = *vocab.FindLabel("a");
-  (*qp)->Push(Sge(1, 2, a, 0));
-  (*qp)->Push(Sge(2, 3, a, 1));
+  engine.Push(Sge(1, 2, a, 0));
+  engine.Push(Sge(2, 3, a, 1));
   // a+ paths: (1,2),(2,3),(1,3) and the reversed head (2,1),(3,2),(3,1).
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 1).size(), 6u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 1).size(), 6u);
 }
 
 /// \brief Two PATH operators with *different* regexes (`a+` and `a·a*`)
@@ -359,26 +362,28 @@ TEST(SharedStateTest, PathOpsShareWindowPartitions) {
   Vocabulary vocab;
   const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
   const LabelId a = *vocab.FindLabel("a");
-  auto qp = QueryProcessor::Compile(*plan, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  EXPECT_GE((*qp)->executor().window_store()->NumSharedAcquires(), 1u);
-  (*qp)->Push(Sge(1, 2, a, 0));
-  (*qp)->Push(Sge(2, 3, a, 1));
+  Engine engine;
+  ASSERT_TRUE(engine.AddPlan(*plan, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  EXPECT_GE(engine.executor().window_store()->NumSharedAcquires(), 1u);
+  engine.Push(Sge(1, 2, a, 0));
+  engine.Push(Sge(2, 3, a, 1));
   // Both regexes derive the same closure pairs; the relabeling UNION's
   // sink coalesces them.
-  EXPECT_EQ(ResultPairsAt((*qp)->results(), 1).size(), 3u);
+  EXPECT_EQ(ResultPairsAt(engine.results(0), 1).size(), 3u);
 }
 
 TEST(SharedStateTest, StateAccountingCountsASharedPartitionOnce) {
   Vocabulary vocab;
   const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
   const LabelId a = *vocab.FindLabel("a");
-  auto qp = QueryProcessor::Compile(*plan, vocab, {});
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->Push(Sge(1, 2, a, 0));
-  (*qp)->Push(Sge(2, 3, a, 1));
-  (*qp)->Flush();
-  const Executor& exec = (*qp)->executor();
+  Engine engine;
+  ASSERT_TRUE(engine.AddPlan(*plan, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.Push(Sge(1, 2, a, 0));
+  engine.Push(Sge(2, 3, a, 1));
+  engine.Flush();
+  const Executor& exec = engine.executor();
   ASSERT_EQ(exec.window_store()->NumPartitions(), 1u);
   ASSERT_EQ(exec.window_store()->NumEntries(), 2u);
   // Both PATH operators read the partition, and neither owns it: the
@@ -392,6 +397,41 @@ TEST(SharedStateTest, StateAccountingCountsASharedPartitionOnce) {
   EXPECT_EQ(exec.StateSize(),
             owned_entries + exec.window_store()->NumEntries());
   EXPECT_EQ(exec.StateBytes(),
+            owned_bytes + exec.window_store()->StateBytes());
+}
+
+TEST(SharedStateTest, SinkCoalescerBytesAreCounted) {
+  // `b*` makes the root a UNION of the direct `a` branch and the join
+  // over `b+`, which emit uncoalesced results, so the query's sink
+  // coalesces them. Its coalescer keys are operator state: their bytes
+  // count in the sink's StateBytes and in the engine's total.
+  Vocabulary vocab;
+  auto query = MakeQuery("Answer(x,y) <- a(x,z), b*(z,y)", WindowSpec(12, 3),
+                         &vocab);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  const LabelId a = *vocab.FindLabel("a");
+  const LabelId b = *vocab.FindLabel("b");
+  for (Timestamp t = 0; t < 10; ++t) {  // a few slides of 3
+    const VertexId v = static_cast<VertexId>(t);
+    engine.Push(Sge(v, v + 1, a, t));
+    engine.Push(Sge(v + 1, v + 2, b, t));
+  }
+  engine.Flush();
+  ASSERT_FALSE(engine.results(0).empty());
+  const Executor& exec = engine.executor();
+  const PhysicalOp* sink = exec.op(static_cast<OpId>(exec.NumOps() - 1));
+  ASSERT_EQ(sink->Name(), "SINK");
+  ASSERT_GT(sink->StateSize(), 0u);
+  EXPECT_GT(sink->StateBytes(), 0u);
+  std::size_t owned_bytes = 0;
+  for (std::size_t i = 0; i < exec.NumOps(); ++i) {
+    owned_bytes += exec.op(static_cast<OpId>(i))->StateBytes();
+  }
+  // The sink is one of the operators summed here.
+  EXPECT_EQ(engine.StateBytes(),
             owned_bytes + exec.window_store()->StateBytes());
 }
 
@@ -412,22 +452,24 @@ TEST(SharedStateTest, ShardedPathOpsSharingAPartitionMatchOneWorker) {
     auto stream = GenerateRandomStream(opt, &vocab);
     ASSERT_TRUE(stream.ok());
     const LogicalPlan plan = TwoPathsOverOneScan(&vocab);
-    auto reference = QueryProcessor::Compile(*plan, vocab, {});
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    (*reference)->PushAll(*stream);
+    Engine reference;
+    ASSERT_TRUE(reference.AddPlan(*plan, vocab).ok());
+    ASSERT_TRUE(reference.Finalize().ok());
+    reference.PushAll(*stream);
     const std::vector<Timestamp> times = SampleTimes(*stream, 8);
     for (std::size_t workers : {2, 4}) {
       for (std::size_t batch : {1, 16}) {
         EngineOptions options;
         options.num_workers = workers;
         options.batch_size = batch;
-        auto sharded = QueryProcessor::Compile(*plan, vocab, options);
-        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-        ASSERT_EQ((*sharded)->executor().window_store()->NumPartitions(), 1u);
-        (*sharded)->PushAll(*stream);
+        Engine sharded(options);
+        ASSERT_TRUE(sharded.AddPlan(*plan, vocab).ok());
+        ASSERT_TRUE(sharded.Finalize().ok());
+        ASSERT_EQ(sharded.executor().window_store()->NumPartitions(), 1u);
+        sharded.PushAll(*stream);
         for (Timestamp t : times) {
-          ASSERT_EQ(ResultPairsAt((*sharded)->results(), t),
-                    ResultPairsAt((*reference)->results(), t))
+          ASSERT_EQ(ResultPairsAt(sharded.results(0), t),
+                    ResultPairsAt(reference.results(0), t))
               << "seed=" << seed << " workers=" << workers
               << " batch=" << batch << " t=" << t;
         }
@@ -464,20 +506,22 @@ TEST_P(BatchEquivalenceTest, SnapshotsMatchAcrossBatchSizes) {
     ASSERT_TRUE(query.ok()) << text;
 
     EngineOptions base;
-    auto reference = QueryProcessor::FromQuery(*query, vocab, base);
-    ASSERT_TRUE(reference.ok()) << text;
-    (*reference)->PushAll(*stream);
+    Engine reference(base);
+    ASSERT_TRUE(reference.AddQuery(*query, vocab).ok()) << text;
+    ASSERT_TRUE(reference.Finalize().ok());
+    reference.PushAll(*stream);
 
     for (std::size_t batch : {std::size_t{7}, std::size_t{64}}) {
       EngineOptions options;
       options.batch_size = batch;
-      auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-      ASSERT_TRUE(qp.ok()) << text;
-      (*qp)->PushAll(*stream);
-      EXPECT_EQ((*qp)->edges_processed(), (*reference)->edges_processed());
+      Engine engine(options);
+      ASSERT_TRUE(engine.AddQuery(*query, vocab).ok()) << text;
+      ASSERT_TRUE(engine.Finalize().ok());
+      engine.PushAll(*stream);
+      EXPECT_EQ(engine.edges_processed(), reference.edges_processed());
       for (Timestamp t : SampleTimes(*stream, 10)) {
-        ASSERT_EQ(ResultPairsAt((*qp)->results(), t),
-                  ResultPairsAt((*reference)->results(), t))
+        ASSERT_EQ(ResultPairsAt(engine.results(0), t),
+                  ResultPairsAt(reference.results(0), t))
             << "query: " << text << " batch=" << batch << " t=" << t;
       }
     }

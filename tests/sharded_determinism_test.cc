@@ -17,7 +17,7 @@
 #include <set>
 #include <vector>
 
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "runtime/shard.h"
 #include "runtime/worker_pool.h"
 #include "test_util.h"
@@ -118,11 +118,13 @@ InputStream DeletionHeavyStream(uint64_t seed, Vocabulary* vocab) {
 std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
                      const Vocabulary& vocab, const InputStream& stream,
                      EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -183,11 +185,13 @@ TEST_P(ShardedEquivalenceTest, MultiInputPathPlansMatchSingleWorker) {
         options.path_impl = impl;
         options.num_workers = workers;
         options.batch_size = batch;
-        auto qp = QueryProcessor::Compile(*plan, vocab, options);
-        EXPECT_TRUE(qp.ok()) << name << ": " << qp.status().ToString();
-        if (!qp.ok()) return std::vector<Sgt>{};
-        (*qp)->PushAll(stream);
-        return (*qp)->results();
+        Engine engine(options);
+        const bool compiled =
+            engine.AddPlan(*plan, vocab).ok() && engine.Finalize().ok();
+        EXPECT_TRUE(compiled) << name;
+        if (!compiled) return std::vector<Sgt>{};
+        engine.PushAll(stream);
+        return engine.results(0);
       };
       const std::vector<Sgt> reference = run(1, 1);
       for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
@@ -270,10 +274,11 @@ TEST(ShardedStateTest, BroadcastWindowsAreStoredOncePerOperator) {
       options.path_impl = impl;
       options.num_workers = workers;
       options.batch_size = 16;
-      auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-      ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-      (*qp)->PushAll(stream);
-      const WindowStore* store = (*qp)->executor().window_store();
+      Engine engine(options);
+      ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+      ASSERT_TRUE(engine.Finalize().ok());
+      engine.PushAll(stream);
+      const WindowStore* store = engine.executor().window_store();
       partitions.push_back(store->NumPartitions());
       entries.push_back(store->NumEntries());
     }
@@ -293,9 +298,10 @@ TEST(ShardedTopologyTest, OperatorsCompileToWorkerManyInstances) {
   ASSERT_TRUE(query.ok());
   EngineOptions options;
   options.num_workers = 4;
-  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-  ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  const Executor& exec = (*qp)->executor();
+  Engine engine(options);
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  const Executor& exec = engine.executor();
   // Every operator is sharded 4 ways except the sink (last op), which
   // stays single so the merged result order is deterministic.
   ASSERT_GE(exec.NumOps(), 3u);
@@ -303,7 +309,7 @@ TEST(ShardedTopologyTest, OperatorsCompileToWorkerManyInstances) {
     EXPECT_EQ(exec.NumInstances(static_cast<OpId>(i)), 4u) << "op " << i;
   }
   EXPECT_EQ(exec.NumInstances(static_cast<OpId>(exec.NumOps() - 1)), 1u);
-  EXPECT_NE((*qp)->Explain().find("x4"), std::string::npos);
+  EXPECT_NE(engine.Explain().find("x4"), std::string::npos);
 }
 
 }  // namespace

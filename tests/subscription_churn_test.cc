@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -116,10 +115,11 @@ TEST(SubscriptionChurnTest, RefcountsAndSurvivorsStableAcrossMatrix) {
         engine.Flush();
 
         // The persistent subscriber never noticed the churn.
-        auto solo = QueryProcessor::FromQuery(*persistent, vocab, options);
-        ASSERT_TRUE(solo.ok());
-        (*solo)->PushAll(stream);
-        const std::vector<Sgt>& reference = (*solo)->results();
+        Engine solo(options);
+        ASSERT_TRUE(solo.AddQuery(*persistent, vocab).ok());
+        ASSERT_TRUE(solo.Finalize().ok());
+        solo.PushAll(stream);
+        const std::vector<Sgt>& reference = solo.results(0);
         if (workers == 1 && batch == 1) {
           ASSERT_EQ(reference.size(), engine.results(0).size()) << context;
           for (std::size_t i = 0; i < reference.size(); ++i) {

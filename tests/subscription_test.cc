@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_processor.h"
 #include "test_util.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -76,11 +75,13 @@ std::vector<StreamingGraphQuery> MixedQueries(Vocabulary* vocab) {
 std::vector<Sgt> RunSolo(const StreamingGraphQuery& query,
                          const Vocabulary& vocab, const InputStream& stream,
                          EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  (*qp)->PushAll(stream);
-  return (*qp)->results();
+  Engine engine(options);
+  const bool compiled =
+      engine.AddQuery(query, vocab).ok() && engine.Finalize().ok();
+  EXPECT_TRUE(compiled);
+  if (!compiled) return {};
+  engine.PushAll(stream);
+  return engine.results(0);
 }
 
 void ExpectByteIdentical(const std::vector<Sgt>& expected,

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/transform.h"
-#include "core/query_processor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -37,15 +37,17 @@ class TransformExecTest : public ::testing::Test {
 
   /// Runs both plans on the shared stream and asserts equal snapshots.
   void ExpectEquivalent(const LogicalOp& p1, const LogicalOp& p2) {
-    auto q1 = QueryProcessor::Compile(p1, vocab_, {});
-    auto q2 = QueryProcessor::Compile(p2, vocab_, {});
-    ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-    ASSERT_TRUE(q2.ok()) << q2.status().ToString();
-    (*q1)->PushAll(stream_);
-    (*q2)->PushAll(stream_);
+    Engine q1;
+    ASSERT_TRUE(q1.AddPlan(p1, vocab_).ok()) << p1.ToString(vocab_);
+    ASSERT_TRUE(q1.Finalize().ok());
+    Engine q2;
+    ASSERT_TRUE(q2.AddPlan(p2, vocab_).ok()) << p2.ToString(vocab_);
+    ASSERT_TRUE(q2.Finalize().ok());
+    q1.PushAll(stream_);
+    q2.PushAll(stream_);
     for (Timestamp t : SampleTimes(stream_, 8)) {
-      ASSERT_EQ(ResultPairsAt((*q1)->results(), t),
-                ResultPairsAt((*q2)->results(), t))
+      ASSERT_EQ(ResultPairsAt(q1.results(0), t),
+                ResultPairsAt(q2.results(0), t))
           << "plans diverge at t=" << t << "\n"
           << p1.ToString(vocab_) << "vs\n"
           << p2.ToString(vocab_);

@@ -63,17 +63,23 @@ TEST(WindowEdgeStoreTest, CalendarPurgeIsExactAcrossBucketBoundaries) {
   ASSERT_EQ(store.NumEntries(), 30u);
   std::size_t live = 30;
   for (Timestamp t = 0; t < 40; t += 7) {  // 0, 7, 14, 21, 28, 35
-    std::vector<Sgt> dropped = store.PurgeExpired(t);
-    for (const Sgt& s : dropped) {
-      EXPECT_LE(s.validity.exp, t) << "dropped a live edge at t=" << t;
+    const std::size_t dropped = store.PurgeExpired(t);
+    // Exactly the edges with exp <= t are gone, and every other one
+    // survives.
+    for (Timestamp exp = 5; exp < 35; ++exp) {
+      const std::size_t present =
+          store.OutEdges(100 + static_cast<VertexId>(exp),
+                         static_cast<LabelId>(exp % 3)).size();
+      EXPECT_EQ(present, exp <= t ? 0u : 1u)
+          << "edge expiring at " << exp << ", t=" << t;
     }
-    // Exactly the not-yet-dropped edges with exp <= t are returned.
+    // Exactly the not-yet-dropped edges with exp <= t are counted.
     std::size_t expected = 0;
     for (Timestamp exp = 5; exp < 35; ++exp) {
       if (exp <= t && exp > t - 7) ++expected;
     }
-    EXPECT_EQ(dropped.size(), expected) << "t=" << t;
-    live -= dropped.size();
+    EXPECT_EQ(dropped, expected) << "t=" << t;
+    live -= dropped;
     EXPECT_EQ(store.NumEntries(), live) << "t=" << t;
   }
   EXPECT_EQ(store.NumEntries(), 0u);
@@ -88,7 +94,7 @@ TEST(WindowEdgeStoreTest, NoExpiryPurgeTouchesNothing) {
     store.Insert(v, v + 1, 0, Interval(0, 100000 + static_cast<Timestamp>(v % 7)));
   }
   for (Timestamp t = 0; t < 99999; t += 997) {
-    EXPECT_TRUE(store.PurgeExpired(t).empty());
+    EXPECT_EQ(store.PurgeExpired(t), 0u);
   }
   EXPECT_EQ(store.expiry_hints_drained(), 0u);
   EXPECT_EQ(store.NumEntries(), 5000u);
@@ -99,10 +105,12 @@ TEST(WindowEdgeStoreTest, PurgeExpiredReturnsDropped) {
   store.Insert(1, 2, 0, Interval(0, 10));
   store.Insert(1, 3, 0, Interval(0, 30));
   store.Insert(4, 5, 1, Interval(5, 8));
-  std::vector<Sgt> dropped = store.PurgeExpired(10);
-  EXPECT_EQ(dropped.size(), 2u);
+  EXPECT_EQ(store.PurgeExpired(10), 2u);
   EXPECT_EQ(store.NumEntries(), 1u);
-  EXPECT_EQ(store.OutEdges(1, 0).size(), 1u);
+  ASSERT_EQ(store.OutEdges(1, 0).size(), 1u);
+  EXPECT_EQ(store.OutEdges(1, 0)[0].trg, 3u);
+  EXPECT_EQ(store.OutEdges(1, 0)[0].validity, Interval(0, 30));
+  EXPECT_TRUE(store.OutEdges(4, 1).empty());
 }
 
 }  // namespace

@@ -163,10 +163,12 @@ TEST(HarnessTest, RunsSgaAndDdOnSmallStream) {
                          WindowSpec(2 * kDay, 12), &vocab);
   ASSERT_TRUE(query.ok());
 
-  auto sga = RunSga(*stream, *query, vocab, {}, "sga");
+  auto sga =
+      sgq::Run(RunSource::Decoded(*stream), {*query}, &vocab, {}, "sga");
   ASSERT_TRUE(sga.ok()) << sga.status().ToString();
-  EXPECT_GT(sga->edges_processed, 0u);
-  EXPECT_GT(sga->Throughput(), 0.0);
+  EXPECT_GT(sga->totals.edges_processed, 0u);
+  EXPECT_GT(sga->totals.Throughput(), 0.0);
+  EXPECT_EQ(sga->per_query_results.size(), 1u);
 
   auto dd = RunDd(*stream, *query, vocab, "dd");
   ASSERT_TRUE(dd.ok()) << dd.status().ToString();
