@@ -15,7 +15,11 @@
 # the same chunk source as a batch run, so the same session over a pipe
 # (`<(cat stream.csv)`) must print the same bytes, and a stream with a
 # malformed line must print the results of the lines before it, then
-# exit 1 naming the line.
+# exit 1 naming the line. A second session keeps two subscriptions live
+# across one INGEST ALL over a stream of several 1,024-element pulls:
+# their lines must interleave (results stream per pull) and each must
+# still equal its static run, at batch size 1 and at 4 workers with a
+# batch size (100) that does not divide the pull.
 #
 # Usage: session_smoke.sh <path-to-stream_query_cli>
 set -euo pipefail
@@ -102,5 +106,57 @@ printf 'Answer(x,y) <- follows+(x,y)\n' > "$TMP/bad_q.dl"
   > "$TMP/bad_static.txt"
 test -s "$TMP/bad_static.txt"
 cmp "$TMP/bad_static.txt" "$TMP/bad_sub.txt"
+
+# Five pulls of one INGEST ALL: results stream after every pull, so the
+# two subscriptions' lines interleave, and each still equals its static
+# run over the whole stream under the same engine flags. The stream is
+# pseudo-random (Park-Miller, exact in awk's doubles) with ~10% deletions
+# of recent edges. At --batch 100 a pull ends inside a micro-batch, which
+# the pull's drain must leave buffered: flushing it there moves batch
+# boundaries, and with 4 workers that moves both subscriptions' lines.
+awk 'function rnd(m) { x = (x * 16807) % 2147483647; return x % m }
+BEGIN{
+  lbl[0]="follows"; lbl[1]="likes"; lbl[2]="posts";
+  x = 77; t = 0; n = 0;
+  for (i = 0; i < 5000; i++) {
+    t += rnd(3);
+    if (rnd(10) == 0 && n > 0) {
+      printf "%s,%d,-\n", e[n - 1 - rnd(n < 20 ? n : 20)], t;
+    } else {
+      e[n] = sprintf("v%d,%s,v%d", rnd(40), lbl[rnd(3)], rnd(40));
+      printf "%s,%d\n", e[n++], t;
+    }
+  }
+}' > "$TMP/long.csv"
+printf 'SUBSCRIBE Answer(x,y) <- follows+(x,y)\nSUBSCRIBE Answer(x,y) <- likes(x,y)\nINGEST ALL\nQUIT\n' \
+  > "$TMP/long_session.txt"
+printf 'SUBSCRIBED 0\nSUBSCRIBED 1\nINGESTED 5000\nBYE\n' \
+  > "$TMP/long_acks_expected.txt"
+printf 'Answer(x,y) <- follows+(x,y)\n' > "$TMP/long_q0.dl"
+printf 'Answer(x,y) <- likes(x,y)\n' > "$TMP/long_q1.dl"
+check_long() {
+  local flags=$1  # unquoted below: splits into engine flags
+  "$CLI" --serve "$TMP/long.csv" $flags < "$TMP/long_session.txt" \
+    2>/dev/null > "$TMP/long_out.txt"
+  grep -v "$TAB" "$TMP/long_out.txt" > "$TMP/long_acks.txt"
+  cmp "$TMP/long_acks_expected.txt" "$TMP/long_acks.txt"
+  local runs
+  runs=$(grep "$TAB" "$TMP/long_out.txt" | cut -f1 | uniq | wc -l)
+  if [ "$runs" -lt 8 ]; then
+    echo "INGEST ALL ($flags) streamed its results in $runs runs," \
+         "want one pair per pull"
+    exit 1
+  fi
+  for id in 0 1; do
+    grep "^s${id}${TAB}" "$TMP/long_out.txt" | cut -f2- \
+      > "$TMP/long_sub${id}.txt"
+    "$CLI" "$TMP/long_q${id}.dl" "$TMP/long.csv" $flags 2>/dev/null \
+      > "$TMP/long_static${id}.txt"
+    test -s "$TMP/long_static${id}.txt"
+    cmp "$TMP/long_static${id}.txt" "$TMP/long_sub${id}.txt"
+  done
+}
+check_long ''
+check_long '--workers 4 --batch 100'
 
 echo "session smoke: all subscriptions byte-identical to static runs"

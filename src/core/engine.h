@@ -296,6 +296,13 @@ class Engine {
     return sink(q)->TakeResults();
   }
 
+  /// \brief Like TakeResults, but leaves a partly filled micro-batch
+  /// buffered: only what input already delivered moves out, so a caller
+  /// that drains often does not move batch boundaries (batch_size > 1).
+  std::vector<Sgt> TakeDeliveredResults(QueryId q) {
+    return sink(q)->TakeResults();
+  }
+
   std::size_t results_emitted(QueryId q) const {
     return sink(q)->total_emitted();
   }

@@ -50,9 +50,20 @@ Status SessionServer::Init() {
   return Status::OK();
 }
 
-void SessionServer::StreamResults(QueryId q, std::ostream& out) {
-  for (const Sgt& r : engine_.TakeResults(q)) {
+void SessionServer::StreamResults(QueryId q, std::ostream& out,
+                                  bool flush) {
+  const std::vector<Sgt> results =
+      flush ? engine_.TakeResults(q) : engine_.TakeDeliveredResults(q);
+  for (const Sgt& r : results) {
     out << "s" << q << "\t" << r.ToString(*vocab_) << "\n";
+  }
+}
+
+void SessionServer::StreamLiveResults(std::ostream& out, bool flush) {
+  for (std::size_t q = 0; q < engine_.num_queries(); ++q) {
+    if (engine_.IsLive(static_cast<QueryId>(q))) {
+      StreamResults(static_cast<QueryId>(q), out, flush);
+    }
   }
 }
 
@@ -122,6 +133,12 @@ Status SessionServer::HandleLine(const std::string& line,
       }
       n = static_cast<std::size_t>(parsed);
     }
+    // Results stream after every pulled chunk, live subscriptions in id
+    // order, so the sinks hold one chunk's results, not the whole
+    // INGEST's. A chunk's drain leaves a partly filled micro-batch
+    // buffered, so batch boundaries, and each subscription's lines, are
+    // those of one drain at the end; only the interleaving across
+    // subscriptions follows the chunking. The last drain flushes.
     std::vector<Sge> buffer(1024);
     std::size_t ingested = 0;
     while (ingested < n) {
@@ -130,15 +147,10 @@ Status SessionServer::HandleLine(const std::string& line,
       if (got == 0) break;  // end of stream, or an error
       for (std::size_t i = 0; i < got; ++i) engine_.Push(buffer[i]);
       ingested += got;
+      StreamLiveResults(out, /*flush=*/false);
     }
     position_ += ingested;
-    // New results stream eagerly, in subscription-id order (deterministic:
-    // each sink's buffer order is the engine's delivery order).
-    for (std::size_t q = 0; q < engine_.num_queries(); ++q) {
-      if (engine_.IsLive(static_cast<QueryId>(q))) {
-        StreamResults(static_cast<QueryId>(q), out);
-      }
-    }
+    StreamLiveResults(out, /*flush=*/true);
     SGQ_RETURN_NOT_OK(stream->status());
     out << "INGESTED " << ingested << "\n";
   } else if (cmd == "QUIT") {

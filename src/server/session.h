@@ -21,11 +21,15 @@
 //   INGEST <n|ALL>                -> results of all live subscriptions,
 //                                    INGESTED <count>
 //       Pulls the next n elements (or the whole remainder) from the
-//       session's stream cursor and pushes them, then streams every live
-//       subscription's new results in subscription-id order. <count> is
-//       what the stream still held, at most n. A malformed element ends
-//       the session: the results of the elements before it stream first,
-//       then Run returns the cursor's positioned error.
+//       session's stream cursor a chunk (at most 1,024 elements) at a
+//       time; after each chunk it streams every live subscription's new
+//       results in subscription-id order, so the session buffers one
+//       chunk's results. Each subscription's lines are in delivery order;
+//       only their interleaving across subscriptions depends on the
+//       chunking. <count> is what the stream still held, at most n. A
+//       malformed element ends the session: the results of the elements
+//       before it stream first, then Run returns the cursor's positioned
+//       error.
 //   QUIT                          -> BYE
 //       Ends the session (EOF does the same, without the BYE).
 //
@@ -104,8 +108,12 @@ class SessionServer {
 
  private:
   /// \brief Drains query `q`'s buffered results to `out`, one
-  /// `s<id>\t<sgt>` line each.
-  void StreamResults(QueryId q, std::ostream& out);
+  /// `s<id>\t<sgt>` line each; `flush` first drains a buffered
+  /// micro-batch (Engine::TakeResults vs TakeDeliveredResults).
+  void StreamResults(QueryId q, std::ostream& out, bool flush = true);
+
+  /// \brief StreamResults for every live subscription, in id order.
+  void StreamLiveResults(std::ostream& out, bool flush);
 
   SessionOptions options_;
   Vocabulary* vocab_;

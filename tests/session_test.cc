@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,18 +40,28 @@ InputStream SessionStream(Vocabulary* vocab) {
   return stream.ok() ? *stream : InputStream{};
 }
 
-/// Runs `script` through a fresh session over `cursor`; returns stdout and
-/// sets `*status` (when given) to what Run returned.
+/// Wraps the cursor a session reads. It gets the server, so the wrapper can
+/// look at the hosted engine between pulls.
+using CursorWrap = std::function<std::unique_ptr<StreamCursor>(
+    StreamCursor*, SessionServer*)>;
+
+/// Runs `script` through a fresh session (window 12/3, engine `engine`)
+/// over `cursor`, or over `wrap`'s wrapper of it; returns stdout and sets
+/// `*status` (when given) to what Run returned.
 std::string RunSession(const std::string& script, StreamCursor* cursor,
                        Vocabulary* vocab, Status* status = nullptr,
-                       WindowSpec window = {12, 3}) {
+                       const EngineOptions& engine = {},
+                       const CursorWrap& wrap = nullptr) {
   SessionOptions options;
-  options.window = window;
+  options.engine = engine;
+  options.window = WindowSpec(12, 3);
   SessionServer server(options, vocab);
   EXPECT_TRUE(server.Init().ok());
+  std::unique_ptr<StreamCursor> wrapped;
+  if (wrap) wrapped = wrap(cursor, &server);
   std::istringstream in(script);
   std::ostringstream out;
-  const Status st = server.Run(cursor, in, out);
+  const Status st = server.Run(wrapped ? wrapped.get() : cursor, in, out);
   if (status != nullptr) {
     *status = st;
   } else {
@@ -60,14 +72,16 @@ std::string RunSession(const std::string& script, StreamCursor* cursor,
 
 /// Runs `script` over `csv` split into several chunks, walked in order.
 std::string RunSession(const std::string& script, const std::string& csv,
-                       Vocabulary* vocab, Status* status = nullptr) {
+                       Vocabulary* vocab, Status* status = nullptr,
+                       const EngineOptions& engine = {},
+                       const CursorWrap& wrap = nullptr) {
   auto chunks = MakeChunkedStream(csv, StreamFormat::kCsv, vocab,
                                   /*allow_disorder=*/false,
                                   /*min_chunks=*/4);
   EXPECT_TRUE(chunks.ok()) << chunks.status().ToString();
   if (!chunks.ok()) return "";
   ChunkWalkCursor cursor(**chunks, /*allow_disorder=*/false);
-  return RunSession(script, &cursor, vocab, status);
+  return RunSession(script, &cursor, vocab, status, engine, wrap);
 }
 
 /// Runs `script` over the generated `stream`, rendered to CSV.
@@ -229,6 +243,106 @@ TEST(SessionTest, MidStreamSubscriptionSeesOnlyTheSuffix) {
   ASSERT_EQ(session_lines.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(session_lines[i], reference[i].ToString(vocab));
+  }
+}
+
+/// Wraps a session's stream cursor and checks, on every pull, that every
+/// live subscription's sink is empty: the session streams each pull's
+/// results before it pulls again, so no sink holds an earlier pull's.
+class DrainedAtEveryPullCursor : public StreamCursor {
+ public:
+  DrainedAtEveryPullCursor(StreamCursor* inner, SessionServer* server,
+                           std::size_t* pulls_with_results)
+      : inner_(inner), server_(server),
+        pulls_with_results_(pulls_with_results) {}
+
+  std::size_t Next(Sge* out, std::size_t cap) override {
+    const Engine& engine = server_->engine();
+    emitted_.resize(engine.num_queries(), 0);
+    for (std::size_t i = 0; i < engine.num_queries(); ++i) {
+      const QueryId q = static_cast<QueryId>(i);
+      if (!engine.IsLive(q)) continue;
+      EXPECT_TRUE(engine.results(q).empty())
+          << "subscription " << q << " still holds "
+          << engine.results(q).size() << " results at pull " << pulls_;
+      if (engine.results_emitted(q) > emitted_[i]) ++*pulls_with_results_;
+      emitted_[i] = engine.results_emitted(q);
+    }
+    ++pulls_;
+    return inner_->Next(out, cap);
+  }
+  const Status& status() const override { return inner_->status(); }
+
+ private:
+  StreamCursor* inner_;
+  SessionServer* server_;
+  std::size_t* pulls_with_results_;   ///< (subscription, pull) pairs
+  std::vector<std::size_t> emitted_;  ///< results_emitted at the last pull
+  std::size_t pulls_ = 0;
+};
+
+TEST(SessionTest, IngestStreamsResultsPerPulledChunk) {
+  // 5,000 elements in four chunks are eight pulls of at most 1,024; both
+  // subscriptions stay live through one INGEST ALL. Each subscription's
+  // lines must equal an engine run that attaches the same queries and
+  // drains once at the end, under the same engine options. At batch_size
+  // 7 and 64 most pulls end inside a micro-batch, which the pull's drain
+  // must leave buffered: flushing it there moves batch boundaries, and
+  // with 4 workers that moves subscription 0's lines.
+  Vocabulary vocab;
+  RandomStreamOptions opt;
+  opt.seed = 77;
+  opt.num_vertices = 40;
+  opt.num_labels = 3;
+  opt.num_edges = 5000;
+  opt.max_gap = 2;
+  opt.deletion_probability = 0.1;
+  auto stream = GenerateRandomStream(opt, &vocab);
+  ASSERT_TRUE(stream.ok());
+  const std::string csv = FormatStreamCsv(*stream, vocab);
+  const std::vector<std::string> queries = {"Answer(x,y) <- a+(x,y)",
+                                            "Answer(x,z) <- b(x,y), c(y,z)"};
+
+  std::vector<EngineOptions> configs(3);
+  configs[1].batch_size = 7;
+  configs[2].num_workers = 4;
+  configs[2].batch_size = 64;
+  for (const EngineOptions& engine_options : configs) {
+    SCOPED_TRACE("workers " + std::to_string(engine_options.num_workers) +
+                 ", batch " + std::to_string(engine_options.batch_size));
+    std::size_t pulls_with_results = 0;
+    const std::string output = RunSession(
+        "SUBSCRIBE " + queries[0] + "\nSUBSCRIBE " + queries[1] +
+            "\nINGEST ALL\nQUIT\n",
+        csv, &vocab, nullptr, engine_options,
+        [&](StreamCursor* inner, SessionServer* server) {
+          return std::make_unique<DrainedAtEveryPullCursor>(
+              inner, server, &pulls_with_results);
+        });
+    const std::vector<std::string> acks = ProtocolLines(output);
+    ASSERT_EQ(acks.size(), 4u) << output;
+    EXPECT_EQ(acks[2], "INGESTED " + std::to_string(stream->size()));
+    // The sinks were checked on at least eight (subscription, pull) pairs
+    // that had new results.
+    EXPECT_GE(pulls_with_results, 8u);
+
+    // The session's engine: finalized empty, then both queries attached.
+    Engine engine(engine_options);
+    ASSERT_TRUE(engine.Finalize().ok());
+    for (const std::string& text : queries) {
+      auto query = MakeQuery(text, WindowSpec(12, 3), &vocab);
+      ASSERT_TRUE(query.ok());
+      ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+    }
+    engine.PushAll(*stream);
+    for (int id = 0; id < 2; ++id) {
+      std::vector<std::string> reference;
+      for (const Sgt& r : engine.TakeResults(static_cast<QueryId>(id))) {
+        reference.push_back(r.ToString(vocab));
+      }
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(TaggedLines(output, id), reference) << "subscription " << id;
+    }
   }
 }
 
