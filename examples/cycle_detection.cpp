@@ -56,7 +56,7 @@ int main() {
   InputStream stream;
   const int kAccounts = 40;
   auto account = [&](int i) {
-    return vocab.InternVertex("acct" + std::to_string(i));
+    return *vocab.InternVertex("acct" + std::to_string(i));
   };
   LabelId transfer = *vocab.InternInputLabel("transfer");
   Timestamp t = 0;

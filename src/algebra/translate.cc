@@ -138,7 +138,8 @@ std::string RegexSignature(const Regex& r) {
 
 std::string PredicateSignature(const FilterPredicate& p) {
   return std::to_string(static_cast<int>(p.kind)) + ":" +
-         std::to_string(p.vertex) + ":" + std::to_string(p.label);
+         std::to_string(VertexToWire(p.vertex)) + ":" +
+         std::to_string(p.label);
 }
 
 }  // namespace

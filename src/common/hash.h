@@ -4,10 +4,8 @@
 #define SGQ_COMMON_HASH_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 namespace sgq {
 
@@ -22,15 +20,6 @@ struct PairHash {
   std::size_t operator()(const std::pair<A, B>& p) const {
     std::size_t seed = std::hash<A>{}(p.first);
     HashCombine(&seed, std::hash<B>{}(p.second));
-    return seed;
-  }
-};
-
-/// \brief Hashes a vector of 64-bit integers; used for join-key bindings.
-struct VecHash {
-  std::size_t operator()(const std::vector<uint64_t>& v) const {
-    std::size_t seed = v.size();
-    for (uint64_t x : v) HashCombine(&seed, std::hash<uint64_t>{}(x));
     return seed;
   }
 };

@@ -150,7 +150,8 @@ class SmallVec {
   };
 };
 
-/// \brief Hash for SmallVec<uint64-like> join keys (mirrors VecHash).
+/// \brief Hash for SmallVec join keys: the size, then each element's
+/// std::hash, combined in order.
 struct SmallVecHash {
   template <typename T, unsigned N>
   std::size_t operator()(const SmallVec<T, N>& v) const {

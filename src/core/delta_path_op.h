@@ -58,7 +58,7 @@ class DeltaPathOp : public PathOpBase {
     VertexId root;
     NodeKey parent;
     NodeKey child;
-    EdgeRef via;
+    LabelId via;  ///< label of the edge parent -> child
     Interval iv;
   };
 

@@ -519,10 +519,11 @@ Status Engine::RestoreFrom(
     for (std::uint64_t i = 0; i < num_vertices && v.ok(); ++i) {
       const std::string name = v.Str();
       if (!v.ok()) break;
-      const VertexId id = vocab->InternVertex(name);
-      if (id != static_cast<VertexId>(i)) {
+      const Result<VertexId> id = vocab->InternVertex(name);
+      if (!id.ok()) return v.Fail(id.status().message());
+      if (*id != i) {
         return v.Fail("vocabulary mismatch: vertex '" + name +
-                      "' interned to id " + std::to_string(id) +
+                      "' interned to id " + std::to_string(*id) +
                       ", checkpoint expects " + std::to_string(i));
       }
     }

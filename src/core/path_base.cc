@@ -136,7 +136,7 @@ Payload PathOpBase::RecoverPath(const SpanningTree& tree,
     SGQ_CHECK(it != tree.nodes.end()) << "broken parent chain";
     const TreeNode& node = it->second;
     if (node.is_root) break;
-    path.push_back(node.via);
+    path.push_back(ViaEdge(current, node));
     current = node.parent;
   }
   std::reverse(path.begin(), path.end());
@@ -223,13 +223,13 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
     Interval iv;
     NodeKey child;
     NodeKey parent;
-    EdgeRef via;
+    LabelId via;
     bool operator<(const Candidate& o) const {
       if (iv.exp != o.iv.exp) return iv.exp < o.iv.exp;
       if (iv.ts != o.iv.ts) return iv.ts > o.iv.ts;
       if (child != o.child) return child > o.child;
       if (parent != o.parent) return parent > o.parent;
-      return via.label > o.via.label;
+      return via > o.via;
     }
   };
   std::priority_queue<Candidate> pq;
@@ -242,8 +242,7 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
         if (!detached.contains(child)) continue;
         const Interval iv = piv.Intersect(e.validity);
         if (iv.Empty() || iv.exp <= now) continue;
-        pq.push(Candidate{iv, child, parent_key,
-                          EdgeRef(parent_key.first, e.trg, label)});
+        pq.push(Candidate{iv, child, parent_key, label});
       }
     }
   };
@@ -274,8 +273,7 @@ void PathOpBase::RederiveSubtree(SpanningTree& tree,
         if (pnode.iv.exp <= now && !pnode.is_root) continue;
         const Interval iv = pnode.iv.Intersect(e.validity);
         if (iv.Empty() || iv.exp <= now) continue;
-        pq.push(Candidate{iv, child, parent_key,
-                          EdgeRef(e.trg, child.first, label)});
+        pq.push(Candidate{iv, child, parent_key, label});
       }
     }
   }
@@ -377,7 +375,10 @@ void PathOpBase::RepairDeletion(const Sgt& t, bool truncated) {
       auto node_it = tree.nodes.find(child_key);
       if (node_it == tree.nodes.end() || node_it->second.is_root) continue;
       const TreeNode& node = node_it->second;
-      if (node.parent != parent_key || node.via != t.edge()) continue;
+      // The parent and the node keys fix the endpoints: the node hangs off
+      // the deleted edge exactly when its parent is (src, s) and its via
+      // label is the edge's.
+      if (node.parent != parent_key || node.via != t.label) continue;
       // When the store had no live entry (the edge expired or was deleted
       // before), only still-live references need repair — the sibling-
       // truncated-first case. Dead references ended naturally with the
@@ -427,26 +428,26 @@ void PathOpBase::Purge(Timestamp now) {
 namespace {
 
 void PutNodeKey(std::string* out, const NodeKey& key) {
-  PutU64(out, key.first);
+  PutVertex(out, key.first);
   PutU32(out, key.second);
 }
 
 NodeKey GetNodeKey(ByteReader* in) {
-  const VertexId v = in->U64();
+  const VertexId v = in->Vertex();
   const StateId s = in->U32();
   return NodeKey{v, s};
 }
 
 void PutEdgeRef(std::string* out, const EdgeRef& e) {
-  PutU64(out, e.src);
-  PutU64(out, e.trg);
+  PutVertex(out, e.src);
+  PutVertex(out, e.trg);
   PutU32(out, e.label);
 }
 
 EdgeRef GetEdgeRef(ByteReader* in) {
   EdgeRef e;
-  e.src = in->U64();
-  e.trg = in->U64();
+  e.src = in->Vertex();
+  e.trg = in->Vertex();
   e.label = in->U32();
   return e;
 }
@@ -472,7 +473,7 @@ void PathOpBase::SerializeState(std::string* out) const {
   PutU64(out, trees_.size());
   for (const VertexId root : SortedKeys(trees_)) {
     const SpanningTree& tree = trees_.find(root)->second;
-    PutU64(out, root);
+    PutVertex(out, root);
     PutU64(out, tree.nodes.size());
     for (const NodeKey& key : SortedKeys(tree.nodes)) {
       const TreeNode& node = tree.nodes.find(key)->second;
@@ -480,7 +481,7 @@ void PathOpBase::SerializeState(std::string* out) const {
       PutI64(out, node.iv.ts);
       PutI64(out, node.iv.exp);
       PutNodeKey(out, node.parent);
-      PutEdgeRef(out, node.via);
+      PutEdgeRef(out, ViaEdge(key, node));
       PutU8(out, node.is_root ? 1 : 0);
       PutU32(out, static_cast<std::uint32_t>(node.children.size()));
       for (const NodeKey& child : node.children) PutNodeKey(out, child);
@@ -492,20 +493,20 @@ void PathOpBase::SerializeState(std::string* out) const {
     const auto& roots = inverted_.find(key)->second;
     PutNodeKey(out, key);
     PutU32(out, static_cast<std::uint32_t>(roots.size()));
-    for (const VertexId r : roots) PutU64(out, r);
+    for (const VertexId r : roots) PutVertex(out, r);
   }
 
   PutU64(out, node_expiry_.num_hints());
   node_expiry_.VisitEntries(
       [&](Timestamp exp, const std::pair<VertexId, NodeKey>& hint) {
         PutI64(out, exp);
-        PutU64(out, hint.first);
+        PutVertex(out, hint.first);
         PutNodeKey(out, hint.second);
       });
 
   PutU64(out, num_tree_nodes_);
   PutU64(out, empty_tree_candidates_.size());
-  for (const VertexId v : empty_tree_candidates_) PutU64(out, v);
+  for (const VertexId v : empty_tree_candidates_) PutVertex(out, v);
   out_coalescer_.SerializeState(out);
 }
 
@@ -522,7 +523,7 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
 
   const std::uint64_t num_trees = in->U64();
   for (std::uint64_t t = 0; t < num_trees && in->ok(); ++t) {
-    const VertexId root = in->U64();
+    const VertexId root = in->Vertex();
     auto [it, inserted] = trees_.try_emplace(root);
     if (!inserted) return in->Fail("duplicate tree root");
     SpanningTree& tree = it->second;
@@ -534,8 +535,13 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
       node.iv.ts = in->I64();
       node.iv.exp = in->I64();
       node.parent = GetNodeKey(in);
-      node.via = GetEdgeRef(in);
+      const EdgeRef via = GetEdgeRef(in);
+      node.via = via.label;
       node.is_root = in->U8() != 0;
+      if (in->ok() && via != ViaEdge(key, node)) {
+        return in->Fail("tree edge endpoints disagree with the parent and "
+                        "node keys");
+      }
       const std::uint32_t num_children = in->U32();
       for (std::uint32_t c = 0; c < num_children && in->ok(); ++c) {
         node.children.push_back(&children_pool_, GetNodeKey(in));
@@ -552,14 +558,14 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
     if (!in->ok()) break;
     auto& roots = inverted_[key];
     for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
-      roots.push_back(&inverted_pool_, in->U64());
+      roots.push_back(&inverted_pool_, in->Vertex());
     }
   }
 
   const std::uint64_t num_hints = in->U64();
   for (std::uint64_t i = 0; i < num_hints && in->ok(); ++i) {
     const Timestamp exp = in->I64();
-    const VertexId root = in->U64();
+    const VertexId root = in->Vertex();
     const NodeKey key = GetNodeKey(in);
     node_expiry_.Add(exp, {root, key});
   }
@@ -567,7 +573,7 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
   num_tree_nodes_ = in->U64();
   const std::uint64_t num_candidates = in->U64();
   for (std::uint64_t i = 0; i < num_candidates && in->ok(); ++i) {
-    empty_tree_candidates_.push_back(in->U64());
+    empty_tree_candidates_.push_back(in->Vertex());
   }
   SGQ_RETURN_NOT_OK(in->status());
   return out_coalescer_.DeserializeState(in);

@@ -34,6 +34,10 @@ namespace sgq {
 /// \brief A node of a spanning tree: a (vertex, automaton state) pair.
 using NodeKey = std::pair<VertexId, StateId>;
 
+#if defined(__LP64__) || defined(_LP64)
+static_assert(sizeof(NodeKey) == 8, "NodeKey: 32-bit vertex and state");
+#endif
+
 /// \brief Base of the S-PATH and Δ-tree PATH operators.
 class PathOpBase : public PhysicalOp {
  public:
@@ -134,18 +138,30 @@ class PathOpBase : public PhysicalOp {
 
  protected:
   /// \brief Tree-node bookkeeping (Def. 21). The path from the root to a
-  /// node is recovered by following parent pointers; `via` is the edge that
-  /// connects the parent to this node. `children` is the inverse of
-  /// `parent`, maintained by SetNode/RemoveNode/ReparentNode, so
-  /// CollectSubtree is a BFS over the subtree instead of a scan of the
+  /// node is recovered by following parent pointers; `via` is the label of
+  /// the edge that connects the parent to this node — its endpoints are
+  /// the parent's and the node's vertices (ViaEdge). `children` is the
+  /// inverse of `parent`, maintained by SetNode/RemoveNode/ReparentNode,
+  /// so CollectSubtree is a BFS over the subtree instead of a scan of the
   /// whole tree.
   struct TreeNode {
     Interval iv;
     NodeKey parent{kInvalidVertex, 0};
-    EdgeRef via;
+    LabelId via = kInvalidLabel;
     bool is_root = false;
     SmallRun<NodeKey, 1> children;
   };
+#if defined(__LP64__) || defined(_LP64)
+  static_assert(sizeof(std::pair<NodeKey, TreeNode>) == 56,
+                "PATH tree slot: key, interval, parent, label, children");
+#endif
+
+  /// \brief The edge from `node`'s parent to `node` (stored at `key`):
+  /// (parent vertex, key vertex, via); a root has none (EdgeRef()).
+  static EdgeRef ViaEdge(const NodeKey& key, const TreeNode& node) {
+    return node.is_root ? EdgeRef()
+                        : EdgeRef(node.parent.first, key.first, node.via);
+  }
 
   /// \brief Spanning tree T_x (Def. 21), rooted at (x, s0).
   struct SpanningTree {

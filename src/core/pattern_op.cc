@@ -512,7 +512,7 @@ std::size_t PatternOp::num_store_backed_ports() const {
 
 namespace {
 
-bool KeyLess(const SmallVec<uint64_t, 3>& a, const SmallVec<uint64_t, 3>& b) {
+bool KeyLess(const SmallVec<VertexId, 3>& a, const SmallVec<VertexId, 3>& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
@@ -534,12 +534,12 @@ void PatternOp::SerializeTable(const Table& table, std::size_t entries,
   for (const Key& key : keys) {
     const Bucket& bucket = table.find(key)->second;
     PutU32(out, static_cast<std::uint32_t>(key.size()));
-    for (uint64_t v : key) PutU64(out, v);
+    for (VertexId v : key) PutVertex(out, v);
     PutI64(out, bucket.hinted);
     PutU32(out, static_cast<std::uint32_t>(bucket.bindings.size()));
     for (const Binding& b : bucket.bindings) {
       PutU32(out, static_cast<std::uint32_t>(b.vals.size()));
-      for (VertexId v : b.vals) PutU64(out, v);
+      for (VertexId v : b.vals) PutVertex(out, v);
       PutI64(out, b.iv.ts);
       PutI64(out, b.iv.exp);
     }
@@ -560,7 +560,7 @@ Status PatternOp::DeserializeTable(int level, bool left, ByteReader* in) {
     }
     Key key;
     for (std::uint32_t i = 0; i < key_arity && in->ok(); ++i) {
-      key.push_back(in->U64());
+      key.push_back(in->Vertex());
     }
     const Timestamp hinted = in->I64();
     const std::uint32_t n = in->U32();
@@ -579,7 +579,7 @@ Status PatternOp::DeserializeTable(int level, bool left, ByteReader* in) {
       }
       Binding b;
       for (std::uint32_t v = 0; v < arity && in->ok(); ++v) {
-        b.vals.push_back(in->U64());
+        b.vals.push_back(in->Vertex());
       }
       b.iv.ts = in->I64();
       b.iv.exp = in->I64();

@@ -158,7 +158,13 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   };
 
   /// Join keys hold the shared variables of a level: 1-3 values inline.
-  using Key = SmallVec<uint64_t, 3>;
+  using Key = SmallVec<VertexId, 3>;
+
+#if defined(__LP64__) || defined(_LP64)
+  static_assert(sizeof(Binding) == 48, "Binding: six ids inline + interval");
+  static_assert(sizeof(Key) == 24, "Key: three ids inline");
+#endif
+
   /// The bindings of one bucket: a single binding lives inline in the map
   /// slot; more hold one exact-size heap block.
   using BindingRun = PoolVec<Binding, 1>;

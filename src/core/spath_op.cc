@@ -21,7 +21,7 @@ void SPathOp::ExtendTrees(const Sgt& tuple) {
       const Interval iv = node_it->second.iv.Intersect(tuple.validity);
       if (iv.Empty()) continue;  // parent expired w.r.t. this edge: ignore
       work.push_back(AttachWork{root, parent_key, NodeKey{tuple.trg, q},
-                                tuple.edge(), iv});
+                                tuple.label, iv});
     }
   }
   DrainWorklist(std::move(work));
@@ -80,9 +80,8 @@ void SPathOp::DrainWorklist(std::vector<AttachWork> work) {
       for (const StoredEdge& e : window_->OutEdges(w.child.first, label)) {
         const Interval next_iv = result_iv.Intersect(e.validity);
         if (next_iv.Empty()) continue;
-        work.push_back(AttachWork{w.root, w.child, NodeKey{e.trg, q},
-                                  EdgeRef(w.child.first, e.trg, label),
-                                  next_iv});
+        work.push_back(
+            AttachWork{w.root, w.child, NodeKey{e.trg, q}, label, next_iv});
       }
     }
   }

@@ -31,13 +31,13 @@ class SPathOp : public PathOpBase {
   void ExtendTrees(const Sgt& tuple) override;
 
   /// One unit of traversal work: try to attach/improve `child` under
-  /// `parent` in the tree rooted at `root`, via `edge` with joint validity
-  /// `iv` (already intersected with the parent's interval).
+  /// `parent` in the tree rooted at `root`, via an edge labelled `via` with
+  /// joint validity `iv` (already intersected with the parent's interval).
   struct AttachWork {
     VertexId root;
     NodeKey parent;
     NodeKey child;
-    EdgeRef via;
+    LabelId via;  ///< label of the edge parent -> child
     Interval iv;
   };
 

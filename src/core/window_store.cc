@@ -23,12 +23,12 @@ void SerializeAdjacency(const Adjacency& adj, std::string* out) {
   PutU64(out, keys.size());
   for (const AdjKey& key : keys) {
     const auto it = adj.find(key);
-    PutU64(out, key.first);
+    PutVertex(out, key.first);
     PutU32(out, key.second);
     const auto& edges = it->second;
     PutU32(out, static_cast<std::uint32_t>(edges.size()));
     for (const StoredEdge& e : edges) {
-      PutU64(out, e.trg);
+      PutVertex(out, e.trg);
       PutI64(out, e.validity.ts);
       PutI64(out, e.validity.exp);
     }
@@ -39,14 +39,14 @@ template <typename Adjacency>
 Status DeserializeAdjacency(Adjacency* adj, SlabPool* pool, ByteReader* in) {
   const std::uint64_t num_keys = in->U64();
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
-    const VertexId vertex = in->U64();
+    const VertexId vertex = in->Vertex();
     const LabelId label = in->U32();
     const std::uint32_t n = in->U32();
     if (!in->ok()) break;
     auto& edges = (*adj)[{vertex, label}];
     for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
       StoredEdge e;
-      e.trg = in->U64();
+      e.trg = in->Vertex();
       e.validity.ts = in->I64();
       e.validity.exp = in->I64();
       edges.push_back(pool, e);
@@ -236,7 +236,7 @@ void WindowEdgeStore::SerializeState(std::string* out) const {
   PutU64(out, calendar_.num_hints());
   calendar_.VisitEntries([&](Timestamp exp, const Key& key) {
     PutI64(out, exp);
-    PutU64(out, key.first);
+    PutVertex(out, key.first);
     PutU32(out, key.second);
   });
 }
@@ -269,7 +269,7 @@ Status WindowEdgeStore::DeserializeState(ByteReader* in) {
   const std::uint64_t num_hints = in->U64();
   for (std::uint64_t i = 0; i < num_hints && in->ok(); ++i) {
     const Timestamp exp = in->I64();
-    const VertexId vertex = in->U64();
+    const VertexId vertex = in->Vertex();
     const LabelId label = in->U32();
     calendar_.Add(exp, {vertex, label});
   }

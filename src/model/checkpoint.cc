@@ -67,6 +67,8 @@ void PutI64(std::string* out, std::int64_t v) {
   PutU64(out, static_cast<std::uint64_t>(v));
 }
 
+void PutVertex(std::string* out, VertexId v) { PutU64(out, VertexToWire(v)); }
+
 void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<std::uint32_t>(s.size()));
   out->append(s.data(), s.size());
@@ -85,8 +87,8 @@ void PatchLength(std::string* out, std::size_t at) {
 }
 
 void PutSge(std::string* out, const Sge& e) {
-  PutU64(out, e.src);
-  PutU64(out, e.trg);
+  PutVertex(out, e.src);
+  PutVertex(out, e.trg);
   PutU32(out, e.label);
   PutI64(out, e.t);
   PutU8(out, e.is_deletion ? 1 : 0);
@@ -94,8 +96,8 @@ void PutSge(std::string* out, const Sge& e) {
 
 Sge GetSge(ByteReader* in) {
   Sge e;
-  e.src = in->U64();
-  e.trg = in->U64();
+  e.src = in->Vertex();
+  e.trg = in->Vertex();
   e.label = in->U32();
   e.t = in->I64();
   e.is_deletion = in->U8() != 0;
@@ -103,24 +105,24 @@ Sge GetSge(ByteReader* in) {
 }
 
 void PutSgt(std::string* out, const Sgt& t) {
-  PutU64(out, t.src);
-  PutU64(out, t.trg);
+  PutVertex(out, t.src);
+  PutVertex(out, t.trg);
   PutU32(out, t.label);
   PutI64(out, t.validity.ts);
   PutI64(out, t.validity.exp);
   PutU8(out, t.is_deletion ? 1 : 0);
   PutU32(out, static_cast<std::uint32_t>(t.payload.size()));
   for (const EdgeRef& e : t.payload) {
-    PutU64(out, e.src);
-    PutU64(out, e.trg);
+    PutVertex(out, e.src);
+    PutVertex(out, e.trg);
     PutU32(out, e.label);
   }
 }
 
 Sgt GetSgt(ByteReader* in) {
   Sgt t;
-  t.src = in->U64();
-  t.trg = in->U64();
+  t.src = in->Vertex();
+  t.trg = in->Vertex();
   t.label = in->U32();
   t.validity.ts = in->I64();
   t.validity.exp = in->I64();
@@ -129,8 +131,8 @@ Sgt GetSgt(ByteReader* in) {
   if (in->ok()) t.payload.reserve(n);
   for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
     EdgeRef e;
-    e.src = in->U64();
-    e.trg = in->U64();
+    e.src = in->Vertex();
+    e.trg = in->Vertex();
     e.label = in->U32();
     t.payload.push_back(e);
   }
@@ -197,6 +199,19 @@ std::uint64_t ByteReader::U64() {
 }
 
 std::int64_t ByteReader::I64() { return static_cast<std::int64_t>(U64()); }
+
+VertexId ByteReader::Vertex() {
+  const std::size_t at = offset_;
+  const std::uint64_t v = U64();
+  if (v == VertexToWire(kInvalidVertex)) return kInvalidVertex;
+  if (v >= kInvalidVertex) {
+    offset_ = at;
+    Fail("vertex id " + std::to_string(v) + " out of range (largest id " +
+         std::to_string(kInvalidVertex - 1) + ")");
+    return kInvalidVertex;
+  }
+  return static_cast<VertexId>(v);
+}
 
 std::string ByteReader::Str() { return std::string(StrView()); }
 

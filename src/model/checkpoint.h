@@ -80,6 +80,9 @@ void PutU16(std::string* out, std::uint16_t v);
 void PutU32(std::string* out, std::uint32_t v);
 void PutU64(std::string* out, std::uint64_t v);
 void PutI64(std::string* out, std::int64_t v);
+/// \brief A vertex id as a u64 field (VertexToWire); read back with
+/// ByteReader::Vertex.
+void PutVertex(std::string* out, VertexId v);
 /// \brief u32 length + raw bytes.
 void PutStr(std::string* out, std::string_view s);
 /// \brief PutStr built in place: PutLengthPlaceholder appends a u32 slot
@@ -113,6 +116,10 @@ class ByteReader {
   std::uint32_t U32();
   std::uint64_t U64();
   std::int64_t I64();
+  /// \brief A u64 vertex field (inverse of PutVertex): u64 max reads as
+  /// kInvalidVertex; any other value above the largest id, 2^32 - 2, is
+  /// an error positioned at the field.
+  VertexId Vertex();
   /// \brief `n` raw bytes (a view into the input; valid while it lives).
   std::string_view Raw(std::size_t n);
   /// \brief u32 length + bytes (inverse of PutStr).

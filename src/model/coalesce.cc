@@ -138,8 +138,8 @@ void StreamingCoalescer::SerializeState(std::string* out) const {
   PutU64(out, keys.size());
   for (const EdgeRef& key : keys) {
     const auto it = covered_.find(key);
-    PutU64(out, key.src);
-    PutU64(out, key.trg);
+    PutVertex(out, key.src);
+    PutVertex(out, key.trg);
     PutU32(out, key.label);
     const Coverage& ivs = it->second;
     PutU32(out, static_cast<std::uint32_t>(ivs.size()));
@@ -157,8 +157,8 @@ Status StreamingCoalescer::DeserializeState(ByteReader* in) {
   const std::uint64_t num_keys = in->U64();
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
     EdgeRef key;
-    key.src = in->U64();
-    key.trg = in->U64();
+    key.src = in->Vertex();
+    key.trg = in->Vertex();
     key.label = in->U32();
     const std::uint32_t n = in->U32();
     if (!in->ok()) break;

@@ -53,8 +53,8 @@ using Payload = std::vector<EdgeRef>;
 /// \brief Streaming graph edge (Def. 3): an input-stream element carrying
 /// the event timestamp assigned by the source.
 ///
-/// The members are declared 8-byte first, the 4-byte label and the flag
-/// last, so they share one tail word: 32 bytes instead of 40. Every stream,
+/// The two 4-byte ids share the first word, the timestamp the second, and
+/// the 4-byte label and the flag the tail word: 24 bytes. Every stream,
 /// micro-batch, exchange batch and parser buffer holds these by value. The
 /// constructor keeps the (src, trg, label, t) argument order.
 struct Sge {
@@ -83,9 +83,9 @@ using InputStream = std::vector<Sge>;
 /// validity interval and the payload D (the edges that participated in the
 /// generation of the tuple, or the edge sequence of a materialized path).
 ///
-/// As in Sge, the 8-byte members come first and the label and the flag
-/// share the tail word: 64 bytes instead of 72 for every tuple an operator
-/// channel, sink buffer or result vector holds.
+/// As in Sge, the two ids share the first word and the label and the flag
+/// the tail word: 56 bytes for every tuple an operator channel, sink buffer
+/// or result vector holds.
 struct Sgt {
   VertexId src = kInvalidVertex;
   VertexId trg = kInvalidVertex;
@@ -124,11 +124,12 @@ struct Sgt {
 /// \brief A streaming graph (Def. 8): tuples ordered by arrival.
 using SgtStream = std::vector<Sgt>;
 
-// LP64 sizes of the two records every buffer holds by value. A member
-// order that puts LabelId between 8-byte members pads each by 8 bytes.
+// LP64 sizes of the records every buffer holds by value. A member order
+// that puts a 4-byte field alone between 8-byte members pads it by 4 bytes.
 #if defined(__LP64__) || defined(_LP64)
-static_assert(sizeof(Sge) == 32, "Sge: 8-byte members first, then label, flag");
-static_assert(sizeof(Sgt) == 64, "Sgt: 8-byte members first, then label, flag");
+static_assert(sizeof(EdgeRef) == 12, "EdgeRef: three 32-bit ids");
+static_assert(sizeof(Sge) == 24, "Sge: src, trg, then t, then label, flag");
+static_assert(sizeof(Sgt) == 56, "Sgt: src, trg first, then label, flag last");
 #endif
 
 std::ostream& operator<<(std::ostream& os, const EdgeRef& e);

@@ -39,16 +39,25 @@ Status ParseStreamLine(std::string_view line, std::size_t line_no,
     return Status::ParseError("line " + std::to_string(line_no) +
                               ": empty src/label/trg field");
   }
-  sge->src = vocab->InternVertex(src);
+  const auto positioned = [&](const Status& st) {
+    return Status::ParseError("line " + std::to_string(line_no) + ": " +
+                              st.message());
+  };
+  {
+    auto interned = vocab->InternVertex(src);
+    if (!interned.ok()) return positioned(interned.status());
+    sge->src = *interned;
+  }
   {
     auto interned = vocab->InternInputLabel(label);
-    if (!interned.ok()) {
-      return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                interned.status().message());
-    }
+    if (!interned.ok()) return positioned(interned.status());
     sge->label = *interned;
   }
-  sge->trg = vocab->InternVertex(trg);
+  {
+    auto interned = vocab->InternVertex(trg);
+    if (!interned.ok()) return positioned(interned.status());
+    sge->trg = *interned;
+  }
   // Strict integer parse: "12abc" and the like must error, not silently
   // truncate.
   if (!ParseInt64(TrimString(fields[3]), &sge->t)) {
@@ -286,12 +295,20 @@ Result<BinaryStreamHeader> ParseBinaryStreamHeaderPrefix(
       return TruncatedHeader(off + len, bytes.size());
     }
     const std::string_view name(bytes.data() + off, len);
-    off += len;
     if (name.empty()) {
       return Status::ParseError("binary stream: empty vertex name in "
                                 "dictionary entry " + std::to_string(i));
     }
-    header.vertices.push_back(vocab->InternVertex(name));
+    auto interned = vocab->InternVertex(name);
+    if (!interned.ok()) {
+      return Status::ParseError("binary stream offset " +
+                                std::to_string(off - 2) +
+                                ": vertex dictionary entry " +
+                                std::to_string(i) + ": " +
+                                interned.status().message());
+    }
+    off += len;
+    header.vertices.push_back(*interned);
   }
   header.records_offset = off;
 

@@ -17,11 +17,11 @@ void Vocabulary::CopyFrom(const Vocabulary& other) {
     std::shared_lock<std::shared_mutex> read(other.mu_);
     return std::make_tuple(other.label_ids_, other.label_names_,
                            other.label_is_input_, other.vertex_ids_,
-                           other.vertex_names_);
+                           other.vertex_names_, other.max_vertices_);
   }();
   std::unique_lock<std::shared_mutex> write(mu_);
   std::tie(label_ids_, label_names_, label_is_input_, vertex_ids_,
-           vertex_names_) = std::move(snapshot);
+           vertex_names_, max_vertices_) = std::move(snapshot);
 }
 
 Result<LabelId> Vocabulary::InternLabel(std::string_view name,
@@ -71,10 +71,16 @@ const std::string& Vocabulary::LabelName(LabelId label) const {
   return label_names_[label];
 }
 
-VertexId Vocabulary::InternVertex(std::string_view name) {
+Result<VertexId> Vocabulary::InternVertex(std::string_view name) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = vertex_ids_.find(std::string(name));
   if (it != vertex_ids_.end()) return it->second;
+  if (vertex_names_.size() >= max_vertices_) {
+    return Status::InvalidArgument(
+        "vertex '" + std::string(name) +
+        "' refused: the vocabulary already holds its limit of " +
+        std::to_string(max_vertices_) + " vertex names (ids are 32-bit)");
+  }
   const VertexId id = static_cast<VertexId>(vertex_names_.size());
   vertex_ids_.emplace(std::string(name), id);
   vertex_names_.emplace_back(name);

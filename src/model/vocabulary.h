@@ -8,6 +8,7 @@
 #ifndef SGQ_MODEL_VOCABULARY_H_
 #define SGQ_MODEL_VOCABULARY_H_
 
+#include <cstddef>
 #include <deque>
 #include <shared_mutex>
 #include <string>
@@ -31,6 +32,10 @@ namespace sgq {
 /// do not assign over a vocabulary other threads are reading.
 class Vocabulary {
  public:
+  /// \brief Most distinct vertex names one vocabulary holds: the 32-bit
+  /// id space minus kInvalidVertex (ids 0 .. 2^32 - 2).
+  static constexpr std::size_t kMaxVertices = kInvalidVertex;
+
   Vocabulary() = default;
   Vocabulary(const Vocabulary& other) { CopyFrom(other); }
   Vocabulary& operator=(const Vocabulary& other) {
@@ -60,8 +65,11 @@ class Vocabulary {
     return label_names_.size();
   }
 
-  /// \brief Interns a vertex name (all vertices share one id space).
-  VertexId InternVertex(std::string_view name);
+  /// \brief Interns a vertex name (all vertices share one id space), or
+  /// returns the existing id. Fails (InvalidArgument) when `name` is new
+  /// and the vocabulary already holds kMaxVertices names, so no id is ever
+  /// kInvalidVertex or wrapped.
+  Result<VertexId> InternVertex(std::string_view name);
 
   /// \brief Looks up an existing vertex id.
   Result<VertexId> FindVertex(std::string_view name) const;
@@ -84,6 +92,11 @@ class Vocabulary {
 
   std::unordered_map<std::string, VertexId> vertex_ids_;
   std::deque<std::string> vertex_names_;
+
+ protected:
+  /// Most vertex names InternVertex accepts: kMaxVertices. A test subclass
+  /// lowers it to reach the refusal without interning 2^32 - 1 names.
+  std::size_t max_vertices_ = kMaxVertices;
 };
 
 }  // namespace sgq

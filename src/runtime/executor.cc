@@ -947,9 +947,13 @@ void Executor::ExecuteOrderedBatch(const Sge* sges, std::size_t n) {
 
 void Executor::Flush() {
   if (queue_.empty()) return;
-  std::vector<Sge> batch;
-  batch.swap(queue_);
-  ExecuteOrderedBatch(batch.data(), batch.size());
+  // The batch runs from the second buffer, so the queue is empty while it
+  // executes; nothing the batch runs ingests or flushes. Swapping and
+  // clearing keeps both buffers' capacity: ingest allocates no new queue
+  // after every flush.
+  batch_.swap(queue_);
+  ExecuteOrderedBatch(batch_.data(), batch_.size());
+  batch_.clear();
 }
 
 void Executor::ExecutePipelinedBatch(const Sge* sges, std::size_t n) {

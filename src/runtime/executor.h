@@ -488,6 +488,8 @@ class Executor {
 
   // --- micro-batch ingest queue ---
   std::vector<Sge> queue_;
+  /// The batch Flush executes (swapped with queue_; capacity kept).
+  std::vector<Sge> batch_;
 
   // --- drain state ---
   std::vector<std::pair<PortRef, Sgt>> stack_;

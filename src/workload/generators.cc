@@ -31,7 +31,9 @@ Result<InputStream> GenerateSoStream(const SoOptions& options,
   std::vector<VertexId> users;
   users.reserve(options.num_vertices);
   for (std::size_t i = 0; i < options.num_vertices; ++i) {
-    users.push_back(vocab->InternVertex("u" + std::to_string(i)));
+    SGQ_ASSIGN_OR_RETURN(VertexId v,
+                         vocab->InternVertex("u" + std::to_string(i)));
+    users.push_back(v);
   }
 
   // Preferential attachment: endpoints of past edges are re-drawn with
@@ -108,7 +110,9 @@ Result<InputStream> GenerateSnbStream(const SnbOptions& options,
   std::vector<VertexId> persons;
   persons.reserve(options.num_persons);
   for (std::size_t i = 0; i < options.num_persons; ++i) {
-    persons.push_back(vocab->InternVertex("p" + std::to_string(i)));
+    SGQ_ASSIGN_OR_RETURN(VertexId v,
+                         vocab->InternVertex("p" + std::to_string(i)));
+    persons.push_back(v);
   }
   std::vector<VertexId> messages;          // all messages so far
   std::vector<std::size_t> message_owner;  // creator index per message
@@ -167,8 +171,9 @@ Result<InputStream> GenerateSnbStream(const SnbOptions& options,
       // some probability. Each message has at most one replyOf out-edge,
       // so replyOf stays forest-shaped (single path between vertex pairs).
       const std::size_t p = uniform_person(rng);
-      const VertexId m =
-          vocab->InternVertex("m" + std::to_string(message_counter++));
+      SGQ_ASSIGN_OR_RETURN(
+          const VertexId m,
+          vocab->InternVertex("m" + std::to_string(message_counter++)));
       stream.emplace_back(m, persons[p], has_creator, t);
       if (!messages.empty() && replies(rng)) {
         std::uniform_int_distribution<std::size_t> recent(
@@ -206,7 +211,9 @@ Result<InputStream> GenerateRandomStream(const RandomStreamOptions& options,
   }
   std::vector<VertexId> vertices;
   for (std::size_t i = 0; i < options.num_vertices; ++i) {
-    vertices.push_back(vocab->InternVertex("v" + std::to_string(i)));
+    SGQ_ASSIGN_OR_RETURN(VertexId v,
+                         vocab->InternVertex("v" + std::to_string(i)));
+    vertices.push_back(v);
   }
   std::uniform_int_distribution<std::size_t> pick_v(
       0, options.num_vertices - 1);
@@ -249,7 +256,9 @@ Result<InputStream> GenerateZipfLabelStream(const ZipfStreamOptions& options,
   std::vector<VertexId> vertices;
   vertices.reserve(options.num_vertices);
   for (std::size_t i = 0; i < options.num_vertices; ++i) {
-    vertices.push_back(vocab->InternVertex("z" + std::to_string(i)));
+    SGQ_ASSIGN_OR_RETURN(VertexId v,
+                         vocab->InternVertex("z" + std::to_string(i)));
+    vertices.push_back(v);
   }
 
   // Zipf over label ranks: weight(r) = 1 / r^skew, r starting at 1.

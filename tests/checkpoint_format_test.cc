@@ -273,6 +273,42 @@ TEST(ByteReaderTest, ExpectEndRejectsTrailingBytes) {
   EXPECT_FALSE(in.ExpectEnd().ok());
 }
 
+TEST(ByteReaderTest, VertexFieldsKeepTheU64Encoding) {
+  // 32-bit ids in u64 fields: the sentinel is written as u64 max, and a
+  // value past the largest id, 2^32 - 2, is refused at the field.
+  std::string sentinel;
+  PutVertex(&sentinel, kInvalidVertex);
+  std::string u64_max;
+  PutU64(&u64_max, ~std::uint64_t{0});
+  EXPECT_EQ(sentinel, u64_max);
+
+  std::string payload;
+  PutVertex(&payload, 7);
+  PutU64(&payload, ~std::uint64_t{0});
+  PutU64(&payload, 0xFFFFFFFEull);
+  ByteReader in(payload, "vertex");
+  EXPECT_EQ(in.Vertex(), 7u);
+  EXPECT_EQ(in.Vertex(), kInvalidVertex);
+  EXPECT_EQ(in.Vertex(), 0xFFFFFFFEu);
+  EXPECT_TRUE(in.ExpectEnd().ok()) << in.status().ToString();
+
+  for (const std::uint64_t bad :
+       {0xFFFFFFFFull, 0x100000000ull, 0xFFFFFFFFFFFFFFFEull}) {
+    std::string image;
+    PutU64(&image, 1);
+    PutU64(&image, bad);
+    ByteReader r(image, "vertex");
+    EXPECT_EQ(r.Vertex(), 1u);
+    r.Vertex();
+    ASSERT_FALSE(r.ok()) << bad << " accepted";
+    EXPECT_NE(r.status().message().find("vertex: offset 8: vertex id " +
+                                        std::to_string(bad) +
+                                        " out of range"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(ByteReaderTest, SgeSgtCodecsRoundTrip) {
   Sge e{3, 9, 2, 44, /*del=*/true};
   Sgt t(5, 6, 1, Interval(10, 70), Payload{EdgeRef{5, 7, 1},

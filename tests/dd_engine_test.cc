@@ -22,7 +22,7 @@ class DdEngineTest : public ::testing::Test {
 
   void Push(const char* s, const char* l, const char* g, Timestamp t,
             bool del = false) {
-    engine_->Push(Sge(vocab_.InternVertex(s), vocab_.InternVertex(g),
+    engine_->Push(Sge(*vocab_.InternVertex(s), *vocab_.InternVertex(g),
                       *vocab_.FindLabel(l), t, del));
   }
 

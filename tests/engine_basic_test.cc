@@ -268,17 +268,18 @@ TEST_F(PatternOpTest, PurgeDropsExpiredState) {
 }
 
 TEST_F(PatternOpTest, StateBytesFallsBackAfterTheWindowPasses) {
-  // 2,000 a-edges sharing y land in one left bucket. Once the window has
-  // passed them all, the bucket and its overflow block must be gone, not
-  // kept for reuse.
+  // 3,000 a-edges sharing y land in one left bucket, whose doubling
+  // overflow block has room for 4,096 48-byte bindings (192 KiB). Once the
+  // window has passed them all, the bucket and its overflow block must be
+  // gone, not kept for reuse.
   const std::size_t fresh = op_->StateBytes();
-  for (VertexId i = 0; i < 2000; ++i) {
+  for (VertexId i = 0; i < 3000; ++i) {
     const Timestamp ts = static_cast<Timestamp>(i);
     op_->OnTuple(0, Sgt(100 + i, 7, a_, Interval(ts, ts + 10)));
   }
-  EXPECT_EQ(op_->StateSize(), 2000u);
+  EXPECT_EQ(op_->StateSize(), 3000u);
   EXPECT_GT(op_->StateBytes(), fresh + 100 * 1024);  // the block counts
-  op_->Purge(3000);
+  op_->Purge(4000);
   EXPECT_EQ(op_->StateSize(), 0u);
   EXPECT_LE(op_->StateBytes(), fresh + 16 * 1024);
 }

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -418,6 +420,24 @@ TEST(EngineCheckpointTest, TruncationAtEverySectionBoundaryRejected) {
   std::remove(bad_path.c_str());
 }
 
+/// \brief `reader`'s image with section `name`'s payload replaced by
+/// `payload`, re-framed so every CRC is valid again.
+std::string Reframe(const CheckpointReader& reader, const std::string& name,
+                    const std::string& payload) {
+  StringByteSink sink;
+  CheckpointWriter writer(&sink);
+  for (const CheckpointSection& section : reader.sections()) {
+    EXPECT_TRUE(writer.BeginSection(section.name).ok());
+    EXPECT_TRUE(writer
+                    .Append(section.name == name ? std::string_view(payload)
+                                                 : reader.payload(section))
+                    .ok());
+    EXPECT_TRUE(writer.EndSection().ok());
+  }
+  EXPECT_TRUE(writer.Finish().ok());
+  return sink.bytes();
+}
+
 TEST(EngineCheckpointTest, BlobLengthPastSectionEndRejectedPositioned) {
   // A CRC-valid image whose first window-partition blob, or first
   // operator blob, claims more bytes than its section holds: restore
@@ -455,21 +475,12 @@ TEST(EngineCheckpointTest, BlobLengthPastSectionEndRejectedPositioned) {
   } cases[] = {{"windows", windows_blob}, {"ops", 10}};
   const std::string bad_path = TempPath("ckpt_blob_bad.sgqc");
   for (const auto& c : cases) {
-    StringByteSink sink;
-    CheckpointWriter writer(&sink);
-    for (const CheckpointSection& section : reader->sections()) {
-      std::string payload(reader->payload(section));
-      if (section.name == c.section) {
-        ASSERT_LE(c.length_at + 4, payload.size()) << c.section;
-        patch_u32(&payload, c.length_at,
-                  static_cast<std::uint32_t>(payload.size()));
-      }
-      ASSERT_TRUE(writer.BeginSection(section.name).ok());
-      ASSERT_TRUE(writer.Append(payload).ok());
-      ASSERT_TRUE(writer.EndSection().ok());
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-    ASSERT_TRUE(WriteFileBytes(bad_path, sink.bytes()).ok());
+    std::string payload(reader->payload(*reader->Find(c.section)));
+    ASSERT_LE(c.length_at + 4, payload.size()) << c.section;
+    patch_u32(&payload, c.length_at,
+              static_cast<std::uint32_t>(payload.size()));
+    ASSERT_TRUE(
+        WriteFileBytes(bad_path, Reframe(*reader, c.section, payload)).ok());
 
     Engine engine(options);
     ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
@@ -485,6 +496,218 @@ TEST(EngineCheckpointTest, BlobLengthPastSectionEndRejectedPositioned) {
   }
   std::remove(path.c_str());
   std::remove(bad_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Vertex fields: 32-bit ids in the u64 fields of the format
+// ---------------------------------------------------------------------------
+
+/// \brief An unsharded engine running a PATH into a PATTERN over two edges,
+/// a(v0,v1) and b(v1,v2), checkpointed: every vertex field of its "ops"
+/// section is at a known offset.
+class VertexFieldTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* name : {"v0", "v1", "v2"}) {
+      ids_.push_back(*vocab_.InternVertex(name));
+    }
+    auto query = MakeQuery("Answer(x,z) <- a+(x,y), b(y,z)",
+                           WindowSpec(100, 10), &vocab_);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    query_ = *query;
+    Engine engine;
+    ASSERT_TRUE(engine.AddQuery(query_, vocab_).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    ASSERT_NE(engine.Explain().find("#1 PATH[S-PATH] -> #3:0"),
+              std::string::npos)
+        << engine.Explain();
+    ASSERT_NE(engine.Explain().find("#3 PATTERN -> #4:0"), std::string::npos)
+        << engine.Explain();
+    engine.Push(Sge(ids_[0], ids_[1], *vocab_.FindLabel("a"), 1));
+    engine.Push(Sge(ids_[1], ids_[2], *vocab_.FindLabel("b"), 2));
+    ASSERT_EQ(engine.results(0).size(), 1u);
+    path_ = TempPath("ckpt_vertex.sgqc");
+    bad_path_ = TempPath("ckpt_vertex_bad.sgqc");
+    ASSERT_TRUE(engine.Checkpoint(path_, &vocab_).ok());
+    ASSERT_TRUE(engine.WaitForCheckpoint().ok());
+    auto bytes = ReadFileBytes(path_);
+    ASSERT_TRUE(bytes.ok());
+    auto reader = CheckpointReader::Parse(*bytes, path_);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    reader_ = std::make_unique<CheckpointReader>(std::move(*reader));
+    ops_ = std::string(reader_->payload(*reader_->Find("ops")));
+
+    // "ops": u32 node count, then per node u8 live, u8 merge-coalescer
+    // flag, u32 instances and the one instance's length-prefixed blob.
+    ByteReader in(ops_, "ops");
+    const std::uint32_t nodes = in.U32();
+    for (std::uint32_t i = 0; i < nodes; ++i) {
+      ASSERT_EQ(in.U8(), 1u) << "node " << i << " live";
+      ASSERT_EQ(in.U8(), 0u) << "node " << i << " merge coalescer";
+      ASSERT_EQ(in.U32(), 1u) << "node " << i << " instances";
+      const std::uint32_t length = in.U32();
+      blobs_.push_back({in.offset(), length});
+      in.Raw(length);
+    }
+    ASSERT_TRUE(in.ExpectEnd().ok()) << in.status().ToString();
+    ASSERT_EQ(blobs_.size(), 5u);
+  }
+
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(bad_path_.c_str());
+  }
+
+  /// \brief The u64 at `at` in operator `op`'s blob.
+  std::uint64_t U64At(int op, std::size_t at) const {
+    ByteReader in(std::string_view(ops_).substr(blobs_[op].first + at, 8),
+                  "u64");
+    return in.U64();
+  }
+
+  /// \brief Restores the image whose operator `op` holds `value` at blob
+  /// offset `at` into a fresh engine.
+  Status RestoreWith(int op, std::size_t at, std::uint64_t value) {
+    std::string ops = ops_;
+    std::string le;
+    PutU64(&le, value);
+    ops.replace(blobs_[op].first + at, le.size(), le);
+    const Status written =
+        WriteFileBytes(bad_path_, Reframe(*reader_, "ops", ops));
+    if (!written.ok()) return written;
+    Engine engine;
+    SGQ_RETURN_NOT_OK(engine.AddQuery(query_, vocab_).status());
+    SGQ_RETURN_NOT_OK(engine.Finalize());
+    Vocabulary fresh;
+    return engine.Restore(bad_path_, &fresh);
+  }
+
+  // Operator ids of the topology SetUp checks.
+  static constexpr int kPath = 1;
+  static constexpr int kPattern = 3;
+
+  Vocabulary vocab_;
+  std::vector<VertexId> ids_;
+  StreamingGraphQuery query_;
+  std::string path_;
+  std::string bad_path_;
+  std::unique_ptr<CheckpointReader> reader_;
+  std::string ops_;
+  std::vector<std::pair<std::size_t, std::size_t>> blobs_;  ///< offset, size
+};
+
+TEST_F(VertexFieldTest, IdsPastTheIdSpaceRejectedPositioned) {
+  // PATH (shared window): u8 flag, u64 tree count, then the first root.
+  // PATTERN: u32 levels, the left table's u64 key count and its first
+  // key's u32 arity, then the key's value (y). Its output coalescer ends
+  // the blob: the last key's src, trg, label, u32 interval count 1 and
+  // one interval.
+  ASSERT_EQ(ops_[blobs_[kPath].first], 1) << "PATH shares its window";
+  const std::size_t coalescer_src = blobs_[kPattern].second - 40;
+  ASSERT_EQ(U64At(kPattern, blobs_[kPattern].second - 24) >> 32, 1u);
+  const struct {
+    const char* what;
+    int op;
+    std::size_t at;
+    VertexId holds;
+    const char* name;
+  } fields[] = {
+      {"PATH tree root", kPath, 9, ids_[0], "PATH[S-PATH]"},
+      {"PATTERN join key", kPattern, 16, ids_[1], "PATTERN"},
+      {"PATTERN coalescer key", kPattern, coalescer_src, ids_[0], "PATTERN"},
+  };
+  for (const auto& f : fields) {
+    ASSERT_EQ(U64At(f.op, f.at), f.holds) << f.what;
+    for (const std::uint64_t bad : {0xFFFFFFFFull, 0x100000000ull}) {
+      const Status st = RestoreWith(f.op, f.at, bad);
+      ASSERT_FALSE(st.ok()) << f.what << " = " << bad << " accepted";
+      const std::string where =
+          "section 'ops': operator " + std::to_string(f.op) + " (" + f.name +
+          ") shard 0: offset " + std::to_string(f.at) + ": vertex id " +
+          std::to_string(bad) + " out of range";
+      EXPECT_NE(st.message().find(where), std::string::npos)
+          << f.what << ": " << st.ToString();
+    }
+  }
+}
+
+TEST_F(VertexFieldTest, U64MaxRestoresAsTheSentinel) {
+  // The left binding binds x = v0 and y = v1 and leaves z unbound: after
+  // the u64 key, the i64 hint and the u32 binding count, its u32 arity
+  // and three u64 values, z last. The unbound z is kInvalidVertex,
+  // written as u64 max.
+  const std::set<std::uint64_t> bound = {U64At(kPattern, 40),
+                                         U64At(kPattern, 48)};
+  ASSERT_EQ(bound, (std::set<std::uint64_t>{ids_[0], ids_[1]}));
+  ASSERT_EQ(U64At(kPattern, 56), ~std::uint64_t{0});
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(query_, vocab_).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  Vocabulary fresh;
+  const Status st = engine.Restore(path_, &fresh);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // The restored sentinel writes the same u64 max back.
+  ASSERT_TRUE(engine.Checkpoint(bad_path_, &fresh).ok());
+  ASSERT_TRUE(engine.WaitForCheckpoint().ok());
+  auto again = CheckpointReader::ParseFile(bad_path_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->payload(*again->Find("ops")), ops_);
+  // The binding still joins: a second b-edge from v1 derives (v0, v3).
+  const VertexId v3 = *fresh.InternVertex("v3");
+  engine.Push(Sge(ids_[1], v3, *fresh.FindLabel("b"), 3));
+  const std::vector<Sgt> results = engine.results(0);
+  ASSERT_FALSE(results.empty());
+  EXPECT_EQ(results.back().src, ids_[0]);
+  EXPECT_EQ(results.back().trg, v3);
+}
+
+TEST_F(VertexFieldTest, TreeEdgeOffItsKeysRejectedPositioned) {
+  // The PATH tree holds the root (v0, s0) and its child (v1, s1), sorted
+  // by key, after the u64 root and the u64 node count (offset 25). Each
+  // node: key (u64 vertex, u32 state), interval (2 × i64), parent key,
+  // the edge from the parent (u64 src, u64 trg, u32 label), u8 is_root,
+  // u32 child count and the child keys. The root has one child (77
+  // bytes), so the child's edge starts at 102 + 40.
+  constexpr std::size_t kRootEdge = 25 + 40;
+  constexpr std::size_t kChildEdge = 25 + 77 + 40;
+  ASSERT_EQ(U64At(kPath, 25), ids_[0]);
+  ASSERT_EQ(U64At(kPath, kRootEdge), ~std::uint64_t{0});  // a root has none
+  ASSERT_EQ(U64At(kPath, 25 + 77), ids_[1]);
+  ASSERT_EQ(U64At(kPath, kChildEdge), ids_[0]);
+  ASSERT_EQ(U64At(kPath, kChildEdge + 8), ids_[1]);
+  const struct {
+    const char* what;
+    std::size_t at;
+    VertexId value;
+  } cases[] = {
+      {"child edge from v1, parent v0", kChildEdge, ids_[1]},
+      {"child edge to v2, node v1", kChildEdge + 8, ids_[2]},
+      {"root with an edge", kRootEdge, ids_[0]},
+  };
+  for (const auto& c : cases) {
+    const Status st = RestoreWith(kPath, c.at, c.value);
+    ASSERT_FALSE(st.ok()) << c.what << " accepted";
+    // Positioned after the node's is_root byte (edge + 20 bytes + 1).
+    const std::string where =
+        "operator 1 (PATH[S-PATH]) shard 0: offset " +
+        std::to_string((c.at == kRootEdge ? kRootEdge : kChildEdge) + 21) +
+        ": tree edge endpoints disagree with the parent and node keys";
+    EXPECT_NE(st.message().find(where), std::string::npos)
+        << c.what << ": " << st.ToString();
+  }
+}
+
+TEST_F(VertexFieldTest, VocabularyPastItsLimitRefusedPositioned) {
+  Engine engine;
+  ASSERT_TRUE(engine.AddQuery(query_, vocab_).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  testing_util::BoundedVocabulary bounded(2);
+  const Status st = engine.Restore(path_, &bounded);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("section 'vocab': offset"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("vertex 'v2' refused"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(EngineCheckpointTest, MissingFileIsACleanError) {

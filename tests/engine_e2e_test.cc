@@ -255,7 +255,7 @@ TEST(GCoreEndToEndTest, Figure6QueryRunsOnRunningExample) {
   // The Figure 2 stream (vertices interned into the same vocabulary).
   InputStream stream;
   auto add = [&](const char* s, const char* l, const char* g, Timestamp t) {
-    stream.emplace_back(vocab.InternVertex(s), vocab.InternVertex(g),
+    stream.emplace_back(*vocab.InternVertex(s), *vocab.InternVertex(g),
                         *vocab.FindLabel(l), t);
   };
   add("u", "follows", "v", 7);

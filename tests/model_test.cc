@@ -11,6 +11,7 @@
 #include "model/stream_io.h"
 #include "model/vocabulary.h"
 #include "model/window.h"
+#include "test_util.h"
 
 namespace sgq {
 namespace {
@@ -79,11 +80,33 @@ TEST(VocabularyTest, InternmentIsStableAndPartitioned) {
 
 TEST(VocabularyTest, VertexInterning) {
   Vocabulary vocab;
-  VertexId u = vocab.InternVertex("u");
-  EXPECT_EQ(vocab.InternVertex("u"), u);
-  EXPECT_NE(vocab.InternVertex("v"), u);
+  VertexId u = *vocab.InternVertex("u");
+  EXPECT_EQ(*vocab.InternVertex("u"), u);
+  EXPECT_NE(*vocab.InternVertex("v"), u);
   EXPECT_EQ(vocab.VertexName(u), "u");
   EXPECT_FALSE(vocab.FindVertex("w").ok());
+}
+
+TEST(VocabularyTest, RefusesVertexNamesPastItsLimit) {
+  // 32-bit ids: 2^32 - 1 names get ids 0 .. 2^32 - 2, and the next one
+  // would get kInvalidVertex.
+  EXPECT_EQ(Vocabulary::kMaxVertices, std::size_t{kInvalidVertex});
+  EXPECT_EQ(kInvalidVertex, 0xFFFFFFFFu);
+  testing_util::BoundedVocabulary vocab(2);
+  ASSERT_TRUE(vocab.InternVertex("u").ok());
+  ASSERT_TRUE(vocab.InternVertex("v").ok());
+  const Result<VertexId> w = vocab.InternVertex("w");
+  ASSERT_FALSE(w.ok());
+  EXPECT_NE(w.status().message().find("vertex 'w' refused"),
+            std::string::npos)
+      << w.status().ToString();
+  // A refusal interns nothing; known names still resolve.
+  EXPECT_EQ(vocab.NumVertices(), 2u);
+  EXPECT_FALSE(vocab.FindVertex("w").ok());
+  EXPECT_EQ(*vocab.InternVertex("v"), 1u);
+  // A copy keeps the limit.
+  Vocabulary copy = vocab;
+  EXPECT_FALSE(copy.InternVertex("w").ok());
 }
 
 TEST(SgtTest, ValueEquivalenceIgnoresTemporalAttributes) {

@@ -165,7 +165,7 @@ TEST(NormalizeTest, TwoStarsGiveFourVariantsMinusEmpty) {
 class OracleTest : public ::testing::Test {
  protected:
   LabelId L(const char* name) { return *vocab_.InternInputLabel(name); }
-  VertexId V(const char* name) { return vocab_.InternVertex(name); }
+  VertexId V(const char* name) { return *vocab_.InternVertex(name); }
   Vocabulary vocab_;
 };
 

@@ -97,7 +97,7 @@ TEST(PurgeTest, ExpiredStateLeavesAtTheNextBoundary) {
       auto query = MakeQuery(text, WindowSpec(12, 3), &vocab);
       ASSERT_TRUE(query.ok()) << text;
       const LabelId idle = *vocab.InternInputLabel("idle");
-      const VertexId v = vocab.InternVertex("v0");
+      const VertexId v = *vocab.InternVertex("v0");
       EngineOptions options;
       options.num_workers = workers;
       Engine engine(options);

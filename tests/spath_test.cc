@@ -51,7 +51,7 @@ class Figure9Test : public ::testing::Test {
     out_ = *vocab_.InternDerivedLabel("RLP");
     for (const char* name :
          {"x", "z", "y", "w", "t", "u", "v", "s"}) {
-      ids_[name] = vocab_.InternVertex(name);
+      ids_[name] = *vocab_.InternVertex(name);
     }
     auto regex = ParseRegex("RL+", &vocab_);
     ASSERT_TRUE(regex.ok());

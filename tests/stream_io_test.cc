@@ -16,6 +16,7 @@
 #include "common/string_util.h"
 #include "model/file_chunk_source.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 
 namespace sgq {
 namespace {
@@ -159,6 +160,15 @@ const char kSampleCsv[] =
     "u,posts,a,22,-\n"
     "u,likes,b,29\n";
 
+TEST(StreamIoTest, VertexPastTheVocabularyLimitNamesTheLine) {
+  testing_util::BoundedVocabulary vocab(2);
+  auto r = ParseStreamCsv("u,a,v,1\nv,a,w,2\n", &vocab);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("line 2: vertex 'w' refused"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
 TEST(BinaryStreamTest, DetectsFormatByMagic) {
   EXPECT_EQ(DetectStreamFormat("u,a,v,1\n"), StreamFormat::kCsv);
   EXPECT_EQ(DetectStreamFormat(""), StreamFormat::kCsv);
@@ -206,6 +216,24 @@ TEST(BinaryStreamTest, RejectsBadMagicAndUnknownVersion) {
   auto r = ParseStreamBinary(future, &vocab2);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("version 2"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(BinaryStreamTest, VertexPastTheVocabularyLimitNamesTheOffset) {
+  Vocabulary vocab;
+  auto parsed = ParseStreamCsv("u,a,v,1\nv,a,w,2\n", &vocab);
+  ASSERT_TRUE(parsed.ok());
+  auto binary = FormatStreamBinary(*parsed, vocab);
+  ASSERT_TRUE(binary.ok());
+  // The 24-byte fixed header, label "a" (u16 length + 1 byte), then the
+  // vertex entries "u" and "v" (3 bytes each): entry 2, "w", is at 33.
+  testing_util::BoundedVocabulary bounded(2);
+  auto r = ParseStreamBinary(*binary, &bounded);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("binary stream offset 33: vertex "
+                                      "dictionary entry 2: vertex 'w' "
+                                      "refused"),
+            std::string::npos)
       << r.status().ToString();
 }
 

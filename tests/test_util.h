@@ -14,11 +14,21 @@
 #include "model/coalesce.h"
 #include "model/sgt.h"
 #include "model/snapshot_graph.h"
+#include "model/vocabulary.h"
 #include "query/oracle.h"
 #include "query/rq.h"
 
 namespace sgq {
 namespace testing_util {
+
+/// \brief A Vocabulary that refuses vertex names past `max_vertices`, so
+/// tests reach the id-space refusal without interning 2^32 - 1 names.
+class BoundedVocabulary : public Vocabulary {
+ public:
+  explicit BoundedVocabulary(std::size_t max_vertices) {
+    max_vertices_ = max_vertices;
+  }
+};
 
 /// \brief Applies the WSCAN semantics of `query` to an input stream,
 /// producing the windowed streaming graph W(S) (per-label windows
