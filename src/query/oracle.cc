@@ -1,7 +1,9 @@
 #include "query/oracle.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -61,57 +63,134 @@ class RelationStore {
   std::unordered_map<LabelId, Relation> relations_;
 };
 
-using Binding = std::unordered_map<std::string, VertexId>;
+/// One rule's bindings as a flat table: a row is `width` consecutive
+/// slots, one per rule variable. A slot holds kInvalidVertex while its
+/// variable is unbound and again once no later atom and not the head
+/// reads it, so rows that agree on the live variables are equal.
+class BindingTable {
+ public:
+  explicit BindingTable(std::size_t width) : width_(width) {}
 
-/// Joins `atom` against the current bindings, extending each.
-void ExtendBindings(const RelationStore& store, const BodyAtom& atom,
-                    LabelId effective_label, std::vector<Binding>* bindings) {
-  std::vector<Binding> next;
-  for (const Binding& b : *bindings) {
-    auto src_it = b.find(atom.src);
-    auto trg_it = b.find(atom.trg);
-    const bool src_bound = src_it != b.end();
-    const bool trg_bound = trg_it != b.end();
-    if (src_bound && trg_bound) {
-      if (store.Contains(effective_label, src_it->second, trg_it->second)) {
-        next.push_back(b);
+  std::size_t rows() const { return cells_.size() / width_; }
+  const VertexId* row(std::size_t i) const { return &cells_[i * width_]; }
+
+  /// Appends a copy of `from` (a row of another table) and returns it.
+  VertexId* Append(const VertexId* from) {
+    cells_.insert(cells_.end(), from, from + width_);
+    return &cells_[cells_.size() - width_];
+  }
+
+  /// Sorts the rows and drops duplicates.
+  void Dedup() {
+    std::vector<std::size_t> order(rows());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(row(a), row(a) + width_, row(b),
+                                          row(b) + width_);
+    });
+    std::vector<VertexId> kept;
+    for (std::size_t i : order) {
+      if (!kept.empty() &&
+          std::equal(row(i), row(i) + width_, kept.end() - width_)) {
+        continue;
       }
-    } else if (src_bound) {
-      for (VertexId t : store.TargetsOf(effective_label, src_it->second)) {
-        if (atom.src == atom.trg && t != src_it->second) continue;
-        Binding nb = b;
-        nb[atom.trg] = t;
-        next.push_back(std::move(nb));
+      kept.insert(kept.end(), row(i), row(i) + width_);
+    }
+    cells_ = std::move(kept);
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<VertexId> cells_;
+};
+
+/// Evaluates one rule left to right over a BindingTable. After each atom
+/// the slots no later atom and not the head reads are cleared and
+/// duplicate rows dropped, so the table holds the distinct bindings of
+/// the live variables, never one row per body match.
+VertexPairSet EvalRule(const RelationStore& store, const Rule& rule) {
+  std::vector<std::string> vars;
+  const auto slot_of = [&vars](const std::string& var) {
+    const auto it = std::find(vars.begin(), vars.end(), var);
+    if (it != vars.end()) return static_cast<std::size_t>(it - vars.begin());
+    vars.push_back(var);
+    return vars.size() - 1;
+  };
+  struct Step {
+    LabelId label = kInvalidLabel;
+    std::size_t src = 0, trg = 0;
+    bool src_bound = false, trg_bound = false;  // by an earlier atom
+    std::vector<std::size_t> dead;  // slots last read by this atom
+  };
+  std::vector<Step> steps;
+  std::vector<std::size_t> last_read;  // per slot: index of the last atom
+  for (const BodyAtom& atom : rule.body) {
+    const std::size_t known = vars.size();
+    Step step;
+    step.label = atom.IsClosure() ? atom.alias : atom.label;
+    step.src = slot_of(atom.src);
+    step.trg = slot_of(atom.trg);
+    step.src_bound = step.src < known;
+    step.trg_bound = step.trg < known;
+    last_read.resize(vars.size());
+    last_read[step.src] = last_read[step.trg] = steps.size();
+    steps.push_back(std::move(step));
+  }
+  const std::size_t head_src = slot_of(rule.head_src);
+  const std::size_t head_trg = slot_of(rule.head_trg);
+  SGQ_CHECK_EQ(vars.size(), last_read.size());  // Validate: head in body
+  last_read[head_src] = last_read[head_trg] = steps.size();
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    if (last_read[v] < steps.size()) steps[last_read[v]].dead.push_back(v);
+  }
+
+  // Compact whenever the rows appended since the last dedup could double
+  // the table, so it never holds more than about twice its distinct rows.
+  constexpr std::size_t kMinCompactRows = std::size_t{1} << 16;
+  const std::vector<VertexId> unbound(vars.size(), kInvalidVertex);
+  BindingTable table(vars.size());
+  table.Append(unbound.data());
+  for (const Step& step : steps) {
+    BindingTable next(vars.size());
+    std::size_t compact_at = kMinCompactRows;
+    const auto emit = [&](const VertexId* from, VertexId s, VertexId t) {
+      VertexId* row = next.Append(from);
+      row[step.src] = s;
+      row[step.trg] = t;
+      for (std::size_t v : step.dead) row[v] = kInvalidVertex;
+    };
+    for (std::size_t i = 0; i < table.rows(); ++i) {
+      const VertexId* from = table.row(i);
+      if (step.src_bound && step.trg_bound) {
+        if (store.Contains(step.label, from[step.src], from[step.trg])) {
+          emit(from, from[step.src], from[step.trg]);
+        }
+      } else if (step.src_bound) {
+        for (VertexId t : store.TargetsOf(step.label, from[step.src])) {
+          emit(from, from[step.src], t);
+        }
+      } else if (step.trg_bound) {
+        for (VertexId s : store.SourcesOf(step.label, from[step.trg])) {
+          emit(from, s, from[step.trg]);
+        }
+      } else {
+        for (const auto& [s, t] : store.Pairs(step.label)) {
+          if (step.src == step.trg && s != t) continue;
+          emit(from, s, t);
+        }
       }
-    } else if (trg_bound) {
-      for (VertexId s : store.SourcesOf(effective_label, trg_it->second)) {
-        Binding nb = b;
-        nb[atom.src] = s;
-        next.push_back(std::move(nb));
-      }
-    } else {
-      for (const auto& [s, t] : store.Pairs(effective_label)) {
-        if (atom.src == atom.trg && s != t) continue;
-        Binding nb = b;
-        nb[atom.src] = s;
-        nb[atom.trg] = t;
-        next.push_back(std::move(nb));
+      if (next.rows() >= compact_at) {
+        next.Dedup();
+        compact_at = std::max(kMinCompactRows, 2 * next.rows());
       }
     }
-  }
-  *bindings = std::move(next);
-}
-
-VertexPairSet EvalRule(const RelationStore& store, const Rule& rule) {
-  std::vector<Binding> bindings = {Binding{}};
-  for (const BodyAtom& atom : rule.body) {
-    const LabelId effective = atom.IsClosure() ? atom.alias : atom.label;
-    ExtendBindings(store, atom, effective, &bindings);
-    if (bindings.empty()) return {};
+    next.Dedup();
+    if (next.rows() == 0) return {};
+    table = std::move(next);
   }
   VertexPairSet out;
-  for (const Binding& b : bindings) {
-    out.insert({b.at(rule.head_src), b.at(rule.head_trg)});
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    out.insert({table.row(i)[head_src], table.row(i)[head_trg]});
   }
   return out;
 }

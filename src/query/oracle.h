@@ -4,7 +4,17 @@
 // semantics (Def. 14): for every instant t,
 //     tau_t(Q(S, W)) == Q_O(tau_t(W(S))).
 // The incremental engine (src/core) is tested against this oracle on
-// randomized streams; the oracle favors obvious correctness over speed.
+// randomized streams.
+//
+// Evaluation rule: IDB labels in topological order; a closure alias is the
+// transitive closure of its label; a rule joins its body atoms left to
+// right over a table with one vertex slot per rule variable. After each
+// atom the slots that no later atom and not the head reads are cleared and
+// duplicate rows dropped. Memory bound: a rule's table holds the distinct
+// bindings of its live variables (at most about twice that between
+// dedups), never one row per body match, so a chain's cost follows its
+// answer, not the number of paths through it. Relations are held as pair
+// sets with per-vertex probe lists.
 
 #ifndef SGQ_QUERY_ORACLE_H_
 #define SGQ_QUERY_ORACLE_H_

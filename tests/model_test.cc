@@ -240,6 +240,17 @@ TEST(StreamingCoalescerTest, RecreatedKeyIsPurgedOnTime) {
   EXPECT_EQ(c.NumKeys(), 0u);
 }
 
+TEST(StreamingCoalescerTest, SecondIntervalIsCountedInItsHeapBlock) {
+  // One interval lives in the key's slot; a second, disjoint one moves the
+  // key's coverage to a heap block, which ApproxBytes counts.
+  StreamingCoalescer one, two;
+  EXPECT_TRUE(one.Offer(Sgt(1, 2, 0, Interval(1, 5))));
+  EXPECT_TRUE(two.Offer(Sgt(1, 2, 0, Interval(1, 5))));
+  EXPECT_EQ(two.ApproxBytes(), one.ApproxBytes());
+  EXPECT_TRUE(two.Offer(Sgt(1, 2, 0, Interval(8, 12))));
+  EXPECT_EQ(two.ApproxBytes(), one.ApproxBytes() + 2 * sizeof(Interval));
+}
+
 TEST(StreamingCoalescerTest, EarlierIntervalMovesTheHint) {
   StreamingCoalescer c;
   c.ConfigureExpirySlide(3);

@@ -1,14 +1,12 @@
 // Tests for the SGQ query model: RQ parsing/validation (Def. 13), star
-// normalization, the one-time oracle, and the G-CORE front-end (§4.2).
+// normalization and the G-CORE front-end (§4.2). The one-time oracle has
+// its own file (oracle_test.cc).
 
 #include <gtest/gtest.h>
 
-#include "model/snapshot_graph.h"
 #include "query/gcore.h"
 #include "query/normalize.h"
-#include "query/oracle.h"
 #include "query/rq.h"
-#include "regex/dfa.h"
 
 namespace sgq {
 namespace {
@@ -156,99 +154,6 @@ TEST(NormalizeTest, TwoStarsGiveFourVariantsMinusEmpty) {
   RegularQuery norm = ExpandStarClosures(*rq);
   // a+b+, a+, b+ — the both-empty variant has an empty body and is dropped.
   EXPECT_EQ(norm.rules().size(), 3u);
-}
-
-// ---------------------------------------------------------------------------
-// One-time oracle
-// ---------------------------------------------------------------------------
-
-class OracleTest : public ::testing::Test {
- protected:
-  LabelId L(const char* name) { return *vocab_.InternInputLabel(name); }
-  VertexId V(const char* name) { return *vocab_.InternVertex(name); }
-  Vocabulary vocab_;
-};
-
-TEST_F(OracleTest, TransitiveClosureOnChainAndCycle) {
-  VertexPairSet rel = {{1, 2}, {2, 3}, {3, 1}};
-  VertexPairSet tc = TransitiveClosure(rel);
-  // 3-cycle: everything reaches everything, including itself.
-  EXPECT_EQ(tc.size(), 9u);
-  EXPECT_TRUE(tc.count({1, 1}) > 0);
-}
-
-TEST_F(OracleTest, EvaluatesConjunctiveTriangle) {
-  // Example 6's recentLiker triangle: likes(u1,m), posts(u2,m), f(u1,u2).
-  LabelId likes = L("likes"), posts = L("posts"), follows = L("follows");
-  VertexId u = V("u"), v = V("v"), b = V("b");
-  SnapshotGraph g;
-  g.AddEdge(EdgeRef(u, b, likes));
-  g.AddEdge(EdgeRef(v, b, posts));
-  g.AddEdge(EdgeRef(u, v, follows));
-  auto rq = ParseRq(
-      "Answer(x,y) <- likes(x,m), posts(y,m), follows(x,y)", &vocab_);
-  ASSERT_TRUE(rq.ok());
-  auto result = EvaluateOneTime(*rq, g, vocab_);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 1u);
-  EXPECT_TRUE(result->count({u, v}) > 0);
-}
-
-TEST_F(OracleTest, EvaluatesClosureInRule) {
-  LabelId e = L("e"), f = L("f");
-  SnapshotGraph g;
-  g.AddEdge(EdgeRef(1, 2, e));
-  g.AddEdge(EdgeRef(2, 3, e));
-  g.AddEdge(EdgeRef(3, 4, f));
-  auto rq = ParseRq("Answer(x,y) <- e+(x,z), f(z,y)", &vocab_);
-  ASSERT_TRUE(rq.ok());
-  auto result = EvaluateOneTime(*rq, g, vocab_);
-  ASSERT_TRUE(result.ok());
-  // e+ reaches 3 from 1 and 2; f hops to 4.
-  VertexPairSet expected = {{1, 4}, {2, 4}};
-  EXPECT_EQ(*result, expected);
-}
-
-TEST_F(OracleTest, StarInBodyIncludesZeroSteps) {
-  LabelId a = L("a"), b = L("b");
-  SnapshotGraph g;
-  g.AddEdge(EdgeRef(1, 2, a));
-  g.AddEdge(EdgeRef(2, 3, b));
-  auto rq = ParseRq("Answer(x,y) <- a(x,z), b*(z,y)", &vocab_);
-  ASSERT_TRUE(rq.ok());
-  auto result = EvaluateOneTime(*rq, g, vocab_);
-  ASSERT_TRUE(result.ok());
-  // Zero b-steps: (1,2); one b-step: (1,3).
-  VertexPairSet expected = {{1, 2}, {1, 3}};
-  EXPECT_EQ(*result, expected);
-}
-
-TEST_F(OracleTest, RpqProductBfsMatchesHandComputation) {
-  LabelId a = L("a"), b = L("b");
-  SnapshotGraph g;
-  g.AddEdge(EdgeRef(1, 2, a));
-  g.AddEdge(EdgeRef(2, 3, b));
-  g.AddEdge(EdgeRef(3, 2, b));
-  Vocabulary tmp = vocab_;
-  auto regex = ParseRegex("a b*", &tmp);
-  ASSERT_TRUE(regex.ok());
-  Dfa dfa = Dfa::FromRegex(*regex);
-  VertexPairSet result = EvaluateRpq(g, dfa);
-  VertexPairSet expected = {{1, 2}, {1, 3}};
-  EXPECT_EQ(result, expected);
-}
-
-TEST_F(OracleTest, WitnessPathValidation) {
-  LabelId a = L("a");
-  SnapshotGraph g;
-  g.AddEdge(EdgeRef(1, 2, a));
-  g.AddEdge(EdgeRef(2, 3, a));
-  EXPECT_TRUE(IsValidWitnessPath(g, 1, 3,
-                                 {EdgeRef(1, 2, a), EdgeRef(2, 3, a)}));
-  EXPECT_FALSE(IsValidWitnessPath(g, 1, 3, {EdgeRef(1, 2, a)}));
-  EXPECT_FALSE(IsValidWitnessPath(
-      g, 1, 3, {EdgeRef(1, 2, a), EdgeRef(9, 3, a)}));  // broken chain
-  EXPECT_FALSE(IsValidWitnessPath(g, 1, 3, {}));
 }
 
 // ---------------------------------------------------------------------------
