@@ -535,10 +535,10 @@ int main(int argc, char** argv) {
   auto take_checkpoint = [&](std::uint64_t raw_index) -> bool {
     std::vector<std::pair<std::string, std::string>> extra;
     if (slack > 0) {
-      std::string blob;
+      PayloadOut blob;
       PutU64(&blob, raw_index);
       reorder_buffer->SerializeState(&blob);
-      extra.emplace_back("x-reorder", std::move(blob));
+      extra.emplace_back("x-reorder", blob.TakeBytes());
     }
     const std::string path =
         CheckpointName(checkpoint_dir, raw_index / checkpoint_every);

@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/page_allocator.h"
 #include "model/types.h"
 
 namespace sgq {
@@ -133,7 +134,7 @@ class ExpiryCalendar {
       head_ = 0;
     }
     // Callbacks may Add, so the popped buckets are drained from scratch.
-    for (std::vector<Entry>& bucket : drain_scratch_) {
+    for (Entries& bucket : drain_scratch_) {
       for (const Entry& e : bucket) {
         ++hints_drained_;
         fn(e.exp, e.hint);
@@ -187,10 +188,14 @@ class ExpiryCalendar {
     Timestamp exp;
     Hint hint;
   };
+  /// A bucket's hints. A bucket of a large table's calendar can hold
+  /// MBs; page-mapped (common/page_allocator.h), it leaves the process
+  /// when drained.
+  using Entries = std::vector<Entry, PageAllocator<Entry>>;
   struct Bucket {
     Timestamp id;
     Timestamp min_exp;
-    std::vector<Entry> entries;
+    Entries entries;
   };
   /// A drained bucket's vector (cleared, capacity intact) is kept as the
   /// spare for the next bucket created: a steady slide drains about one
@@ -232,8 +237,8 @@ class ExpiryCalendar {
   std::size_t head_ = 0;
   std::size_t num_hints_ = 0;
   std::size_t hints_drained_ = 0;
-  std::vector<std::vector<Entry>> drain_scratch_;
-  std::vector<Entry> spare_;
+  std::vector<Entries> drain_scratch_;
+  Entries spare_;
 };
 
 }  // namespace sgq

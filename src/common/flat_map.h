@@ -19,14 +19,19 @@
 //
 // The API is the std::unordered_map subset the engine uses (find /
 // operator[] / try_emplace / insert_or_assign / emplace / erase / range
-// iteration / clear / reserve). Semantics differences, by design:
+// iteration / clear / reserve), plus ShrinkToFit, which owners call after
+// a purge so a table that emptied out gives its memory back. The slot
+// and metadata arrays are one PageAllocate block (common/page_allocator.h):
+// a large table maps pages of its own and unmaps them when it rehashes,
+// shrinks or dies. Semantics differences, by design:
 //
 //  - iteration order is the slot order (hash order), not insertion order,
 //    and differs from std::unordered_map — callers whose emission order is
 //    observable must drain through an explicit sort (see DESIGN.md,
 //    "State layout");
-//  - references and iterators are invalidated by rehash AND by any
-//    insert/erase (elements shift within the array);
+//  - references and iterators are invalidated by rehash (growth or
+//    ShrinkToFit) AND by any insert/erase (elements shift within the
+//    array);
 //  - erase(it) returns the iterator to continue a forward scan with; when
 //    the backward shift wraps around the array end, an already-visited
 //    element can be revisited — erase-during-scan predicates must be
@@ -44,10 +49,11 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
+
+#include "common/page_allocator.h"
 
 namespace sgq {
 
@@ -179,11 +185,29 @@ class FlatMap {
     size_ = 0;
   }
 
-  /// \brief Grows the table so `n` elements fit without rehash.
+  /// \brief Grows the table so `n` elements fit without rehash (0: no-op).
   void reserve(std::size_t n) {
-    std::size_t want = 8;
+    if (n == 0) return;
+    std::size_t want = kMinCapacity;
     while (want * 3 < n * 4) want <<= 1;  // invert the 0.75 load bound
     if (want > capacity_) Rehash(want);
+  }
+
+  /// \brief Gives memory back after erasures. An empty table frees its
+  /// arrays. Otherwise, while the load is under 1/8, the table halves
+  /// until its load is at least 3/16 (or it is down to 8 slots), so it
+  /// ends between 3/16 and 3/8 — clear of growth at 3/4, and at least
+  /// capacity / 16 erasures away from the next shrink, which pays for
+  /// the O(capacity) rehash. O(1) when nothing shrinks.
+  void ShrinkToFit() {
+    if (!shrink_due()) return;
+    if (size_ == 0) {
+      Destroy();
+      return;
+    }
+    std::size_t want = capacity_;
+    while (want > kMinCapacity && size_ * 16 < want * 3) want >>= 1;
+    Rehash(want);
   }
 
   iterator find(const Key& key) {
@@ -255,8 +279,15 @@ class FlatMap {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// \brief True when ShrinkToFit would shrink or free the arrays: the
+  /// table is empty but allocated, or under 1/8 full (then above 8 slots).
+  bool shrink_due() const {
+    return size_ == 0 ? capacity_ != 0 : size_ * 8 < capacity_;
+  }
+
  private:
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kMinCapacity = 8;
   /// Probe distances are uint8 (0 = empty, 1 = home slot); chains close to
   /// the limit force a rehash, which shortens them.
   static constexpr unsigned kMaxDist = 250;
@@ -281,7 +312,7 @@ class FlatMap {
   /// \brief Inserts a key known to be absent; returns its slot.
   std::size_t InsertNew(const Key& key, T value) {
     if (capacity_ == 0 || (size_ + 1) * 4 > capacity_ * 3) {
-      Rehash(capacity_ == 0 ? 8 : capacity_ * 2);
+      Rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
     }
     while (true) {
       const std::size_t i = TryPlace(key, &value);
@@ -362,11 +393,17 @@ class FlatMap {
     }
   }
 
+  /// One block, the slot array then the probe-distance bytes: a table
+  /// below the page threshold is one heap block, not two, which leaves
+  /// the heap fewer fragments to keep. (Under ASan the block's bounds are
+  /// checked as a whole.)
   void AllocateArrays(std::size_t capacity) {
+    static_assert(alignof(value_type) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "slots are PageAllocate storage");
     capacity_ = capacity;
     size_ = 0;
-    slots_ = std::allocator<value_type>().allocate(capacity_);
-    dist_ = new uint8_t[capacity_];
+    slots_ = static_cast<value_type*>(PageAllocate(capacity_bytes()));
+    dist_ = reinterpret_cast<uint8_t*>(slots_ + capacity_);
     std::memset(dist_, 0, capacity_);
   }
 
@@ -375,8 +412,7 @@ class FlatMap {
     for (std::size_t i = 0; i < capacity_; ++i) {
       if (dist_[i] != 0) slots_[i].~value_type();
     }
-    std::allocator<value_type>().deallocate(slots_, capacity_);
-    delete[] dist_;
+    PageFree(slots_, capacity_bytes());
     slots_ = nullptr;
     dist_ = nullptr;
     capacity_ = 0;

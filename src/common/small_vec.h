@@ -62,7 +62,10 @@ class SmallVec {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  void clear() { size_ = 0; }
+  void clear() {
+    size_ = 0;
+    ShrinkInline();
+  }
 
   void assign(std::size_t n, const T& value) {
     size_ = 0;
@@ -86,11 +89,15 @@ class SmallVec {
     ++size_;
   }
 
-  /// \brief Removes the elements in [i, j), shifting the tail left.
+  /// \brief Removes the elements in [i, j), shifting the tail left. A
+  /// heap block is freed once the rest fits inline again.
   void erase_range(std::size_t i, std::size_t j) {
+    // size_ <= N in inline mode; the min makes the bound provable.
+    const std::size_t end = cap_ == N ? std::min<std::size_t>(size_, N) : size_;
     T* d = data();
-    std::memmove(d + i, d + j, (size_ - j) * sizeof(T));
+    if (j < end) std::memmove(d + i, d + j, (end - j) * sizeof(T));
     size_ -= static_cast<uint32_t>(j - i);
+    ShrinkInline();
   }
 
   void reserve(std::size_t n) { Reserve(n); }
@@ -116,6 +123,17 @@ class SmallVec {
     if (cap_ != N) delete[] heap_;
     heap_ = block;
     cap_ = new_cap;
+  }
+
+  /// Moves the elements back inline and frees the heap block when they
+  /// fit: a value that grew once does not keep its block for life.
+  void ShrinkInline() {
+    if (cap_ == N || size_ > N) return;
+    T* block = heap_;
+    // size_ <= N here; the min makes the bound provable.
+    std::memcpy(inline_, block, std::min<std::size_t>(size_, N) * sizeof(T));
+    delete[] block;
+    cap_ = N;
   }
 
   void CopyFrom(const SmallVec& o) {

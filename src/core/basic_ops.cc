@@ -79,7 +79,7 @@ void SinkOp::OnTuple(int port, const Sgt& tuple) {
 
 void SinkOp::Purge(Timestamp now) { coalescer_.PurgeBefore(now); }
 
-void SinkOp::SerializeState(std::string* out) const {
+void SinkOp::SerializeState(PayloadOut* out) const {
   coalescer_.SerializeState(out);
   PutU64(out, results_.size());
   for (const Sgt& t : results_) PutSgt(out, t);

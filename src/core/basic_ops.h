@@ -106,7 +106,7 @@ class SinkOp : public PhysicalOp {
   /// dedup coalescer, the buffered results verbatim, and the emission
   /// counter — a restored run re-emits the full prefix, so its output is
   /// byte-comparable against an uninterrupted run.
-  void SerializeState(std::string* out) const override;
+  void SerializeState(PayloadOut* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
  private:

@@ -274,7 +274,7 @@ bool IsEngineSection(const std::string& name) {
 }
 
 void PutKeyValues(
-    std::string* out,
+    PayloadOut* out,
     const std::vector<std::pair<std::string, std::string>>& pairs) {
   PutU32(out, static_cast<std::uint32_t>(pairs.size()));
   for (const auto& [key, value] : pairs) {
@@ -313,66 +313,56 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
 Status Engine::EncodeCheckpointSections(
     CheckpointWriter* writer, const Vocabulary* vocab,
     const std::vector<std::pair<std::string, std::string>>& extra) const {
-  // One scratch string carries every payload piece to the writer; the
-  // large sections (vocabulary, operators) pass through it in pieces, so
-  // the snapshot never exists in memory as a whole.
-  std::string scratch;
-  auto drain = [&]() -> Status {
-    const Status st = writer->Append(scratch);
-    scratch.clear();
-    return st;
-  };
-  auto write_scratch = [&](std::string_view name) -> Status {
+  // Every payload goes through one PayloadOut, which hands the writer
+  // 64 KiB pieces: the snapshot never exists in memory as a whole, and
+  // no section or operator payload does either.
+  PayloadOut out(writer);
+  auto section = [&](std::string_view name, auto&& fill) -> Status {
     SGQ_RETURN_NOT_OK(writer->BeginSection(name));
-    SGQ_RETURN_NOT_OK(drain());
+    fill();
+    SGQ_RETURN_NOT_OK(out.Flush());
     return writer->EndSection();
   };
 
-  PutKeyValues(&scratch, IdentityKeys());
-  PutKeyValues(&scratch, InformationalKeys());
-  SGQ_RETURN_NOT_OK(write_scratch("meta"));
+  SGQ_RETURN_NOT_OK(section("meta", [&] {
+    PutKeyValues(&out, IdentityKeys());
+    PutKeyValues(&out, InformationalKeys());
+  }));
 
   // Registration history, not just the live set: (plan, live) per ever-
   // registered query. QueryIds index this list, so a restore target must
   // replay the same adds AND the same removals for ids to line up.
-  PutU32(&scratch, static_cast<std::uint32_t>(plan_texts_.size()));
-  for (std::size_t i = 0; i < plan_texts_.size(); ++i) {
-    PutStr(&scratch, plan_texts_[i]);
-    PutU8(&scratch, query_live_[i] ? 1 : 0);
-  }
-  SGQ_RETURN_NOT_OK(write_scratch("queries"));
+  SGQ_RETURN_NOT_OK(section("queries", [&] {
+    PutU32(&out, static_cast<std::uint32_t>(plan_texts_.size()));
+    for (std::size_t i = 0; i < plan_texts_.size(); ++i) {
+      PutStr(&out, plan_texts_[i]);
+      PutU8(&out, query_live_[i] ? 1 : 0);
+    }
+  }));
 
   if (vocab != nullptr) {
-    SGQ_RETURN_NOT_OK(writer->BeginSection("vocab"));
-    const std::size_t num_labels = vocab->NumLabels();
-    PutU32(&scratch, static_cast<std::uint32_t>(num_labels));
-    for (std::size_t i = 0; i < num_labels; ++i) {
-      const LabelId label = static_cast<LabelId>(i);
-      PutStr(&scratch, vocab->LabelName(label));
-      PutU8(&scratch, vocab->IsInputLabel(label) ? 1 : 0);
-    }
-    const std::size_t num_vertices = vocab->NumVertices();
-    PutU64(&scratch, num_vertices);
-    for (std::size_t i = 0; i < num_vertices; ++i) {
-      PutStr(&scratch, vocab->VertexName(static_cast<VertexId>(i)));
-      if (scratch.size() >= kStreamIoBufferBytes) SGQ_RETURN_NOT_OK(drain());
-    }
-    SGQ_RETURN_NOT_OK(drain());
-    SGQ_RETURN_NOT_OK(writer->EndSection());
+    SGQ_RETURN_NOT_OK(section("vocab", [&] {
+      const std::size_t num_labels = vocab->NumLabels();
+      PutU32(&out, static_cast<std::uint32_t>(num_labels));
+      for (std::size_t i = 0; i < num_labels; ++i) {
+        const LabelId label = static_cast<LabelId>(i);
+        PutStr(&out, vocab->LabelName(label));
+        PutU8(&out, vocab->IsInputLabel(label) ? 1 : 0);
+      }
+      const std::size_t num_vertices = vocab->NumVertices();
+      PutU64(&out, num_vertices);
+      for (std::size_t i = 0; i < num_vertices; ++i) {
+        PutStr(&out, vocab->VertexName(static_cast<VertexId>(i)));
+      }
+    }));
   }
 
-  executor_.SerializeClock(&scratch);
-  SGQ_RETURN_NOT_OK(write_scratch("clock"));
-
-  executor_.window_store()->SerializeState(&scratch);
-  SGQ_RETURN_NOT_OK(write_scratch("windows"));
-
-  SGQ_RETURN_NOT_OK(writer->BeginSection("ops"));
-  SGQ_RETURN_NOT_OK(executor_.SerializeOps(writer));
-  SGQ_RETURN_NOT_OK(writer->EndSection());
-
-  PutU64(&scratch, ingested());
-  SGQ_RETURN_NOT_OK(write_scratch("engine"));
+  SGQ_RETURN_NOT_OK(
+      section("clock", [&] { executor_.SerializeClock(&out); }));
+  SGQ_RETURN_NOT_OK(section(
+      "windows", [&] { executor_.window_store()->SerializeState(&out); }));
+  SGQ_RETURN_NOT_OK(section("ops", [&] { executor_.SerializeOps(&out); }));
+  SGQ_RETURN_NOT_OK(section("engine", [&] { PutU64(&out, ingested()); }));
 
   for (const auto& [name, payload] : extra) {
     SGQ_RETURN_NOT_OK(writer->BeginSection(name));

@@ -100,8 +100,14 @@ void PathOpBase::RemoveNode(SpanningTree& tree, const NodeKey& key) {
     // RemoveChildLink mutates a sibling slot's run in place — the map
     // itself does not shift, so node_it stays valid.
     node_it->second.children.Release(&children_pool_);
+    const bool was_due = tree.nodes.shrink_due();
     tree.nodes.erase(node_it);
     --num_tree_nodes_;
+    // Listed once, as the table drops under 1/8 full; the next Purge
+    // shrinks it (not here: a re-derivation detaches and reattaches).
+    if (!was_due && tree.nodes.shrink_due()) {
+      shrink_roots_.push_back(tree.root);
+    }
   }
   auto it = inverted_.find(key);
   if (it != inverted_.end()) {
@@ -422,12 +428,21 @@ void PathOpBase::Purge(Timestamp now) {
     trees_.erase(tree_it);
   }
   empty_tree_candidates_.clear();
+  // Tables left under 1/8 full give memory back: the trees that dropped
+  // under it since the last purge, then the forest and the index.
+  for (const VertexId root : shrink_roots_) {
+    auto tree_it = trees_.find(root);
+    if (tree_it != trees_.end()) tree_it->second.nodes.ShrinkToFit();
+  }
+  shrink_roots_.clear();
+  trees_.ShrinkToFit();
+  inverted_.ShrinkToFit();
   out_coalescer_.PurgeBefore(now);
 }
 
 namespace {
 
-void PutNodeKey(std::string* out, const NodeKey& key) {
+void PutNodeKey(PayloadOut* out, const NodeKey& key) {
   PutVertex(out, key.first);
   PutU32(out, key.second);
 }
@@ -438,7 +453,7 @@ NodeKey GetNodeKey(ByteReader* in) {
   return NodeKey{v, s};
 }
 
-void PutEdgeRef(std::string* out, const EdgeRef& e) {
+void PutEdgeRef(PayloadOut* out, const EdgeRef& e) {
   PutVertex(out, e.src);
   PutVertex(out, e.trg);
   PutU32(out, e.label);
@@ -466,7 +481,7 @@ std::vector<typename Map::key_type> SortedKeys(const Map& map) {
 
 }  // namespace
 
-void PathOpBase::SerializeState(std::string* out) const {
+void PathOpBase::SerializeState(PayloadOut* out) const {
   PutU8(out, shares_window() ? 1 : 0);
   if (!shares_window()) owned_window_.SerializeState(out);
 
@@ -521,7 +536,15 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
   }
   if (!shared) SGQ_RETURN_NOT_OK(owned_window_.DeserializeState(in));
 
+  // Every table is sized once, from its serialized count, capped at what
+  // the rest of the payload could hold. A tree is at least its root and
+  // node count; a node its key, interval, parent key, tree edge, root
+  // flag and child count; an index entry its key and root count.
+  constexpr std::size_t kNodeKeyBytes = 8 + 4;
+  constexpr std::size_t kMinNodeBytes =
+      kNodeKeyBytes + 16 + kNodeKeyBytes + (8 + 8 + 4) + 1 + 4;
   const std::uint64_t num_trees = in->U64();
+  trees_.reserve(in->ReserveBound(num_trees, 8 + 8));
   for (std::uint64_t t = 0; t < num_trees && in->ok(); ++t) {
     const VertexId root = in->Vertex();
     auto [it, inserted] = trees_.try_emplace(root);
@@ -529,6 +552,7 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
     SpanningTree& tree = it->second;
     tree.root = root;
     const std::uint64_t num_nodes = in->U64();
+    tree.nodes.reserve(in->ReserveBound(num_nodes, kMinNodeBytes));
     for (std::uint64_t n = 0; n < num_nodes && in->ok(); ++n) {
       const NodeKey key = GetNodeKey(in);
       TreeNode node;
@@ -552,6 +576,7 @@ Status PathOpBase::DeserializeState(ByteReader* in) {
   }
 
   const std::uint64_t num_inverted = in->U64();
+  inverted_.reserve(in->ReserveBound(num_inverted, kNodeKeyBytes + 4));
   for (std::uint64_t k = 0; k < num_inverted && in->ok(); ++k) {
     const NodeKey key = GetNodeKey(in);
     const std::uint32_t n = in->U32();

@@ -110,9 +110,10 @@ class PathOpBase : public PhysicalOp {
   }
 
   /// \brief Frees window edges (a writer's), tree nodes and coalescer
-  /// state that expired at or before `now`, and drops trees reduced to
-  /// their root. Calendar-driven: cost is proportional to what actually
-  /// expired, not to the forest size.
+  /// state that expired at or before `now`, drops trees reduced to their
+  /// root, and shrinks the tables left under 1/8 full. Calendar-driven:
+  /// cost is proportional to what actually expired, not to the forest
+  /// size.
   void Purge(Timestamp now) override;
 
   /// \brief Due when the window partition (a writer's), the node calendar
@@ -133,7 +134,7 @@ class PathOpBase : public PhysicalOp {
   /// their order is history-dependent and observable (TreesContaining,
   /// CollectSubtree seeds); restoring them byte-for-byte keeps resumed
   /// emission order identical.
-  void SerializeState(std::string* out) const override;
+  void SerializeState(PayloadOut* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
  protected:
@@ -293,6 +294,11 @@ class PathOpBase : public PhysicalOp {
   /// Roots whose tree shrank to (or was created with) just the root node;
   /// Purge verifies and drops them instead of scanning every tree.
   std::vector<VertexId> empty_tree_candidates_;
+  /// Roots whose node table dropped under 1/8 full since the last Purge,
+  /// which shrinks them (FlatMap::ShrinkToFit) — without scanning the
+  /// forest. Transient like a drain's scratch: not checkpointed (a
+  /// restore sizes every table afresh).
+  std::vector<VertexId> shrink_roots_;
 };
 
 }  // namespace sgq

@@ -456,6 +456,12 @@ void PatternOp::Purge(Timestamp now) {
     bucket.hinted = earliest;
     binding_expiry_.Add(earliest, ref);
   });
+  // Tables the drain (or a deletion scrub since the last purge) left under
+  // 1/8 full give memory back; O(1) per table otherwise.
+  for (Level& lv : levels_) {
+    lv.left.ShrinkToFit();
+    lv.right.ShrinkToFit();
+  }
   if (!window_reader_) {
     for (Level& lv : levels_) {
       if (lv.store != nullptr) lv.store->PurgeExpired(now);
@@ -519,7 +525,7 @@ bool KeyLess(const SmallVec<VertexId, 3>& a, const SmallVec<VertexId, 3>& b) {
 }  // namespace
 
 void PatternOp::SerializeTable(const Table& table, std::size_t entries,
-                               std::string* out) {
+                               PayloadOut* out) {
   // Keys sorted (deterministic checkpoint bytes); bucket contents verbatim
   // — every bucket mutation (ScrubTable, Purge) compacts order-preservingly,
   // so restoring bindings in stored order reproduces probe order exactly.
@@ -552,6 +558,10 @@ Status PatternOp::DeserializeTable(int level, bool left, ByteReader* in) {
   Table& table = left ? lv.left : lv.right;
   std::size_t restored = 0;
   const std::uint64_t num_keys = in->U64();
+  // A bucket is at least its key (arity, values), hint, count and one
+  // binding (arity, values, interval).
+  table.reserve(in->ReserveBound(
+      num_keys, 4 + 8 * lv.key_vars.size() + 8 + 4 + 4 + 8 * num_vars_ + 16));
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
     const std::uint32_t key_arity = in->U32();
     if (in->ok() && key_arity != lv.key_vars.size()) {
@@ -606,7 +616,7 @@ Status PatternOp::DeserializeTable(int level, bool left, ByteReader* in) {
   return in->status();
 }
 
-void PatternOp::SerializeState(std::string* out) const {
+void PatternOp::SerializeState(PayloadOut* out) const {
   PutU32(out, static_cast<std::uint32_t>(levels_.size()));
   for (const Level& lv : levels_) {
     SerializeTable(lv.left, lv.left_entries, out);

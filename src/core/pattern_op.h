@@ -145,7 +145,7 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// partitions checkpointed by the registry; the in-flight retraction
   /// scratch sets are provably empty at batch boundaries and are not
   /// serialized.
-  void SerializeState(std::string* out) const override;
+  void SerializeState(PayloadOut* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
  private:
@@ -252,7 +252,7 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   /// Writes `table` and its entry counter.
   static void SerializeTable(const Table& table, std::size_t entries,
-                             std::string* out);
+                             PayloadOut* out);
   /// Restores one table of `level` and its entry counter, validating
   /// arities, hints and the counter, and registers each bucket's live
   /// hint in serialized key order.

@@ -181,7 +181,7 @@ class PhysicalOp {
   /// Contract: at a batch boundary, DeserializeState on a freshly built
   /// instance of the same plan must reproduce state whose future behavior
   /// is byte-identical to the serialized instance's.
-  virtual void SerializeState(std::string* out) const { (void)out; }
+  virtual void SerializeState(PayloadOut* out) const { (void)out; }
 
   /// \brief Restores SerializeState bytes into a freshly built operator
   /// (same plan, same configuration, no tuples processed).

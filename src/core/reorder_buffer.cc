@@ -33,7 +33,7 @@ std::vector<Sge> ReorderBuffer::Flush() {
   return released;
 }
 
-void ReorderBuffer::SerializeState(std::string* out) const {
+void ReorderBuffer::SerializeState(PayloadOut* out) const {
   PutI64(out, slack_);
   PutI64(out, max_seen_);
   PutU64(out, late_count_);

@@ -57,7 +57,7 @@ class ReorderBuffer {
   /// order. The heap comparator is a total order, so release order is
   /// independent of insertion history and the rebuilt heap releases the
   /// restored elements exactly as the original would have.
-  void SerializeState(std::string* out) const;
+  void SerializeState(PayloadOut* out) const;
   Status DeserializeState(ByteReader* in);
 
  private:

@@ -12,7 +12,7 @@ using AdjKey = std::pair<VertexId, LabelId>;
 /// Serializes one adjacency map: keys sorted (deterministic checkpoint
 /// bytes), per-key runs verbatim (probe order is run order).
 template <typename Adjacency>
-void SerializeAdjacency(const Adjacency& adj, std::string* out) {
+void SerializeAdjacency(const Adjacency& adj, PayloadOut* out) {
   std::vector<AdjKey> keys;
   keys.reserve(adj.size());
   for (const auto& [key, edges] : adj) {
@@ -38,6 +38,8 @@ void SerializeAdjacency(const Adjacency& adj, std::string* out) {
 template <typename Adjacency>
 Status DeserializeAdjacency(Adjacency* adj, SlabPool* pool, ByteReader* in) {
   const std::uint64_t num_keys = in->U64();
+  // A key is at least vertex, label and run length.
+  adj->reserve(in->ReserveBound(num_keys, 8 + 4 + 4));
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
     const VertexId vertex = in->Vertex();
     const LabelId label = in->U32();
@@ -228,7 +230,7 @@ void WindowEdgeStore::RemoveFromInIndex(VertexId key_vertex, VertexId other,
   }
 }
 
-void WindowEdgeStore::SerializeState(std::string* out) const {
+void WindowEdgeStore::SerializeState(PayloadOut* out) const {
   PutU8(out, in_index_enabled_ ? 1 : 0);
   PutU64(out, num_entries_);
   SerializeAdjacency(adjacency_, out);
@@ -305,6 +307,8 @@ std::size_t WindowEdgeStore::PurgeExpired(Timestamp now) {
       adjacency_.erase(it);
     }
   });
+  adjacency_.ShrinkToFit();
+  in_adjacency_.ShrinkToFit();
   return dropped;
 }
 

@@ -88,10 +88,11 @@ class WindowEdgeStore {
   bool in_index_enabled() const { return in_index_enabled_; }
 
   /// \brief Drops entries with exp <= now and returns how many it dropped
-  /// (diagnostics and tests). Calendar-driven: touches only the buckets
-  /// whose expiry range passed, so repeated purges of a shared partition
-  /// are O(1) when nothing expired — which also means only the *first*
-  /// purge at a given instant counts the dropped edges.
+  /// (diagnostics and tests), then shrinks both adjacencies if they fell
+  /// under 1/8 full (FlatMap::ShrinkToFit). Calendar-driven: touches only
+  /// the buckets whose expiry range passed, so repeated purges of a
+  /// shared partition are O(1) when nothing expired — which also means
+  /// only the *first* purge at a given instant counts the dropped edges.
   std::size_t PurgeExpired(Timestamp now);
 
   /// \brief True when PurgeExpired(`now`) has entries to drop. O(1).
@@ -118,7 +119,7 @@ class WindowEdgeStore {
   /// Every mutation path preserves run order (erase_at, never swap-pop),
   /// so restoring the runs byte-for-byte reproduces the exact traversal
   /// and probe order of the uninterrupted store.
-  void SerializeState(std::string* out) const;
+  void SerializeState(PayloadOut* out) const;
 
   /// \brief Rebuilds the store from SerializeState bytes; requires an
   /// empty store. The in-index flag is adopted from the snapshot — PATH

@@ -35,64 +35,8 @@ std::string DirName(const std::string& path) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Encoding helpers
+// Sge/Sgt decoders
 // ---------------------------------------------------------------------------
-
-void PutU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-// Each fixed-width put builds its little-endian bytes locally and appends
-// them once: one capacity check per field instead of one per byte.
-
-void PutU16(std::string* out, std::uint16_t v) {
-  const char b[2] = {static_cast<char>(v & 0xFF),
-                     static_cast<char>((v >> 8) & 0xFF)};
-  out->append(b, sizeof(b));
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(b, sizeof(b));
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(b, sizeof(b));
-}
-
-void PutI64(std::string* out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
-
-void PutVertex(std::string* out, VertexId v) { PutU64(out, VertexToWire(v)); }
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-std::size_t PutLengthPlaceholder(std::string* out) {
-  PutU32(out, 0);
-  return out->size() - 4;
-}
-
-void PatchLength(std::string* out, std::size_t at) {
-  const auto length = static_cast<std::uint32_t>(out->size() - at - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[at + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
-  }
-}
-
-void PutSge(std::string* out, const Sge& e) {
-  PutVertex(out, e.src);
-  PutVertex(out, e.trg);
-  PutU32(out, e.label);
-  PutI64(out, e.t);
-  PutU8(out, e.is_deletion ? 1 : 0);
-}
 
 Sge GetSge(ByteReader* in) {
   Sge e;
@@ -102,21 +46,6 @@ Sge GetSge(ByteReader* in) {
   e.t = in->I64();
   e.is_deletion = in->U8() != 0;
   return e;
-}
-
-void PutSgt(std::string* out, const Sgt& t) {
-  PutVertex(out, t.src);
-  PutVertex(out, t.trg);
-  PutU32(out, t.label);
-  PutI64(out, t.validity.ts);
-  PutI64(out, t.validity.exp);
-  PutU8(out, t.is_deletion ? 1 : 0);
-  PutU32(out, static_cast<std::uint32_t>(t.payload.size()));
-  for (const EdgeRef& e : t.payload) {
-    PutVertex(out, e.src);
-    PutVertex(out, e.trg);
-    PutU32(out, e.label);
-  }
 }
 
 Sgt GetSgt(ByteReader* in) {
@@ -291,6 +220,7 @@ Status CheckpointWriter::Append(std::string_view bytes) {
 
 Status CheckpointWriter::EndSection() {
   SGQ_CHECK(in_section_) << "EndSection without BeginSection";
+  SGQ_CHECK(!in_blob_) << "EndSection inside a blob";
   in_section_ = false;
   SGQ_RETURN_NOT_OK(status_);
   const std::size_t fixed_at = frame_.size() - kFrameFixedBytes;
@@ -309,6 +239,41 @@ Status CheckpointWriter::EndSection() {
   return status_;
 }
 
+Status CheckpointWriter::BeginBlob() {
+  SGQ_CHECK(in_section_) << "BeginBlob outside a section";
+  SGQ_CHECK(!in_blob_) << "nested blob";
+  in_blob_ = true;
+  blob_at_ = offset_;
+  crc_before_blob_ = payload_crc_;
+  // The placeholder is counted in the section's length now and enters
+  // its CRC at EndBlob, with the real length.
+  static constexpr char kPlaceholder[4] = {};
+  payload_len_ += sizeof(kPlaceholder);
+  blob_start_ = payload_len_;
+  payload_crc_ = 0;
+  return Put(std::string_view(kPlaceholder, sizeof(kPlaceholder)));
+}
+
+Status CheckpointWriter::EndBlob() {
+  SGQ_CHECK(in_blob_) << "EndBlob without BeginBlob";
+  in_blob_ = false;
+  SGQ_RETURN_NOT_OK(status_);
+  const std::uint64_t blob_len = payload_len_ - blob_start_;
+  if (blob_len > UINT32_MAX) {
+    status_ = Status::Internal("checkpoint blob of " +
+                               std::to_string(blob_len) +
+                               " bytes overflows its u32 length");
+    return status_;
+  }
+  std::string length;
+  PutU32(&length, static_cast<std::uint32_t>(blob_len));
+  status_ = sink_->WriteAt(blob_at_, length);
+  SGQ_RETURN_NOT_OK(status_);
+  payload_crc_ = Crc32Combine(Crc32(length, crc_before_blob_), payload_crc_,
+                              blob_len);
+  return status_;
+}
+
 Status CheckpointWriter::Finish() {
   SGQ_CHECK(!in_section_) << "Finish inside section";
   const std::string_view end_magic(kCheckpointEndMagic,
@@ -323,6 +288,55 @@ Status CheckpointWriter::Finish() {
   constexpr std::size_t kCountAt = kHeaderBytes - 4;
   status_ = sink_->WriteAt(kCountAt, std::string_view(header).substr(kCountAt));
   return status_;
+}
+
+// ---------------------------------------------------------------------------
+// PayloadOut
+// ---------------------------------------------------------------------------
+
+void PayloadOut::Drain() {
+  // A failed writer keeps its error; the bytes are dropped either way so
+  // the buffer stays one piece.
+  if (blob_ == Blob::kBuffered) {
+    // The open blob outgrew the piece: the writer takes it from its
+    // length field on and backpatches the length at EndBlob.
+    const std::string_view bytes(buf_);
+    (void)writer_->Append(bytes.substr(0, blob_at_));
+    (void)writer_->BeginBlob();
+    (void)writer_->Append(bytes.substr(blob_at_ + 4));
+    blob_ = Blob::kInWriter;
+  } else if (!buf_.empty()) {
+    (void)writer_->Append(buf_);
+  }
+  buf_.clear();
+}
+
+Status PayloadOut::Flush() {
+  if (writer_ == nullptr) return Status::OK();
+  Drain();
+  return writer_->status();
+}
+
+void PayloadOut::BeginBlob() {
+  SGQ_CHECK(blob_ == Blob::kNone) << "nested blob";
+  blob_ = Blob::kBuffered;
+  blob_at_ = buf_.size();
+  PutU32(&buf_, 0);
+}
+
+void PayloadOut::EndBlob() {
+  SGQ_CHECK(blob_ != Blob::kNone) << "EndBlob without BeginBlob";
+  if (blob_ == Blob::kInWriter) {
+    blob_ = Blob::kNone;
+    Drain();
+    (void)writer_->EndBlob();
+    return;
+  }
+  blob_ = Blob::kNone;
+  const auto length = static_cast<std::uint32_t>(buf_.size() - blob_at_ - 4);
+  for (int i = 0; i < 4; ++i) {
+    buf_[blob_at_ + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+  }
 }
 
 CheckpointFile::CheckpointFile(std::string path)

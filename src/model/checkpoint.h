@@ -24,7 +24,9 @@
 // The Put*/ByteReader helpers below are the single encode/decode
 // vocabulary for section payloads — operators' Serialize/Deserialize
 // methods use them so every decode path is bounds-checked and errors
-// carry the offset of the offending field.
+// carry the offset of the offending field. Serializers write to a
+// PayloadOut, which streams each payload into the writer in 64 KiB
+// pieces.
 
 #ifndef SGQ_MODEL_CHECKPOINT_H_
 #define SGQ_MODEL_CHECKPOINT_H_
@@ -74,31 +76,86 @@ inline constexpr std::uint32_t kCheckpointVersion = 8;
 // ---------------------------------------------------------------------------
 // Little-endian payload encoding helpers
 // ---------------------------------------------------------------------------
+//
+// Each helper appends to `out`: a std::string, or the PayloadOut every
+// SerializeState writes to (anything with append(const char*, size_t)).
+// Fixed-width fields build their bytes locally and append them once.
 
-void PutU8(std::string* out, std::uint8_t v);
-void PutU16(std::string* out, std::uint16_t v);
-void PutU32(std::string* out, std::uint32_t v);
-void PutU64(std::string* out, std::uint64_t v);
-void PutI64(std::string* out, std::int64_t v);
+template <typename Out>
+void PutU8(Out* out, std::uint8_t v) {
+  const char b = static_cast<char>(v);
+  out->append(&b, 1);
+}
+
+template <typename Out>
+void PutU16(Out* out, std::uint16_t v) {
+  const char b[2] = {static_cast<char>(v & 0xFF),
+                     static_cast<char>((v >> 8) & 0xFF)};
+  out->append(b, sizeof(b));
+}
+
+template <typename Out>
+void PutU32(Out* out, std::uint32_t v) {
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out->append(b, sizeof(b));
+}
+
+template <typename Out>
+void PutU64(Out* out, std::uint64_t v) {
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out->append(b, sizeof(b));
+}
+
+template <typename Out>
+void PutI64(Out* out, std::int64_t v) {
+  PutU64(out, static_cast<std::uint64_t>(v));
+}
+
 /// \brief A vertex id as a u64 field (VertexToWire); read back with
 /// ByteReader::Vertex.
-void PutVertex(std::string* out, VertexId v);
+template <typename Out>
+void PutVertex(Out* out, VertexId v) {
+  PutU64(out, VertexToWire(v));
+}
+
 /// \brief u32 length + raw bytes.
-void PutStr(std::string* out, std::string_view s);
-/// \brief PutStr built in place: PutLengthPlaceholder appends a u32 slot
-/// and returns its offset; after the value's bytes are appended behind
-/// it, PatchLength writes their count into the slot. Saves serializing a
-/// large value into a temporary only to copy it.
-std::size_t PutLengthPlaceholder(std::string* out);
-void PatchLength(std::string* out, std::size_t at);
+template <typename Out>
+void PutStr(Out* out, std::string_view s) {
+  PutU32(out, static_cast<std::uint32_t>(s.size()));
+  out->append(s.data(), s.size());
+}
 
 class ByteReader;
 
 /// \brief Sge/Sgt codecs shared by the operator, sink, and executor
 /// checkpoint sections (pending micro-batches, buffered results).
-void PutSge(std::string* out, const Sge& e);
+template <typename Out>
+void PutSge(Out* out, const Sge& e) {
+  PutVertex(out, e.src);
+  PutVertex(out, e.trg);
+  PutU32(out, e.label);
+  PutI64(out, e.t);
+  PutU8(out, e.is_deletion ? 1 : 0);
+}
 Sge GetSge(ByteReader* in);
-void PutSgt(std::string* out, const Sgt& t);
+
+template <typename Out>
+void PutSgt(Out* out, const Sgt& t) {
+  PutVertex(out, t.src);
+  PutVertex(out, t.trg);
+  PutU32(out, t.label);
+  PutI64(out, t.validity.ts);
+  PutI64(out, t.validity.exp);
+  PutU8(out, t.is_deletion ? 1 : 0);
+  PutU32(out, static_cast<std::uint32_t>(t.payload.size()));
+  for (const EdgeRef& e : t.payload) {
+    PutVertex(out, e.src);
+    PutVertex(out, e.trg);
+    PutU32(out, e.label);
+  }
+}
 Sgt GetSgt(ByteReader* in);
 
 /// \brief Positioned little-endian decoder with a sticky error: after the
@@ -130,6 +187,17 @@ class ByteReader {
 
   std::size_t offset() const { return offset_; }
   std::size_t remaining() const { return bytes_.size() - offset_; }
+
+  /// \brief `count`, capped at how many entries of `min_entry_bytes`
+  /// encoded bytes each the unread input can hold: what a decoder may
+  /// reserve for a decoded count, so a corrupt count cannot allocate
+  /// more than the payload could fill (it still fails at its offset
+  /// when the entries run out).
+  std::size_t ReserveBound(std::uint64_t count,
+                           std::size_t min_entry_bytes) const {
+    const std::uint64_t fit = remaining() / min_entry_bytes;
+    return static_cast<std::size_t>(count < fit ? count : fit);
+  }
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
   /// \brief The error-prefix context (for positioning sub-readers).
@@ -202,6 +270,18 @@ class CheckpointWriter {
   /// \brief Closes the open section, backpatching its frame.
   Status EndSection();
 
+  /// \brief Opens a blob in the open section: appends a u32 length
+  /// placeholder; the bytes appended until EndBlob are the blob. The
+  /// blob's bytes are checksummed apart from the section's.
+  Status BeginBlob();
+
+  /// \brief Closes the blob: backpatches its length at the placeholder
+  /// (ByteSink::WriteAt) and folds length and blob into the section's
+  /// CRC (Crc32Combine), so the section reads as if the blob had been
+  /// PutStr'd whole. Blobs do not nest; a blob must end before its
+  /// section does.
+  Status EndBlob();
+
   /// \brief Appends the footer and backpatches the section count. The
   /// sink is left open (its owner syncs and closes it).
   Status Finish();
@@ -229,6 +309,69 @@ class CheckpointWriter {
   std::uint64_t frame_at_ = 0;
   std::uint64_t payload_len_ = 0;
   std::uint32_t payload_crc_ = 0;
+  // The open blob: its length field's offset, the section CRC before the
+  // field, and the section length where the blob's bytes start. While a
+  // blob is open payload_crc_ runs over the blob's bytes alone.
+  bool in_blob_ = false;
+  std::uint64_t blob_at_ = 0;
+  std::uint32_t crc_before_blob_ = 0;
+  std::uint64_t blob_start_ = 0;
+};
+
+/// \brief Section payloads reach a CheckpointWriter in pieces of this
+/// many bytes.
+inline constexpr std::size_t kCheckpointPieceBytes = 64 * 1024;
+
+/// \brief The output every SerializeState writes to. The Put* helpers
+/// append to a buffer; bound to a CheckpointWriter, the buffer drains
+/// into the writer's open section whenever it holds a full piece
+/// (kCheckpointPieceBytes), so a payload of any size costs one piece of
+/// memory. Unbound, it keeps every byte (TakeBytes()): for a payload that
+/// travels inside another (the CLI's reorder-buffer section) and for
+/// tests.
+///
+/// BeginBlob/EndBlob frame a length-prefixed blob (PutStr's framing: u32
+/// length, then the bytes) without knowing its length up front. A blob
+/// that ends inside the buffer has its length patched there; one that
+/// outgrows a piece goes to the writer from its length field on, and
+/// the writer backpatches the length in the sink
+/// (CheckpointWriter::BeginBlob) — one positioned write per large blob,
+/// none per small one. Blobs do not nest. Sink errors stick in the
+/// writer and surface from Flush() and every later writer call.
+class PayloadOut {
+ public:
+  PayloadOut() = default;
+  /// \brief Drains into `writer`'s open section (borrowed).
+  explicit PayloadOut(CheckpointWriter* writer) : writer_(writer) {}
+
+  PayloadOut(const PayloadOut&) = delete;
+  PayloadOut& operator=(const PayloadOut&) = delete;
+
+  void append(const char* bytes, std::size_t n) {
+    buf_.append(bytes, n);
+    if (writer_ != nullptr && buf_.size() >= kCheckpointPieceBytes) Drain();
+  }
+
+  void BeginBlob();
+  void EndBlob();
+
+  /// \brief Bound: hands the buffered bytes to the writer and returns its
+  /// status. Unbound: OK, bytes stay.
+  Status Flush();
+
+  /// \brief Unbound: the bytes appended so far, leaving it empty.
+  std::string TakeBytes() { return std::exchange(buf_, std::string()); }
+
+ private:
+  void Drain();
+
+  CheckpointWriter* writer_ = nullptr;
+  std::string buf_;
+  /// The open blob, if any: its length field still in buf_ (at blob_at_),
+  /// or already handed to the writer.
+  enum class Blob { kNone, kBuffered, kInWriter };
+  Blob blob_ = Blob::kNone;
+  std::size_t blob_at_ = 0;
 };
 
 /// \brief A checkpoint being written under `path + ".tmp"`: writer()

@@ -127,7 +127,7 @@ void StreamingCoalescer::Forget(const EdgeRef& key, Timestamp from) {
   if (ivs[0].exp < earliest) expiry_.Add(ivs[0].exp, key);
 }
 
-void StreamingCoalescer::SerializeState(std::string* out) const {
+void StreamingCoalescer::SerializeState(PayloadOut* out) const {
   std::vector<EdgeRef> keys;
   keys.reserve(covered_.size());
   for (const auto& [key, ivs] : covered_) {
@@ -155,6 +155,8 @@ Status StreamingCoalescer::DeserializeState(ByteReader* in) {
     return in->Fail("coalescer not empty before restore");
   }
   const std::uint64_t num_keys = in->U64();
+  // A key is at least src, trg, label, count and one interval.
+  covered_.reserve(in->ReserveBound(num_keys, 8 + 8 + 4 + 4 + 16));
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
     EdgeRef key;
     key.src = in->Vertex();
@@ -198,6 +200,7 @@ void StreamingCoalescer::PurgeBefore(Timestamp t) {
     // This drain consumed a hint: re-register at the earliest expiry.
     expiry_.Add(ivs[0].exp, key);
   });
+  covered_.ShrinkToFit();
 }
 
 std::vector<EdgeRef> SnapshotEdges(const SgtStream& stream, Timestamp t) {

@@ -72,8 +72,9 @@ class StreamingCoalescer {
   bool AnyDue(Timestamp now) const { return expiry_.AnyDue(now); }
 
   /// \brief Drops every interval with expiry <= `t` and every key left
-  /// empty; O(due keys). Afterwards no key holds an interval expiring at
-  /// or before `t`.
+  /// empty, then shrinks the key table if it fell under 1/8 full
+  /// (FlatMap::ShrinkToFit); O(due keys) amortized. Afterwards no key
+  /// holds an interval expiring at or before `t`.
   void PurgeBefore(Timestamp t);
 
   /// \brief Drops all coverage recorded for `key`. Only for retraction
@@ -113,7 +114,7 @@ class StreamingCoalescer {
   /// re-inserting on restore reproduces identical Offer() behavior. The
   /// calendar is not serialized: restore registers one hint per key, at
   /// its earliest expiry, in sorted key order.
-  void SerializeState(std::string* out) const;
+  void SerializeState(PayloadOut* out) const;
 
   /// \brief Rebuilds coverage from SerializeState bytes; requires an empty
   /// coalescer (freshly built restore topology). Rejects a key without

@@ -445,18 +445,21 @@ void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
 }
 
 void Executor::DrainStack() {
-  std::vector<std::pair<PortRef, Sgt>> segment;
   while (!stack_.empty()) {
     auto [dst, tuple] = std::move(stack_.back());
     stack_.pop_back();
-    segment.clear();
-    segment_ = &segment;
+    segment_ = &segment_buf_;
     nodes_[static_cast<std::size_t>(dst.op)].op->OnTuple(dst.port, tuple);
     segment_ = nullptr;
-    for (auto it = segment.rbegin(); it != segment.rend(); ++it) {
-      stack_.push_back(std::move(*it));
-    }
+    PushSegment();
   }
+}
+
+void Executor::PushSegment() {
+  for (auto it = segment_buf_.rbegin(); it != segment_buf_.rend(); ++it) {
+    stack_.push_back(std::move(*it));
+  }
+  segment_buf_.clear();
 }
 
 void Executor::RunWave() {
@@ -761,13 +764,11 @@ void Executor::RunOpPhase(Fn&& fn) {
   // Tuple mode: collect the call's emissions, then run each cascade to
   // completion in emission order — the recursive engine's depth-first
   // order exactly.
-  std::vector<std::pair<PortRef, Sgt>> segment;
-  segment_ = &segment;
+  SGQ_CHECK(segment_ == nullptr) << "nested delivery";
+  segment_ = &segment_buf_;
   fn();
   segment_ = nullptr;
-  for (auto rit = segment.rbegin(); rit != segment.rend(); ++rit) {
-    stack_.push_back(std::move(*rit));
-  }
+  PushSegment();
   DrainStack();
 }
 
@@ -1029,7 +1030,7 @@ std::size_t Executor::StateBytes() const {
   return n;
 }
 
-void Executor::SerializeClock(std::string* out) const {
+void Executor::SerializeClock(PayloadOut* out) const {
   PutI64(out, current_time_);
   PutI64(out, next_boundary_);
   PutU8(out, started_ ? 1 : 0);
@@ -1066,33 +1067,26 @@ Status Executor::DeserializeClock(ByteReader* in) {
   return Status::OK();
 }
 
-Status Executor::SerializeOps(CheckpointWriter* out) const {
-  // One scratch string carries each operator instance's bytes to the
-  // writer, its PutStr length prefix patched in place, so the largest
-  // single payload bounds the memory this section costs.
-  std::string scratch;
-  PutU32(&scratch, static_cast<std::uint32_t>(nodes_.size()));
+void Executor::SerializeOps(PayloadOut* out) const {
+  PutU32(out, static_cast<std::uint32_t>(nodes_.size()));
   for (const OpNode& node : nodes_) {
     // Tombstoned slots serialize as a single liveness byte: a removed
     // query's operators carry no sections, and restore refuses a snapshot
     // whose live set differs from the replayed registration history.
-    PutU8(&scratch, node.op != nullptr ? 1 : 0);
+    PutU8(out, node.op != nullptr ? 1 : 0);
     if (node.op == nullptr) continue;
-    PutU8(&scratch, node.merge_coalesce ? 1 : 0);
-    if (node.merge_coalesce) node.merge_coalescer.SerializeState(&scratch);
+    PutU8(out, node.merge_coalesce ? 1 : 0);
+    if (node.merge_coalesce) node.merge_coalescer.SerializeState(out);
     const std::size_t instances = 1 + node.replicas.size();
-    PutU32(&scratch, static_cast<std::uint32_t>(instances));
+    PutU32(out, static_cast<std::uint32_t>(instances));
     for (std::size_t s = 0; s < instances; ++s) {
       const PhysicalOp* inst =
           s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      const std::size_t length_at = PutLengthPlaceholder(&scratch);
-      inst->SerializeState(&scratch);
-      PatchLength(&scratch, length_at);
-      SGQ_RETURN_NOT_OK(out->Append(scratch));
-      scratch.clear();
+      out->BeginBlob();
+      inst->SerializeState(out);
+      out->EndBlob();
     }
   }
-  return out->Append(scratch);
 }
 
 Status Executor::DeserializeOps(ByteReader* in) {

@@ -57,6 +57,7 @@
 
 #include "common/flat_map.h"
 #include "common/metrics.h"
+#include "common/page_allocator.h"
 #include "common/status.h"
 #include "core/physical.h"
 #include "model/coalesce.h"
@@ -279,15 +280,14 @@ class Executor {
   /// \brief Serializes the clock (current time, next slide boundary,
   /// started flag) and the pending micro-batch queue; slide granularities
   /// are recorded for topology verification at restore.
-  void SerializeClock(std::string* out) const;
+  void SerializeClock(PayloadOut* out) const;
   Status DeserializeClock(ByteReader* in);
 
   /// \brief Serializes per-node runtime state: the merge-side coalescer
-  /// when enabled and every shard instance's length-framed SerializeState
-  /// blob — streamed into the open section of `out` one operator instance
-  /// at a time. Purging is exact at every boundary, so no purge schedule
-  /// or dispatch state is carried.
-  Status SerializeOps(CheckpointWriter* out) const;
+  /// when enabled and every shard instance's SerializeState as a
+  /// length-framed blob (PayloadOut::BeginBlob). Purging is exact at
+  /// every boundary, so no purge schedule or dispatch state is carried.
+  void SerializeOps(PayloadOut* out) const;
   Status DeserializeOps(ByteReader* in);
   /// @}
 
@@ -384,6 +384,10 @@ class Executor {
 
   /// \brief Drains the tuple-mode delivery stack (exact DFS order).
   void DrainStack();
+
+  /// \brief Moves the collected segment onto the stack in reverse, so its
+  /// first emission is delivered (and its cascade completed) first.
+  void PushSegment();
 
   /// \brief Runs one topological wave over the pending buffers.
   void RunWave();
@@ -492,8 +496,15 @@ class Executor {
   std::vector<Sge> batch_;
 
   // --- drain state ---
-  std::vector<std::pair<PortRef, Sgt>> stack_;
-  std::vector<std::pair<PortRef, Sgt>>* segment_ = nullptr;
+  /// Tuple-mode deliveries: the pending cascade stack, and the one
+  /// segment buffer every phase call and stack pop collects its
+  /// emissions into (segment_ points at it during a call). Page-mapped
+  /// once large (common/page_allocator.h): a purge can emit a burst.
+  using Deliveries = std::vector<std::pair<PortRef, Sgt>,
+                                 PageAllocator<std::pair<PortRef, Sgt>>>;
+  Deliveries stack_;
+  Deliveries segment_buf_;
+  Deliveries* segment_ = nullptr;
   std::size_t num_waves_ = 0;
 
   // --- clock ---

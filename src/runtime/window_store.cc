@@ -55,7 +55,7 @@ std::size_t WindowStore::StateBytes() const {
   return n;
 }
 
-void WindowStore::SerializeState(std::string* out) const {
+void WindowStore::SerializeState(PayloadOut* out) const {
   std::vector<const std::string*> signatures;
   signatures.reserve(partitions_.size());
   for (const auto& [sig, p] : partitions_) {
@@ -67,9 +67,9 @@ void WindowStore::SerializeState(std::string* out) const {
   PutU32(out, static_cast<std::uint32_t>(signatures.size()));
   for (const std::string* sig : signatures) {
     PutStr(out, *sig);
-    const std::size_t length_at = PutLengthPlaceholder(out);
+    out->BeginBlob();
     partitions_.at(*sig).store->SerializeState(out);
-    PatchLength(out, length_at);
+    out->EndBlob();
   }
 }
 

@@ -74,7 +74,7 @@ class WindowStore {
   /// signature string and WindowEdgeStore::SerializeState blob. Restore
   /// runs on a registry whose partitions were re-created by rebuilding the
   /// same plans — the signature sets must match exactly.
-  void SerializeState(std::string* out) const;
+  void SerializeState(PayloadOut* out) const;
   Status DeserializeState(ByteReader* in);
   std::size_t shared_acquires() const { return shared_acquires_; }
 

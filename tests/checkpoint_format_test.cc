@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -335,6 +336,113 @@ TEST(ByteReaderTest, SgeSgtCodecsRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Streamed blobs: CheckpointWriter::BeginBlob/EndBlob through PayloadOut
+// ---------------------------------------------------------------------------
+
+/// \brief StringByteSink that records the largest single Append.
+class PieceRecordingSink final : public ByteSink {
+ public:
+  Status Append(std::string_view b) override {
+    largest_append_ = std::max(largest_append_, b.size());
+    ++appends_;
+    return inner_.Append(b);
+  }
+  Status WriteAt(std::uint64_t offset, std::string_view b) override {
+    return inner_.WriteAt(offset, b);
+  }
+  Status Close() override { return Status::OK(); }
+  const std::string& bytes() const { return inner_.bytes(); }
+  std::size_t largest_append() const { return largest_append_; }
+  std::size_t appends() const { return appends_; }
+
+ private:
+  StringByteSink inner_;
+  std::size_t largest_append_ = 0;
+  std::size_t appends_ = 0;
+};
+
+/// \brief `n` bytes with NULs and high bytes, varied by `salt`.
+std::string BlobBytes(std::size_t n, unsigned salt) {
+  std::string b(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<char>((i * 31 + salt) % 256);
+  }
+  return b;
+}
+
+/// \brief A u32 field, then per blob the blob and a u8 field: through
+/// `out` with BeginBlob/EndBlob, the blob appended in 1,000-byte slices
+/// as a serializer's fields arrive.
+void PutBlobs(PayloadOut* out, const std::vector<std::string>& blobs) {
+  PutU32(out, 7);
+  for (const std::string& blob : blobs) {
+    out->BeginBlob();
+    for (std::size_t at = 0; at < blob.size(); at += 1000) {
+      out->append(blob.data() + at, std::min<std::size_t>(1000,
+                                                          blob.size() - at));
+    }
+    out->EndBlob();
+    PutU8(out, 0xab);
+  }
+}
+
+TEST(CheckpointBlobTest, StreamedBlobsMatchOnePutStrOfEachPayload) {
+  const std::vector<std::vector<std::string>> cases = {
+      {""},                  // an empty blob
+      {BlobBytes(100, 1)},   // one piece
+      {BlobBytes(3 * kCheckpointPieceBytes + 123, 2)},  // several drains
+      {BlobBytes(1000, 3),   // two blobs in one section
+       BlobBytes(kCheckpointPieceBytes + 5, 4)},
+  };
+  for (const std::vector<std::string>& blobs : cases) {
+    std::string whole;
+    PutU32(&whole, 7);
+    for (const std::string& blob : blobs) {
+      PutStr(&whole, blob);
+      PutU8(&whole, 0xab);
+    }
+    const std::string reference =
+        Image({{"clock", "0123"}, {"ops", whole}, {"engine", "x"}});
+
+    PieceRecordingSink sink;
+    CheckpointWriter writer(&sink);
+    PayloadOut out(&writer);
+    ASSERT_TRUE(writer.BeginSection("clock").ok());
+    PutU32(&out, 0x33323130);  // "0123"
+    ASSERT_TRUE(out.Flush().ok());
+    ASSERT_TRUE(writer.EndSection().ok());
+    ASSERT_TRUE(writer.BeginSection("ops").ok());
+    PutBlobs(&out, blobs);
+    ASSERT_TRUE(out.Flush().ok());
+    ASSERT_TRUE(writer.EndSection().ok());
+    ASSERT_TRUE(writer.BeginSection("engine").ok());
+    PutU8(&out, 'x');
+    ASSERT_TRUE(out.Flush().ok());
+    ASSERT_TRUE(writer.EndSection().ok());
+    ASSERT_TRUE(writer.Finish().ok());
+
+    const std::size_t blob_bytes = blobs.back().size();
+    EXPECT_EQ(sink.bytes(), reference) << "last blob " << blob_bytes << " B";
+    auto parsed = CheckpointReader::Parse(sink.bytes(), "streamed");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const CheckpointSection* ops = parsed->Find("ops");
+    ASSERT_NE(ops, nullptr);
+    EXPECT_EQ(ops->crc, Crc32(whole));
+    // The payload reached the sink one piece at a time.
+    EXPECT_LT(sink.largest_append(), kCheckpointPieceBytes + 1000);
+    if (blob_bytes > kCheckpointPieceBytes) {
+      EXPECT_GT(sink.appends(), blob_bytes / kCheckpointPieceBytes);
+    }
+
+    // Unbound, the same calls frame the same payload in memory.
+    PayloadOut unbound;
+    PutBlobs(&unbound, blobs);
+    EXPECT_TRUE(unbound.Flush().ok());
+    EXPECT_EQ(unbound.TakeBytes(), whole);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Write-side fault injection
 // ---------------------------------------------------------------------------
 
@@ -389,6 +497,43 @@ TEST(CheckpointWriteTest, SinkFailureAtEveryBudgetSurfaces) {
   EXPECT_EQ(backpatch_failures, 12 * sections.size() + 4);
   FailingByteSink enough(total);
   EXPECT_TRUE(WriteImage(sections, &enough).ok());
+}
+
+TEST(CheckpointBlobTest, SinkFailureAtEveryBudgetSurfaces) {
+  const std::string blob = BlobBytes(200, 5);
+  std::string whole;
+  PutU8(&whole, 1);
+  PutStr(&whole, blob);
+  const std::string image = Image({{"ops", whole}});
+  // Every byte the writer hands the sink: the image, the blob's length
+  // backpatch, the section's length/CRC backpatch and the section count.
+  const std::size_t total = image.size() + 4 + 12 + 4;
+  auto write = [&](ByteSink* sink) {
+    CheckpointWriter writer(sink);
+    SGQ_RETURN_NOT_OK(writer.BeginSection("ops"));
+    SGQ_RETURN_NOT_OK(writer.Append(std::string(1, '\x01')));
+    SGQ_RETURN_NOT_OK(writer.BeginBlob());
+    for (std::size_t at = 0; at < blob.size(); at += 64) {
+      SGQ_RETURN_NOT_OK(writer.Append(std::string_view(blob).substr(at, 64)));
+    }
+    SGQ_RETURN_NOT_OK(writer.EndBlob());
+    SGQ_RETURN_NOT_OK(writer.EndSection());
+    return writer.Finish();
+  };
+  std::size_t backpatch_failures = 0;
+  for (std::size_t budget = 0; budget < total; ++budget) {
+    FailingByteSink sink(budget);
+    const Status st = write(&sink);
+    ASSERT_FALSE(st.ok()) << "budget " << budget << " succeeded";
+    EXPECT_NE(st.message().find("no space left"), std::string::npos);
+    if (sink.failed_in_write_at()) ++backpatch_failures;
+  }
+  // Every budget that runs out inside a backpatch fails there: the
+  // blob's length, the section frame and the header's section count.
+  EXPECT_EQ(backpatch_failures, 4u + 12u + 4u);
+  StringByteSink enough;
+  ASSERT_TRUE(write(&enough).ok());
+  EXPECT_EQ(enough.bytes(), image);
 }
 
 /// \brief Writes a one-section checkpoint through the durable protocol.

@@ -369,3 +369,47 @@ TEST(PatternOpTriangleTest, CyclicJoinProducesTriangles) {
 
 }  // namespace
 }  // namespace sgq
+
+namespace sgq {
+namespace {
+
+TEST(EngineMemoryTest, StateBytesFallBackToAFreshEnginesAfterABurst) {
+  // A PATH feeding a PATTERN: a+ closures joined with b-edges. A burst
+  // fills the window adjacency, the PATH forest and inverted index, the
+  // PATTERN join table and every coalescer; two windows later all of it
+  // has expired, and the tables must have given their burst capacity
+  // back, not kept it for reuse.
+  Vocabulary vocab;
+  auto query = MakeQuery("Answer(x,z) <- a+(x,y), b(y,z)",
+                         WindowSpec(100, 10), &vocab);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Engine engine;
+  Engine fresh;
+  ASSERT_TRUE(engine.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(fresh.AddQuery(*query, vocab).ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  ASSERT_TRUE(fresh.Finalize().ok());
+  const LabelId a = *vocab.FindLabel("a");
+  const LabelId b = *vocab.FindLabel("b");
+
+  constexpr VertexId kBurst = 20000;
+  for (VertexId i = 0; i < kBurst; ++i) {
+    const Timestamp t = static_cast<Timestamp>(i / 4000);
+    engine.Push(Sge(i, kBurst + i, a, t));
+    engine.Push(Sge(kBurst + i, 2 * kBurst + i, b, t));
+  }
+  engine.Flush();
+  const std::size_t burst_bytes = engine.StateBytes();
+  EXPECT_EQ(engine.TakeResults(0).size(), kBurst);
+  engine.AdvanceTo(300);  // two windows past the burst
+  EXPECT_EQ(engine.StateSize(), 0u);
+
+  const std::size_t fresh_bytes = fresh.StateBytes();
+  EXPECT_GT(burst_bytes, fresh_bytes + (std::size_t{4} << 20));
+  // What stays is calendar bookkeeping: a few hundred bytes.
+  EXPECT_LE(engine.StateBytes(), fresh_bytes + 4 * 1024)
+      << "burst " << burst_bytes << " B, fresh " << fresh_bytes << " B";
+}
+
+}  // namespace
+}  // namespace sgq

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <random>
 #include <set>
 #include <string>
@@ -199,6 +202,140 @@ TEST(FlatMapTest, ReserveAvoidsRehash) {
   const std::size_t bytes = flat.capacity_bytes();
   for (uint64_t i = 0; i < 1000; ++i) flat[i] = i;
   EXPECT_EQ(flat.capacity_bytes(), bytes);
+}
+
+TEST(FlatMapTest, ShrinkToFitMirrorsUnorderedMapAndKeepsItsLoadBand) {
+  std::size_t shrunk = 0;
+  std::size_t kept = 0;
+  std::size_t freed = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::mt19937_64 rng(seed);
+    // Non-trivial values: a shrink moves every element.
+    FlatMap<uint64_t, std::string> flat;
+    std::unordered_map<uint64_t, std::string> ref;
+    std::uniform_int_distribution<uint64_t> key_dist(0, 5000);
+    std::uniform_int_distribution<int> burst_dist(0, 3000);
+    std::uniform_int_distribution<int> keep_dist(0, 100);
+    for (int round = 0; round < 60; ++round) {
+      // A burst of inserts, then erasures down to a random share (none
+      // every tenth round): the load crosses 1/8 both ways across rounds.
+      for (int i = burst_dist(rng); i > 0; --i) {
+        const uint64_t k = key_dist(rng);
+        flat[k] = std::to_string(k);
+        ref[k] = std::to_string(k);
+      }
+      const int keep_pct = round % 10 == 9 ? 0 : keep_dist(rng);
+      std::vector<uint64_t> keys;
+      for (const auto& [k, v] : ref) keys.push_back(k);
+      std::sort(keys.begin(), keys.end());
+      std::shuffle(keys.begin(), keys.end(), rng);
+      keys.resize(keys.size() - keys.size() * static_cast<std::size_t>(
+                                                  keep_pct) / 100);
+      for (const uint64_t k : keys) {
+        ASSERT_EQ(flat.erase(k), 1u);
+        ref.erase(k);
+      }
+
+      const std::size_t cap = flat.capacity();
+      const std::size_t size = flat.size();
+      ASSERT_EQ(flat.shrink_due(), size == 0 ? cap != 0 : size * 8 < cap);
+      flat.ShrinkToFit();
+      if (size == 0) {
+        // An emptied table frees its arrays.
+        EXPECT_EQ(flat.capacity(), 0u);
+        EXPECT_EQ(flat.capacity_bytes(), 0u);
+        freed += cap != 0;
+      } else if (size * 8 < cap) {
+        // Under 1/8: halved down to a load in [3/16, 3/8), or 8 slots.
+        ++shrunk;
+        EXPECT_LT(flat.capacity(), cap);
+        EXPECT_TRUE(flat.capacity() == 8 || size * 16 >= flat.capacity() * 3)
+            << size << " in " << flat.capacity();
+        EXPECT_LT(size * 8, flat.capacity() * 3) << size << " in "
+                                                 << flat.capacity();
+      } else {
+        ++kept;
+        EXPECT_EQ(flat.capacity(), cap);
+      }
+      EXPECT_FALSE(flat.shrink_due());
+
+      // Lookups and iteration are intact.
+      ASSERT_EQ(flat.size(), ref.size());
+      for (const auto& [k, v] : ref) {
+        auto it = flat.find(k);
+        ASSERT_NE(it, flat.end()) << k;
+        EXPECT_EQ(it->second, v);
+      }
+      std::size_t visited = 0;
+      for (const auto& [k, v] : flat) {
+        ++visited;
+        ASSERT_EQ(ref.count(k), 1u) << k;
+        EXPECT_EQ(ref.at(k), v);
+      }
+      EXPECT_EQ(visited, ref.size());
+    }
+  }
+  EXPECT_GT(shrunk, 0u);
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(freed, 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SGQ_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define SGQ_TEST_SANITIZED 1
+#endif
+#endif
+
+#if defined(__GLIBC__) && !defined(SGQ_TEST_SANITIZED)
+/// VmRSS of this process from /proc/self/status, in bytes (0 if absent).
+std::size_t VmRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(6))) * 1024;
+    }
+  }
+  return 0;
+}
+
+void* volatile g_escaped_block = nullptr;
+#endif
+
+TEST(FlatMapTest, LargeTableLeavesTheProcessWhenDestroyed) {
+#if !defined(__GLIBC__) || defined(SGQ_TEST_SANITIZED)
+  GTEST_SKIP() << "measures glibc's heap; sanitizers replace the allocator";
+#else
+  // Freeing a 16 MiB block raises glibc's dynamic mmap threshold above
+  // 8 MiB, as an embedding program's freed result vectors do: from then
+  // on malloc serves an 8 MiB table from the heap, which keeps it.
+  constexpr std::size_t kBlock = std::size_t{16} << 20;
+  g_escaped_block = std::malloc(kBlock);
+  ASSERT_NE(g_escaped_block, nullptr);
+  std::memset(g_escaped_block, 1, kBlock);
+  std::free(g_escaped_block);
+  g_escaped_block = nullptr;
+
+  std::size_t built = 0;
+  std::size_t table_bytes = 0;
+  {
+    // 300,000 keys in 2^19 16-byte slots: 8.5 MiB of arrays.
+    FlatMap<uint64_t, uint64_t> map;
+    map.reserve(300000);
+    for (uint64_t k = 0; k < 300000; ++k) map[k] = k;
+    table_bytes = map.capacity_bytes();
+    built = VmRssBytes();
+  }
+  const std::size_t after = VmRssBytes();
+  ASSERT_GE(table_bytes, std::size_t{8} << 20);
+  ASSERT_GT(built, 0u);
+  EXPECT_GE(built, after + (std::size_t{6} << 20))
+      << "VmRSS " << built << " B with the table, " << after
+      << " B after destroying it";
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -460,6 +597,24 @@ TEST(SmallVecTest, ValueSemanticsAndComparison) {
     big_storage.push_back(i);
   }
   EXPECT_EQ(SmallVecHash{}(small_storage), SmallVecHash{}(big_storage));
+}
+
+TEST(SmallVecTest, ShrinkingBackInlineFreesTheHeapBlock) {
+  SmallVec<uint64_t, 2> v;
+  for (uint64_t i = 0; i < 5; ++i) v.push_back(i);
+  EXPECT_EQ(v.overflow_bytes(), 8 * sizeof(uint64_t));
+  v.erase_range(1, 3);  // {0, 3, 4}: still on the heap
+  EXPECT_GT(v.overflow_bytes(), 0u);
+  v.erase_range(0, 1);  // {3, 4}: fits inline again
+  EXPECT_EQ(v.overflow_bytes(), 0u);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0], 3u);
+  EXPECT_EQ(v[1], 4u);
+  v.push_back(5);  // overflows again
+  EXPECT_GT(v.overflow_bytes(), 0u);
+  v.clear();
+  EXPECT_EQ(v.overflow_bytes(), 0u);
+  EXPECT_TRUE(v.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -251,6 +251,27 @@ TEST(StreamingCoalescerTest, SecondIntervalIsCountedInItsHeapBlock) {
   EXPECT_EQ(two.ApproxBytes(), one.ApproxBytes() + 2 * sizeof(Interval));
 }
 
+TEST(StreamingCoalescerTest, KeyPurgedBackToOneIntervalFreesItsHeapBlock) {
+  // Both keys start with [1, 5), reach 12 and lose their hint at 5. `one`
+  // extended [1, 5) to [1, 12) in its slot; `two` added [8, 12) apart, in
+  // a heap block, and drops [1, 5) at the purge. Back to one interval,
+  // `two` holds it inline again and costs what `one` costs.
+  StreamingCoalescer one, two;
+  EXPECT_TRUE(one.Offer(Sgt(1, 2, 0, Interval(1, 5))));
+  EXPECT_TRUE(one.Offer(Sgt(1, 2, 0, Interval(5, 12))));
+  EXPECT_TRUE(two.Offer(Sgt(1, 2, 0, Interval(1, 5))));
+  EXPECT_TRUE(two.Offer(Sgt(1, 2, 0, Interval(8, 12))));
+  EXPECT_EQ(two.ApproxBytes(), one.ApproxBytes() + 2 * sizeof(Interval));
+  one.PurgeBefore(5);
+  two.PurgeBefore(5);
+  EXPECT_EQ(one.NumKeys(), 1u);
+  EXPECT_EQ(two.NumKeys(), 1u);
+  EXPECT_EQ(two.ApproxBytes(), one.ApproxBytes());
+  // The surviving interval still suppresses; [1, 5) is novel again.
+  EXPECT_FALSE(two.Offer(Sgt(1, 2, 0, Interval(9, 11))));
+  EXPECT_TRUE(two.Offer(Sgt(1, 2, 0, Interval(2, 4))));
+}
+
 TEST(StreamingCoalescerTest, EarlierIntervalMovesTheHint) {
   StreamingCoalescer c;
   c.ConfigureExpirySlide(3);

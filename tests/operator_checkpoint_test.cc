@@ -24,19 +24,25 @@
 namespace sgq {
 namespace {
 
+/// \brief `op`'s SerializeState bytes.
+template <typename Op>
+std::string Serialized(const Op& op) {
+  PayloadOut out;
+  op.SerializeState(&out);
+  return out.TakeBytes();
+}
+
 /// \brief Serialize → restore into a fresh instance → assert the restored
 /// bytes match. Returns the restored instance through `out`.
 template <typename Op>
 std::string RoundTrip(const Op& original, Op* out) {
-  std::string bytes;
-  original.SerializeState(&bytes);
+  const std::string bytes = Serialized(original);
   ByteReader in(bytes, "round-trip");
   Status st = out->DeserializeState(&in);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(in.ExpectEnd().ok()) << in.status().ToString();
-  std::string again;
-  out->SerializeState(&again);
-  EXPECT_EQ(bytes, again) << "restored state re-serializes differently";
+  EXPECT_EQ(bytes, Serialized(*out))
+      << "restored state re-serializes differently";
   return bytes;
 }
 
@@ -115,9 +121,8 @@ TEST(WindowEdgeStoreCheckpointTest, RoundTripPreservesProbesAndPurges) {
                         "post-purge in-edges");
       }
     }
-    std::string a, b;
-    original.SerializeState(&a);
-    restored.SerializeState(&b);
+    const std::string a = Serialized(original);
+    const std::string b = Serialized(restored);
     EXPECT_EQ(a, b) << "post-purge state diverged, seed " << seed;
   }
 }
@@ -141,8 +146,7 @@ TEST(WindowEdgeStoreCheckpointTest, AdoptsLazilyEnabledInIndex) {
 TEST(WindowEdgeStoreCheckpointTest, NonEmptyTargetRefused) {
   WindowEdgeStore original;
   original.Insert(1, 2, 0, Interval(0, 10));
-  std::string bytes;
-  original.SerializeState(&bytes);
+  std::string bytes = Serialized(original);
 
   WindowEdgeStore dirty;
   dirty.Insert(5, 6, 1, Interval(0, 10));
@@ -156,8 +160,7 @@ TEST(WindowEdgeStoreCheckpointTest, NonEmptyTargetRefused) {
 TEST(WindowEdgeStoreCheckpointTest, TruncatedStateRejected) {
   WindowEdgeStore original;
   ChurnStore(&original, 3, /*with_in_index=*/false);
-  std::string bytes;
-  original.SerializeState(&bytes);
+  std::string bytes = Serialized(original);
   for (std::size_t len : {std::size_t{0}, bytes.size() / 3,
                           bytes.size() - 1}) {
     WindowEdgeStore target;
@@ -199,17 +202,15 @@ TEST(StreamingCoalescerCheckpointTest, RoundTripPreservesSuppression) {
     EXPECT_EQ(original.Offer(probe), restored.Offer(probe))
         << "offer " << i << " diverged";
   }
-  std::string a, b;
-  original.SerializeState(&a);
-  restored.SerializeState(&b);
+  const std::string a = Serialized(original);
+  const std::string b = Serialized(restored);
   EXPECT_EQ(a, b);
 }
 
 TEST(StreamingCoalescerCheckpointTest, NonEmptyTargetRefused) {
   StreamingCoalescer original;
   original.Offer(Sgt(1, 2, 0, Interval(0, 10)));
-  std::string bytes;
-  original.SerializeState(&bytes);
+  std::string bytes = Serialized(original);
 
   StreamingCoalescer dirty;
   dirty.Offer(Sgt(3, 4, 0, Interval(0, 10)));
@@ -310,8 +311,7 @@ TEST(ReorderBufferCheckpointTest, CorruptStateRejected) {
   ReorderBuffer original(4);
   original.Offer(Sge{1, 2, 0, 10, false});
   original.Offer(Sge{2, 3, 0, 12, false});
-  std::string bytes;
-  original.SerializeState(&bytes);
+  std::string bytes = Serialized(original);
   // Truncate inside the buffered-elements array.
   ReorderBuffer target(4);
   ByteReader in(std::string_view(bytes.data(), bytes.size() - 3), "trunc");
@@ -483,11 +483,8 @@ TEST_F(PatternCheckpointTest, RestoreRegistersOneHintPerBucket) {
                     Interval(now, now + 5));
     original->OnTuple(1, probe);
     restored->OnTuple(1, probe);
-    std::string a;
-    std::string b;
-    original->SerializeState(&a);
-    restored->SerializeState(&b);
-    EXPECT_EQ(a, b) << "images diverged after purge at " << now;
+    EXPECT_EQ(Serialized(*original), Serialized(*restored))
+        << "images diverged after purge at " << now;
   }
   ASSERT_EQ(original_out.tuples.size(), restored_out.tuples.size());
   EXPECT_FALSE(original_out.tuples.empty());
@@ -502,8 +499,7 @@ TEST_F(PatternCheckpointTest, MalformedBucketsRejectedWithOffsets) {
   CollectOp sink;
   auto original = MakeOp(&sink);
   Feed(original.get());
-  std::string bytes;
-  original->SerializeState(&bytes);
+  std::string bytes = Serialized(*original);
   const PatternImage valid = PatternImage::Decode(bytes);
   ASSERT_EQ(valid.Encode(), bytes);
   ASSERT_EQ(valid.left.buckets.size(), 1u);
