@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Every run reads one ChunkedStream: the stream file through the
+  // Every run reads one FileChunkSource: the stream file through the
   // bounded readahead window, or the demo text in memory. --slack applies
   // on either reader: the pipeline's merge stage or the chunk walk's
   // ReorderBuffer below. A binary header interns its dictionary when the
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   options.ingest_slack = slack;
   const FileChunkOptions chunking =
       IngestChunking(RunOptions{options, async_ingest});
-  std::unique_ptr<ChunkedStream> source;
+  std::unique_ptr<FileChunkSource> source;
   auto open_source = [&]() -> bool {
     Status st = Status::OK();
     if (!stream_path.empty()) {

@@ -18,8 +18,9 @@
 # exit 1 naming the line. A second session keeps two subscriptions live
 # across one INGEST ALL over a stream of several 1,024-element pulls:
 # their lines must interleave (results stream per pull) and each must
-# still equal its static run, at batch size 1 and at 4 workers with a
-# batch size (100) that does not divide the pull.
+# still equal its static run: at batch size 1, at one worker with batch
+# sizes (100, and 7 under Δ-PATH) that do not divide the pull, and at 4
+# workers with batch size 100.
 #
 # Usage: session_smoke.sh <path-to-stream_query_cli>
 set -euo pipefail
@@ -157,6 +158,8 @@ check_long() {
   done
 }
 check_long ''
+check_long '--batch 100'
+check_long '--batch 7 --delta-path'
 check_long '--workers 4 --batch 100'
 
 echo "session smoke: all subscriptions byte-identical to static runs"

@@ -141,7 +141,7 @@ struct RunMetrics {
   /// parser_stall_ns: per parser, blocked on gutter backpressure (parser
   /// 0, the merge, has no gutter); parse_busy_ns: the slowest parser's
   /// time inside the cursor — the parse-stage critical path (synchronous
-  /// ChunkedStream runs report the chunk walk's time here).
+  /// chunk-walk runs report the chunk walk's time here).
   std::size_t parsers = 0;
   uint64_t merge_stall_ns = 0;
   std::vector<uint64_t> parser_stall_ns;

@@ -255,7 +255,7 @@ class Engine {
   /// while execution runs on the calling thread; parse errors surface as
   /// the returned Status (elements preceding the error still execute).
   /// See runtime/ingest_pipeline.h.
-  Status RunPipelined(const ChunkedStream& stream) {
+  Status RunPipelined(const FileChunkSource& stream) {
     return executor_.RunPipelined(stream);
   }
 

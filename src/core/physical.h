@@ -137,8 +137,8 @@ class PhysicalOp {
   /// the executor makes every instance a reader (ReadSharedWindows) and
   /// applies the window writes itself, outside the parallel section,
   /// through the primary instance. Shards only read a partition while
-  /// they run, so none needs a lock. A lone instance — every operator of
-  /// the unsharded engine — writes its own partitions.
+  /// they run, so none needs a lock. A lone instance — every operator at
+  /// num_workers = 1 — writes its own partitions.
   /// @{
 
   /// \brief Makes this instance a reader of its window partitions: it
@@ -226,9 +226,8 @@ class SourceOp : public PhysicalOp {
 ///     can still derive, so a value with a surviving witness anywhere is
 ///     re-asserted after the retraction.
 ///
-/// The unsharded path composes the two phases back-to-back on the single
-/// instance, which reproduces the original single-threaded deletion
-/// handling exactly.
+/// A lone instance composes the two phases back-to-back itself, which
+/// reproduces the original single-threaded deletion handling exactly.
 class DeletionCoordination {
  public:
   virtual ~DeletionCoordination() = default;

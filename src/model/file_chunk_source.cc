@@ -425,7 +425,7 @@ Status FileChunkSource::Split(std::optional<StreamFormat> format,
   return Status::OK();
 }
 
-Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
+Result<std::unique_ptr<FileChunkSource>> MakeChunkedStream(
     const std::string& bytes, std::optional<StreamFormat> format,
     Vocabulary* vocab, bool allow_disorder, std::size_t min_chunks) {
   FileChunkOptions options;
@@ -435,7 +435,7 @@ Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
   source->resident_ = bytes;
   source->size_ = bytes.size();
   SGQ_RETURN_NOT_OK(source->Split(format, min_chunks));
-  return std::unique_ptr<ChunkedStream>(std::move(source));
+  return source;
 }
 
 Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(

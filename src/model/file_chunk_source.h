@@ -1,7 +1,11 @@
-// The chunk source (DESIGN.md §6.3): the one implementation of the
-// ChunkedStream contract every stream reader consumes (a ChunkWalkCursor
-// on the calling thread, or the ingest pipeline's parse threads). Its
-// bytes come from one of two origins:
+// The chunk source (DESIGN.md §6.3): the stream every reader consumes (a
+// ChunkWalkCursor on the calling thread, or the ingest pipeline's parse
+// threads), pre-split into record-aligned byte-range chunks. CSV chunks
+// break at newline boundaries (with global line numbers preserved for
+// errors); binary chunks slice the fixed-width record region after one
+// shared header parse. Chunk order is stream order: concatenating the
+// chunks' elements 0..NumChunks()-1 reproduces the sequential parse
+// exactly. Its bytes come from one of two origins:
 //  - resident: the whole stream is in memory — borrowed from the caller
 //    (MakeChunkedStream), or read once into an owned buffer for pipes,
 //    empty files and platforms without pread. Chunks are split at
@@ -79,20 +83,37 @@ struct FileChunkOptions {
 
 /// \brief A stream split into record-aligned chunks; construct through
 /// MakeChunkedStream (resident bytes) or MakeFileChunkSource (a file).
-/// Thread-safe like every ChunkedStream, plus the blocking/abort
-/// semantics of the pread origin described in the file comment.
-class FileChunkSource : public ChunkedStream {
+/// Thread-safe, with the blocking/abort semantics of the pread origin
+/// described in the file comment.
+class FileChunkSource {
  public:
-  ~FileChunkSource() override;
+  ~FileChunkSource();
 
   FileChunkSource(const FileChunkSource&) = delete;
   FileChunkSource& operator=(const FileChunkSource&) = delete;
 
-  std::size_t NumChunks() const override { return chunks_.size(); }
-  std::unique_ptr<StreamCursor> OpenChunk(std::size_t i) const override;
-  StreamFormat format() const override { return format_; }
-  void Abort() const override;
-  std::uint64_t ReadaheadStallNs() const override {
+  std::size_t NumChunks() const { return chunks_.size(); }
+
+  /// \brief Opens a fresh cursor over chunk `i`. Thread-safe: parser
+  /// threads call this concurrently for distinct (or even equal) chunks.
+  /// May block on a file read through the bounded readahead window until
+  /// earlier chunks retire; header errors already surfaced at
+  /// construction, so a returned cursor's status() carries any per-chunk
+  /// load or parse error.
+  std::unique_ptr<StreamCursor> OpenChunk(std::size_t i) const;
+
+  StreamFormat format() const { return format_; }
+
+  /// \brief Wakes any thread blocked inside OpenChunk and makes further
+  /// opens fail fast — called by the pipeline's merge when it aborts a
+  /// run, so parser threads waiting on the readahead window cannot hang.
+  /// No-op for resident sources (nothing ever blocks).
+  void Abort() const;
+
+  /// \brief Cumulative nanoseconds callers spent inside the chunk feeder —
+  /// pread time plus readahead-window backpressure. 0 for resident
+  /// sources.
+  std::uint64_t ReadaheadStallNs() const {
     return stall_ns_.load(std::memory_order_relaxed);
   }
 
@@ -110,7 +131,7 @@ class FileChunkSource : public ChunkedStream {
   std::uint64_t peak_resident_bytes() const;
 
  private:
-  friend Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
+  friend Result<std::unique_ptr<FileChunkSource>> MakeChunkedStream(
       const std::string& bytes, std::optional<StreamFormat> format,
       Vocabulary* vocab, bool allow_disorder, std::size_t min_chunks);
   friend Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
@@ -217,7 +238,7 @@ class FileChunkSource : public ChunkedStream {
 /// (interning into `*vocab` deterministically); CSV inputs only scan for
 /// newline boundaries, so header errors surface here but per-record
 /// errors surface from the chunk cursors.
-Result<std::unique_ptr<ChunkedStream>> MakeChunkedStream(
+Result<std::unique_ptr<FileChunkSource>> MakeChunkedStream(
     const std::string& bytes, std::optional<StreamFormat> format,
     Vocabulary* vocab, bool allow_disorder, std::size_t min_chunks);
 

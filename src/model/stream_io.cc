@@ -15,6 +15,7 @@
 
 #include "common/string_util.h"
 #include "model/checkpoint.h"
+#include "model/file_chunk_source.h"
 
 namespace sgq {
 

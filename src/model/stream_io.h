@@ -236,49 +236,17 @@ Result<std::string> FormatStreamBinary(const InputStream& stream,
                                        const Vocabulary& vocab);
 
 // ---------------------------------------------------------------------------
-// Chunked views — the only form in which stream bytes reach the engine:
-// a ChunkWalkCursor reads the chunks in order on the calling thread, or
-// the ingest pipeline's parse threads (runtime/ingest_pipeline.h) open
-// disjoint chunks concurrently and an order-restoring merge reassembles
-// elements in chunk order. model/file_chunk_source.h implements it, over
-// in-memory bytes or a file.
+// Chunked views — the only form in which stream bytes reach the engine: a
+// FileChunkSource (model/file_chunk_source.h) splits a stream, in memory
+// or in a file, into record-aligned chunks; a ChunkWalkCursor reads them
+// in order on the calling thread, or the ingest pipeline's parse threads
+// (runtime/ingest_pipeline.h) open disjoint chunks concurrently and an
+// order-restoring merge reassembles elements in chunk order.
 // ---------------------------------------------------------------------------
 
-/// \brief A stream pre-split into record-aligned byte-range chunks.
-/// CSV chunks break at newline boundaries (with global line numbers
-/// preserved for errors); binary chunks slice the fixed-width record
-/// region after one shared header parse. Chunk order is stream order:
-/// concatenating the chunks' elements 0..NumChunks()-1 reproduces the
-/// sequential parse exactly.
-class ChunkedStream {
- public:
-  virtual ~ChunkedStream() = default;
+class FileChunkSource;
 
-  virtual std::size_t NumChunks() const = 0;
-
-  /// \brief Opens a fresh cursor over chunk `i`. Thread-safe: parser
-  /// threads call this concurrently for distinct (or even equal) chunks.
-  /// May block on a file read through a bounded readahead window
-  /// (model/file_chunk_source.h) until earlier chunks retire; header
-  /// errors already surfaced at construction, so a returned cursor's
-  /// status() carries any per-chunk load or parse error.
-  virtual std::unique_ptr<StreamCursor> OpenChunk(std::size_t i) const = 0;
-
-  virtual StreamFormat format() const = 0;
-
-  /// \brief Wakes any thread blocked inside OpenChunk and makes further
-  /// opens fail fast — called by the pipeline's merge when it aborts a
-  /// run, so parser threads waiting on the readahead window cannot hang.
-  /// No-op for in-memory streams (nothing ever blocks).
-  virtual void Abort() const = 0;
-
-  /// \brief Cumulative nanoseconds callers spent inside the chunk feeder —
-  /// pread time plus readahead-window backpressure. 0 for in-memory
-  /// streams.
-  virtual std::uint64_t ReadaheadStallNs() const = 0;
-};
-
-/// \brief Sequential walk over a ChunkedStream's cursors — the reader of
+/// \brief Sequential walk over a FileChunkSource's cursors — the reader of
 /// every synchronous run (workload/harness.h Run, the CLI, the `--serve`
 /// session), feeding Engine::Push on the calling thread: identical
 /// element sequence to one cursor over the whole buffer, plus the
@@ -290,7 +258,7 @@ class ChunkedStream {
 /// next, so windowed file sources keep only one chunk resident.
 class ChunkWalkCursor : public StreamCursor {
  public:
-  ChunkWalkCursor(const ChunkedStream& stream, bool allow_disorder)
+  ChunkWalkCursor(const FileChunkSource& stream, bool allow_disorder)
       : stream_(stream), check_order_(!allow_disorder) {}
 
   std::size_t Next(Sge* buf, std::size_t cap) override;
@@ -302,7 +270,7 @@ class ChunkWalkCursor : public StreamCursor {
   std::uint64_t busy_ns() const { return busy_ns_; }
 
  private:
-  const ChunkedStream& stream_;
+  const FileChunkSource& stream_;
   const bool check_order_;
   std::unique_ptr<StreamCursor> cursor_;
   std::size_t next_chunk_ = 0;

@@ -8,11 +8,14 @@
 //
 // A channel may have several destinations (fan-out): this is what lets the
 // runtime share one WSCAN operator between every consumer of the same
-// (label, window) pair. Sharded execution (num_workers > 1) adds a third
-// mode: *capture* channels buffer each shard instance's emissions locally
-// (no locks on the hot path); after the parallel section the Executor
-// merges the buffers in shard order and re-partitions them through the
-// exchange onto the destination shards (executor.cc, DESIGN.md §2.4).
+// (label, window) pair. A third mode, *capture*, is for multi-instance
+// operators only (num_workers > 1): each shard instance's channel buffers
+// its emissions locally (no locks on the hot path); after the parallel
+// section the Executor merges the buffers in shard order and
+// re-partitions them through the exchange onto the destinations' slots
+// (executor.h, DESIGN.md §2.4). A single-instance operator keeps its
+// engine-mode channel, which routes each emission straight into those
+// slots.
 
 #ifndef SGQ_RUNTIME_CHANNEL_H_
 #define SGQ_RUNTIME_CHANNEL_H_
@@ -48,9 +51,10 @@ class OutputChannel {
   OutputChannel(PhysicalOp* op, int port)
       : direct_op_(op), direct_port_(port) {}
 
-  /// \brief Capture mode: append every pushed tuple to `buffer`. Used for
-  /// the per-shard emission buffers of sharded execution; the buffer is
-  /// owned by the Executor and drained by the post-wave merge.
+  /// \brief Capture mode: append every pushed tuple to `buffer`. Used only
+  /// for the per-instance emission buffers of multi-instance operators;
+  /// the buffer is owned by the Executor and drained by the post-run
+  /// merge.
   explicit OutputChannel(std::vector<Sgt>* buffer) : capture_(buffer) {}
 
   /// \brief Pushes one output tuple (called by PhysicalOp::EmitTuple).
@@ -76,7 +80,7 @@ class OutputChannel {
   PhysicalOp* direct_op_ = nullptr;
   int direct_port_ = 0;
 
-  // Capture mode (sharded execution).
+  // Capture mode (multi-instance operators).
   std::vector<Sgt>* capture_ = nullptr;
 };
 

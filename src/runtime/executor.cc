@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <set>
 
 #include "common/logging.h"
@@ -15,7 +14,7 @@ namespace sgq {
 
 void OutputChannel::Push(const Sgt& tuple) {
   if (capture_ != nullptr) {
-    // Sharded mode: buffer locally, merge after the parallel section.
+    // Multi-instance operator: buffer locally, merge after the run.
     capture_->push_back(tuple);
     return;
   }
@@ -43,6 +42,7 @@ OpId Executor::AddOp(std::unique_ptr<PhysicalOp> op) {
   const OpId id = static_cast<OpId>(nodes_.size());
   nodes_.emplace_back();
   nodes_.back().op = std::move(op);
+  channels_.emplace_back();
   ++num_live_;
   return id;
 }
@@ -107,12 +107,9 @@ Status Executor::Connect(OpId from, OpId to, int port) {
         "Connect: channels must go from earlier to later operators "
         "(children-first insertion)");
   }
-  auto& node = nodes_[static_cast<std::size_t>(from)];
-  node.out.dests_.push_back(PortRef{to, port});
-  auto& pending = nodes_[static_cast<std::size_t>(to)].pending;
-  if (pending.size() <= static_cast<std::size_t>(port)) {
-    pending.resize(static_cast<std::size_t>(port) + 1);
-  }
+  channels_[static_cast<std::size_t>(from)].dests_.push_back(PortRef{to, port});
+  OpNode& dst = nodes_[static_cast<std::size_t>(to)];
+  dst.ports = std::max(dst.ports, static_cast<std::size_t>(port) + 1);
   return Status::OK();
 }
 
@@ -167,52 +164,51 @@ Status Executor::RegisterWildcardSource(OpId source, Timestamp slide) {
 
 Status Executor::SetupNodeTopology(std::size_t i) {
   OpNode& node = nodes_[i];
-  node.out.exec_ = this;
-  node.out.from_ = static_cast<OpId>(i);
-  if (!sharded()) node.op->BindOutput(&node.out);
-  for (const PortRef& dst : node.out.dests_) {
+  OutputChannel& out = channels_[i];
+  out.exec_ = this;
+  out.from_ = static_cast<OpId>(i);
+  for (const PortRef& dst : out.dests_) {
     if (dst.op <= static_cast<OpId>(i)) {
       return Status::Internal("non-topological channel");
     }
   }
-  if (!sharded()) return Status::OK();
   const std::size_t instances = 1 + node.replicas.size();
   if (instances != 1 && instances != options_.num_workers) {
     return Status::Internal(
         "sharded operator must have 1 or num_workers instances");
   }
-  // Cache the per-port routing declared by the operator. Sources have
-  // no connected input port; their sges route through port 0.
-  const std::size_t ports = std::max<std::size_t>(node.pending.size(), 1);
-  node.routing.reserve(ports);
-  for (std::size_t p = 0; p < ports; ++p) {
-    node.routing.push_back(node.op->InputRouting(static_cast<int>(p)));
+  node.slots.resize(node.ports * instances);
+  if (instances == 1) {
+    // A lone instance emits straight into its destinations' slots.
+    node.op->BindOutput(&out);
+    return Status::OK();
+  }
+  node.shards = std::make_unique<ShardState>();
+  ShardState& shards = *node.shards;
+  // Cache the per-port routing declared by the operator. Sources have no
+  // input port: their sges go to the shard that owns the edge value.
+  shards.routing.reserve(node.ports);
+  for (std::size_t p = 0; p < node.ports; ++p) {
+    shards.routing.push_back(node.op->InputRouting(static_cast<int>(p)));
+  }
+  if (node.source_wildcard || node.source_label != kInvalidLabel) {
+    shards.gutters.resize(instances);
   }
   // Every instance emits into its own capture buffer; addresses are
   // stable because neither vector is resized after this point.
-  node.shard_emit.assign(instances, {});
-  node.shard_out.clear();
-  node.shard_out.reserve(instances);
+  shards.emit.resize(instances);
+  shards.out.reserve(instances);
   for (std::size_t s = 0; s < instances; ++s) {
-    node.shard_out.emplace_back(&node.shard_emit[s]);
-  }
-  for (std::size_t s = 0; s < instances; ++s) {
-    instance(static_cast<OpId>(i), s)->BindOutput(&node.shard_out[s]);
-  }
-  node.shard_pending.assign(node.pending.size(),
-                            std::vector<std::vector<Sgt>>(instances));
-  node.shard_scratch.assign(node.pending.size(),
-                            std::vector<std::vector<Sgt>>(instances));
-  node.merge_coalesce = instances > 1 && node.op->CoalesceAtMerge();
-  if (instances > 1) {
+    shards.out.emplace_back(&shards.emit[s]);
+    PhysicalOp* inst = instance(static_cast<OpId>(i), s);
+    inst->BindOutput(&shards.out.back());
     // The shards share the operator's window partitions; the driver is
     // their only writer (DESIGN.md §2.4).
-    for (std::size_t s = 0; s < instances; ++s) {
-      instance(static_cast<OpId>(i), s)->ReadSharedWindows();
-    }
+    inst->ReadSharedWindows();
   }
-  if (instances > 1 && node.op->NeedsDeletionCoordination()) {
-    node.coordination.reserve(instances);
+  shards.merge_coalesce = node.op->CoalesceAtMerge();
+  if (node.op->NeedsDeletionCoordination()) {
+    shards.coordination.reserve(instances);
     for (std::size_t s = 0; s < instances; ++s) {
       auto* coordination = dynamic_cast<DeletionCoordination*>(
           instance(static_cast<OpId>(i), s));
@@ -221,7 +217,7 @@ Status Executor::SetupNodeTopology(std::size_t i) {
             "operator requests deletion coordination but does not "
             "implement DeletionCoordination");
       }
-      node.coordination.push_back(coordination);
+      shards.coordination.push_back(coordination);
     }
   }
   return Status::OK();
@@ -264,8 +260,8 @@ void Executor::ConfigureNodeExpirySlide(std::size_t i) {
   for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
     instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
   }
-  if (nodes_[i].merge_coalesce) {
-    nodes_[i].merge_coalescer.ConfigureExpirySlide(slide_);
+  if (StreamingCoalescer* coalescer = nodes_[i].merge_coalescer()) {
+    coalescer->ConfigureExpirySlide(slide_);
   }
 }
 
@@ -274,24 +270,10 @@ Status Executor::FinalizeNewOps() {
   if (!queue_.empty() || !stack_.empty() || !dirty_heap_.empty()) {
     return Status::Internal("FinalizeNewOps outside a batch boundary");
   }
-  // Appending the new nodes may have reallocated the node table, and
-  // operators hold their bound channel by address: the unsharded `out`
-  // channel lives inline in the OpNode and moved with it. Re-point every
-  // already-finalized operator at its channel's new address before any
-  // further ingest. (Sharded `shard_out`/`shard_emit` live in member-
-  // vector heap buffers that survive the move; rebound anyway for
-  // uniformity.)
-  for (std::size_t i = 0; i < finalized_nodes_; ++i) {
-    OpNode& node = nodes_[i];
-    if (node.op == nullptr) continue;
-    if (!sharded()) {
-      node.op->BindOutput(&node.out);
-    } else {
-      for (std::size_t s = 0; s < node.shard_out.size(); ++s) {
-        instance(static_cast<OpId>(i), s)->BindOutput(&node.shard_out[s]);
-      }
-    }
-  }
+  // Operators hold their bound channel by address. Appending may have
+  // moved the node table, but not what the operators point at: engine-
+  // mode channels live in the deque, capture channels in heap buffers the
+  // nodes own. So only the appended nodes need binding.
   for (std::size_t i = finalized_nodes_; i < nodes_.size(); ++i) {
     SGQ_RETURN_NOT_OK(SetupNodeTopology(i));
     // The slide granularity is already fixed; the appended operators just
@@ -337,17 +319,10 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
     // reference them positionally); every loop over nodes_ skips null ops.
     node.op.reset();
     node.replicas.clear();
-    node.out = OutputChannel();
-    node.pending.clear();
-    node.shard_out.clear();
-    node.shard_emit.clear();
-    node.shard_pending.clear();
-    node.shard_scratch.clear();
-    node.routing.clear();
-    node.coordination.clear();
-    node.merge_coalesce = false;
-    node.merge_coalescer = StreamingCoalescer();
-    node.merge_retracted.clear();
+    channels_[static_cast<std::size_t>(id)] = OutputChannel();
+    node.ports = 0;
+    node.slots.clear();
+    node.shards.reset();
     node.dirty = false;
     node.source_label = kInvalidLabel;
     node.source_wildcard = false;
@@ -362,7 +337,7 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
         nodes_[static_cast<std::size_t>(from)].op == nullptr) {
       return Status::Internal("RemoveOps: unlink from a removed operator");
     }
-    auto& dests = nodes_[static_cast<std::size_t>(from)].out.dests_;
+    auto& dests = channels_[static_cast<std::size_t>(from)].dests_;
     const OpId gone = to;
     dests.erase(std::remove_if(dests.begin(), dests.end(),
                                [gone](const PortRef& p) {
@@ -384,7 +359,7 @@ std::string Executor::DescribeTopology() const {
     if (!nodes_[i].replicas.empty()) {
       out += " x" + std::to_string(1 + nodes_[i].replicas.size());
     }
-    const auto& dests = nodes_[i].out.destinations();
+    const auto& dests = channels_[i].destinations();
     if (!dests.empty()) {
       out += " ->";
       for (const PortRef& d : dests) {
@@ -425,14 +400,38 @@ void Executor::PopDirtyWave(Fn&& visit) {
   index_skipped_ += nodes_.size() - visited;
 }
 
+namespace {
+
+/// \brief Empties a delivery buffer for reuse: it keeps its capacity for
+/// the next wave unless it reached kPageMapBytes, which it gives back.
+template <typename T>
+void Recycle(std::vector<T>* buffer) {
+  if (buffer->capacity() * sizeof(T) >= kPageMapBytes) {
+    std::vector<T>().swap(*buffer);
+  } else {
+    buffer->clear();
+  }
+}
+
+/// \brief Appends `tuple` to the one of `n` per-instance slots its
+/// routing selects, or to all of them.
+void AppendByRouting(RoutingKey routing, const Sgt& tuple,
+                     std::vector<Sgt>* slots, std::size_t n) {
+  switch (routing) {
+    case RoutingKey::kBroadcast:
+      for (std::size_t s = 0; s < n; ++s) slots[s].push_back(tuple);
+      break;
+    case RoutingKey::kEdgeValue:
+      slots[ShardOfEdge(tuple.src, tuple.trg, n)].push_back(tuple);
+      break;
+  }
+}
+
+}  // namespace
+
 void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
-  if (wave_mode()) {
-    for (const PortRef& dst : channel.dests_) {
-      nodes_[static_cast<std::size_t>(dst.op)]
-          .pending[static_cast<std::size_t>(dst.port)]
-          .push_back(tuple);
-      MarkDirty(dst.op);
-    }
+  if (!tuple_mode()) {
+    for (const PortRef& dst : channel.dests_) RouteToShards(dst, tuple);
     return;
   }
   // Tuple mode: collect into the current delivery segment; DrainStack
@@ -462,86 +461,73 @@ void Executor::PushSegment() {
   segment_buf_.clear();
 }
 
-void Executor::RunWave() {
-  PopDirtyWave([this](OpId id) {
-    OpNode& node = nodes_[static_cast<std::size_t>(id)];
-    for (std::size_t port = 0; port < node.pending.size(); ++port) {
-      if (node.pending[port].empty()) continue;
-      ++ops_touched_;
-      std::vector<Sgt> batch;
-      batch.swap(node.pending[port]);
-      node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Sharded delivery (num_workers > 1)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// \brief Appends `tuple` to the per-shard slot(s) its routing selects.
-void AppendByRouting(RoutingKey routing, const Sgt& tuple,
-                     std::vector<std::vector<Sgt>>* slots) {
-  switch (routing) {
-    case RoutingKey::kBroadcast:
-      for (auto& slot : *slots) slot.push_back(tuple);
-      break;
-    case RoutingKey::kEdgeValue:
-      (*slots)[ShardOfEdge(tuple.src, tuple.trg, slots->size())].push_back(
-          tuple);
-      break;
+template <typename Fn>
+void Executor::RunOpPhase(Fn&& fn) {
+  if (!tuple_mode()) {
+    fn();  // emissions buffer in the destinations' slots until the wave
+    return;
   }
+  // Tuple mode: collect the call's emissions, then run each cascade to
+  // completion in emission order — the recursive engine's depth-first
+  // order exactly.
+  SGQ_CHECK(segment_ == nullptr) << "nested delivery";
+  segment_ = &segment_buf_;
+  fn();
+  segment_ = nullptr;
+  PushSegment();
+  DrainStack();
 }
-
-}  // namespace
 
 void Executor::RouteToShards(const PortRef& dst, const Sgt& tuple) {
-  // Driver thread only (MergeAndRoute runs after the parallel section), so
-  // the dirty worklist needs no synchronization.
+  // Driver thread only (single-instance operators run there, and merges
+  // follow the parallel section), so the dirty worklist needs no
+  // synchronization.
   MarkDirty(dst.op);
   OpNode& dn = nodes_[static_cast<std::size_t>(dst.op)];
-  auto& slots = dn.shard_pending[static_cast<std::size_t>(dst.port)];
+  const std::size_t instances = 1 + dn.replicas.size();
+  std::vector<Sgt>* slots =
+      dn.slots.data() + static_cast<std::size_t>(dst.port) * instances;
   // Single-instance operators and coordination-needing operators receive
   // the batch in global arrival order on slot 0 (the latter re-partition
   // at execution time, around deletion barriers).
-  if (slots.size() == 1 || !dn.coordination.empty()) {
+  if (instances == 1 || !dn.shards->coordination.empty()) {
     slots[0].push_back(tuple);
     return;
   }
-  AppendByRouting(dn.routing[static_cast<std::size_t>(dst.port)], tuple,
-                  &slots);
+  AppendByRouting(dn.shards->routing[static_cast<std::size_t>(dst.port)],
+                  tuple, slots, instances);
 }
 
-bool Executor::OfferAtMerge(OpNode& node, const Sgt& tuple) {
+bool Executor::OfferAtMerge(ShardState& shards, const Sgt& tuple) {
   if (tuple.is_deletion) {
     // One coordinated deletion can retract the same output value on
     // several shards; a single instance emits that retraction once.
-    if (!node.merge_retracted.insert(tuple.edge()).second) return false;
-    node.merge_coalescer.Forget(tuple.edge(), tuple.validity.ts);
+    if (!shards.merge_retracted.insert(tuple.edge()).second) return false;
+    shards.merge_coalescer.Forget(tuple.edge(), tuple.validity.ts);
     return true;
   }
-  node.merge_retracted.erase(tuple.edge());
-  return node.merge_coalescer.Offer(tuple);
+  shards.merge_retracted.erase(tuple.edge());
+  return shards.merge_coalescer.Offer(tuple);
 }
 
 void Executor::MergeAndRoute(OpId id) {
-  OpNode& node = nodes_[static_cast<std::size_t>(id)];
+  ShardState& shards = *nodes_[static_cast<std::size_t>(id)].shards;
+  const std::vector<PortRef>& dests =
+      channels_[static_cast<std::size_t>(id)].dests_;
   // Shard-order concatenation: deterministic run-to-run because shard
   // sub-batches, and therefore per-shard emission sequences, are a pure
   // function of the input stream.
-  for (std::vector<Sgt>& buffer : node.shard_emit) {
+  for (std::vector<Sgt>& buffer : shards.emit) {
     for (const Sgt& tuple : buffer) {
-      if (node.merge_coalesce && !OfferAtMerge(node, tuple)) {
+      if (shards.merge_coalesce && !OfferAtMerge(shards, tuple)) {
         // A sibling shard already covered this emission; a single
         // instance's output coalescer would have suppressed it too.
         ++merge_suppressed_;
         continue;
       }
-      for (const PortRef& dst : node.out.dests_) RouteToShards(dst, tuple);
+      for (const PortRef& dst : dests) RouteToShards(dst, tuple);
     }
-    buffer.clear();
+    Recycle(&buffer);
   }
 }
 
@@ -559,24 +545,24 @@ void Executor::RunShardsMaybeParallel(std::size_t instances,
 }
 
 template <typename Fn>
-void Executor::RunInstances(OpId id, bool parallel, Fn&& fn) {
-  const std::size_t instances = NumInstances(id);
-  if (!parallel || instances == 1) {
-    // Inline in shard order: identical per-shard computation and merge
-    // order, minus the pool dispatch.
-    for (std::size_t s = 0; s < instances; ++s) fn(instance(id, s));
-  } else {
-    pool_->ParallelFor(instances,
-                       [&](std::size_t s) { fn(instance(id, s)); });
+void Executor::RunInstances(OpId id, Fn&& fn) {
+  if (nodes_[static_cast<std::size_t>(id)].replicas.empty()) {
+    PhysicalOp* op = nodes_[static_cast<std::size_t>(id)].op.get();
+    RunOpPhase([&] { fn(op); });
+    return;
   }
+  // Time-driven work (Δ-tree expiry) is always worth a pool dispatch.
+  pool_->ParallelFor(NumInstances(id),
+                     [&](std::size_t s) { fn(instance(id, s)); });
   MergeAndRoute(id);
 }
 
 void Executor::RunCoordinatedBatch(OpId id, int port,
                                    std::vector<Sgt>& batch) {
   OpNode& node = nodes_[static_cast<std::size_t>(id)];
+  ShardState& shards = *node.shards;
   const std::size_t instances = NumInstances(id);
-  const RoutingKey routing = node.routing[static_cast<std::size_t>(port)];
+  const RoutingKey routing = shards.routing[static_cast<std::size_t>(port)];
   std::vector<std::vector<Sgt>> split(instances);
   std::size_t i = 0;
   while (i < batch.size()) {
@@ -586,7 +572,7 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
       for (auto& slot : split) slot.clear();
       std::size_t j = i;
       for (; j < batch.size() && !batch[j].is_deletion; ++j) {
-        AppendByRouting(routing, batch[j], &split);
+        AppendByRouting(routing, batch[j], split.data(), instances);
       }
       std::size_t active_shards = 0;
       for (const auto& slot : split) {
@@ -607,8 +593,8 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
     std::vector<std::vector<EdgeRef>> retracted(instances);
     if (routing == RoutingKey::kBroadcast) {
       pool_->ParallelFor(instances, [&](std::size_t s) {
-        retracted[s] = node.coordination[s]->RetractForDeletion(port,
-                                                               deletion);
+        retracted[s] = shards.coordination[s]->RetractForDeletion(port,
+                                                                 deletion);
       });
     } else {
       // Hash-routed port: only the owner shard holds derivations of the
@@ -616,7 +602,7 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
       const ShardId owner =
           ShardOfEdge(deletion.src, deletion.trg, instances);
       retracted[owner] =
-          node.coordination[owner]->RetractForDeletion(port, deletion);
+          shards.coordination[owner]->RetractForDeletion(port, deletion);
     }
     MergeAndRoute(id);  // the negative tuples
     // The deleted value leaves the shared window between the phases: the
@@ -631,7 +617,7 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
       const std::vector<EdgeRef> union_vec(all_retracted.begin(),
                                            all_retracted.end());
       pool_->ParallelFor(instances, [&](std::size_t s) {
-        node.coordination[s]->ReassertRetracted(union_vec);
+        shards.coordination[s]->ReassertRetracted(union_vec);
       });
       MergeAndRoute(id);  // the surviving re-assertions
     }
@@ -639,157 +625,111 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
     // later deletion of the same value only produces negatives if the
     // value was re-derived in between, which a single instance would also
     // re-retract.
-    node.merge_retracted.clear();
+    shards.merge_retracted.clear();
   }
-  batch.clear();
+  Recycle(&batch);
 }
 
-void Executor::RunShardedOpBatches(OpId id) {
+void Executor::RunOpSlots(OpId id) {
   OpNode& node = nodes_[static_cast<std::size_t>(id)];
-  auto& take = node.shard_scratch;
-  if (!node.coordination.empty()) {
-    for (std::size_t p = 0; p < take.size(); ++p) {
-      if (!take[p][0].empty()) {
-        RunCoordinatedBatch(id, static_cast<int>(p), take[p][0]);
-      }
+  const std::size_t instances = 1 + node.replicas.size();
+  std::vector<Sgt>* slots = node.slots.data();
+  if (node.shards != nullptr && !node.shards->coordination.empty()) {
+    for (std::size_t p = 0; p < node.ports; ++p) {
+      std::vector<Sgt>& batch = slots[p * instances];
+      if (batch.empty()) continue;
+      ++ops_touched_;
+      RunCoordinatedBatch(id, static_cast<int>(p), batch);
     }
     return;
   }
-  const std::size_t instances = NumInstances(id);
-  // The wave's window writes run here, on the driver; the shards then
-  // only read the partitions they share.
-  if (instances > 1) {
-    for (std::size_t p = 0; p < take.size(); ++p) {
-      if (!take[p][0].empty()) {
-        node.op->WriteWindows(static_cast<int>(p), take[p][0].data(),
-                              take[p][0].size());
-      }
+  auto empty = [](const std::vector<Sgt>& slot) { return slot.empty(); };
+  for (std::size_t p = 0; p < node.ports; ++p) {
+    const std::vector<Sgt>* port = slots + p * instances;
+    if (std::all_of(port, port + instances, empty)) continue;
+    ++ops_touched_;
+    // The wave's window writes run here, on the driver; the shards then
+    // only read the partitions they share.
+    if (instances > 1 && !port[0].empty()) {
+      node.op->WriteWindows(static_cast<int>(p), port[0].data(),
+                            port[0].size());
     }
   }
   std::size_t active_shards = 0;
   for (std::size_t s = 0; s < instances && active_shards < 2; ++s) {
-    for (std::size_t p = 0; p < take.size(); ++p) {
-      if (!take[p][s].empty()) {
+    for (std::size_t p = 0; p < node.ports; ++p) {
+      if (!slots[p * instances + s].empty()) {
         ++active_shards;
         break;
       }
     }
   }
   RunShardsMaybeParallel(instances, active_shards, [&](std::size_t s) {
-    PhysicalOp* shard_op = instance(id, s);
-    for (std::size_t p = 0; p < take.size(); ++p) {
-      auto& sub = take[p][s];
-      if (!sub.empty()) {
-        shard_op->OnBatch(static_cast<int>(p), sub.data(), sub.size());
-        sub.clear();  // capacity kept for the next wave
-      }
+    PhysicalOp* inst = instance(id, s);
+    for (std::size_t p = 0; p < node.ports; ++p) {
+      std::vector<Sgt>& slot = slots[p * instances + s];
+      if (slot.empty()) continue;
+      inst->OnBatch(static_cast<int>(p), slot.data(), slot.size());
+      Recycle(&slot);
     }
   });
-  MergeAndRoute(id);
+  // A lone instance emitted straight into its destinations' slots.
+  if (instances > 1) MergeAndRoute(id);
 }
 
-void Executor::RunShardedWave() {
-  PopDirtyWave([this](OpId id) {
-    OpNode& node = nodes_[static_cast<std::size_t>(id)];
-    bool has_input = false;
-    for (const auto& port : node.shard_pending) {
-      for (const auto& slot : port) {
-        if (!slot.empty()) {
-          has_input = true;
-          break;
-        }
-      }
-      if (has_input) break;
-    }
-    if (!has_input) return;
-    ++ops_touched_;
-    // Swap pending batches into the scratch (whose slots are empty but
-    // hold the previous wave's capacity) so buffers are reused instead of
-    // reallocated; emissions route into the now-empty pending slots.
-    for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
-      for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
-        node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
-      }
-    }
-    RunShardedOpBatches(id);
-  });
+void Executor::RunWave() {
+  PopDirtyWave([this](OpId id) { RunOpSlots(id); });
 }
 
-void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
-  // Per-(source, shard) sub-batches, in ascending operator order so the
-  // merge is deterministic.
-  std::map<OpId, std::vector<std::vector<Sge>>> batches;
-  auto append = [&](OpId source, const Sge& sge) {
-    auto [entry, inserted] = batches.try_emplace(source);
-    const std::size_t instances = NumInstances(source);
-    if (inserted) entry->second.resize(instances);
-    const std::size_t shard =
-        instances == 1 ? 0 : ShardOfEdge(sge.src, sge.trg, instances);
-    entry->second[shard].push_back(sge);
-  };
+void Executor::DeliverSges(const Sge* sges, std::size_t n) {
+  const auto& wildcard = query_index_.wildcard();
   for (std::size_t k = 0; k < n; ++k) {
     const Sge& sge = sges[k];
     const QueryIndex::PostingList* postings = query_index_.Find(sge.label);
-    const auto& wildcard = query_index_.wildcard();
     // Label not referenced by any query and no always-on source.
     if (postings == nullptr && wildcard.empty()) continue;
     edges_processed_.Add();
+    // Label postings in registration order, then the wildcard bucket in
+    // registration order (the ordering contract of query_index.h).
+    auto deliver = [&](OpId source) {
+      OpNode& node = nodes_[static_cast<std::size_t>(source)];
+      if (node.replicas.empty()) {
+        ++ops_touched_;
+        auto* src = static_cast<SourceOp*>(node.op.get());
+        RunOpPhase([&] { src->OnSge(sge); });
+        return;
+      }
+      if (!node.gutter_queued) {
+        node.gutter_queued = true;
+        gutter_ops_.push_back(source);
+      }
+      std::vector<std::vector<Sge>>& gutters = node.shards->gutters;
+      gutters[ShardOfEdge(sge.src, sge.trg, gutters.size())].push_back(sge);
+    };
     if (postings != nullptr) {
-      for (const OpId source : *postings) append(source, sge);
+      for (const OpId source : *postings) deliver(source);
     }
-    for (const OpId source : wildcard) append(source, sge);
+    for (const OpId source : wildcard) deliver(source);
   }
-  if (batches.empty()) return;
-  // Scans are stateless interval maps: running them inline (in shard
-  // order, into per-shard capture buffers) is cheaper than a pool
-  // dispatch; the heavy lifting parallelizes downstream.
-  for (const auto& [source, per_shard] : batches) {
+  // Multi-instance sources run in ascending operator order, so the merge
+  // is deterministic. Scans are stateless interval maps: running them
+  // inline (in shard order, into per-shard capture buffers) is cheaper
+  // than a pool dispatch; the heavy lifting parallelizes downstream.
+  std::sort(gutter_ops_.begin(), gutter_ops_.end());
+  for (const OpId source : gutter_ops_) {
     ++ops_touched_;
-    for (std::size_t s = 0; s < per_shard.size(); ++s) {
-      if (per_shard[s].empty()) continue;
+    OpNode& node = nodes_[static_cast<std::size_t>(source)];
+    std::vector<std::vector<Sge>>& gutters = node.shards->gutters;
+    for (std::size_t s = 0; s < gutters.size(); ++s) {
       auto* src = static_cast<SourceOp*>(instance(source, s));
-      for (const Sge& sge : per_shard[s]) src->OnSge(sge);
+      for (const Sge& sge : gutters[s]) src->OnSge(sge);
+      Recycle(&gutters[s]);
     }
+    node.gutter_queued = false;
     MergeAndRoute(source);
   }
-  RunShardedWave();
-}
-
-template <typename Fn>
-void Executor::RunOpPhase(Fn&& fn) {
-  if (wave_mode()) {
-    fn();  // emissions buffer in the pending queues until the next wave
-    return;
-  }
-  // Tuple mode: collect the call's emissions, then run each cascade to
-  // completion in emission order — the recursive engine's depth-first
-  // order exactly.
-  SGQ_CHECK(segment_ == nullptr) << "nested delivery";
-  segment_ = &segment_buf_;
-  fn();
-  segment_ = nullptr;
-  PushSegment();
-  DrainStack();
-}
-
-void Executor::DeliverSge(const Sge& sge) {
-  const QueryIndex::PostingList* postings = query_index_.Find(sge.label);
-  const auto& wildcard = query_index_.wildcard();
-  // Label not referenced by any query and no always-on source.
-  if (postings == nullptr && wildcard.empty()) return;
-  edges_processed_.Add();
-  // Label postings in registration order, then the wildcard bucket in
-  // registration order (the ordering contract of query_index.h).
-  auto deliver = [&](OpId source) {
-    ++ops_touched_;
-    auto* src = static_cast<SourceOp*>(
-        nodes_[static_cast<std::size_t>(source)].op.get());
-    RunOpPhase([&] { src->OnSge(sge); });
-  };
-  if (postings != nullptr) {
-    for (const OpId source : *postings) deliver(source);
-  }
-  for (const OpId source : wildcard) deliver(source);
+  gutter_ops_.clear();
+  if (!tuple_mode()) RunWave();
 }
 
 // ---------------------------------------------------------------------------
@@ -800,24 +740,13 @@ void Executor::TimeAdvanceWave(Timestamp now) {
   // Only operators with declared time-driven work can do anything in this
   // phase: every other OnTimeAdvance is the base no-op (core/physical.h
   // contract), so skipping them is exact. Negative-tuple operators can
-  // emit retractions/re-derivations here; the waves deliver them.
+  // emit retractions/re-derivations here; the wave delivers them.
   index_skipped_ += nodes_.size() - time_driven_ops_.size();
-  if (sharded()) {
-    // Time-driven work (Δ-tree expiry) is always worth a pool dispatch.
-    for (const OpId id : time_driven_ops_) {
-      ++ops_touched_;
-      RunInstances(id, /*parallel=*/true,
-                   [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
-    }
-    RunShardedWave();
-    return;
-  }
   for (const OpId id : time_driven_ops_) {
     ++ops_touched_;
-    PhysicalOp* op = nodes_[static_cast<std::size_t>(id)].op.get();
-    RunOpPhase([&] { op->OnTimeAdvance(now); });
+    RunInstances(id, [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
   }
-  if (wave_mode()) RunWave();
+  if (!tuple_mode()) RunWave();
 }
 
 void Executor::ProcessBoundary(Timestamp boundary) {
@@ -828,11 +757,6 @@ void Executor::ProcessBoundary(Timestamp boundary) {
   // never received input among them — costs one check.
   if (sharded()) {
     PurgeDueShards(boundary);
-    RunShardedWave();
-    // Merge coalescers drain their calendars like any other coalescer.
-    for (OpNode& node : nodes_) {
-      if (node.merge_coalesce) node.merge_coalescer.PurgeBefore(boundary);
-    }
   } else {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
@@ -843,7 +767,15 @@ void Executor::ProcessBoundary(Timestamp boundary) {
       ++ops_touched_;
       RunOpPhase([&] { node.op->Purge(boundary); });
     }
-    if (wave_mode()) RunWave();
+  }
+  if (!tuple_mode()) RunWave();
+  if (sharded()) {
+    // Merge coalescers drain their calendars like any other coalescer.
+    for (OpNode& node : nodes_) {
+      if (StreamingCoalescer* coalescer = node.merge_coalescer()) {
+        coalescer->PurgeBefore(boundary);
+      }
+    }
   }
   slide_accum_seconds_ += timer.ElapsedSeconds();
   // The paper's per-slide latency: all processing attributable to the
@@ -862,12 +794,18 @@ void Executor::PurgeDueShards(Timestamp boundary) {
   purge_due_ops_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const OpId id = static_cast<OpId>(i);
-    if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
+    const OpNode& node = nodes_[i];
+    if (node.op == nullptr) continue;  // removed (tombstoned) slot
     bool any = false;
-    for (std::size_t s = 0; s < NumInstances(id); ++s) {
-      if (!instance(id, s)->PurgeDue(boundary)) continue;
-      purge_due_[s].push_back(id);
-      any = true;
+    if (node.replicas.empty()) {
+      // A lone instance purges on the driver, below.
+      any = node.op->PurgeDue(boundary);
+    } else {
+      for (std::size_t s = 0; s < NumInstances(id); ++s) {
+        if (!instance(id, s)->PurgeDue(boundary)) continue;
+        purge_due_[s].push_back(id);
+        any = true;
+      }
     }
     if (!any) {
       ++index_skipped_;
@@ -885,7 +823,14 @@ void Executor::PurgeDueShards(Timestamp boundary) {
     if (!due.empty()) ++active_shards;
   }
   RunShardsMaybeParallel(purge_due_.size(), active_shards, run_shard);
-  for (const OpId id : purge_due_ops_) MergeAndRoute(id);
+  for (const OpId id : purge_due_ops_) {
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
+    if (node.replicas.empty()) {
+      node.op->Purge(boundary);  // emits straight into the slots
+    } else {
+      MergeAndRoute(id);
+    }
+  }
 }
 
 void Executor::AdvanceClock(Timestamp t) {
@@ -935,12 +880,7 @@ void Executor::ExecuteOrderedBatch(const Sge* sges, std::size_t n) {
     while (j < n && sges[j].t == sges[i].t) ++j;
     AdvanceClock(sges[i].t);
     Stopwatch timer;
-    if (sharded()) {
-      DeliverSgesSharded(sges + i, j - i);
-    } else {
-      for (std::size_t k = i; k < j; ++k) DeliverSge(sges[k]);
-      if (wave_mode()) RunWave();
-    }
+    DeliverSges(sges + i, j - i);
     slide_accum_seconds_ += timer.ElapsedSeconds();
     i = j;
   }
@@ -994,7 +934,7 @@ void AccumulateIngestStats(IngestStats* total, const IngestStats& run) {
 
 }  // namespace
 
-Status Executor::RunPipelined(const ChunkedStream& stream) {
+Status Executor::RunPipelined(const FileChunkSource& stream) {
   SGQ_CHECK(finalized_) << "RunPipelined before Finalize";
   IngestPipeline pipeline(this);
   const Status status = pipeline.Run(stream, options_.ingest_parsers);
@@ -1014,7 +954,9 @@ std::size_t Executor::StateSize() const {
     if (node.op == nullptr) continue;  // removed (tombstoned) slot
     n += node.op->StateSize();
     for (const auto& replica : node.replicas) n += replica->StateSize();
-    if (node.merge_coalesce) n += node.merge_coalescer.NumKeys();
+    if (const StreamingCoalescer* c = node.merge_coalescer()) {
+      n += c->NumKeys();
+    }
   }
   return n;
 }
@@ -1025,7 +967,9 @@ std::size_t Executor::StateBytes() const {
     if (node.op == nullptr) continue;  // removed (tombstoned) slot
     n += node.op->StateBytes();
     for (const auto& replica : node.replicas) n += replica->StateBytes();
-    if (node.merge_coalesce) n += node.merge_coalescer.ApproxBytes();
+    if (const StreamingCoalescer* c = node.merge_coalescer()) {
+      n += c->ApproxBytes();
+    }
   }
   return n;
 }
@@ -1075,8 +1019,9 @@ void Executor::SerializeOps(PayloadOut* out) const {
     // whose live set differs from the replayed registration history.
     PutU8(out, node.op != nullptr ? 1 : 0);
     if (node.op == nullptr) continue;
-    PutU8(out, node.merge_coalesce ? 1 : 0);
-    if (node.merge_coalesce) node.merge_coalescer.SerializeState(out);
+    const StreamingCoalescer* coalescer = node.merge_coalescer();
+    PutU8(out, coalescer != nullptr ? 1 : 0);
+    if (coalescer != nullptr) coalescer->SerializeState(out);
     const std::size_t instances = 1 + node.replicas.size();
     PutU32(out, static_cast<std::uint32_t>(instances));
     for (std::size_t s = 0; s < instances; ++s) {
@@ -1105,13 +1050,14 @@ Status Executor::DeserializeOps(ByteReader* in) {
                       "different set of removed queries)");
     }
     if (!live) continue;
+    StreamingCoalescer* coalescer = node.merge_coalescer();
     const bool merge_coalesce = in->U8() != 0;
-    if (in->ok() && merge_coalesce != node.merge_coalesce) {
+    if (in->ok() && merge_coalesce != (coalescer != nullptr)) {
       return in->Fail("merge-coalescer flag mismatch at operator " +
                       std::to_string(id));
     }
-    if (node.merge_coalesce) {
-      SGQ_RETURN_NOT_OK(node.merge_coalescer.DeserializeState(in));
+    if (coalescer != nullptr) {
+      SGQ_RETURN_NOT_OK(coalescer->DeserializeState(in));
     }
     const std::uint32_t instances = in->U32();
     if (in->ok() && instances != 1 + node.replicas.size()) {

@@ -3,31 +3,40 @@
 // output channels, and the per-timestamp micro-batch ingest queue — and
 // drives OnTuple/OnTimeAdvance/Purge waves in topological order.
 //
-// This replaces the previous recursive push architecture (operator ->
-// parent_->OnTuple()) whose unbounded recursion could not batch, share
-// state across operators, or parallelize. Delivery is iterative:
+// Every operator runs as one or more instances. With num_workers = N > 1
+// an operator has N shard instances, each owning a hash-partition of its
+// state (runtime/shard.h), and a persistent WorkerPool runs them in
+// parallel; the sink, and every operator at num_workers = 1, has one.
+// Delivery is iterative, in one of two modes:
 //
-//  - batch_size == 1 ("tuple-at-a-time"): every ingested sge is routed to
-//    its source operators and the resulting cascade is drained on an
-//    explicit stack whose segment-reversal discipline reproduces the old
-//    depth-first recursion order *exactly* — batch=1 output is
-//    byte-identical to the recursive engine.
-//  - batch_size > 1: sges buffer in the micro-batch queue (grouped by
-//    timestamp, so window semantics are untouched) and each group is
-//    processed as a topological wave: every operator receives its pending
-//    inputs per port as one OnBatch call. Equivalent result *sets*,
-//    amortized per-tuple overhead.
-//  - num_workers > 1 ("sharded mode"): every operator has num_workers
-//    shard instances, each owning a hash-partition of the operator's
-//    state (runtime/shard.h). A persistent WorkerPool drives each
-//    topological wave shard-parallel: shard s of the current operator
-//    runs on worker s with a lock-free capture channel; the post-wave
-//    merge concatenates the capture buffers in shard order (deterministic
-//    run-to-run) and the exchange re-partitions the merged tuples onto
-//    the destination operators' shards according to their declared
-//    RoutingKey. Results are snapshot-equivalent to num_workers = 1;
-//    num_workers = 1 takes the unsharded code paths untouched and stays
-//    byte-identical to the pre-sharding engine.
+//  - Tuple mode (batch_size == 1 at num_workers == 1): every ingested sge
+//    is routed to its source operators and the resulting cascade is
+//    drained on an explicit stack whose segment-reversal discipline
+//    reproduces the old depth-first recursion order *exactly* — batch=1
+//    output is byte-identical to the recursive engine.
+//  - Waves (every other configuration): sges buffer in the micro-batch
+//    queue, and each timestamp group (so window semantics are untouched)
+//    runs as a topological wave. Single-instance sources run element by
+//    element in posting order; multi-instance sources collect the group's
+//    sges per instance and run in ascending operator id. Every operator's
+//    pending input lives in one flat [port × instance] slot array (slot
+//    port * instances + instance), and the wave runs each dirty
+//    operator's slots in place, one OnBatch per non-empty slot, port by
+//    port: instance s on worker s when more than one instance has work,
+//    inline otherwise. Channels point only to later operators, so nothing
+//    lands in a slot while it runs; a run slot keeps its capacity for the
+//    next wave unless it reached kPageMapBytes (common/page_allocator.h),
+//    which it gives back.
+//
+// A multi-instance operator's instances emit into per-instance capture
+// channels; the post-run merge concatenates them in instance order
+// (deterministic run-to-run, whatever the thread schedule) and the
+// exchange re-partitions the tuples onto the destinations' slots by each
+// destination's declared RoutingKey. A single-instance operator emits
+// straight into its destinations' slots, with no capture and no merge, so
+// it runs only on the driver thread: its emissions touch the dirty
+// worklist. Results are snapshot-equivalent across worker counts; one
+// worker is the one-instance case of the same waves.
 //
 // Dispatch goes through the label-discrimination query index
 // (runtime/query_index.h, DESIGN.md §3.1), so per-edge cost tracks the
@@ -45,11 +54,12 @@
 // writes before the operator's shard section — after it under deletion
 // coordination, a deletion's between its two phases — and every window
 // purge, so shards only read partitions inside the parallel section and
-// need no lock.
+// need no lock. A lone instance writes its own partitions.
 
 #ifndef SGQ_RUNTIME_EXECUTOR_H_
 #define SGQ_RUNTIME_EXECUTOR_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -76,9 +86,9 @@ struct ExecutorOptions {
   /// Micro-batch size: how many sges the ingest queue buffers before a
   /// flush. 1 reproduces tuple-at-a-time semantics exactly.
   std::size_t batch_size = 1;
-  /// Number of workers (= shards per operator). 1 (the default) runs the
-  /// classic single-threaded engine byte-identically; N > 1 partitions
-  /// operator state N ways and drives waves shard-parallel.
+  /// Number of workers (= shards per operator). 1 (the default) runs
+  /// every operator as one instance on the calling thread; N > 1
+  /// partitions operator state N ways and drives waves shard-parallel.
   std::size_t num_workers = 1;
   /// Pin threads to cores (best-effort pthread affinity, silent fallback
   /// where unsupported): pool workers to cores [0, num_workers), the
@@ -204,7 +214,7 @@ class Executor {
   /// surface as the returned Status (elements preceding the error still
   /// execute). Counters accumulate in ingest_stats(), including
   /// per-parser stall/busy time. Callable repeatedly.
-  Status RunPipelined(const ChunkedStream& stream);
+  Status RunPipelined(const FileChunkSource& stream);
   /// @}
 
   /// \name Introspection
@@ -229,8 +239,10 @@ class Executor {
   /// RegisterSource / RegisterWildcardSource as queries compile).
   const QueryIndex& query_index() const { return query_index_; }
 
-  /// \brief Operator activations: OnSge deliveries, per-(operator, port)
-  /// batch executions, and per-operator time-advance / purge phases.
+  /// \brief Operator activations: single-instance OnSge deliveries,
+  /// per-(operator, port) batch executions — a multi-instance source's
+  /// group of sges is one, on port 0 — and per-operator time-advance /
+  /// purge phases, at every worker count.
   /// Divided by edges_processed() this is the fanout the dispatch layer
   /// actually paid: O(matching operators) per edge, not O(registered
   /// queries). (Tuple-mode cascades within one delivery count as one
@@ -295,42 +307,48 @@ class Executor {
   friend class OutputChannel;
   friend class IngestPipeline;
 
-  struct OpNode {
-    std::unique_ptr<PhysicalOp> op;
-    OutputChannel out;
-    /// Per-port pending input buffers (wave mode).
-    std::vector<std::vector<Sgt>> pending;
-
-    // --- sharded mode (num_workers > 1) ---
-    /// Shard instances 1..W-1 (shard 0 is `op`); empty when unsharded.
-    std::vector<std::unique_ptr<PhysicalOp>> replicas;
+  /// \brief What only a multi-instance operator has; built at finalize.
+  struct ShardState {
+    /// Sources: the current group's sges per instance; they run after the
+    /// group's postings are walked, and keep their capacity across groups.
+    std::vector<std::vector<Sge>> gutters;
     /// One capture channel + emission buffer per instance.
-    std::vector<OutputChannel> shard_out;
-    std::vector<std::vector<Sgt>> shard_emit;
-    /// Pending inputs per [port][shard]. Coordinated-deletion operators
-    /// keep the whole port batch in shard slot 0 (global arrival order)
-    /// and partition at execution time.
-    std::vector<std::vector<std::vector<Sgt>>> shard_pending;
-    /// Same shape as shard_pending; waves swap pending batches in here
-    /// before running them, so buffer capacity is reused across waves.
-    std::vector<std::vector<std::vector<Sgt>>> shard_scratch;
-    /// Input routing per port (cached from InputRouting at Finalize).
+    std::vector<OutputChannel> out;
+    std::vector<std::vector<Sgt>> emit;
+    /// Input routing per port (cached from InputRouting at finalize).
     std::vector<RoutingKey> routing;
     /// Deletion-coordination handles, one per instance; empty when the
     /// operator does not require coordination.
     std::vector<DeletionCoordination*> coordination;
 
-    /// Merge-side coalescer (set at Finalize when the operator is
-    /// multi-instance and declares CoalesceAtMerge): the deterministic
-    /// shard-order merged stream passes through it before the exchange,
-    /// suppressing positives a sibling shard already covered and
-    /// duplicate cross-shard retractions of one deletion.
+    /// Merge-side coalescer (when the operator declares
+    /// CoalesceAtMerge): the deterministic shard-order merged stream
+    /// passes through it before the exchange, suppressing positives a
+    /// sibling shard already covered and duplicate cross-shard
+    /// retractions of one deletion.
     bool merge_coalesce = false;
     StreamingCoalescer merge_coalescer;
     /// Output values retracted by the in-flight coordinated deletion;
     /// dedupes the negative each retracting shard emits for the same
     /// value. Cleared after the deletion's reassert phase.
     FlatSet<EdgeRef, EdgeRefHash> merge_retracted;
+  };
+
+  struct OpNode {
+    std::unique_ptr<PhysicalOp> op;
+    /// Instances 1..W-1 (instance 0 is `op`); empty for a single-instance
+    /// operator.
+    std::vector<std::unique_ptr<PhysicalOp>> replicas;
+    /// Input ports (one past the highest port Connect targeted).
+    std::size_t ports = 0;
+    /// Pending input, [port × instance]: slot port * instances + instance,
+    /// sized at (re-)finalize. Coordinated-deletion operators keep a
+    /// port's whole batch in its instance-0 slot (global arrival order)
+    /// and partition it at execution time.
+    std::vector<std::vector<Sgt>> slots;
+    /// Null for a single-instance operator, so the node table stays small
+    /// and cheap to grow by a live attach.
+    std::unique_ptr<ShardState> shards;
 
     /// Source registration of this node (WSCAN leaves), recorded so
     /// RemoveOps can prune the query index without scanning it: the
@@ -341,25 +359,33 @@ class Executor {
     /// True while the node sits in the dirty worklist of the current wave
     /// (it has pending input to run).
     bool dirty = false;
+    /// True while the node's gutters hold sges of the group being
+    /// delivered (it is listed in gutter_ops_).
+    bool gutter_queued = false;
+
+    /// The merge-side coalescer, or null when the node has none.
+    StreamingCoalescer* merge_coalescer() const {
+      return shards != nullptr && shards->merge_coalesce
+                 ? &shards->merge_coalescer
+                 : nullptr;
+    }
   };
 
-  /// \brief Channel entry point: dispatches an emitted tuple according to
-  /// the active drain mode.
+  /// \brief Channel entry point of a single-instance operator: appends
+  /// the emitted tuple to the tuple-mode delivery segment, or routes it
+  /// onto its destinations' slots.
   void Route(const OutputChannel& channel, const Sgt& tuple);
 
-  /// \brief Routes one sge to the sources the query index posts under its
-  /// label, then to the wildcard bucket. In tuple mode each source's
-  /// cascade is drained to completion before the next source (matching
-  /// the recursive engine); in wave mode emissions buffer.
-  void DeliverSge(const Sge& sge);
+  /// \brief True at batch_size == 1 and num_workers == 1: emissions
+  /// cascade depth-first on the delivery stack, reproducing recursive
+  /// delivery exactly. Every other configuration runs waves.
+  bool tuple_mode() const {
+    return options_.batch_size == 1 && !sharded();
+  }
+  bool sharded() const { return options_.num_workers > 1; }
 
-  /// \brief True when the runtime batches (batch_size > 1): emissions
-  /// buffer per (op, port) and propagate in topological waves. Tuple mode
-  /// (batch_size == 1) reproduces recursive depth-first delivery exactly.
-  bool wave_mode() const { return options_.batch_size > 1; }
-
-  /// \brief Channel/shard/coordination setup of one node — the per-node
-  /// body shared by Finalize() and FinalizeNewOps().
+  /// \brief Channel/slot/shard/coordination setup of one node — the
+  /// per-node body shared by Finalize() and FinalizeNewOps().
   Status SetupNodeTopology(std::size_t i);
 
   /// \brief Aligns the expiry calendars of node `i` — every instance's and
@@ -377,8 +403,9 @@ class Executor {
   template <typename Fn>
   void PopDirtyWave(Fn&& visit);
 
-  /// \brief Runs one operator phase call (OnSge / OnTimeAdvance /
-  /// Purge) and delivers whatever it emitted.
+  /// \brief Runs one phase call (OnSge / OnTimeAdvance / Purge) of a
+  /// single-instance operator; in tuple mode, then drains the cascade of
+  /// whatever it emitted.
   template <typename Fn>
   void RunOpPhase(Fn&& fn);
 
@@ -389,27 +416,20 @@ class Executor {
   /// first emission is delivered (and its cascade completed) first.
   void PushSegment();
 
-  /// \brief Runs one topological wave over the pending buffers.
-  void RunWave();
-
-  /// \name Sharded execution (num_workers > 1)
-  /// @{
-  bool sharded() const { return options_.num_workers > 1; }
-
-  /// \brief Exchange: appends `tuple` to the destination's per-shard
-  /// pending buffers according to the destination's routing key.
+  /// \brief Exchange: appends `tuple` to the destination's slots of
+  /// `dst.port` according to the destination's routing key.
   void RouteToShards(const PortRef& dst, const Sgt& tuple);
 
-  /// \brief Merges operator `id`'s per-shard emission buffers in shard
-  /// order and routes every tuple through the exchange (through the
-  /// merge-side coalescer first when the node enables it).
+  /// \brief Merges operator `id`'s per-instance emission buffers in
+  /// instance order and routes every tuple through the exchange (through
+  /// the merge-side coalescer first when the node enables it).
   void MergeAndRoute(OpId id);
 
   /// \brief Merge-side coalescer admission: returns false when `tuple` is
   /// a cross-shard duplicate (covered positive, or repeated retraction of
   /// the in-flight deletion) that a single instance would not have
   /// emitted.
-  bool OfferAtMerge(OpNode& node, const Sgt& tuple);
+  bool OfferAtMerge(ShardState& shards, const Sgt& tuple);
 
   /// \brief Runs `run_shard(s)` for every shard — on the worker pool when
   /// more than one shard has work, inline in shard order otherwise (same
@@ -418,36 +438,38 @@ class Executor {
   void RunShardsMaybeParallel(std::size_t instances,
                               std::size_t active_shards, Fn&& run_shard);
 
-  /// \brief Runs `fn(instance)` across the operator's instances — on the
-  /// worker pool when `parallel`, inline in shard order otherwise (same
-  /// result, no dispatch cost) — and merges the captured emissions.
+  /// \brief Runs `fn(instance)` on every instance of operator `id` and
+  /// delivers what they emitted: a lone instance through RunOpPhase, the
+  /// instances of a multi-instance operator on the worker pool, then the
+  /// merge.
   template <typename Fn>
-  void RunInstances(OpId id, bool parallel, Fn&& fn);
+  void RunInstances(OpId id, Fn&& fn);
 
-  /// \brief One topological wave over the sharded pending buffers.
-  void RunShardedWave();
+  /// \brief One topological wave over the pending slots.
+  void RunWave();
 
-  /// \brief Runs the operator's port batches (previously swapped into its
-  /// shard_scratch), shard-parallel; leaves the scratch slots empty with
-  /// their capacity intact.
-  void RunShardedOpBatches(OpId id);
+  /// \brief Runs operator `id`'s pending slots in place and recycles
+  /// them, then merges what its instances emitted.
+  void RunOpSlots(OpId id);
 
   /// \brief Coordinated-deletion execution of one globally-ordered port
   /// batch: parallel runs of positive segments, two-phase deletions.
-  /// Clears `batch` (capacity preserved).
+  /// Recycles `batch`.
   void RunCoordinatedBatch(OpId id, int port, std::vector<Sgt>& batch);
 
-  /// \brief Routes one timestamp group of sges to the source shards and
-  /// drains the resulting waves.
-  void DeliverSgesSharded(const Sge* sges, std::size_t n);
+  /// \brief Delivers one timestamp group of sges to the sources the query
+  /// index posts under their labels, then drains the cascade (tuple mode)
+  /// or runs the wave.
+  void DeliverSges(const Sge* sges, std::size_t n);
 
-  /// \brief Purges the due window partitions on the driver, then every
-  /// due (operator, shard) pair in one dispatch — worker s runs shard s of
-  /// each due operator in ascending id order, inline when fewer than two
-  /// shards have work — then merges each purged operator's emissions in
-  /// ascending id order.
+  /// \brief Sharded boundary purge: purges the due window partitions on
+  /// the driver, then every due (operator, shard) pair of multi-instance
+  /// operators in one dispatch — worker s runs shard s of each due
+  /// operator in ascending id order, inline when fewer than two shards
+  /// have work — then, in ascending id order, merges each purged
+  /// operator's emissions or purges a due single-instance operator on the
+  /// driver.
   void PurgeDueShards(Timestamp boundary);
-  /// @}
 
   /// \brief Runs one timestamp-ordered batch through the topology:
   /// groups by distinct timestamp, advances the clock between groups and
@@ -469,6 +491,10 @@ class Executor {
 
   ExecutorOptions options_;
   std::vector<OpNode> nodes_;  ///< index == OpId; insertion is wave order
+  /// Engine-mode output channel of every operator (index == OpId). A
+  /// deque, so appending operators leaves the channels already bound in
+  /// place: a live attach binds only what it appends.
+  std::deque<OutputChannel> channels_;
   QueryIndex query_index_;
   /// Operators with declared time-driven work (HasTimeDrivenWork), in
   /// ascending id order — the only operators whose OnTimeAdvance the
@@ -477,6 +503,8 @@ class Executor {
   std::vector<OpId> time_driven_ops_;
   /// Min-heap (std::greater) of dirty node ids for the waves.
   std::vector<OpId> dirty_heap_;
+  /// Multi-instance sources whose gutters hold the group being delivered.
+  std::vector<OpId> gutter_ops_;
   WindowStore window_store_;
   std::unique_ptr<WorkerPool> pool_;  ///< created by Finalize when sharded
   /// Boundary purge plan (sharded): due operator ids per shard, and the

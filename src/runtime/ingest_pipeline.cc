@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "core/reorder_buffer.h"
+#include "model/file_chunk_source.h"
 #include "model/stream_io.h"
 #include "runtime/executor.h"
 #include "runtime/worker_pool.h"
@@ -180,7 +181,8 @@ void IngestPipeline::ExecuteLoop(SpscQueue<Batch>* full,
   }
 }
 
-Status IngestPipeline::Run(const ChunkedStream& stream, std::size_t parsers) {
+Status IngestPipeline::Run(const FileChunkSource& stream,
+                           std::size_t parsers) {
   // Drain anything the synchronous Ingest path queued before the pipeline
   // takes over, so batch boundaries stay exactly the synchronous ones.
   executor_->Flush();

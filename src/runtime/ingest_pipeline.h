@@ -1,10 +1,10 @@
-// Pipelined ingest (DESIGN.md §6): stream bytes arrive as a ChunkedStream
-// (model/stream_io.h — byte-range chunks, in memory or served from a
-// file), N parse threads decode the chunks, and an order-restoring merge
-// re-serializes the elements, absorbs bounded out-of-order arrival
-// through a ReorderBuffer when slack is configured, and stages micro-
-// batch N+1 while the execution thread runs batch N through the operator
-// topology.
+// Pipelined ingest (DESIGN.md §6): stream bytes arrive as a
+// FileChunkSource (model/file_chunk_source.h — byte-range chunks, in
+// memory or served from a file), N parse threads decode the chunks, and
+// an order-restoring merge re-serializes the elements, absorbs bounded
+// out-of-order arrival through a ReorderBuffer when slack is configured,
+// and stages micro-batch N+1 while the execution thread runs batch N
+// through the operator topology.
 //
 // The merge thread is parser 0: it decodes chunks c ≡ 0 (mod N) itself
 // and drains the "gutter" segment queues of parser threads 1..N-1 for
@@ -53,8 +53,8 @@
 
 namespace sgq {
 
-class ChunkedStream;
 class Executor;
+class FileChunkSource;
 
 /// \brief Counters of one or more pipelined runs (cumulative).
 struct IngestStats {
@@ -107,7 +107,7 @@ class IngestPipeline {
   /// elements preceding the error still execute, exactly like a
   /// ChunkWalkCursor on the calling thread. Blocking; the executor is in
   /// a normal between-pushes state afterwards.
-  Status Run(const ChunkedStream& stream, std::size_t parsers);
+  Status Run(const FileChunkSource& stream, std::size_t parsers);
 
   const IngestStats& stats() const { return stats_; }
 

@@ -64,7 +64,7 @@ Result<MultiQueryMetrics> Run(const RunSource& source,
   // The chunk source comes first: a binary header interns its dictionary
   // before the queries compile.
   const FileChunkOptions chunking = IngestChunking(options);
-  std::unique_ptr<ChunkedStream> chunks;
+  std::unique_ptr<FileChunkSource> chunks;
   if (source.bytes != nullptr) {
     SGQ_ASSIGN_OR_RETURN(
         chunks, MakeChunkedStream(*source.bytes, std::nullopt, vocab,

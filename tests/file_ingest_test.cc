@@ -124,7 +124,7 @@ struct FrozenChunk {
 
 /// \brief Drains chunk `c` of `source`, rendering its elements as CSV
 /// lines (names, not ids, so the rendering is vocabulary-independent).
-std::string ChunkText(const ChunkedStream& source, std::size_t c,
+std::string ChunkText(const FileChunkSource& source, std::size_t c,
                       const Vocabulary& vocab, std::size_t* elements) {
   auto cursor = source.OpenChunk(c);
   const InputStream elems = Drain(cursor.get());
@@ -135,7 +135,7 @@ std::string ChunkText(const ChunkedStream& source, std::size_t c,
   return text;
 }
 
-void ExpectFrozenSplit(const ChunkedStream& source, const Vocabulary& vocab,
+void ExpectFrozenSplit(const FileChunkSource& source, const Vocabulary& vocab,
                        const std::vector<FrozenChunk>& frozen,
                        const std::string& what) {
   ASSERT_EQ(source.NumChunks(), frozen.size()) << what;
@@ -538,7 +538,7 @@ TEST(FileIngestDifferentialTest, FileRunReportsMidRunTruncation) {
 
 std::vector<Sgt> RunShardedOver(const StreamingGraphQuery& query,
                                 Vocabulary* vocab,
-                                const ChunkedStream& chunks,
+                                const FileChunkSource& chunks,
                                 EngineOptions options) {
   Engine engine(options);
   const bool compiled =
@@ -745,7 +745,7 @@ TEST(FileIngestBoundedMemoryTest, PeakResidentBytesIndependentOfFileSize) {
 TEST(FileIngestAbortTest, EarlyParseErrorTerminatesShardedRun) {
   // A malformed record in the first chunk while 4 parsers contend for a
   // tight window: the merge's abort must wake any parser blocked in
-  // OpenChunk (ChunkedStream::Abort) or this test hangs.
+  // OpenChunk (FileChunkSource::Abort) or this test hangs.
   std::string csv = "u0,a,v0,not-a-timestamp\n";  // line 1: poison
   for (int i = 0; i < 20000; ++i) {
     csv += "u" + std::to_string(i % 50) + ",a,v" + std::to_string(i % 50) +

@@ -138,24 +138,7 @@ void ExpectByteIdentical(const std::vector<Sgt>& expected,
   }
 }
 
-/// \brief One line per tuple covering every field Sgt::operator== compares
-/// (ids, interval, deletion flag, payload), so equal fingerprints mean a
-/// byte-identical result stream.
-std::string CanonicalText(const std::vector<Sgt>& results) {
-  std::string out;
-  for (const Sgt& r : results) {
-    out += std::to_string(r.src) + " " + std::to_string(r.trg) + " " +
-           std::to_string(r.label) + " " + std::to_string(r.validity.ts) +
-           " " + std::to_string(r.validity.exp) + " " +
-           (r.is_deletion ? "-" : "+");
-    for (const EdgeRef& e : r.payload) {
-      out += " " + std::to_string(e.src) + "," + std::to_string(e.trg) + "," +
-             std::to_string(e.label);
-    }
-    out += "\n";
-  }
-  return out;
-}
+using testing_util::CanonicalText;
 
 struct FrozenRun {
   uint64_t seed;

@@ -1,8 +1,9 @@
 // Determinism and equivalence tests for sharded multi-worker execution
 // (runtime/shard.h, DESIGN.md §2.4):
 //
-//  - num_workers = 1 is byte-identical to the default engine (it takes the
-//    unsharded code paths untouched);
+//  - num_workers = 1 is byte-identical to the default engine, and its
+//    waves — the one-instance case of the sharded exchange — keep frozen
+//    result streams where several scans feed one port;
 //  - num_workers > 1 is snapshot-equivalent to num_workers = 1 at every
 //    sampled instant, across deletion-heavy streams, both PATH
 //    implementations, and batch sizes {1, 64};
@@ -15,6 +16,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -210,6 +212,106 @@ TEST_P(ShardedEquivalenceTest, MultiInputPathPlansMatchSingleWorker) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedEquivalenceTest,
                          ::testing::Range(0, 6));
+
+struct FrozenPlanRun {
+  uint64_t seed;
+  bool deletions;        ///< deletion_probability 0.2, else 0
+  std::size_t plan;      ///< index into Q4Plans: SGA, P1, P2, P3
+  std::size_t batch;
+  std::size_t results;
+  uint64_t fingerprint;  ///< testing_util::Fingerprint of CanonicalText
+};
+
+// Frozen one-worker result streams of Q4's plans at batch sizes above 1.
+// P1's three scans feed its PATH's one port, so a timestamp group reaches
+// that port from several sources, and the P1 rows pin the order one
+// worker delivers it in: each sge of the group to its single-instance
+// sources in posting order. Running each source's sges of the group
+// together — the order multi-instance sources run in — changes 8 of the
+// P1 streams. Q4's plans hold no UNION.
+const FrozenPlanRun kFrozenQ4Runs[] = {
+    {3, false, 0, 7, 72, 0x9037e7394509987cull},
+    {3, false, 0, 64, 72, 0x9037e7394509987cull},
+    {3, false, 1, 7, 69, 0x412a202647399aa0ull},
+    {3, false, 1, 64, 69, 0x412a202647399aa0ull},
+    {3, false, 2, 7, 69, 0xf32858ada75d9e9eull},
+    {3, false, 2, 64, 69, 0xc0dd4428cbef2c16ull},
+    {3, false, 3, 7, 71, 0xd964b8583f15e885ull},
+    {3, false, 3, 64, 71, 0xd964b8583f15e885ull},
+    {3, true, 0, 7, 44, 0x9c5cffb3d048f7e8ull},
+    {3, true, 0, 64, 44, 0x9c5cffb3d048f7e8ull},
+    {3, true, 1, 7, 43, 0x2479377e3ed9ed6dull},
+    {3, true, 1, 64, 43, 0x2479377e3ed9ed6dull},
+    {3, true, 2, 7, 43, 0x8bf1b4086033da66ull},
+    {3, true, 2, 64, 43, 0x8bf1b4086033da66ull},
+    {3, true, 3, 7, 43, 0x7828170593f04895ull},
+    {3, true, 3, 64, 43, 0x7828170593f04895ull},
+    {41, false, 0, 7, 40, 0x5902bd78a60d796cull},
+    {41, false, 0, 64, 40, 0x5902bd78a60d796cull},
+    {41, false, 1, 7, 41, 0x3b5c3f7662ce6f24ull},
+    {41, false, 1, 64, 41, 0x3b5c3f7662ce6f24ull},
+    {41, false, 2, 7, 40, 0x038aee9529346e30ull},
+    {41, false, 2, 64, 40, 0x038aee9529346e30ull},
+    {41, false, 3, 7, 40, 0x2b29cc8c2acf5978ull},
+    {41, false, 3, 64, 40, 0x2b29cc8c2acf5978ull},
+    {41, true, 0, 7, 20, 0x7bc629154a102af4ull},
+    {41, true, 0, 64, 20, 0x7bc629154a102af4ull},
+    {41, true, 1, 7, 20, 0xc7ffdab0a92efe48ull},
+    {41, true, 1, 64, 20, 0xc7ffdab0a92efe48ull},
+    {41, true, 2, 7, 20, 0x80b15ea88caa15b4ull},
+    {41, true, 2, 64, 20, 0x80b15ea88caa15b4ull},
+    {41, true, 3, 7, 20, 0xf3eec96c6fc37638ull},
+    {41, true, 3, 64, 20, 0xf3eec96c6fc37638ull},
+    {99, false, 0, 7, 76, 0x32a79a1908245627ull},
+    {99, false, 0, 64, 76, 0xe8659710f18287c7ull},
+    {99, false, 1, 7, 71, 0x34d92be4c65505feull},
+    {99, false, 1, 64, 71, 0x34d92be4c65505feull},
+    {99, false, 2, 7, 71, 0xca96eacfb4984a2eull},
+    {99, false, 2, 64, 71, 0x583a6d9fdb26b782ull},
+    {99, false, 3, 7, 71, 0xefe11cd702cde56dull},
+    {99, false, 3, 64, 71, 0xefe11cd702cde56dull},
+    {99, true, 0, 7, 34, 0x429f23f93b684747ull},
+    {99, true, 0, 64, 34, 0x429f23f93b684747ull},
+    {99, true, 1, 7, 34, 0xb42b2c9f162aaae5ull},
+    {99, true, 1, 64, 34, 0xb42b2c9f162aaae5ull},
+    {99, true, 2, 7, 34, 0xa8e4f3955544c472ull},
+    {99, true, 2, 64, 34, 0xa8e4f3955544c472ull},
+    {99, true, 3, 7, 34, 0x48c6035f4d177d5full},
+    {99, true, 3, 64, 34, 0x48c6035f4d177d5full},
+};
+
+TEST(SingleWorkerWaveTest, Q4PlansMatchFrozenStreams) {
+  for (const FrozenPlanRun& frozen : kFrozenQ4Runs) {
+    Vocabulary vocab;
+    RandomStreamOptions opt;
+    opt.seed = frozen.seed;
+    opt.num_vertices = 8;
+    opt.num_labels = 3;
+    opt.num_edges = 400;
+    opt.max_gap = 2;
+    opt.deletion_probability = frozen.deletions ? 0.2 : 0.0;
+    const auto stream = GenerateRandomStream(opt, &vocab);
+    ASSERT_TRUE(stream.ok());
+    const auto plans = Q4Plans(&vocab, "a", "b", "c", WindowSpec(12, 3));
+    ASSERT_LT(frozen.plan, plans.size());
+    const auto& [name, plan] = plans[frozen.plan];
+    EngineOptions options;
+    options.batch_size = frozen.batch;
+    Engine engine(options);
+    ASSERT_TRUE(engine.AddPlan(*plan, vocab).ok() && engine.Finalize().ok())
+        << name;
+    engine.PushAll(*stream);
+    const std::vector<Sgt>& results = engine.results(0);
+    const std::string context = name + " seed=" + std::to_string(frozen.seed) +
+                                " deletions=" +
+                                std::to_string(frozen.deletions) +
+                                " batch=" + std::to_string(frozen.batch);
+    EXPECT_EQ(results.size(), frozen.results) << context;
+    EXPECT_EQ(testing_util::Fingerprint(testing_util::CanonicalText(results)),
+              frozen.fingerprint)
+        << context;
+  }
+}
 
 TEST(ShardedDeterminismTest, RepeatedRunsAreByteIdentical) {
   for (const Config& config : kConfigs) {

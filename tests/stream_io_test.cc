@@ -370,9 +370,9 @@ TEST(BinaryStreamTest, CursorMatchesWholeParseAcrossChunkSizes) {
 // Chunked views (sharded parse input)
 // ---------------------------------------------------------------------------
 
-/// \brief Concatenates every chunk of a ChunkedStream in order; asserts
+/// \brief Concatenates every chunk of a FileChunkSource in order; asserts
 /// each chunk cursor ends ok.
-InputStream DrainChunks(const ChunkedStream& chunked) {
+InputStream DrainChunks(const FileChunkSource& chunked) {
   InputStream out;
   for (std::size_t c = 0; c < chunked.NumChunks(); ++c) {
     auto cursor = chunked.OpenChunk(c);

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -99,6 +100,25 @@ inline std::uint64_t Fingerprint(std::string_view bytes) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// \brief One line per tuple covering every field Sgt::operator== compares
+/// (ids, interval, deletion flag, payload), so equal fingerprints mean a
+/// byte-identical result stream.
+inline std::string CanonicalText(const std::vector<Sgt>& results) {
+  std::string out;
+  for (const Sgt& r : results) {
+    out += std::to_string(r.src) + " " + std::to_string(r.trg) + " " +
+           std::to_string(r.label) + " " + std::to_string(r.validity.ts) +
+           " " + std::to_string(r.validity.exp) + " " +
+           (r.is_deletion ? "-" : "+");
+    for (const EdgeRef& e : r.payload) {
+      out += " " + std::to_string(e.src) + "," + std::to_string(e.trg) + "," +
+             std::to_string(e.label);
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 }  // namespace testing_util
