@@ -84,9 +84,9 @@ int main() {
         unshared_tput = tput;
         unshared_counts = metrics->per_query_results;
       } else {
-        // Sharing must be behaviorally invisible per query. At batch=1 it
-        // is byte-identical (tests/multi_query_test.cc); at bench batch
-        // sizes the wave order interleaves differently, so coalescer
+        // Sharing must be behaviorally invisible per query: every
+        // snapshot matches (tests/multi_query_test.cc). Sharing permutes
+        // operator ids, and the wave order follows them, so coalescer
         // emission *splits* may drift a hair — bound it tightly.
         for (std::size_t q = 0; q < metrics->per_query_results.size();
              ++q) {

@@ -1,12 +1,12 @@
 // Runtime micro-batching: throughput of the SGA query processor as a
-// function of the executor's micro-batch size (DESIGN.md §2.3).
+// function of the executor's micro-batch size (DESIGN.md §2.2).
 //
-// batch = 1 is the tuple-at-a-time baseline (byte-identical to the old
-// recursive engine); larger batches amortize per-edge ingest overhead
-// (clock reads, source routing, per-tuple scheduling) and propagate
-// tuples in topological waves. Expected shape: throughput grows with the
-// batch size and saturates once the fixed per-edge costs are amortized;
-// result sets are equivalent at every batch size.
+// Every batch size propagates tuples in topological waves, batch = 1
+// running one wave per edge; larger batches amortize per-edge ingest
+// overhead (clock reads, source routing, per-wave scheduling) across the
+// batch. Expected shape: throughput grows with the batch size and
+// saturates once the fixed per-edge costs are amortized; result sets are
+// equivalent at every batch size.
 
 #include "bench_common.h"
 

@@ -7,11 +7,10 @@
 // multi-MB arrays come from the brk heap, and freeing them rarely shrinks
 // the process, because the heap only returns its top. The engine's large
 // arrays — FlatMap slot and probe-distance arrays, expiry-calendar
-// buckets, the executor's delivery buffers — are freed and reallocated as
-// windows slide and tables grow and shrink, so the engine applies the
-// default rule itself: a block of kPageMapBytes or more is mapped and
-// unmapped here, whatever the allocator's threshold has become. Smaller
-// blocks go to operator new.
+// buckets — are freed and reallocated as windows slide and tables grow
+// and shrink, so the engine applies the default rule itself: a block of
+// kPageMapBytes or more is mapped and unmapped here, whatever the
+// allocator's threshold has become. Smaller blocks go to operator new.
 //
 // Under AddressSanitizer every block goes to operator new, so ASan keeps
 // bounds-checking the large tables too.

@@ -34,13 +34,16 @@
 //
 // Output demultiplexing: every query gets its own SinkOp appended after
 // its (possibly shared) root, so per-query results accumulate
-// independently. With num_workers = 1 and batch_size = 1 each query's
-// result stream is byte-identical to compiling it alone: a shared
-// operator's emissions are a pure function of the input stream, and the
-// depth-first tuple-mode drain preserves each query's relative delivery
-// order under fan-out. Larger batches and sharded execution keep the
-// established runtime contract (snapshot-equivalent, run-to-run
-// deterministic). tests/multi_query_test.cc verifies all three.
+// independently. Each query's result stream is snapshot-equivalent to
+// compiling it alone, at every batch size and worker count: a shared
+// operator's emissions are a pure function of the input stream. The
+// order it emits them in is the wave order (runtime/executor.h): a port
+// takes its producers' output in ascending id order, and sharing can
+// permute those ids, so a query whose port mixes producers (a UNION's
+// branches) can order its stream differently than alone. Where sharing
+// leaves that order as it is, one worker's stream is byte-identical to
+// the solo run's; sharded runs are deterministic run-to-run.
+// tests/multi_query_test.cc verifies all three (DESIGN.md §3).
 
 #ifndef SGQ_CORE_ENGINE_H_
 #define SGQ_CORE_ENGINE_H_
@@ -74,18 +77,19 @@ struct EngineOptions {
   /// Engine-wide: a shared subtree must resolve to one implementation.
   PathImpl path_impl = PathImpl::kSPath;
   /// Micro-batch size of the runtime's ingest queue. 1 (the default)
-  /// reproduces tuple-at-a-time semantics exactly; larger values trade
-  /// result latency for throughput (results materialize when the batch
-  /// flushes — on overflow, timestamp change handling, AdvanceTo, or
+  /// runs a wave per element as it arrives; larger values trade result
+  /// latency for throughput (results materialize when the batch flushes
+  /// — on overflow, timestamp change handling, AdvanceTo, or
   /// TakeResults).
   std::size_t batch_size = 1;
-  /// Number of runtime workers (DESIGN.md §2.4). 1 (the default) runs the
-  /// classic single-threaded engine byte-identically. N > 1 compiles every
-  /// operator into N shard instances whose state is hash-partitioned by
-  /// the operator's routing key, and drives waves shard-parallel on a
-  /// persistent worker pool; results are snapshot-equivalent to
-  /// num_workers = 1 and deterministic run-to-run. Best combined with
-  /// batch_size > 1 so each wave carries enough tuples to spread.
+  /// Number of runtime workers (DESIGN.md §2.4). 1 (the default) runs
+  /// every operator as one instance on the calling thread. N > 1
+  /// compiles every operator into N shard instances whose state is
+  /// hash-partitioned by the operator's routing key, and drives waves
+  /// shard-parallel on a persistent worker pool; results are
+  /// snapshot-equivalent to num_workers = 1 and deterministic
+  /// run-to-run. Best combined with batch_size > 1 so each wave carries
+  /// enough tuples to spread.
   std::size_t num_workers = 1;
   /// Share signature-identical operator subtrees across registered
   /// queries (DESIGN.md §3). When false, sharing is scoped to one query
@@ -167,10 +171,11 @@ class Engine {
   /// expiry machinery, and destroyed together with its window-store
   /// partitions and (future) checkpoint sections. O(removed subtree).
   ///
-  /// Surviving queries are byte-identical to a never-added run at
-  /// workers=1 (snapshot-equivalent sharded) provided the removed query
-  /// did not own the engine's finest slide — the granularity stays fixed
-  /// at the finest slide ever registered. The QueryId is never reused;
+  /// Surviving queries are snapshot-equivalent to a never-added run —
+  /// byte-identical at workers=1 where that run gives each port's
+  /// producers the same id order (DESIGN.md §3) — provided the removed
+  /// query did not own the engine's finest slide: the granularity stays
+  /// fixed at the finest slide ever registered. The QueryId is never reused;
   /// results(q)/TakeResults(q) on a removed query are programmer errors.
   /// Callable at any batch boundary; flushes buffered input first. Not
   /// callable concurrently with an async ingest pipeline.

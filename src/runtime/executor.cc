@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/page_allocator.h"
 
 namespace sgq {
 
@@ -267,7 +268,7 @@ void Executor::ConfigureNodeExpirySlide(std::size_t i) {
 
 Status Executor::FinalizeNewOps() {
   if (!finalized_) return Status::Internal("FinalizeNewOps before Finalize");
-  if (!queue_.empty() || !stack_.empty() || !dirty_heap_.empty()) {
+  if (!queue_.empty() || !dirty_heap_.empty()) {
     return Status::Internal("FinalizeNewOps outside a batch boundary");
   }
   // Operators hold their bound channel by address. Appending may have
@@ -292,7 +293,7 @@ Status Executor::FinalizeNewOps() {
 Status Executor::RemoveOps(const std::vector<OpId>& dead,
                            const std::vector<std::pair<OpId, OpId>>& unlink) {
   if (!finalized_) return Status::Internal("RemoveOps before Finalize");
-  if (!queue_.empty() || !stack_.empty() || !dirty_heap_.empty()) {
+  if (!queue_.empty() || !dirty_heap_.empty()) {
     return Status::Internal("RemoveOps outside a batch boundary");
   }
   for (const OpId id : dead) {
@@ -430,52 +431,7 @@ void AppendByRouting(RoutingKey routing, const Sgt& tuple,
 }  // namespace
 
 void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
-  if (!tuple_mode()) {
-    for (const PortRef& dst : channel.dests_) RouteToShards(dst, tuple);
-    return;
-  }
-  // Tuple mode: collect into the current delivery segment; DrainStack
-  // pushes the segment in reverse so the first emission is processed (and
-  // its cascade completed) first — exactly the old recursion order.
-  SGQ_CHECK(segment_ != nullptr) << "emission outside a delivery";
-  for (const PortRef& dst : channel.dests_) {
-    segment_->emplace_back(dst, tuple);
-  }
-}
-
-void Executor::DrainStack() {
-  while (!stack_.empty()) {
-    auto [dst, tuple] = std::move(stack_.back());
-    stack_.pop_back();
-    segment_ = &segment_buf_;
-    nodes_[static_cast<std::size_t>(dst.op)].op->OnTuple(dst.port, tuple);
-    segment_ = nullptr;
-    PushSegment();
-  }
-}
-
-void Executor::PushSegment() {
-  for (auto it = segment_buf_.rbegin(); it != segment_buf_.rend(); ++it) {
-    stack_.push_back(std::move(*it));
-  }
-  segment_buf_.clear();
-}
-
-template <typename Fn>
-void Executor::RunOpPhase(Fn&& fn) {
-  if (!tuple_mode()) {
-    fn();  // emissions buffer in the destinations' slots until the wave
-    return;
-  }
-  // Tuple mode: collect the call's emissions, then run each cascade to
-  // completion in emission order — the recursive engine's depth-first
-  // order exactly.
-  SGQ_CHECK(segment_ == nullptr) << "nested delivery";
-  segment_ = &segment_buf_;
-  fn();
-  segment_ = nullptr;
-  PushSegment();
-  DrainStack();
+  for (const PortRef& dst : channel.dests_) RouteToShards(dst, tuple);
 }
 
 void Executor::RouteToShards(const PortRef& dst, const Sgt& tuple) {
@@ -547,8 +503,7 @@ void Executor::RunShardsMaybeParallel(std::size_t instances,
 template <typename Fn>
 void Executor::RunInstances(OpId id, Fn&& fn) {
   if (nodes_[static_cast<std::size_t>(id)].replicas.empty()) {
-    PhysicalOp* op = nodes_[static_cast<std::size_t>(id)].op.get();
-    RunOpPhase([&] { fn(op); });
+    fn(nodes_[static_cast<std::size_t>(id)].op.get());
     return;
   }
   // Time-driven work (Δ-tree expiry) is always worth a pool dispatch.
@@ -695,8 +650,7 @@ void Executor::DeliverSges(const Sge* sges, std::size_t n) {
       OpNode& node = nodes_[static_cast<std::size_t>(source)];
       if (node.replicas.empty()) {
         ++ops_touched_;
-        auto* src = static_cast<SourceOp*>(node.op.get());
-        RunOpPhase([&] { src->OnSge(sge); });
+        static_cast<SourceOp*>(node.op.get())->OnSge(sge);
         return;
       }
       if (!node.gutter_queued) {
@@ -729,7 +683,7 @@ void Executor::DeliverSges(const Sge* sges, std::size_t n) {
     MergeAndRoute(source);
   }
   gutter_ops_.clear();
-  if (!tuple_mode()) RunWave();
+  RunWave();
 }
 
 // ---------------------------------------------------------------------------
@@ -746,7 +700,7 @@ void Executor::TimeAdvanceWave(Timestamp now) {
     ++ops_touched_;
     RunInstances(id, [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
   }
-  if (!tuple_mode()) RunWave();
+  RunWave();
 }
 
 void Executor::ProcessBoundary(Timestamp boundary) {
@@ -765,10 +719,10 @@ void Executor::ProcessBoundary(Timestamp boundary) {
         continue;
       }
       ++ops_touched_;
-      RunOpPhase([&] { node.op->Purge(boundary); });
+      node.op->Purge(boundary);  // emits straight into the slots
     }
   }
-  if (!tuple_mode()) RunWave();
+  RunWave();
   if (sharded()) {
     // Merge coalescers drain their calendars like any other coalescer.
     for (OpNode& node : nodes_) {
@@ -874,8 +828,8 @@ void Executor::ExecuteOrderedBatch(const Sge* sges, std::size_t n) {
   std::size_t i = 0;
   while (i < n) {
     // One micro-batch = one distinct timestamp: window boundaries and
-    // expirations between groups are processed exactly as in
-    // tuple-at-a-time mode.
+    // expirations between groups are processed exactly as when every
+    // element flushes alone.
     std::size_t j = i;
     while (j < n && sges[j].t == sges[i].t) ++j;
     AdvanceClock(sges[i].t);

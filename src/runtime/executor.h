@@ -7,26 +7,23 @@
 // an operator has N shard instances, each owning a hash-partition of its
 // state (runtime/shard.h), and a persistent WorkerPool runs them in
 // parallel; the sink, and every operator at num_workers = 1, has one.
-// Delivery is iterative, in one of two modes:
-//
-//  - Tuple mode (batch_size == 1 at num_workers == 1): every ingested sge
-//    is routed to its source operators and the resulting cascade is
-//    drained on an explicit stack whose segment-reversal discipline
-//    reproduces the old depth-first recursion order *exactly* — batch=1
-//    output is byte-identical to the recursive engine.
-//  - Waves (every other configuration): sges buffer in the micro-batch
-//    queue, and each timestamp group (so window semantics are untouched)
-//    runs as a topological wave. Single-instance sources run element by
-//    element in posting order; multi-instance sources collect the group's
-//    sges per instance and run in ascending operator id. Every operator's
-//    pending input lives in one flat [port × instance] slot array (slot
-//    port * instances + instance), and the wave runs each dirty
-//    operator's slots in place, one OnBatch per non-empty slot, port by
-//    port: instance s on worker s when more than one instance has work,
-//    inline otherwise. Channels point only to later operators, so nothing
-//    lands in a slot while it runs; a run slot keeps its capacity for the
-//    next wave unless it reached kPageMapBytes (common/page_allocator.h),
-//    which it gives back.
+// Delivery runs as topological waves at every configuration: sges buffer
+// in the micro-batch queue, and each timestamp group (so window semantics
+// are untouched) runs as one wave — batch_size 1 is its one-element case.
+// Single-instance sources run element by element in posting order;
+// multi-instance sources collect the group's sges per instance and run in
+// ascending operator id. Every operator's pending input lives in one flat
+// [port × instance] slot array (slot port * instances + instance), and
+// the wave runs each dirty operator's slots in place, one OnBatch per
+// non-empty slot, port by port: instance s on worker s when more than one
+// instance has work, inline otherwise. So an operator sees a port's whole
+// input of the wave at once, in the order its producers ran — sources
+// element by element in posting order, then each other producer's whole
+// output in ascending id — and a time-advance wave runs every
+// time-driven operator before it delivers what they emitted. Channels
+// point only to later operators, so nothing lands in a slot while it
+// runs; a run slot keeps its capacity for the next wave unless it
+// reached kPageMapBytes (common/page_allocator.h), which it gives back.
 //
 // A multi-instance operator's instances emit into per-instance capture
 // channels; the post-run merge concatenates them in instance order
@@ -67,7 +64,6 @@
 
 #include "common/flat_map.h"
 #include "common/metrics.h"
-#include "common/page_allocator.h"
 #include "common/status.h"
 #include "core/physical.h"
 #include "model/coalesce.h"
@@ -84,7 +80,7 @@ namespace sgq {
 /// \brief Runtime configuration.
 struct ExecutorOptions {
   /// Micro-batch size: how many sges the ingest queue buffers before a
-  /// flush. 1 reproduces tuple-at-a-time semantics exactly.
+  /// flush. 1 runs a wave per element, at the element's arrival.
   std::size_t batch_size = 1;
   /// Number of workers (= shards per operator). 1 (the default) runs
   /// every operator as one instance on the calling thread; N > 1
@@ -158,14 +154,14 @@ class Executor {
   /// \name Live topology updates (after Finalize, DESIGN.md §10)
   ///
   /// A finalized executor can still grow and shrink at batch boundaries
-  /// (queue, delivery stack and dirty worklist empty — i.e. between
-  /// Flush()es on the synchronous ingest path). AddOp / Connect /
-  /// RegisterSource / AddShardReplica accept appends that only touch
-  /// operators added since the last (re-)finalize; FinalizeNewOps then
-  /// binds and verifies exactly those appended nodes. The slide
-  /// granularity is immutable once fixed: registering a post-Finalize
-  /// source with a finer slide is refused (callers pre-check, so a
-  /// refused live attach leaves the executor untouched).
+  /// (queue and dirty worklist empty — i.e. between Flush()es on the
+  /// synchronous ingest path). AddOp / Connect / RegisterSource /
+  /// AddShardReplica accept appends that only touch operators added
+  /// since the last (re-)finalize; FinalizeNewOps then binds and verifies
+  /// exactly those appended nodes. The slide granularity is immutable
+  /// once fixed: registering a post-Finalize source with a finer slide is
+  /// refused (callers pre-check, so a refused live attach leaves the
+  /// executor untouched).
   /// @{
 
   /// \brief Binds channels, shard structures, expiry calendars and
@@ -245,8 +241,7 @@ class Executor {
   /// purge phases, at every worker count.
   /// Divided by edges_processed() this is the fanout the dispatch layer
   /// actually paid: O(matching operators) per edge, not O(registered
-  /// queries). (Tuple-mode cascades within one delivery count as one
-  /// activation.)
+  /// queries).
   std::size_t ops_touched() const { return ops_touched_; }
 
   /// \brief Operator visits the query index skipped relative to visiting
@@ -282,11 +277,10 @@ class Executor {
 
   /// \name Checkpoint/restore (model/checkpoint.h, DESIGN.md §7)
   ///
-  /// Callable only at a batch boundary (between Flush()es): the delivery
-  /// stack is empty, no wave is in flight, and the deletion scratch state
-  /// of every operator is provably clear. The restore counterpart runs on
-  /// a freshly built executor of the same topology and options, before any
-  /// tuple.
+  /// Callable only at a batch boundary (between Flush()es): no wave is in
+  /// flight, every slot is empty, and the deletion scratch state of every
+  /// operator is provably clear. The restore counterpart runs on a freshly
+  /// built executor of the same topology and options, before any tuple.
   /// @{
 
   /// \brief Serializes the clock (current time, next slide boundary,
@@ -371,17 +365,10 @@ class Executor {
     }
   };
 
-  /// \brief Channel entry point of a single-instance operator: appends
-  /// the emitted tuple to the tuple-mode delivery segment, or routes it
-  /// onto its destinations' slots.
+  /// \brief Channel entry point of a single-instance operator: routes the
+  /// emitted tuple onto its destinations' slots.
   void Route(const OutputChannel& channel, const Sgt& tuple);
 
-  /// \brief True at batch_size == 1 and num_workers == 1: emissions
-  /// cascade depth-first on the delivery stack, reproducing recursive
-  /// delivery exactly. Every other configuration runs waves.
-  bool tuple_mode() const {
-    return options_.batch_size == 1 && !sharded();
-  }
   bool sharded() const { return options_.num_workers > 1; }
 
   /// \brief Channel/slot/shard/coordination setup of one node — the
@@ -402,19 +389,6 @@ class Executor {
   /// operator and one ascending pass settles the wave.
   template <typename Fn>
   void PopDirtyWave(Fn&& visit);
-
-  /// \brief Runs one phase call (OnSge / OnTimeAdvance / Purge) of a
-  /// single-instance operator; in tuple mode, then drains the cascade of
-  /// whatever it emitted.
-  template <typename Fn>
-  void RunOpPhase(Fn&& fn);
-
-  /// \brief Drains the tuple-mode delivery stack (exact DFS order).
-  void DrainStack();
-
-  /// \brief Moves the collected segment onto the stack in reverse, so its
-  /// first emission is delivered (and its cascade completed) first.
-  void PushSegment();
 
   /// \brief Exchange: appends `tuple` to the destination's slots of
   /// `dst.port` according to the destination's routing key.
@@ -438,10 +412,9 @@ class Executor {
   void RunShardsMaybeParallel(std::size_t instances,
                               std::size_t active_shards, Fn&& run_shard);
 
-  /// \brief Runs `fn(instance)` on every instance of operator `id` and
-  /// delivers what they emitted: a lone instance through RunOpPhase, the
-  /// instances of a multi-instance operator on the worker pool, then the
-  /// merge.
+  /// \brief Runs `fn(instance)` on every instance of operator `id`: a
+  /// lone instance inline (its emissions land in the slots), the instances
+  /// of a multi-instance operator on the worker pool, then the merge.
   template <typename Fn>
   void RunInstances(OpId id, Fn&& fn);
 
@@ -458,8 +431,7 @@ class Executor {
   void RunCoordinatedBatch(OpId id, int port, std::vector<Sgt>& batch);
 
   /// \brief Delivers one timestamp group of sges to the sources the query
-  /// index posts under their labels, then drains the cascade (tuple mode)
-  /// or runs the wave.
+  /// index posts under their labels, then runs the wave.
   void DeliverSges(const Sge* sges, std::size_t n);
 
   /// \brief Sharded boundary purge: purges the due window partitions on
@@ -523,16 +495,6 @@ class Executor {
   /// The batch Flush executes (swapped with queue_; capacity kept).
   std::vector<Sge> batch_;
 
-  // --- drain state ---
-  /// Tuple-mode deliveries: the pending cascade stack, and the one
-  /// segment buffer every phase call and stack pop collects its
-  /// emissions into (segment_ points at it during a call). Page-mapped
-  /// once large (common/page_allocator.h): a purge can emit a burst.
-  using Deliveries = std::vector<std::pair<PortRef, Sgt>,
-                                 PageAllocator<std::pair<PortRef, Sgt>>>;
-  Deliveries stack_;
-  Deliveries segment_buf_;
-  Deliveries* segment_ = nullptr;
   std::size_t num_waves_ = 0;
 
   // --- clock ---

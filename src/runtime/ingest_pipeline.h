@@ -28,12 +28,13 @@
 //
 // Because the merge restores exact stream order and stages batches at the
 // synchronous flush boundaries, the pipeline changes *where* parsing
-// happens, never what the operators observe: workers=1 / batch=1 output
-// is byte-identical to synchronous Push, everything else keeps the
-// runtime's snapshot-equivalence contract. Per-parser blocked/busy time
-// lands in IngestStats (parser_stall_ns / parser_busy_ns — busy time is
-// the pure tokenize/decode cost, the number parse_tuples_per_sec is
-// derived from).
+// happens, never what the operators observe: each staged batch runs the
+// waves synchronous Push would run. workers=1 / batch=1 output is
+// byte-identical to synchronous Push (tests/ingest_pipeline_test.cc),
+// everything else keeps the runtime's snapshot-equivalence contract.
+// Per-parser blocked/busy time lands in IngestStats (parser_stall_ns /
+// parser_busy_ns — busy time is the pure tokenize/decode cost, the number
+// parse_tuples_per_sec is derived from).
 //
 // Pinning policy (ExecutorOptions::pin_workers): pool workers own cores
 // [pin 0, num_workers); parser p (the merge is parser 0) takes slot

@@ -21,9 +21,9 @@
 // registration order, and every lookup visits label postings first, then
 // the wildcard bucket in its registration order. The executor delivers
 // an edge to its sources in exactly this order, so the call sequence is
-// a pure function of the registration history (byte-identical results at
-// workers=1/batch=1, and after a removal identical to a never-added run;
-// DESIGN.md §3.1).
+// a pure function of the registration history: results are deterministic
+// run-to-run, and after a removal the surviving sources are called in a
+// never-added run's order (DESIGN.md §3.1).
 
 #ifndef SGQ_RUNTIME_QUERY_INDEX_H_
 #define SGQ_RUNTIME_QUERY_INDEX_H_
@@ -59,8 +59,8 @@ class QueryIndex {
 
   /// \brief Removes every posting of `op` under `label` (live query
   /// deregistration, DESIGN.md §10). Surviving postings keep their
-  /// registration order, so indexed dispatch stays byte-identical to a
-  /// never-added run. Erases the label's list entirely when it empties.
+  /// registration order, so indexed dispatch calls them as a never-added
+  /// run would. Erases the label's list entirely when it empties.
   void Remove(LabelId label, OpId op) {
     auto it = postings_.find(label);
     if (it == postings_.end()) return;

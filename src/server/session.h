@@ -39,9 +39,11 @@
 //
 // Determinism: with num_workers=1 and batch_size=1 a subscription that
 // attaches fresh (sharing nothing) at stream position k produces results
-// byte-identical to a static `--query` run over the stream suffix [k..);
-// one attached before any ingest matches the full static run. The CI
-// session smoke test (scripts/session_smoke.sh) enforces both.
+// byte-identical to a static `--query` run over the stream suffix [k..):
+// its operators keep a solo compile's relative id order, so the waves
+// deliver its tuples in the static run's order. One attached before any
+// ingest matches the full static run. The CI session smoke test
+// (scripts/session_smoke.sh) enforces both.
 
 #ifndef SGQ_SERVER_SESSION_H_
 #define SGQ_SERVER_SESSION_H_
@@ -64,7 +66,7 @@ namespace sgq {
 struct SessionOptions {
   /// Runtime configuration of the hosted engine. The session engine is
   /// finalized EMPTY (before the first SUBSCRIBE), which fixes the slide
-  /// granularity at 1 — every later attach is admissible and, at
+  /// granularity at 1 — every later attach is admissible and, fresh at
   /// num_workers=1/batch_size=1, byte-identical to a static run.
   EngineOptions engine;
   /// Window attached to every subscribed query (the CLI's window/slide

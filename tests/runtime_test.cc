@@ -1,15 +1,15 @@
 // Tests for the dataflow runtime (runtime/executor.h): topology
-// construction, exact depth-first delivery at batch=1, micro-batch waves,
-// exact boundary purging (expired state leaves at the next slide
+// construction, delivery order through chains and fan-in, micro-batch
+// waves, exact boundary purging (expired state leaves at the next slide
 // boundary), time-advance ordering (OnTimeAdvance for every distinct
-// timestamp), shared
-// WindowStore partitions and WSCAN deduplication, and batch=1 vs batch=N
-// result equivalence on seeded random streams.
+// timestamp), shared WindowStore partitions and WSCAN deduplication, and
+// batch=1 vs batch=N result equivalence on seeded random streams.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/basic_ops.h"
@@ -67,6 +67,23 @@ class FanOp : public PhysicalOp {
 
  private:
   int fanout_;
+};
+
+/// Forwards every input tuple with its target set to `tag`, so the tuples
+/// a consumer receives say which producer emitted them.
+class TagOp : public PhysicalOp {
+ public:
+  explicit TagOp(VertexId tag) : tag_(tag) {}
+  void OnTuple(int port, const Sgt& tuple) override {
+    (void)port;
+    Sgt copy = tuple;
+    copy.trg = tag_;
+    EmitTuple(copy);
+  }
+  std::string Name() const override { return "TAG"; }
+
+ private:
+  VertexId tag_;
 };
 
 // ---------------------------------------------------------------------------
@@ -179,9 +196,10 @@ TEST(ExecutorTest, ChannelFanOutDeliversInConnectionOrder) {
   EXPECT_EQ(static_cast<ProbeOp*>(exec.op(b))->tuples.size(), 1u);
 }
 
-TEST(ExecutorTest, TupleModeDrainsDepthFirst) {
-  // scan -> fan(2) -> fan(2) -> probe: 4 leaf tuples per input, in the
-  // exact order the recursive engine would produce (left subtree first).
+TEST(ExecutorTest, ChainKeepsEmissionOrder) {
+  // scan -> fan(2) -> fan(2) -> probe: 4 leaf tuples per input. A chain
+  // keeps emission order: each operator runs its whole input of the wave
+  // in arrival order, so the leaves arrive as their ancestors emitted.
   Executor exec;
   const OpId scan =
       exec.AddOp(std::make_unique<WScanOp>(0, WindowSpec(10, 1)));
@@ -197,12 +215,42 @@ TEST(ExecutorTest, TupleModeDrainsDepthFirst) {
   exec.Ingest(Sge(1, 2, 0, 0));
   auto* p = static_cast<ProbeOp*>(exec.op(probe));
   ASSERT_EQ(p->tuples.size(), 4u);
-  // src evolves 1 -> 1*10+i -> (1*10+i)*10+j; DFS order: 100, 101, 110,
-  // 111.
+  // src evolves 1 -> 1*10+i -> (1*10+i)*10+j: 100, 101, 110, 111.
   EXPECT_EQ(p->tuples[0].src, 100u);
   EXPECT_EQ(p->tuples[1].src, 101u);
   EXPECT_EQ(p->tuples[2].src, 110u);
   EXPECT_EQ(p->tuples[3].src, 111u);
+}
+
+TEST(ExecutorTest, FanInDeliversLowerIdProducerFirst) {
+  // scan -> fan(2) -> {tag 7, tag 8} -> probe, both tags on port 0. The
+  // probe's port takes the wave's input producer by producer in ascending
+  // id: all of tag 7's output, then tag 8's — not the interleaving
+  // (7, 8, 7, 8) of delivering each emission's cascade depth-first.
+  Executor exec;
+  const OpId scan =
+      exec.AddOp(std::make_unique<WScanOp>(0, WindowSpec(10, 1)));
+  const OpId fan = exec.AddOp(std::make_unique<FanOp>(2));
+  const OpId low = exec.AddOp(std::make_unique<TagOp>(7));
+  const OpId high = exec.AddOp(std::make_unique<TagOp>(8));
+  const OpId probe = exec.AddOp(std::make_unique<ProbeOp>());
+  ASSERT_TRUE(exec.Connect(scan, fan, 0).ok());
+  ASSERT_TRUE(exec.Connect(fan, low, 0).ok());
+  ASSERT_TRUE(exec.Connect(fan, high, 0).ok());
+  ASSERT_TRUE(exec.Connect(low, probe, 0).ok());
+  ASSERT_TRUE(exec.Connect(high, probe, 0).ok());
+  ASSERT_TRUE(exec.RegisterSource(0, scan, 1).ok());
+  ASSERT_TRUE(exec.Finalize().ok());
+
+  exec.Ingest(Sge(1, 2, 0, 0));
+  auto* p = static_cast<ProbeOp*>(exec.op(probe));
+  ASSERT_EQ(p->tuples.size(), 4u);
+  const std::pair<VertexId, VertexId> expected[] = {
+      {10, 7}, {11, 7}, {10, 8}, {11, 8}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(p->tuples[i].src, expected[i].first) << "position " << i;
+    EXPECT_EQ(p->tuples[i].trg, expected[i].second) << "position " << i;
+  }
 }
 
 TEST(ExecutorTest, WaveModeBatchesPerPort) {
