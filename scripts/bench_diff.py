@@ -54,8 +54,10 @@ HIGHER_BETTER = {"tuples_per_sec": 0.8, "parse_tuples_per_sec": 0.8}
 # ops_touched_per_edge is near-deterministic (driver-side dispatch counts,
 # not wall clock), so a growth past 1.2x means the query index stopped
 # pruning dispatches — a real fanout regression, not runner noise.
+# register_us_per_query (bench_query_scale) is wall clock per registered
+# query, so it gets the latency threshold.
 LOWER_BETTER = {"p99_slide_seconds": 1.5, "state_bytes": 1.5,
-                "ops_touched_per_edge": 1.2}
+                "ops_touched_per_edge": 1.2, "register_us_per_query": 1.5}
 # Machine-independent integer facts, gated by exact equality (exit 1).
 # Structural facts hold on every row; result counts only on sequential
 # rows (parallel merges emit timing-dependent coalesced counts).

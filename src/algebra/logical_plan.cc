@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace sgq {
 
@@ -48,62 +48,74 @@ LabelId LogicalOp::OutputLabel() const {
   return kInvalidLabel;
 }
 
-std::string LogicalOp::ToString(const Vocabulary& vocab, int indent) const {
-  std::ostringstream os;
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  os << pad;
-  switch (kind) {
+namespace {
+
+/// Appends `op`'s subtree to `out`, one node per line; the plan text of
+/// every registration is rendered here, into one string.
+void AppendPlanText(const LogicalOp& op, const Vocabulary& vocab, int indent,
+                    std::string* out) {
+  out->append(static_cast<std::size_t>(indent) * 2, ' ');
+  switch (op.kind) {
     case LogicalOpKind::kWScan:
-      os << "WSCAN[" << vocab.LabelName(input_label) << ", "
-         << window.ToString() << "]";
+      StrAppend(out, "WSCAN[", vocab.LabelName(op.input_label), ", ",
+                op.window.ToString(), "]");
       break;
     case LogicalOpKind::kFilter: {
-      os << "FILTER[";
-      for (std::size_t i = 0; i < predicates.size(); ++i) {
-        if (i > 0) os << " && ";
-        const FilterPredicate& p = predicates[i];
+      *out += "FILTER[";
+      for (std::size_t i = 0; i < op.predicates.size(); ++i) {
+        if (i > 0) *out += " && ";
+        const FilterPredicate& p = op.predicates[i];
         switch (p.kind) {
           case FilterPredicate::Kind::kSrcEquals:
-            os << "src=" << vocab.VertexName(p.vertex);
+            StrAppend(out, "src=", vocab.VertexName(p.vertex));
             break;
           case FilterPredicate::Kind::kTrgEquals:
-            os << "trg=" << vocab.VertexName(p.vertex);
+            StrAppend(out, "trg=", vocab.VertexName(p.vertex));
             break;
           case FilterPredicate::Kind::kSrcEqualsTrg:
-            os << "src=trg";
+            *out += "src=trg";
             break;
           case FilterPredicate::Kind::kLabelEquals:
-            os << "label=" << vocab.LabelName(p.label);
+            StrAppend(out, "label=", vocab.LabelName(p.label));
             break;
         }
       }
-      os << "]";
+      *out += "]";
       break;
     }
     case LogicalOpKind::kUnion:
-      os << "UNION";
-      if (output_label != kInvalidLabel) {
-        os << "[" << vocab.LabelName(output_label) << "]";
+      *out += "UNION";
+      if (op.output_label != kInvalidLabel) {
+        StrAppend(out, "[", vocab.LabelName(op.output_label), "]");
       }
       break;
     case LogicalOpKind::kPattern: {
-      os << "PATTERN[" << vocab.LabelName(output_label) << "; ";
-      for (std::size_t i = 0; i < child_vars.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << "(" << child_vars[i].first << "," << child_vars[i].second
-           << ")";
+      StrAppend(out, "PATTERN[", vocab.LabelName(op.output_label), "; ");
+      for (std::size_t i = 0; i < op.child_vars.size(); ++i) {
+        if (i > 0) *out += ", ";
+        StrAppend(out, "(", op.child_vars[i].first, ",",
+                  op.child_vars[i].second, ")");
       }
-      os << " -> (" << out_src_var << "," << out_trg_var << ")]";
+      StrAppend(out, " -> (", op.out_src_var, ",", op.out_trg_var, ")]");
       break;
     }
     case LogicalOpKind::kPath:
-      os << "PATH[" << vocab.LabelName(output_label) << "; "
-         << regex.ToString(vocab) << "]";
+      StrAppend(out, "PATH[", vocab.LabelName(op.output_label), "; ",
+                op.regex.ToString(vocab), "]");
       break;
   }
-  os << "\n";
-  for (const auto& c : children) os << c->ToString(vocab, indent + 1);
-  return os.str();
+  *out += "\n";
+  for (const auto& c : op.children) {
+    AppendPlanText(*c, vocab, indent + 1, out);
+  }
+}
+
+}  // namespace
+
+std::string LogicalOp::ToString(const Vocabulary& vocab, int indent) const {
+  std::string out;
+  AppendPlanText(*this, vocab, indent, &out);
+  return out;
 }
 
 bool LogicalOp::Equals(const LogicalOp& other) const {
@@ -218,13 +230,13 @@ Status ValidatePlan(const LogicalOp& plan, const Vocabulary& vocab) {
         return Status::InvalidArgument(
             "PATTERN output label must be derived (Def. 19)");
       }
-      std::set<std::string> vars;
-      for (const auto& [s, t] : plan.child_vars) {
-        vars.insert(s);
-        vars.insert(t);
-      }
-      if (vars.count(plan.out_src_var) == 0 ||
-          vars.count(plan.out_trg_var) == 0) {
+      auto bound = [&plan](const std::string& v) {
+        for (const auto& [s, t] : plan.child_vars) {
+          if (s == v || t == v) return true;
+        }
+        return false;
+      };
+      if (!bound(plan.out_src_var) || !bound(plan.out_trg_var)) {
         return Status::InvalidArgument(
             "PATTERN output endpoints must be variables of the pattern");
       }

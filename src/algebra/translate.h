@@ -9,6 +9,7 @@
 #ifndef SGQ_ALGEBRA_TRANSLATE_H_
 #define SGQ_ALGEBRA_TRANSLATE_H_
 
+#include <string>
 #include <vector>
 
 #include "algebra/logical_plan.h"
@@ -45,6 +46,12 @@ Result<LogicalPlan> TranslateToCanonicalPlan(const StreamingGraphQuery& query,
 /// spelling); UNION children are not reordered (emission order matters for
 /// shared state).
 std::string PlanSignature(const LogicalOp& plan);
+
+/// \brief PlanSignature of every node of `plan`, in pre-order: the root
+/// first, then each child's subtree in child order, so a node's subtree
+/// fills the Size() entries from its own. Each node's string is built once,
+/// children first, from its children's finished strings.
+std::vector<std::string> PlanSignatures(const LogicalOp& plan);
 
 /// \brief The join key of a PATTERN: its PlanSignature `signature` with
 /// the head label (the label its rule derives) left out, so two joins that

@@ -18,12 +18,11 @@ Result<std::unique_ptr<DifferentialEngine>> DifferentialEngine::Create(
   SGQ_RETURN_NOT_OK(query.rq.Validate(vocab));
   std::unique_ptr<DifferentialEngine> engine(new DifferentialEngine());
   engine->rq_ = ExpandStarClosures(query.rq);
-  SGQ_RETURN_NOT_OK(engine->rq_.Validate(vocab));
+  SGQ_RETURN_NOT_OK(engine->rq_.Validate(vocab, &engine->topo_order_));
   engine->vocab_ = &vocab;
   engine->window_ = query.window;
   engine->per_label_windows_ = query.per_label_windows;
 
-  SGQ_ASSIGN_OR_RETURN(engine->topo_order_, engine->rq_.TopologicalOrder());
   for (const Rule& r : engine->rq_.rules()) {
     for (const BodyAtom& a : r.body) {
       if (a.IsClosure()) {

@@ -19,6 +19,13 @@ std::string_view TrimString(std::string_view text);
 /// \brief True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// \brief Appends each of `parts` (strings, string views or C strings) to
+/// `*out` in order: one growing string, no temporary per piece.
+template <typename... Parts>
+void StrAppend(std::string* out, const Parts&... parts) {
+  (out->append(std::string_view(parts)), ...);
+}
+
 /// \brief Joins `parts` with `sep`.
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);

@@ -55,6 +55,11 @@ OpId Engine::QueryRoot(QueryId q) const {
 Result<QueryId> Engine::AddPlan(const LogicalOp& plan,
                                 const Vocabulary& vocab) {
   SGQ_RETURN_NOT_OK(ValidatePlan(plan, vocab));
+  return AddValidPlan(plan, vocab);
+}
+
+Result<QueryId> Engine::AddValidPlan(const LogicalOp& plan,
+                                     const Vocabulary& vocab) {
   if (finalized_) {
     // Live attach (DESIGN.md §10): all admission checks run before any
     // mutation, so a refused SUBSCRIBE leaves the engine running. The
@@ -67,7 +72,9 @@ Result<QueryId> Engine::AddPlan(const LogicalOp& plan,
     subtree_dedup_.clear();
   }
   ops_before_current_plan_ = executor_.NumOps();
-  SGQ_ASSIGN_OR_RETURN(OpId root, Build(plan, vocab));
+  const std::vector<std::string> sigs = PlanSignatures(plan);
+  std::size_t next_sig = 0;
+  SGQ_ASSIGN_OR_RETURN(OpId root, Build(plan, sigs, &next_sig));
 
   // Results are coalesced (Def. 11). PATTERN and PATH coalesce their own
   // output; re-coalescing at the sink would only repeat the work.
@@ -92,22 +99,26 @@ Result<QueryId> Engine::AddPlan(const LogicalOp& plan,
 
   // The sharing refcounts: every operator reachable from this query's
   // sink (through compile-time children, shared subtrees included) gains
-  // one reference. RemoveQuery decrements the same set.
+  // one reference. RemoveQuery decrements the same set. The walk marks
+  // what it reaches and clears exactly those marks, so it costs what it
+  // reaches, not the whole operator table.
   const QueryId q = static_cast<QueryId>(sinks_.size() - 1);
   std::vector<OpId> reachable;
   std::vector<OpId> work = {sink_id};
-  std::vector<bool> seen(static_cast<std::size_t>(executor_.NumOps()), false);
   while (!work.empty()) {
     const OpId id = work.back();
     work.pop_back();
-    if (seen[static_cast<std::size_t>(id)]) continue;
-    seen[static_cast<std::size_t>(id)] = true;
+    OpRecord& record = ops_[static_cast<std::size_t>(id)];
+    if (record.walk_seen) continue;
+    record.walk_seen = true;
     reachable.push_back(id);
-    for (OpId child : op_children_[static_cast<std::size_t>(id)]) {
-      work.push_back(child);
-    }
+    for (OpId child : record.children) work.push_back(child);
   }
-  for (OpId id : reachable) ++op_refs_[static_cast<std::size_t>(id)];
+  for (OpId id : reachable) {
+    OpRecord& record = ops_[static_cast<std::size_t>(id)];
+    ++record.refs;
+    record.walk_seen = false;
+  }
   query_ops_.push_back(std::move(reachable));
   return q;
 }
@@ -134,15 +145,11 @@ Status Engine::CheckLiveAttachable(const LogicalOp& plan) const {
 void Engine::RecordOp(OpId id, std::string sig, std::vector<OpId> children,
                       std::vector<std::string> window_keys) {
   const std::size_t need = static_cast<std::size_t>(id) + 1;
-  if (op_refs_.size() < need) {
-    op_refs_.resize(need, 0);
-    op_sigs_.resize(need);
-    op_children_.resize(need);
-    op_window_keys_.resize(need);
-  }
-  op_sigs_[static_cast<std::size_t>(id)] = std::move(sig);
-  op_children_[static_cast<std::size_t>(id)] = std::move(children);
-  op_window_keys_[static_cast<std::size_t>(id)] = std::move(window_keys);
+  if (ops_.size() < need) ops_.resize(need);
+  OpRecord& record = ops_[static_cast<std::size_t>(id)];
+  record.sig = std::move(sig);
+  record.children = std::move(children);
+  record.window_keys = std::move(window_keys);
 }
 
 Status Engine::RemoveQuery(QueryId q) {
@@ -168,37 +175,32 @@ Status Engine::RemoveQuery(QueryId q) {
   // parent) frontier edges. The whole teardown is O(removed subtree).
   std::vector<OpId> dead;
   for (OpId id : query_ops_[static_cast<std::size_t>(q)]) {
-    if (--op_refs_[static_cast<std::size_t>(id)] == 0) dead.push_back(id);
+    if (--ops_[static_cast<std::size_t>(id)].refs == 0) dead.push_back(id);
   }
   std::vector<std::pair<OpId, OpId>> unlink;
   for (OpId id : dead) {
-    const std::size_t i = static_cast<std::size_t>(id);
+    OpRecord& record = ops_[static_cast<std::size_t>(id)];
     // The dedup map must forget the signature, and a join's head-label-
     // free key, or a later registration would resolve to a destroyed
     // operator. (With cross_query_sharing off the map is cleared per
     // registration; the entry may be stale. A relabel UNION's signature
     // yields its join's key, which the guard leaves to the join.)
-    for (const std::string& key : {op_sigs_[i], JoinSignature(op_sigs_[i])}) {
+    for (const std::string& key : {record.sig, JoinSignature(record.sig)}) {
       if (key.empty()) continue;
       auto it = subtree_dedup_.find(key);
       if (it != subtree_dedup_.end() && it->second == id) {
         subtree_dedup_.erase(it);
       }
     }
-    for (const std::string& key : op_window_keys_[i]) {
+    for (const std::string& key : record.window_keys) {
       SGQ_RETURN_NOT_OK(executor_.window_store()->Release(key));
     }
-    op_window_keys_[i].clear();
-    op_window_keys_[i].shrink_to_fit();
-    for (OpId child : op_children_[i]) {
-      if (op_refs_[static_cast<std::size_t>(child)] > 0) {
+    for (OpId child : record.children) {
+      if (ops_[static_cast<std::size_t>(child)].refs > 0) {
         unlink.emplace_back(child, id);
       }
     }
-    op_children_[i].clear();
-    op_children_[i].shrink_to_fit();
-    op_sigs_[i].clear();
-    op_sigs_[i].shrink_to_fit();
+    record = OpRecord{};  // frees the strings and vectors
   }
   SGQ_RETURN_NOT_OK(executor_.RemoveOps(dead, unlink));
 
@@ -218,15 +220,16 @@ bool Engine::IsLive(QueryId q) const {
 }
 
 int Engine::OperatorRefCount(OpId id) const {
-  if (id < 0 || static_cast<std::size_t>(id) >= op_refs_.size()) return 0;
-  return op_refs_[static_cast<std::size_t>(id)];
+  if (id < 0 || static_cast<std::size_t>(id) >= ops_.size()) return 0;
+  return ops_[static_cast<std::size_t>(id)].refs;
 }
 
 Result<QueryId> Engine::AddQuery(const StreamingGraphQuery& query,
                                  const Vocabulary& vocab) {
+  // Translation validates the plan it returns.
   SGQ_ASSIGN_OR_RETURN(LogicalPlan plan,
                        TranslateToCanonicalPlan(query, vocab));
-  return AddPlan(*plan, vocab);
+  return AddValidPlan(*plan, vocab);
 }
 
 Status Engine::Finalize() {
@@ -547,16 +550,21 @@ Status Engine::RestoreFrom(
   return Status::OK();
 }
 
-Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
+Result<OpId> Engine::Build(const LogicalOp& node,
+                           const std::vector<std::string>& sigs,
+                           std::size_t* next_sig) {
   // Sharing: a subtree whose canonical signature was already compiled —
   // by this query or (with cross_query_sharing) any earlier one — resolves
   // to the existing operator; its channel fans out to the new consumer.
-  const std::string sig = PlanSignature(node);
-  auto count_hit = [this](OpId shared) {
+  // A resolved subtree is not walked, so its signatures are skipped.
+  const std::size_t at = (*next_sig)++;
+  const std::string& sig = sigs[at];
+  auto count_hit = [this, &node, at, next_sig](OpId shared) {
     ++shared_subtree_hits_;
     if (static_cast<std::size_t>(shared) < ops_before_current_plan_) {
       ++cross_query_shared_hits_;
     }
+    *next_sig = at + node.Size();
   };
   auto dedup_it = subtree_dedup_.find(sig);
   if (dedup_it != subtree_dedup_.end()) {
@@ -601,8 +609,12 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
   // Children first: the executor's insertion order doubles as its wave
   // order, and channels must point from children to parents.
   std::vector<OpId> children;
+  std::vector<const std::string*> child_sigs;
+  children.reserve(node.children.size());
+  child_sigs.reserve(node.children.size());
   for (const auto& c : node.children) {
-    SGQ_ASSIGN_OR_RETURN(OpId child, Build(*c, vocab));
+    child_sigs.push_back(&sigs[*next_sig]);
+    SGQ_ASSIGN_OR_RETURN(OpId child, Build(*c, sigs, next_sig));
     children.push_back(child);
   }
 
@@ -662,7 +674,7 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
         if (label == kInvalidLabel) continue;  // mixed-label: private
         port_state[i].label = label;
         std::string key = "atom:" + op_key + ":" + std::to_string(i) + ":" +
-                          PlanSignature(*node.children[i]);
+                          *child_sigs[i];
         port_state[i].store = executor_.window_store()->Acquire(key);
         wkeys.push_back(std::move(key));
       }
@@ -678,22 +690,21 @@ Result<OpId> Engine::Build(const LogicalOp& node, const Vocabulary& vocab) {
       // not on the regex, and maintenance is idempotent. Under sharding
       // the inputs are broadcast and the shards read the same partition.
       std::string in_sig = "path-in:";
-      for (std::size_t i = 0; i < node.children.size(); ++i) {
+      for (std::size_t i = 0; i < child_sigs.size(); ++i) {
         if (i > 0) in_sig += ",";
-        in_sig += PlanSignature(*node.children[i]);
+        in_sig += *child_sigs[i];
       }
       WindowEdgeStore* window = executor_.window_store()->Acquire(in_sig);
       wkeys.push_back(std::move(in_sig));
-      make_shard = [this, &node, window,
-                    workers](std::size_t shard) -> std::unique_ptr<PhysicalOp> {
-        Dfa dfa = Dfa::FromRegex(node.regex);
+      // One DFA per operator: every shard instance gets a copy.
+      make_shard = [this, &node, window, workers,
+                    dfa = Dfa::FromRegex(node.regex)](
+                       std::size_t shard) -> std::unique_ptr<PhysicalOp> {
         std::unique_ptr<PathOpBase> path;
         if (options_.path_impl == PathImpl::kSPath) {
-          path =
-              std::make_unique<SPathOp>(std::move(dfa), node.output_label);
+          path = std::make_unique<SPathOp>(dfa, node.output_label);
         } else {
-          path = std::make_unique<DeltaPathOp>(std::move(dfa),
-                                               node.output_label);
+          path = std::make_unique<DeltaPathOp>(dfa, node.output_label);
         }
         if (workers > 1) {
           path->ConfigureShard(static_cast<ShardId>(shard), workers);

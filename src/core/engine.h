@@ -375,14 +375,22 @@ class Engine {
  private:
   SinkOp* sink(QueryId q) const;
 
+  /// \brief AddPlan after ValidatePlan: AddQuery's translation already
+  /// validated its plan, so it enters here.
+  Result<QueryId> AddValidPlan(const LogicalOp& plan, const Vocabulary& vocab);
+
   /// \brief Compiles `node` children-first, consulting the signature
-  /// dedup map before instantiating anything. Records per-operator
-  /// bookkeeping (signature, children, acquired window partitions) that
-  /// RemoveQuery's refcounted teardown consumes.
-  Result<OpId> Build(const LogicalOp& node, const Vocabulary& vocab);
+  /// dedup map before instantiating anything. `sigs` holds the
+  /// registration's PlanSignatures (pre-order) and `*next_sig` indexes
+  /// `node`'s; Build advances it past `node`'s subtree. Records
+  /// per-operator bookkeeping (signature, children, acquired window
+  /// partitions) that RemoveQuery's refcounted teardown consumes.
+  Result<OpId> Build(const LogicalOp& node,
+                     const std::vector<std::string>& sigs,
+                     std::size_t* next_sig);
 
   /// \brief Registers engine-side bookkeeping for a newly instantiated
-  /// operator (grows the parallel per-OpId tables).
+  /// operator (grows `ops_`).
   void RecordOp(OpId id, std::string sig, std::vector<OpId> children,
                 std::vector<std::string> window_keys);
 
@@ -426,13 +434,15 @@ class Engine {
   /// Ops reachable from each query's sink (the sink included), deduped —
   /// the set whose refcounts RemoveQuery decrements. Cleared on removal.
   std::vector<std::vector<OpId>> query_ops_;
-  /// Per-OpId teardown bookkeeping, parallel to the executor's node table:
-  /// sharing refcount, canonical signature (dedup-map erasure), compile-
-  /// time children (channel unlinking), acquired window partition keys.
-  std::vector<int> op_refs_;
-  std::vector<std::string> op_sigs_;
-  std::vector<std::vector<OpId>> op_children_;
-  std::vector<std::vector<std::string>> op_window_keys_;
+  /// Per-OpId teardown bookkeeping, parallel to the executor's node table.
+  struct OpRecord {
+    int refs = 0;            ///< sharing refcount: queries reaching the op
+    bool walk_seen = false;  ///< AddPlan's refcount-walk mark, false between
+    std::string sig;         ///< canonical signature (dedup-map erasure)
+    std::vector<OpId> children;            ///< compile-time children
+    std::vector<std::string> window_keys;  ///< acquired window partitions
+  };
+  std::vector<OpRecord> ops_;
   std::size_t shared_subtree_hits_ = 0;
   std::size_t cross_query_shared_hits_ = 0;
   /// Operator count at the start of the in-flight AddPlan: dedup hits on

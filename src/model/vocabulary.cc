@@ -52,12 +52,17 @@ Result<LabelId> Vocabulary::InternDerivedLabel(std::string_view name) {
 }
 
 Result<LabelId> Vocabulary::FindLabel(std::string_view name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = label_ids_.find(std::string(name));
-  if (it == label_ids_.end()) {
+  const LabelId id = LookupLabel(name);
+  if (id == kInvalidLabel) {
     return Status::NotFound("unknown label '" + std::string(name) + "'");
   }
-  return it->second;
+  return id;
+}
+
+LabelId Vocabulary::LookupLabel(std::string_view name) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = label_ids_.find(std::string(name));
+  return it == label_ids_.end() ? kInvalidLabel : it->second;
 }
 
 bool Vocabulary::IsInputLabel(LabelId label) const {

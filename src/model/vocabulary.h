@@ -54,6 +54,10 @@ class Vocabulary {
   /// \brief Looks up an existing label id.
   Result<LabelId> FindLabel(std::string_view name) const;
 
+  /// \brief Like FindLabel, but a miss returns kInvalidLabel instead of
+  /// building a NotFound status: for callers that probe and intern.
+  LabelId LookupLabel(std::string_view name) const;
+
   /// \brief True when `label` belongs to phi(E_I), the input alphabet.
   bool IsInputLabel(LabelId label) const;
 

@@ -47,6 +47,15 @@ void ExpandRule(Rule rule, std::size_t idx, std::vector<Rule>* out) {
 
 }  // namespace
 
+bool HasStarClosures(const RegularQuery& rq) {
+  for (const Rule& rule : rq.rules()) {
+    for (const BodyAtom& a : rule.body) {
+      if (a.closure == ClosureKind::kStar) return true;
+    }
+  }
+  return false;
+}
+
 RegularQuery ExpandStarClosures(const RegularQuery& rq) {
   RegularQuery out;
   out.SetAnswer(rq.answer());

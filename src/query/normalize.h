@@ -17,6 +17,10 @@
 
 namespace sgq {
 
+/// \brief Whether some body atom of `rq` is a star closure — the queries
+/// ExpandStarClosures changes; it returns a copy of any other query.
+bool HasStarClosures(const RegularQuery& rq);
+
 /// \brief Returns an equivalent RQ in which every closure atom is a
 /// plus-closure (see file comment for the star-elimination construction).
 RegularQuery ExpandStarClosures(const RegularQuery& rq);

@@ -231,7 +231,8 @@ Result<VertexPairSet> EvaluateOneTime(const RegularQuery& rq,
                                       const SnapshotGraph& graph,
                                       const Vocabulary& vocab) {
   const RegularQuery normalized = ExpandStarClosures(rq);
-  SGQ_RETURN_NOT_OK(normalized.Validate(vocab));
+  std::vector<LabelId> topo;
+  SGQ_RETURN_NOT_OK(normalized.Validate(vocab, &topo));
 
   RelationStore store;
   // Seed EDB relations (and any derived-labeled snapshot tuples, which makes
@@ -242,9 +243,6 @@ Result<VertexPairSet> EvaluateOneTime(const RegularQuery& rq,
   for (const SnapshotPath& p : graph.paths()) {
     store.Insert(p.label, p.src, p.trg);
   }
-
-  SGQ_ASSIGN_OR_RETURN(std::vector<LabelId> topo,
-                       normalized.TopologicalOrder());
 
   // Collect closure alias definitions: alias -> underlying label.
   std::unordered_map<LabelId, LabelId> alias_to_base;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <queue>
 #include <set>
 #include <sstream>
 
+#include "common/small_vec.h"
 #include "common/string_util.h"
 
 namespace sgq {
@@ -18,73 +18,106 @@ std::vector<const Rule*> RegularQuery::RulesFor(LabelId label) const {
   return out;
 }
 
-std::unordered_map<LabelId, std::vector<LabelId>>
-RegularQuery::DependencyGraph() const {
-  std::unordered_map<LabelId, std::vector<LabelId>> deps;
+Result<std::vector<LabelId>> RegularQuery::TopologicalOrder() const {
+  // The dependency graph in compressed form over small vectors: its nodes
+  // are the derived labels (rule heads and closure aliases), sorted, and
+  // node i reads reads[begin[i] .. begin[i + 1]) in rule and atom order —
+  // a head reads each atom's label (a closure atom's alias), an alias its
+  // base label.
+  SmallVec<LabelId, 8> nodes;
   for (const Rule& r : rules_) {
-    auto& d = deps[r.head];
+    nodes.push_back(r.head);
+    for (const BodyAtom& a : r.body) {
+      if (a.IsClosure()) nodes.push_back(a.alias);
+    }
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase_range(
+      static_cast<std::size_t>(std::unique(nodes.begin(), nodes.end()) -
+                               nodes.begin()),
+      nodes.size());
+  static constexpr std::size_t kLeaf = ~std::size_t{0};
+  auto index = [&nodes](LabelId label) {
+    const LabelId* it = std::lower_bound(nodes.begin(), nodes.end(), label);
+    return it != nodes.end() && *it == label
+               ? static_cast<std::size_t>(it - nodes.begin())
+               : kLeaf;
+  };
+  SmallVec<std::uint32_t, 9> begin(nodes.size() + 1, 0);
+  for (const Rule& r : rules_) {
+    begin[index(r.head) + 1] += static_cast<std::uint32_t>(r.body.size());
+    for (const BodyAtom& a : r.body) {
+      if (a.IsClosure()) ++begin[index(a.alias) + 1];
+    }
+  }
+  for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+  SmallVec<LabelId, 8> reads(begin[nodes.size()], kInvalidLabel);
+  SmallVec<std::uint32_t, 8> fill(nodes.size(), 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) fill[i] = begin[i];
+  for (const Rule& r : rules_) {
+    const std::size_t head = index(r.head);
     for (const BodyAtom& a : r.body) {
       if (a.IsClosure()) {
-        // head depends on the alias; the alias depends on the base label.
-        d.push_back(a.alias);
-        deps[a.alias].push_back(a.label);
+        reads[fill[head]++] = a.alias;
+        reads[fill[index(a.alias)]++] = a.label;
       } else {
-        d.push_back(a.label);
+        reads[fill[head]++] = a.label;
       }
     }
   }
-  return deps;
-}
 
-Result<std::vector<LabelId>> RegularQuery::TopologicalOrder() const {
-  auto deps = DependencyGraph();
+  // Iterative DFS from every node in ascending label order; post-order
+  // emission puts dependencies first.
+  struct Frame {
+    std::uint32_t node;
+    std::uint32_t next;  ///< position in `reads` of the next child
+  };
+  SmallVec<std::uint8_t, 8> mark(nodes.size(), 0);  // 0 new, 1 open, 2 done
+  SmallVec<Frame, 8> stack;
   std::vector<LabelId> order;
-  std::unordered_map<LabelId, int> mark;  // 0 = new, 1 = visiting, 2 = done
-
-  // Iterative DFS with an explicit stack for post-order.
-  std::vector<LabelId> roots;
-  for (const auto& [label, _] : deps) roots.push_back(label);
-  std::sort(roots.begin(), roots.end());
-
-  for (LabelId root : roots) {
+  order.reserve(nodes.size());
+  for (std::uint32_t root = 0; root < nodes.size(); ++root) {
     if (mark[root] == 2) continue;
-    std::vector<std::pair<LabelId, std::size_t>> stack = {{root, 0}};
     mark[root] = 1;
+    stack.push_back({root, begin[root]});
     while (!stack.empty()) {
-      auto& [label, child_idx] = stack.back();
-      auto it = deps.find(label);
-      const std::vector<LabelId>& children =
-          it != deps.end() ? it->second : std::vector<LabelId>{};
-      if (child_idx < children.size()) {
-        LabelId child = children[child_idx++];
-        if (deps.count(child) == 0) continue;  // EDB leaf
-        if (mark[child] == 1) {
+      Frame& top = stack.back();
+      if (top.next < begin[top.node + 1]) {
+        const LabelId child = reads[top.next++];
+        const std::size_t c = index(child);
+        if (c == kLeaf) continue;  // EDB leaf
+        if (mark[c] == 1) {
           return Status::InvalidArgument(
               "recursive dependency through predicate id " +
               std::to_string(child) + " (RQ must be non-recursive)");
         }
-        if (mark[child] == 0) {
-          mark[child] = 1;
-          stack.emplace_back(child, 0);
+        if (mark[c] == 0) {
+          mark[c] = 1;
+          stack.push_back({static_cast<std::uint32_t>(c), begin[c]});
         }
       } else {
-        mark[label] = 2;
-        order.push_back(label);
-        stack.pop_back();
+        mark[top.node] = 2;
+        order.push_back(nodes[top.node]);
+        stack.erase_range(stack.size() - 1, stack.size());
       }
     }
   }
   return order;
 }
 
-Status RegularQuery::Validate(const Vocabulary& vocab) const {
+Status RegularQuery::Validate(const Vocabulary& vocab,
+                              std::vector<LabelId>* topo_order) const {
   if (rules_.empty()) return Status::InvalidArgument("RQ has no rules");
   if (answer_ == kInvalidLabel) {
     return Status::InvalidArgument("RQ has no Answer predicate");
   }
-  std::set<LabelId> heads;
-  for (const Rule& r : rules_) heads.insert(r.head);
-  if (heads.count(answer_) == 0) {
+  SmallVec<LabelId, 8> heads;
+  for (const Rule& r : rules_) heads.push_back(r.head);
+  std::sort(heads.begin(), heads.end());
+  auto is_head = [&heads](LabelId label) {
+    return std::binary_search(heads.begin(), heads.end(), label);
+  };
+  if (!is_head(answer_)) {
     return Status::InvalidArgument("no rule defines the Answer predicate");
   }
   for (const Rule& r : rules_) {
@@ -97,10 +130,11 @@ Status RegularQuery::Validate(const Vocabulary& vocab) const {
       return Status::InvalidArgument("rule for '" + vocab.LabelName(r.head) +
                                      "' has an empty body");
     }
-    std::set<std::string> body_vars;
+    bool src_bound = false;
+    bool trg_bound = false;
     for (const BodyAtom& a : r.body) {
-      body_vars.insert(a.src);
-      body_vars.insert(a.trg);
+      src_bound = src_bound || a.src == r.head_src || a.trg == r.head_src;
+      trg_bound = trg_bound || a.src == r.head_trg || a.trg == r.head_trg;
       if (a.IsClosure()) {
         if (a.alias == kInvalidLabel) {
           return Status::InvalidArgument("closure atom over '" +
@@ -112,23 +146,22 @@ Status RegularQuery::Validate(const Vocabulary& vocab) const {
               "closure alias '" + vocab.LabelName(a.alias) +
               "' is an input label; aliases must be derived");
         }
-        if (heads.count(a.alias) > 0) {
+        if (is_head(a.alias)) {
           return Status::InvalidArgument(
               "closure alias '" + vocab.LabelName(a.alias) +
               "' collides with a rule head");
         }
       }
     }
-    if (body_vars.count(r.head_src) == 0 ||
-        body_vars.count(r.head_trg) == 0) {
+    if (!src_bound || !trg_bound) {
       return Status::InvalidArgument(
           "head variables of '" + vocab.LabelName(r.head) +
           "' must appear in the rule body (safety)");
     }
   }
   // Non-recursiveness.
-  auto topo = TopologicalOrder();
-  if (!topo.ok()) return topo.status();
+  SGQ_ASSIGN_OR_RETURN(std::vector<LabelId> topo, TopologicalOrder());
+  if (topo_order != nullptr) *topo_order = std::move(topo);
   return Status::OK();
 }
 
@@ -167,7 +200,8 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// Parses "name(var, var)" with optional +/* after the name; advances *pos.
+/// One "name(var, var)" atom, with optional +/* after the name and an
+/// optional "as Alias"; ParseAtomText fills it and advances *pos.
 struct ParsedAtom {
   std::string name;
   std::string src;
@@ -176,22 +210,24 @@ struct ParsedAtom {
   std::string alias;  // empty if none
 };
 
-Result<ParsedAtom> ParseAtomText(std::string_view text, std::size_t* pos) {
+Status ParseAtomText(std::string_view text, std::size_t* pos,
+                     ParsedAtom* atom) {
   auto skip = [&] {
     while (*pos < text.size() &&
            std::isspace(static_cast<unsigned char>(text[*pos]))) {
       ++*pos;
     }
   };
-  auto ident = [&]() -> Result<std::string> {
+  auto ident = [&](std::string* out) -> Status {
     skip();
-    std::size_t start = *pos;
+    const std::size_t start = *pos;
     while (*pos < text.size() && IsIdentChar(text[*pos])) ++*pos;
     if (*pos == start) {
       return Status::ParseError("expected identifier at offset " +
                                 std::to_string(*pos));
     }
-    return std::string(text.substr(start, *pos - start));
+    out->assign(text.data() + start, *pos - start);
+    return Status::OK();
   };
   auto expect = [&](char c) -> Status {
     skip();
@@ -203,27 +239,26 @@ Result<ParsedAtom> ParseAtomText(std::string_view text, std::size_t* pos) {
     return Status::OK();
   };
 
-  ParsedAtom atom;
-  SGQ_ASSIGN_OR_RETURN(atom.name, ident());
+  SGQ_RETURN_NOT_OK(ident(&atom->name));
   skip();
   if (*pos < text.size() && (text[*pos] == '+' || text[*pos] == '*')) {
-    atom.closure =
+    atom->closure =
         text[*pos] == '+' ? ClosureKind::kPlus : ClosureKind::kStar;
     ++*pos;
   }
   SGQ_RETURN_NOT_OK(expect('('));
-  SGQ_ASSIGN_OR_RETURN(atom.src, ident());
+  SGQ_RETURN_NOT_OK(ident(&atom->src));
   SGQ_RETURN_NOT_OK(expect(','));
-  SGQ_ASSIGN_OR_RETURN(atom.trg, ident());
+  SGQ_RETURN_NOT_OK(ident(&atom->trg));
   SGQ_RETURN_NOT_OK(expect(')'));
   // Optional "as Alias".
   skip();
   if (*pos + 2 <= text.size() && text.substr(*pos, 2) == "as" &&
       (*pos + 2 == text.size() || !IsIdentChar(text[*pos + 2]))) {
     *pos += 2;
-    SGQ_ASSIGN_OR_RETURN(atom.alias, ident());
+    SGQ_RETURN_NOT_OK(ident(&atom->alias));
   }
-  return atom;
+  return Status::OK();
 }
 
 }  // namespace
@@ -236,9 +271,12 @@ Result<RegularQuery> ParseRq(std::string_view text, Vocabulary* vocab) {
   std::vector<RawRule> raw_rules;
 
   std::size_t line_no = 0;
-  for (const std::string& raw_line : SplitString(text, '\n')) {
+  for (std::size_t start = 0; start <= text.size();) {
     ++line_no;
-    std::string_view line = TrimString(raw_line);
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = TrimString(text.substr(start, end - start));
+    start = end + 1;
     if (line.empty() || line.front() == '#') continue;
     // Split on "<-" or ":-".
     std::size_t arrow = line.find("<-");
@@ -251,12 +289,11 @@ Result<RegularQuery> ParseRq(std::string_view text, Vocabulary* vocab) {
     {
       std::string_view head_text = line.substr(0, arrow);
       std::size_t pos = 0;
-      auto head = ParseAtomText(head_text, &pos);
+      const Status head = ParseAtomText(head_text, &pos, &rule.head);
       if (!head.ok()) {
         return Status::ParseError("line " + std::to_string(line_no) +
-                                  " (head): " + head.status().message());
+                                  " (head): " + head.message());
       }
-      rule.head = std::move(head).ValueOrDie();
       if (rule.head.closure != ClosureKind::kNone) {
         return Status::ParseError("line " + std::to_string(line_no) +
                                   ": rule head cannot carry closure");
@@ -265,12 +302,12 @@ Result<RegularQuery> ParseRq(std::string_view text, Vocabulary* vocab) {
     std::string_view body_text = line.substr(arrow + 2);
     std::size_t pos = 0;
     while (true) {
-      auto atom = ParseAtomText(body_text, &pos);
-      if (!atom.ok()) {
+      ParsedAtom& atom = rule.body.emplace_back();
+      const Status parsed = ParseAtomText(body_text, &pos, &atom);
+      if (!parsed.ok()) {
         return Status::ParseError("line " + std::to_string(line_no) +
-                                  " (body): " + atom.status().message());
+                                  " (body): " + parsed.message());
       }
-      rule.body.push_back(std::move(atom).ValueOrDie());
       while (pos < body_text.size() &&
              std::isspace(static_cast<unsigned char>(body_text[pos]))) {
         ++pos;
@@ -286,56 +323,67 @@ Result<RegularQuery> ParseRq(std::string_view text, Vocabulary* vocab) {
   }
   if (raw_rules.empty()) return Status::ParseError("no rules in query text");
 
-  // Pass 1: intern all head names and closure aliases as derived labels.
+  // Pass 1: intern all head names and closure aliases as derived labels,
+  // in name order (the order fixes their label ids).
   // Generated closure aliases are label-canonical: every `a+` atom maps to
   // the one alias `__tc_a` no matter which rule (or position) it appears
   // in, so the PATH operators compiled for equal closures share one
   // canonical PlanSignature — and therefore one physical operator — across
   // rules and across registered queries (core/engine.h).
-  std::set<std::string> idb_names;
-  for (const RawRule& r : raw_rules) idb_names.insert(r.head.name);
   for (RawRule& r : raw_rules) {
     for (ParsedAtom& a : r.body) {
       if (a.closure != ClosureKind::kNone && a.alias.empty()) {
         a.alias = "__tc_" + a.name;
       }
-      if (!a.alias.empty()) idb_names.insert(a.alias);
     }
   }
-  for (const std::string& name : idb_names) {
-    SGQ_RETURN_NOT_OK(vocab->InternDerivedLabel(name).status());
+  std::vector<std::pair<std::string_view, LabelId>> idb;
+  for (const RawRule& r : raw_rules) {
+    idb.emplace_back(r.head.name, kInvalidLabel);
+    for (const ParsedAtom& a : r.body) {
+      if (!a.alias.empty()) idb.emplace_back(a.alias, kInvalidLabel);
+    }
   }
+  std::sort(idb.begin(), idb.end());
+  idb.erase(std::unique(idb.begin(), idb.end()), idb.end());
+  for (auto& [name, id] : idb) {
+    SGQ_ASSIGN_OR_RETURN(id, vocab->InternDerivedLabel(name));
+  }
+  auto idb_id = [&idb](std::string_view name) {
+    auto it = std::lower_bound(
+        idb.begin(), idb.end(), name,
+        [](const auto& entry, std::string_view n) { return entry.first < n; });
+    return it != idb.end() && it->first == name ? it->second : kInvalidLabel;
+  };
 
   // Pass 2: build the RegularQuery; unknown body labels become EDB.
   RegularQuery rq;
-  for (const RawRule& raw : raw_rules) {
+  for (RawRule& raw : raw_rules) {
     Rule rule;
-    SGQ_ASSIGN_OR_RETURN(rule.head, vocab->FindLabel(raw.head.name));
-    rule.head_src = raw.head.src;
-    rule.head_trg = raw.head.trg;
-    for (const ParsedAtom& a : raw.body) {
+    rule.head = idb_id(raw.head.name);
+    rule.head_src = std::move(raw.head.src);
+    rule.head_trg = std::move(raw.head.trg);
+    rule.body.reserve(raw.body.size());
+    for (ParsedAtom& a : raw.body) {
       BodyAtom atom;
-      auto found = vocab->FindLabel(a.name);
-      if (found.ok()) {
-        atom.label = *found;
-      } else {
+      atom.label = idb_id(a.name);
+      if (atom.label == kInvalidLabel) atom.label = vocab->LookupLabel(a.name);
+      if (atom.label == kInvalidLabel) {
         SGQ_ASSIGN_OR_RETURN(atom.label, vocab->InternInputLabel(a.name));
       }
-      atom.src = a.src;
-      atom.trg = a.trg;
+      atom.src = std::move(a.src);
+      atom.trg = std::move(a.trg);
       atom.closure = a.closure;
-      if (!a.alias.empty()) {
-        SGQ_ASSIGN_OR_RETURN(atom.alias, vocab->FindLabel(a.alias));
-      }
+      if (!a.alias.empty()) atom.alias = idb_id(a.alias);
       rule.body.push_back(std::move(atom));
     }
     rq.AddRule(std::move(rule));
   }
   // The answer predicate: "Answer" or "Ans".
   for (const char* name : {"Answer", "Ans"}) {
-    auto found = vocab->FindLabel(name);
-    if (found.ok()) {
-      rq.SetAnswer(*found);
+    const LabelId found = vocab->LookupLabel(name);
+    if (found != kInvalidLabel) {
+      rq.SetAnswer(found);
       break;
     }
   }

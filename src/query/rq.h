@@ -67,7 +67,11 @@ class RegularQuery {
   ///  - head variables appear in the rule body,
   ///  - the dependency graph is acyclic (non-recursive),
   ///  - the answer label is defined by at least one rule.
-  Status Validate(const Vocabulary& vocab) const;
+  /// The acyclicity check computes TopologicalOrder(); when `topo_order`
+  /// is given, a valid query's order is stored there, so a caller that
+  /// needs both pays for one.
+  Status Validate(const Vocabulary& vocab,
+                  std::vector<LabelId>* topo_order = nullptr) const;
 
   /// \brief Topological order of IDB labels (dependencies first).
   /// Closure aliases are ordered after their underlying label's definition.
@@ -81,9 +85,6 @@ class RegularQuery {
   std::string ToString(const Vocabulary& vocab) const;
 
  private:
-  /// Dependency edges: for each defined IDB label, the labels it reads.
-  std::unordered_map<LabelId, std::vector<LabelId>> DependencyGraph() const;
-
   std::vector<Rule> rules_;
   LabelId answer_ = kInvalidLabel;
 };
